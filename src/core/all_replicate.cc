@@ -59,37 +59,40 @@ StatusOr<JoinRunResult> AllReplicateJoin(
     }
     MultiwayLocalJoin local(query, std::move(spans));
     std::vector<const Rect*> member_rects(static_cast<size_t>(m));
+    // Per-call tallies in locals, published once below through the
+    // attempt-scoped counters (a re-executed attempt must not double-count).
+    int64_t checks = 0;
+    int64_t owned = 0;
     local.Execute([&](const std::vector<const LocalRect*>& members) {
       for (int r = 0; r < m; ++r) {
         member_rects[static_cast<size_t>(r)] =
             &members[static_cast<size_t>(r)]->rect;
       }
+      ++checks;
       if (!OwnsTuple(grid, cell, member_rects)) return;
-      if (count_only) {
-        // Attempt-scoped counter (not a captured atomic): a reduce attempt
-        // re-executed under fault injection must not double-count.
-        out.IncrementCounter(kCounterTuplesCounted, 1);
-        return;
-      }
+      ++owned;
+      if (count_only) return;
       IdTuple ids(static_cast<size_t>(m));
       for (int r = 0; r < m; ++r) {
         ids[static_cast<size_t>(r)] = members[static_cast<size_t>(r)]->id;
       }
       out.Emit(std::move(ids));
     });
+    out.IncrementCounter(kCounterDedupTupleChecks, checks);
+    out.IncrementCounter(kCounterDedupOwned, owned);
+    if (count_only) out.IncrementCounter(kCounterTuplesCounted, owned);
   });
 
   JoinRunResult result;
-  const TransformCounters transform_before = SnapshotTransformCounters();
-  const DedupCounters dedup_before = SnapshotDedupCounters();
   JobStats stats = job.Run(std::span<const RelRect>(input), &result.tuples, ctx);
-  const TransformCounters transform_delta =
-      TransformCountersDelta(transform_before, SnapshotTransformCounters());
-  const DedupCounters dedup_delta =
-      DedupCountersDelta(dedup_before, SnapshotDedupCounters());
-  algo_span.AddArg("replicate_f1_calls", transform_delta.replicate_f1_calls);
-  algo_span.AddArg("dedup_tuple_checks", dedup_delta.tuple_checks);
-  algo_span.AddArg("dedup_owned", dedup_delta.owned);
+  // A job with no reduce input never adds dedup counts; keep the keys.
+  stats.user_counters.try_emplace(kCounterDedupTupleChecks, 0);
+  stats.user_counters.try_emplace(kCounterDedupOwned, 0);
+  // The map replicates every input record exactly once.
+  algo_span.AddArg("replicate_f1_calls", stats.map_input_records);
+  algo_span.AddArg("dedup_tuple_checks",
+                   stats.user_counters.at(kCounterDedupTupleChecks));
+  algo_span.AddArg("dedup_owned", stats.user_counters.at(kCounterDedupOwned));
   stats.user_counters[kCounterRectanglesReplicated] =
       static_cast<int64_t>(input.size());
   // The paper's "number of rectangles after replication" (§7.8.3) counts

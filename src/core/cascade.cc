@@ -208,6 +208,12 @@ StatusOr<JoinRunResult> CascadeJoin(
 
       RTree::QueryScratch scratch;
       std::vector<int32_t> matches;
+      // Per-call tallies in locals, published once below through the
+      // attempt-scoped counters (a re-executed attempt must not
+      // double-count).
+      int64_t checks = 0;
+      int64_t owned = 0;
+      int64_t counted = 0;
       for (const CascadeRecord* t : local_tuples) {
         const Rect& anchor_rect =
             t->components[static_cast<size_t>(anchor.bound_position)].rect;
@@ -222,12 +228,14 @@ StatusOr<JoinRunResult> CascadeJoin(
           const CascadeRecord* cand = candidates[static_cast<size_t>(mi)];
           const Rect& cand_rect = cand->components[0].rect;
           // Duplicate avoidance on the anchor pair (§5.2 / §5.3).
+          ++checks;
           const bool owns =
               anchor_pred.is_overlap()
                   ? OwnsOverlapPair(grid, cell, anchor_rect, cand_rect)
                   : OwnsRangePair(grid, cell, anchor_rect, cand_rect,
                                   anchor_d);
           if (!owns) continue;
+          ++owned;
           // Residual conditions to other bound relations.
           bool ok = true;
           for (size_t li = 1; li < links.size(); ++li) {
@@ -241,10 +249,7 @@ StatusOr<JoinRunResult> CascadeJoin(
           }
           if (!ok) continue;
           if (count_this_step) {
-            // Attempt-scoped counter (not a captured atomic): a reduce
-            // attempt re-executed under fault injection must not
-            // double-count its tuples.
-            out.IncrementCounter(kCounterTuplesCounted, 1);
+            ++counted;
             continue;
           }
           CascadeRecord merged;
@@ -254,22 +259,27 @@ StatusOr<JoinRunResult> CascadeJoin(
           out.Emit(std::move(merged));
         }
       }
+      out.IncrementCounter(kCounterDedupPairChecks, checks);
+      out.IncrementCounter(kCounterDedupOwned, owned);
+      if (count_this_step) out.IncrementCounter(kCounterTuplesCounted, counted);
     });
 
     std::vector<CascadeRecord> next;
-    const TransformCounters transform_before = SnapshotTransformCounters();
-    const DedupCounters dedup_before = SnapshotDedupCounters();
     JobStats stats = job.Run(std::span<const CascadeRecord>(input), &next, ctx);
-    const TransformCounters transform_delta =
-        TransformCountersDelta(transform_before, SnapshotTransformCounters());
-    const DedupCounters dedup_delta =
-        DedupCountersDelta(dedup_before, SnapshotDedupCounters());
-    step_span.AddArg("split_calls", transform_delta.split_calls);
+    // A step whose reducers see no tuple/candidate pair adds no dedup
+    // counts; keep the keys.
+    stats.user_counters.try_emplace(kCounterDedupPairChecks, 0);
+    stats.user_counters.try_emplace(kCounterDedupOwned, 0);
+    // The map splits every record once — tuples under a range anchor via
+    // EnlargedSplitCells, which splits the enlarged rectangle.
+    const int64_t tuple_records = stats.map_input_records -
+                                  static_cast<int64_t>(incoming_data.size());
+    step_span.AddArg("split_calls", stats.map_input_records);
     step_span.AddArg("enlarged_split_calls",
-                     transform_delta.enlarged_split_calls);
+                     anchor_pred.is_range() ? tuple_records : 0);
     step_span.AddArg("dedup_pair_checks",
-                     dedup_delta.pair_checks + dedup_delta.range_pair_checks);
-    step_span.AddArg("dedup_owned", dedup_delta.owned);
+                     stats.user_counters.at(kCounterDedupPairChecks));
+    step_span.AddArg("dedup_owned", stats.user_counters.at(kCounterDedupOwned));
     step_span.AddArg("output_records",
                      static_cast<int64_t>(next.size()));
     // Engine charges sizeof(In/Out) per record; replace with the real

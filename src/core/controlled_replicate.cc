@@ -414,12 +414,11 @@ StatusOr<JoinRunResult> ControlledReplicateJoin(
       round_span.AddArg("marked_records", marked_count);
     } else {
       std::vector<MarkedRect> marked_rects;
-      const TransformCounters before = SnapshotTransformCounters();
-      result.stats.Add(
-          round1.Run(std::span<const RelRect>(input), &marked_rects, ctx));
-      const TransformCounters delta =
-          TransformCountersDelta(before, SnapshotTransformCounters());
-      round_span.AddArg("split_calls", delta.split_calls);
+      JobStats round1_stats =
+          round1.Run(std::span<const RelRect>(input), &marked_rects, ctx);
+      // The map splits every input record exactly once.
+      round_span.AddArg("split_calls", round1_stats.map_input_records);
+      result.stats.Add(std::move(round1_stats));
       int64_t marked_count = 0;
       for (const MarkedRect& r : marked_rects) {
         marked_count += r.marked ? 1 : 0;
@@ -492,43 +491,52 @@ StatusOr<JoinRunResult> ControlledReplicateJoin(
     }
     MultiwayLocalJoin local(query, std::move(spans));
     std::vector<const Rect*> member_rects(static_cast<size_t>(m));
+    // Per-call tallies in locals, published once below: the callback runs
+    // once per enumerated tuple, far too often for a counter-map update.
+    int64_t checks = 0;
+    int64_t owned = 0;
     local.Execute([&](const std::vector<const LocalRect*>& members) {
       for (int r = 0; r < m; ++r) {
         member_rects[static_cast<size_t>(r)] =
             &members[static_cast<size_t>(r)]->rect;
       }
+      ++checks;
       if (!OwnsTuple(grid, cell, member_rects)) return;
-      if (count_only) {
-        out.IncrementCounter(kCounterTuplesCounted, 1);
-        return;
-      }
+      ++owned;
+      if (count_only) return;
       IdTuple ids(static_cast<size_t>(m));
       for (int r = 0; r < m; ++r) {
         ids[static_cast<size_t>(r)] = members[static_cast<size_t>(r)]->id;
       }
       out.Emit(std::move(ids));
     });
+    out.IncrementCounter(kCounterDedupTupleChecks, checks);
+    out.IncrementCounter(kCounterDedupOwned, owned);
+    if (count_only) out.IncrementCounter(kCounterTuplesCounted, owned);
   });
 
   TraceSpan round2_span(tracer, "crep_round2", "stage");
-  const TransformCounters transform_before = SnapshotTransformCounters();
-  const DedupCounters dedup_before = SnapshotDedupCounters();
   JobStats round2_stats = round2.Run(
       std::span<const MarkedRect>(*marked_shared), &result.tuples, ctx);
-  const TransformCounters transform_delta =
-      TransformCountersDelta(transform_before, SnapshotTransformCounters());
-  const DedupCounters dedup_delta =
-      DedupCountersDelta(dedup_before, SnapshotDedupCounters());
-  round2_span.AddArg("project_calls", transform_delta.project_calls);
-  round2_span.AddArg("replicate_f1_calls", transform_delta.replicate_f1_calls);
-  round2_span.AddArg("replicate_f2_calls", transform_delta.replicate_f2_calls);
-  round2_span.AddArg("dedup_tuple_checks", dedup_delta.tuple_checks);
-  round2_span.AddArg("dedup_owned", dedup_delta.owned);
+  // Counters no task added (no marked rectangle, no reduce input) are
+  // explicit zeros, for stable stats output.
+  auto& counters = round2_stats.user_counters;
+  for (const char* name :
+       {kCounterRectanglesReplicated, kCounterReplicationCopies,
+        kCounterDedupTupleChecks, kCounterDedupOwned}) {
+    counters.try_emplace(name, 0);
+  }
+  // Each marked record is replicated once (f1, or f2 under the limit) and
+  // each unmarked one projected once.
+  const int64_t replicated = counters.at(kCounterRectanglesReplicated);
+  round2_span.AddArg("project_calls",
+                     round2_stats.map_input_records - replicated);
+  round2_span.AddArg("replicate_f1_calls", limit ? 0 : replicated);
+  round2_span.AddArg("replicate_f2_calls", limit ? replicated : 0);
+  round2_span.AddArg("dedup_tuple_checks",
+                     counters.at(kCounterDedupTupleChecks));
+  round2_span.AddArg("dedup_owned", counters.at(kCounterDedupOwned));
   round2_span.End();
-  // Unmarked rectangles never touch the replicated/copies counters, so
-  // make them explicit zeros for stable stats output.
-  round2_stats.user_counters.try_emplace(kCounterRectanglesReplicated, 0);
-  round2_stats.user_counters.try_emplace(kCounterReplicationCopies, 0);
   // The paper's "number of rectangles after replication" (§7.8.3) counts
   // rectangles received by the join round's reducers — the round-2
   // intermediate records: one copy per projected rectangle plus every

@@ -1,50 +1,26 @@
 // Reference-point dedup kernels: called once per candidate pair/tuple, so
 // they must stay free of std::function indirection and heap allocation —
 // enforced by tools/mwsj_check.py via the MWSJ_ALLOC_FREE /
-// MWSJ_DETERMINISTIC annotations in dedup.h. Shared state is limited to
-// relaxed atomics (statistics, not synchronization); there is no lock to
-// annotate.
+// MWSJ_DETERMINISTIC annotations in dedup.h. They touch no shared state
+// (no counters, no locks): the reducers count their checks in locals.
 #include "core/dedup.h"
 
 #include <algorithm>
-#include <atomic>
 
 namespace mwsj {
 
-namespace {
-
-// Always-on dedup-check tallies (see SnapshotDedupCounters).
-// Relaxed: the counts are statistics, not synchronization.
-std::atomic<int64_t> g_pair_checks{0};
-std::atomic<int64_t> g_range_pair_checks{0};
-std::atomic<int64_t> g_tuple_checks{0};
-std::atomic<int64_t> g_owned{0};
-
-inline void Bump(std::atomic<int64_t>& counter) {
-  counter.fetch_add(1, std::memory_order_relaxed);
-}
-
-inline bool Tally(bool owns) {
-  if (owns) Bump(g_owned);
-  return owns;
-}
-
-}  // namespace
-
 bool OwnsOverlapPair(const GridPartition& grid, CellId cell, const Rect& r1,
                      const Rect& r2) {
-  Bump(g_pair_checks);
   const std::optional<Rect> overlap = Intersection(r1, r2);
   if (!overlap.has_value()) return false;
-  return Tally(grid.CellOfPoint(overlap->start_point()) == cell);
+  return grid.CellOfPoint(overlap->start_point()) == cell;
 }
 
 bool OwnsRangePair(const GridPartition& grid, CellId cell, const Rect& r1,
                    const Rect& r2, double d) {
-  Bump(g_range_pair_checks);
   const std::optional<Rect> overlap = Intersection(r1.EnlargeByDistance(d), r2);
   if (!overlap.has_value()) return false;
-  return Tally(grid.CellOfPoint(overlap->start_point()) == cell);
+  return grid.CellOfPoint(overlap->start_point()) == cell;
 }
 
 Point MultiwayReferencePoint(std::span<const Rect* const> members) {
@@ -59,27 +35,7 @@ Point MultiwayReferencePoint(std::span<const Rect* const> members) {
 
 bool OwnsTuple(const GridPartition& grid, CellId cell,
                std::span<const Rect* const> members) {
-  Bump(g_tuple_checks);
-  return Tally(grid.CellOfPoint(MultiwayReferencePoint(members)) == cell);
-}
-
-DedupCounters SnapshotDedupCounters() {
-  DedupCounters c;
-  c.pair_checks = g_pair_checks.load(std::memory_order_relaxed);
-  c.range_pair_checks = g_range_pair_checks.load(std::memory_order_relaxed);
-  c.tuple_checks = g_tuple_checks.load(std::memory_order_relaxed);
-  c.owned = g_owned.load(std::memory_order_relaxed);
-  return c;
-}
-
-DedupCounters DedupCountersDelta(const DedupCounters& before,
-                                 const DedupCounters& after) {
-  DedupCounters d;
-  d.pair_checks = after.pair_checks - before.pair_checks;
-  d.range_pair_checks = after.range_pair_checks - before.range_pair_checks;
-  d.tuple_checks = after.tuple_checks - before.tuple_checks;
-  d.owned = after.owned - before.owned;
-  return d;
+  return grid.CellOfPoint(MultiwayReferencePoint(members)) == cell;
 }
 
 }  // namespace mwsj

@@ -1,7 +1,6 @@
 #ifndef MWSJ_CORE_DEDUP_H_
 #define MWSJ_CORE_DEDUP_H_
 
-#include <cstdint>
 #include <span>
 
 #include "common/effects.h"
@@ -21,7 +20,11 @@ namespace mwsj {
 /// The ownership checks run once per candidate pair/tuple inside reduce
 /// kernels: MWSJ_ALLOC_FREE (pure arithmetic, no scratch) and
 /// MWSJ_DETERMINISTIC (the same tuple must pick the same owner cell on
-/// every platform, or dedup drops/duplicates output).
+/// every platform, or dedup drops/duplicates output). They are pure
+/// functions with no shared state: callers that want to know how many
+/// checks ran tally them in task-local variables and publish the totals
+/// once per reduce call through the engine's attempt-scoped counters
+/// (kCounterDedupTupleChecks and friends, core/records.h).
 MWSJ_ALLOC_FREE MWSJ_DETERMINISTIC bool OwnsOverlapPair(
     const GridPartition& grid, CellId cell, const Rect& r1, const Rect& r2);
 
@@ -44,32 +47,6 @@ MultiwayReferencePoint(std::span<const Rect* const> members);
 MWSJ_ALLOC_FREE MWSJ_DETERMINISTIC bool OwnsTuple(
     const GridPartition& grid, CellId cell,
     std::span<const Rect* const> members);
-
-/// Cumulative process-wide counts of the ownership checks above — one
-/// relaxed atomic increment per call, plus how many checks answered "this
-/// cell owns it". Same snapshot/delta observability pattern as
-/// grid/transform.h's TransformCounters: algorithms snapshot around a
-/// reduce pass and attach the deltas to its trace span so the
-/// duplicate-avoidance workload is visible next to wall time.
-///
-/// These are *executed-work* tallies, deliberately not exactly-once:
-/// under fault injection a re-executed or speculative task attempt bumps
-/// them again, so deltas measure retry amplification, not logical output.
-/// Exactly-once quantities belong in JobStats user counters via the
-/// engine's attempt-scoped Emitter/OutEmitter counters.
-struct DedupCounters {
-  int64_t pair_checks = 0;
-  int64_t range_pair_checks = 0;
-  int64_t tuple_checks = 0;
-  int64_t owned = 0;
-};
-
-/// Current cumulative counts (relaxed reads).
-DedupCounters SnapshotDedupCounters();
-
-/// Per-field difference `after - before` of two snapshots.
-DedupCounters DedupCountersDelta(const DedupCounters& before,
-                                 const DedupCounters& after);
 
 }  // namespace mwsj
 

@@ -121,6 +121,14 @@ inline constexpr char kCounterReplicationCopies[] = "replication_copies";
 /// Result tuples found by a count_only run (the reduce side counts instead
 /// of emitting; see JoinRunResult::num_tuples).
 inline constexpr char kCounterTuplesCounted[] = "tuples_counted";
+/// Duplicate-avoidance work of a join round (core/dedup.h): ownership
+/// checks run on candidate tuples (multi-way rule) or candidate pairs
+/// (2-way overlap/range rules), and how many of them the reducer's cell
+/// owned. Reducers tally them in locals and add them once per reduce
+/// call, so they are exact per job and exactly-once under retries.
+inline constexpr char kCounterDedupTupleChecks[] = "dedup_tuple_checks";
+inline constexpr char kCounterDedupPairChecks[] = "dedup_pair_checks";
+inline constexpr char kCounterDedupOwned[] = "dedup_owned";
 
 /// Exactly-once user counters of the distributed kNN join
 /// (queries/knn_mr.h), defined here so core's explain/stats rendering can

@@ -44,7 +44,11 @@ double CellRectMaxMinDistance(const GridPartition& grid, CellId cell,
 /// The transforms below run once per input rectangle per round inside map
 /// functions: MWSJ_ALLOC_FREE (cells append into a caller-owned, reused
 /// vector) and MWSJ_DETERMINISTIC (row-major cell order feeds the emit
-/// stream; tools/mwsj_check.py enforces both transitively).
+/// stream; tools/mwsj_check.py enforces both transitively). They are pure
+/// functions with no shared state. How often a round calls each of them
+/// is a function of its input (e.g. one SplitCells per round-1 record), so
+/// the algorithms derive those counts from the job's JobStats rather than
+/// counting calls.
 MWSJ_ALLOC_FREE MWSJ_DETERMINISTIC CellId ProjectCell(
     const GridPartition& grid, const Rect& u);
 
@@ -74,35 +78,6 @@ MWSJ_ALLOC_FREE MWSJ_DETERMINISTIC void EnlargedSplitCells(
 
 /// Number of cells f1 would produce, without materializing them.
 int64_t CountReplicateF1Cells(const GridPartition& grid, const Rect& u);
-
-/// Cumulative process-wide call counts of the transform operations above,
-/// one relaxed atomic increment per call — cheap enough to stay always-on.
-/// Observability support: algorithms snapshot these around a map-reduce
-/// job and attach the per-pass deltas (`TransformCountersDelta`) to the
-/// job's trace span, making the grid-transform activity of each pass
-/// visible alongside its wall time. Under concurrent *independent* joins
-/// in one process the deltas blend both runs; within one run (the only
-/// case the tracer reports) they are exact.
-///
-/// These are *executed-work* tallies, deliberately not exactly-once:
-/// under fault injection a re-executed or speculative task attempt bumps
-/// them again, so deltas measure retry amplification, not logical output.
-/// Exactly-once quantities belong in JobStats user counters via the
-/// engine's attempt-scoped Emitter/OutEmitter counters.
-struct TransformCounters {
-  int64_t project_calls = 0;
-  int64_t split_calls = 0;
-  int64_t replicate_f1_calls = 0;
-  int64_t replicate_f2_calls = 0;
-  int64_t enlarged_split_calls = 0;
-};
-
-/// Current cumulative counts (relaxed reads).
-TransformCounters SnapshotTransformCounters();
-
-/// Per-field difference `after - before` of two snapshots.
-TransformCounters TransformCountersDelta(const TransformCounters& before,
-                                         const TransformCounters& after);
 
 }  // namespace mwsj
 

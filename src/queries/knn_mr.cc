@@ -296,6 +296,8 @@ StatusOr<JoinRunResult> ExecuteKnnJoinMr(
     RTree::QueryScratch scratch;
     std::vector<int32_t> hits;
     std::vector<KnnCandidate> local;
+    // Kept candidates of this call, published once below.
+    int64_t kept = 0;
     for (const KnnRouted* p : cell_points) {
       hits.clear();
       tree.CollectWithinDistance(p->rect, p->bound, &scratch, &hits);
@@ -314,11 +316,10 @@ StatusOr<JoinRunResult> ExecuteKnnJoinMr(
       std::partial_sort(local.begin(),
                         local.begin() + static_cast<ptrdiff_t>(keep),
                         local.end(), CandidateLess);
-      for (size_t i = 0; i < keep; ++i) {
-        out.IncrementCounter(kCounterKnnCandidates, 1);
-        out.Emit(local[i]);
-      }
+      kept += static_cast<int64_t>(keep);
+      for (size_t i = 0; i < keep; ++i) out.Emit(local[i]);
     }
+    if (kept > 0) out.IncrementCounter(kCounterKnnCandidates, kept);
   });
 
   std::vector<KnnCandidate> candidates;

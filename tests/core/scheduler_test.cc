@@ -8,6 +8,9 @@
 
 #include <cstdlib>
 #include <future>
+#include <map>
+#include <optional>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -15,6 +18,7 @@
 #include "common/thread_pool.h"
 #include "common/trace.h"
 #include "core/dataset_catalog.h"
+#include "core/records.h"
 #include "core/runner.h"
 #include "core/scheduler.h"
 #include "mapreduce/fault.h"
@@ -380,6 +384,158 @@ TEST(SchedulerStressTest, ConcurrentMixedJobsMatchSerialByteForByte) {
   const JobScheduler::Counters counters = scheduler.counters();
   EXPECT_EQ(counters.submitted, kJobs);
   EXPECT_EQ(counters.succeeded, kJobs);
+}
+
+// Value of the integer arg `"key": N` in a trace event line, if present.
+std::optional<int64_t> TraceArg(const std::string& line,
+                                const std::string& key) {
+  const std::string needle = "\"" + key + "\": ";
+  const size_t at = line.find(needle);
+  if (at == std::string::npos) return std::nullopt;
+  return std::stoll(line.substr(at + needle.size()));
+}
+
+// The dedup counts of one C-Rep join round, from its span or its stats.
+struct DedupCounts {
+  int64_t checks = -1;
+  int64_t owned = -1;
+  bool operator==(const DedupCounts&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const DedupCounts& c) {
+  return os << "{checks " << c.checks << ", owned " << c.owned << "}";
+}
+
+// Rebuilds the per-thread span nesting of `Tracer::ToJson()` output (one
+// event per line; B/E pairs nest per tid) and returns the dedup args of
+// every "crep_round2" span keyed by the "job" arg of its enclosing run
+// span (-1 for a standalone run).
+std::multimap<int64_t, DedupCounts> Round2SpanCounts(const std::string& json) {
+  struct Span {
+    std::string name;
+    std::string end_line;
+    int parent;
+  };
+  std::vector<Span> spans;
+  std::map<int64_t, std::vector<int>> open;  // tid -> open span stack
+  std::istringstream in(json);
+  std::string line;
+  while (std::getline(in, line)) {
+    const std::optional<int64_t> tid = TraceArg(line, "tid");
+    if (!tid.has_value()) continue;
+    std::vector<int>& stack = open[*tid];
+    if (line.find("\"ph\": \"B\"") != std::string::npos) {
+      const size_t at = line.find("\"name\": \"") + 9;
+      spans.push_back(Span{line.substr(at, line.find('"', at) - at), "",
+                           stack.empty() ? -1 : stack.back()});
+      stack.push_back(static_cast<int>(spans.size()) - 1);
+    } else if (line.find("\"ph\": \"E\"") != std::string::npos) {
+      spans[static_cast<size_t>(stack.back())].end_line = line;
+      stack.pop_back();
+    }
+  }
+  std::multimap<int64_t, DedupCounts> out;
+  for (const Span& span : spans) {
+    if (span.name != "crep_round2") continue;
+    int64_t job = -1;
+    for (int p = span.parent; p >= 0;) {
+      const Span& ancestor = spans[static_cast<size_t>(p)];
+      const auto id = TraceArg(ancestor.end_line, "job");
+      if (id.has_value()) {
+        job = *id;
+        break;
+      }
+      p = ancestor.parent;
+    }
+    out.emplace(job,
+                DedupCounts{TraceArg(span.end_line, "dedup_tuple_checks")
+                                .value_or(-1),
+                            TraceArg(span.end_line, "dedup_owned")
+                                .value_or(-1)});
+  }
+  return out;
+}
+
+DedupCounts Round2StatsCounts(const RunStats& stats) {
+  for (const JobStats& job : stats.jobs) {
+    if (job.job_name != "crep_round2_join") continue;
+    const auto get = [&job](const char* name) {
+      const auto it = job.user_counters.find(name);
+      return it != job.user_counters.end() ? it->second : int64_t{-1};
+    };
+    return DedupCounts{get(kCounterDedupTupleChecks), get(kCounterDedupOwned)};
+  }
+  return DedupCounts{};
+}
+
+TEST(SchedulerStressTest, ConcurrentJobsReportOnlyTheirOwnDedupCounts) {
+  // Two C-Rep jobs over different inputs run interleaved on one pool and
+  // one tracer. Each must report exactly the dedup work it reports when it
+  // runs alone — in its round-2 span args and in its JobStats counters —
+  // never a blend of both jobs' work.
+  constexpr int kRepeats = 3;
+  std::vector<Query> queries;
+  std::vector<std::vector<std::vector<Rect>>> datasets;
+  std::vector<DedupCounts> alone;
+  for (int i = 0; i < 2; ++i) {
+    WorldConfig config;
+    config.shape = QueryShape::kChain3;
+    config.max_rects_per_relation = 600;
+    config.max_dim = 12.0 + 4.0 * i;
+    config.seed = SeedBase() + 61 + static_cast<uint64_t>(i);
+    queries.push_back(MakeWorldQuery(config));
+    datasets.push_back(MakeWorldData(config, queries.back().num_relations()));
+
+    Tracer tracer;
+    RunnerOptions options;
+    options.algorithm = Algorithm::kControlledReplicate;
+    options.context.tracer = &tracer;
+    const StatusOr<JoinRunResult> solo =
+        RunSpatialJoin(queries[i], datasets[i], options);
+    ASSERT_TRUE(solo.ok()) << solo.status().message();
+    alone.push_back(Round2StatsCounts(solo.value().stats));
+    EXPECT_GT(alone[i].checks, alone[i].owned);
+    EXPECT_GT(alone[i].owned, 0);
+    const auto spans = Round2SpanCounts(tracer.ToJson());
+    ASSERT_EQ(spans.size(), 1u);
+    EXPECT_EQ(spans.begin()->second, alone[i]);
+  }
+  ASSERT_NE(alone[0], alone[1]);
+
+  ThreadPool pool(4);
+  Tracer tracer;
+  SchedulerOptions sched_options;
+  sched_options.pool = &pool;
+  sched_options.tracer = &tracer;
+  sched_options.max_in_flight = 2;
+  JobScheduler scheduler(sched_options);
+
+  std::vector<JobHandle> handles;
+  for (int k = 0; k < 2 * kRepeats; ++k) {
+    JobSpec spec;
+    spec.query = queries[k % 2];
+    spec.borrowed_relations = &datasets[k % 2];
+    spec.options.algorithm = Algorithm::kControlledReplicate;
+    StatusOr<JobHandle> handle = scheduler.Submit(std::move(spec));
+    ASSERT_TRUE(handle.ok()) << handle.status().message();
+    handles.push_back(std::move(handle.value()));
+  }
+  std::map<int64_t, int> input_of_job;
+  for (int k = 0; k < 2 * kRepeats; ++k) {
+    const StatusOr<JoinRunResult>& result = handles[k].Wait();
+    ASSERT_TRUE(result.ok()) << result.status().message();
+    EXPECT_EQ(Round2StatsCounts(result.value().stats), alone[k % 2])
+        << "job " << handles[k].id();
+    input_of_job[handles[k].id()] = k % 2;
+  }
+
+  const auto spans = Round2SpanCounts(tracer.ToJson());
+  ASSERT_EQ(spans.size(), static_cast<size_t>(2 * kRepeats));
+  for (const auto& [job, counts] : spans) {
+    ASSERT_TRUE(input_of_job.count(job)) << "span without its job: " << job;
+    EXPECT_EQ(counts, alone[static_cast<size_t>(input_of_job[job])])
+        << "job " << job;
+  }
 }
 
 TEST(SchedulerCatalogTest, RepeatQueryReusesResidentArtifacts) {

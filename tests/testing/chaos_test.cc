@@ -223,6 +223,44 @@ TEST(SpillChaosTest, CrashMidSpillFlushRecovers) {
       << "the mid-flush abort never staged partial buckets";
 }
 
+// Targeted injection: every C-Rep reducer dies once mid-reduce (flaky I/O
+// after half its inbox, output discarded) and then straggles, so a
+// speculative duplicate reduces its whole inbox before the original
+// commits. The dedup counters are attempt-scoped: the discarded attempts'
+// ownership checks must not reach JobStats, so the faulted run reports
+// exactly the fault-free run's counts.
+TEST(ReduceChaosTest, CrepReduceCrashKeepsDedupCountsExactlyOnce) {
+  FaultPlan plan;  // No seeded layer: only the exact injected faults fire.
+  for (int64_t reducer = 0; reducer < 16; ++reducer) {
+    plan.Inject(FaultPhase::kReduce, reducer, 0, FaultKind::kFlakyIo);
+    plan.Inject(FaultPhase::kReduce, reducer, 1, FaultKind::kSlow);
+  }
+
+  WorldConfig config;
+  config.shape = QueryShape::kChain3;
+  config.max_rects_per_relation = 80;
+  config.seed = SeedBase() * 5 + 4;  // seed % 5 == 4: a 4x4 grid.
+
+  ChaosOptions options;
+  options.fault_plan = &plan;
+  for (bool pooled : {false, true}) {
+    SCOPED_TRACE(pooled ? "pool" : "serial");
+    std::unique_ptr<ThreadPool> pool;
+    if (pooled) pool = std::make_unique<ThreadPool>(4);
+    options.pool = pool.get();
+    const ChaosOutcome outcome = testing::RunChaosWorld(
+        config, Algorithm::kControlledReplicate, options);
+    EXPECT_TRUE(outcome.ok()) << outcome.mismatch;
+    EXPECT_GT(outcome.retries, 0);
+    EXPECT_GT(outcome.speculative, 0);
+    const auto checks = outcome.user_counters.find("dedup_tuple_checks");
+    ASSERT_NE(checks, outcome.user_counters.end())
+        << "dedup_tuple_checks missing from the faulted run's counters";
+    EXPECT_GT(checks->second, 0);
+    EXPECT_GE(checks->second, outcome.user_counters.at("dedup_owned"));
+  }
+}
+
 // The same fault plan must recover identically with and without a worker
 // pool: the plan is keyed by (phase, task, attempt), never by thread.
 TEST(ChaosDeterminism, PoolInvariantFaultAccounting) {

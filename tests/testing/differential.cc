@@ -144,6 +144,9 @@ DifferentialOutcome RunDifferentialWorld(const DifferentialWorkload& workload,
     outcome.spilled_runs += job.spill.spilled_runs;
     outcome.spill_flush_retries += job.spill.flush_retries;
     outcome.spill_wasted_flush_bytes += job.spill.wasted_flush_bytes;
+    for (const auto& [name, value] : job.user_counters) {
+      outcome.user_counters[name] += value;
+    }
   }
   outcome.num_tuples = faulted.value().num_tuples;
 

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -91,6 +92,10 @@ struct DifferentialOutcome {
   int64_t spilled_runs = 0;
   int64_t spill_flush_retries = 0;
   int64_t spill_wasted_flush_bytes = 0;
+  /// User counters of the variant run, summed over its jobs. Already
+  /// checked equal to the baseline's per job; exposed so a test can also
+  /// pin that a counter it relies on is present at all.
+  std::map<std::string, int64_t> user_counters;
 
   /// Empty when the variant run matched the brute-force oracle and the
   /// fault-free baseline everywhere; else describes the first divergence.

@@ -34,6 +34,8 @@ BAD_FIXTURES = {
     "emit_determinism_bad.cc": "emit-determinism",
     "blocking_bad.cc": "blocking-reach",
     "lock_order_bad.cc": "lock-order",
+    "hot_shared_rmw_bad.cc": "hot-shared-rmw",
+    "hot_shared_rmw_member_bad.cc": "hot-shared-rmw",
     "bad_suppression.cc": "bad-suppression",
 }
 
@@ -46,6 +48,8 @@ CLEAN_FIXTURES = [
     "blocking_suppressed.cc",
     "lock_order_clean.cc",
     "lock_order_suppressed.cc",
+    "hot_shared_rmw_clean.cc",
+    "hot_shared_rmw_suppressed.cc",
 ]
 
 
@@ -182,11 +186,11 @@ class MwsjCheckFixtureTest(unittest.TestCase):
                          f"src/ has unbaselined findings:\n{proc.stdout}"
                          f"{proc.stderr}")
 
-    def test_list_rules_names_all_four_graph_rules(self):
+    def test_list_rules_names_all_five_graph_rules(self):
         proc = run_check("--list-rules")
         self.assertEqual(proc.returncode, 0)
         for rule in ("alloc-free-reach", "emit-determinism",
-                     "blocking-reach", "lock-order"):
+                     "blocking-reach", "hot-shared-rmw", "lock-order"):
             self.assertIn(rule, proc.stdout)
 
 

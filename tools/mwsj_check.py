@@ -3,7 +3,7 @@
 
 Where tools/mwsj_lint.py matches single lines against regexes, this tool
 builds a whole-program call graph over the effect annotations declared in
-src/common/effects.h and propagates four invariants across it (rule table:
+src/common/effects.h and propagates five invariants across it (rule table:
 tools/mwsj_check_rules.md; architecture: DESIGN.md section 2.15):
 
   alloc-free-reach   An MWSJ_ALLOC_FREE function must not transitively
@@ -18,6 +18,11 @@ tools/mwsj_check_rules.md; architecture: DESIGN.md section 2.15):
                      pool joins) must be unreachable from MWSJ_ALLOC_FREE
                      / MWSJ_DETERMINISTIC functions except through an
                      MWSJ_BLOCKING_OK barrier (spill-flush entry points).
+  hot-shared-rmw     An MWSJ_ALLOC_FREE function must not transitively
+                     perform an atomic read-modify-write (fetch_add,
+                     exchange, compare_exchange, ++/+= on a std::atomic):
+                     per-call kernels that share one counter serialize on
+                     its cache line across threads.
   lock-order         The Mutex acquisition graph — direct MutexLock
                      nesting plus locks acquired by callees while a lock
                      is held — must be acyclic. Lock identity is
@@ -74,6 +79,10 @@ RULES = {
     "blocking-reach":
         "MWSJ_BLOCKING functions must be unreachable from MWSJ_ALLOC_FREE/"
         "MWSJ_DETERMINISTIC functions except via MWSJ_BLOCKING_OK",
+    "hot-shared-rmw":
+        "MWSJ_ALLOC_FREE functions may not transitively perform an atomic "
+        "read-modify-write (fetch_*, exchange, compare_exchange*, ++/+= on "
+        "a std::atomic)",
     "lock-order":
         "the MutexLock acquisition graph (including locks taken by "
         "callees) must be acyclic",
@@ -233,6 +242,7 @@ class FunctionInfo:
     alloc_sites: list = field(default_factory=list)        # (line, what)
     nondet_sites: list = field(default_factory=list)       # (line, what)
     blocking_sites: list = field(default_factory=list)     # (line, what)
+    rmw_sites: list = field(default_factory=list)          # (line, what)
     lock_events: list = field(default_factory=list)        # see scan_locks
 
 
@@ -711,6 +721,16 @@ HEAD_KEYWORD_CALLS = HEAD_KEYWORDS | {
     "noexcept", "assert", "co_await", "co_return", "typeid",
 }
 
+# A std::atomic declaration (global, member, local or parameter); group 1
+# is the declared name.
+ATOMIC_DECL_RE = re.compile(
+    r"\b(?:std\s*::\s*)?atomic(?:_\w+)?\s*(?:<[^;{}()]*>)?\s*[&*]?\s*"
+    r"([A-Za-z_]\w*)\s*[;{=,()\[]")
+# Read-modify-write member calls / free functions on any atomic.
+ATOMIC_RMW_CALL_RE = re.compile(
+    r"(?:(?:\.|->)\s*|\batomic_)((?:fetch_\w+|exchange|"
+    r"compare_exchange_\w+)(?:_explicit)?)\s*\(")
+
 LOCK_RE = re.compile(
     r"\b(?:MutexLock|(?:std\s*::\s*)?(?:lock_guard|unique_lock|scoped_lock)"
     r"\s*(?:<[^>]*>)?)\s+[A-Za-z_]\w*\s*\(\s*&?\s*"
@@ -745,6 +765,34 @@ def scan_features(fn: FunctionInfo, fi: FileInfo, in_common: bool) -> None:
             (line_of(m.start()), f"blocking call '{m.group(0).strip()}'"))
     scan_calls(fn, line_of)
     scan_locks(fn, line_of)
+
+
+def scan_atomic_rmw(fn: FunctionInfo, fi: FileInfo, names: set) -> None:
+    """Atomic read-modify-writes in `fn`: fetch_*/exchange/compare_exchange
+    calls, and ++/--/compound assignment on a name declared std::atomic
+    (in fn's file, or as a member of fn's class)."""
+    text = fn.text
+
+    def line_of(m_start: int) -> int:
+        return fi.linemap.line(fn.offset + m_start)
+
+    for m in ATOMIC_RMW_CALL_RE.finditer(text):
+        fn.rmw_sites.append((line_of(m.start()),
+                             f"atomic read-modify-write '{m.group(1)}'"))
+    if not names:
+        return
+    alt = "|".join(sorted(re.escape(n) for n in names))
+    prefix = re.compile(rf"(\+\+|--)\s*(?:[A-Za-z_]\w*\s*(?:\.|->)\s*)*"
+                        rf"({alt})\b")
+    postfix = re.compile(rf"(?<![\w])({alt})\s*(\+\+|--|[-+|&^]=(?!=))")
+    for m in prefix.finditer(text):
+        fn.rmw_sites.append((line_of(m.start()),
+                             f"atomic read-modify-write "
+                             f"'{m.group(1)}{m.group(2)}'"))
+    for m in postfix.finditer(text):
+        fn.rmw_sites.append((line_of(m.start()),
+                             f"atomic read-modify-write "
+                             f"'{m.group(1)} {m.group(2)}'"))
 
 
 def scan_ptr_sorts(text: str, line_of):
@@ -886,11 +934,22 @@ class Analyzer:
         self.mutex_owners = {}
         self.mutex_pairs = set()
         self.field_types = {}    # member name -> set of simple type names
+        atomic_members = {}      # class -> names of its std::atomic fields
         for cls, member, typ in self.r.fields:
             self.field_types.setdefault(member, set()).add(typ)
             if typ == "Mutex":
                 self.mutex_pairs.add((cls, member))
                 self.mutex_owners.setdefault(member, set()).add(cls)
+            if typ == "atomic":
+                atomic_members.setdefault(cls, set()).add(member)
+        file_atomics = {
+            rel: {m.group(1) for m in ATOMIC_DECL_RE.finditer(fi.code)}
+            for rel, fi in self.r.files.items()}
+        for fn in self.r.functions:
+            if fn.text:
+                scan_atomic_rmw(fn, self.r.files[fn.rel],
+                                file_atomics[fn.rel] |
+                                atomic_members.get(fn.cls, set()))
 
     def receiver_types(self, receiver: str, caller: FunctionInfo):
         """Candidate type names for `recv.method(...)`: a local/param
@@ -988,6 +1047,7 @@ class Analyzer:
         self.rule_alloc_free_reach()
         self.rule_emit_determinism()
         self.rule_blocking_reach()
+        self.rule_hot_shared_rmw()
         self.rule_lock_order()
         # Dedup identical findings (templates parsed in many TUs, multiple
         # roots reaching one site, ...): keep the first per (rel,line,rule).
@@ -1003,28 +1063,30 @@ class Analyzer:
         self.findings = out
         return self.findings
 
-    def rule_alloc_free_reach(self):
-        roots = [f for f in self.r.functions if "alloc_free" in f.annotations]
+    def report_reachable_sites(self, effect, macro, sites, rule):
+        """Reports every `sites` entry (a FunctionInfo list attribute) of
+        each function reachable from a root annotated with `effect`."""
+        roots = [f for f in self.r.functions if effect in f.annotations]
         for root in roots:
             for fn, path, _entry in self.reachable(root):
-                for line, what in fn.alloc_sites:
+                for line, what in getattr(fn, sites):
                     via = "" if fn is root else \
                         f" via {' -> '.join(path)}"
-                    self.add(fn.rel, line, "alloc-free-reach",
-                             f"{what} reachable from MWSJ_ALLOC_FREE "
+                    self.add(fn.rel, line, rule,
+                             f"{what} reachable from {macro} "
                              f"'{root.qual}'{via}", fn.qual)
 
+    def rule_alloc_free_reach(self):
+        self.report_reachable_sites("alloc_free", "MWSJ_ALLOC_FREE",
+                                    "alloc_sites", "alloc-free-reach")
+
     def rule_emit_determinism(self):
-        roots = [f for f in self.r.functions
-                 if "deterministic" in f.annotations]
-        for root in roots:
-            for fn, path, _entry in self.reachable(root):
-                for line, what in fn.nondet_sites:
-                    via = "" if fn is root else \
-                        f" via {' -> '.join(path)}"
-                    self.add(fn.rel, line, "emit-determinism",
-                             f"{what} reachable from MWSJ_DETERMINISTIC "
-                             f"'{root.qual}'{via}", fn.qual)
+        self.report_reachable_sites("deterministic", "MWSJ_DETERMINISTIC",
+                                    "nondet_sites", "emit-determinism")
+
+    def rule_hot_shared_rmw(self):
+        self.report_reachable_sites("alloc_free", "MWSJ_ALLOC_FREE",
+                                    "rmw_sites", "hot-shared-rmw")
 
     def rule_blocking_reach(self):
         roots = [f for f in self.r.functions
