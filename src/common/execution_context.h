@@ -18,13 +18,13 @@ class Tracer;
 struct ExecutionOptions {
   /// Byte budget for the engine's in-memory shuffle state (the per-chunk ×
   /// per-reducer bucket matrix). 0 means "inherit the MWSJ_SHUFFLE_BUDGET
-  /// environment override, else unlimited" — today's fully in-memory
-  /// behavior. -1 means explicitly unlimited (ignore the environment).
-  /// A positive budget turns on spill mode: every mapper chunk sorts its
-  /// buckets by key, chunks whose output exceeds budget/num_chunks flush
-  /// their buckets as columnar-compressed sorted runs, and reducer inboxes
-  /// are rebuilt by a k-way loser-tree merge. Output is byte-identical to
-  /// the unlimited path (mapreduce/spill.h, DESIGN.md §2.13).
+  /// environment override, else unlimited"; -1 means explicitly unlimited
+  /// (ignore the environment). Mapper chunks whose output exceeds
+  /// budget/num_chunks flush their key-sorted buckets as
+  /// columnar-compressed sorted runs, which reducers k-way merge like the
+  /// resident buckets; an unlimited budget never spills. Output is
+  /// byte-identical under every budget (mapreduce/spill.h, DESIGN.md
+  /// §2.13).
   int64_t shuffle_memory_budget = 0;
 };
 

@@ -38,12 +38,13 @@ struct PhaseFaultStats {
   void Add(const PhaseFaultStats& other);
 };
 
-/// Out-of-core accounting for one job run under a shuffle memory budget
-/// (ExecutionOptions::shuffle_memory_budget; DESIGN.md §2.13). All-zero —
-/// and omitted from stats_json — when the job ran unbounded.
+/// Shuffle memory accounting for one job run
+/// (ExecutionOptions::shuffle_memory_budget; DESIGN.md §2.13). Omitted
+/// from stats_json when the job ran unbounded. An unbounded run spills
+/// nothing, so its spill and flush fields stay zero; the peak and merge
+/// fields describe every run.
 struct SpillStats {
-  /// The effective byte budget the run executed under; 0 = unlimited
-  /// (spill mode off, every other field stays zero).
+  /// The effective byte budget the run executed under; 0 = unlimited.
   int64_t budget_bytes = 0;
   /// Mapper chunks whose output exceeded budget/num_chunks and were
   /// flushed to sorted runs.
@@ -59,9 +60,10 @@ struct SpillStats {
   int64_t flush_retries = 0;
   /// Staged run bytes discarded by failed flush attempts.
   int64_t wasted_flush_bytes = 0;
-  /// Shuffle-state bytes resident at the map→reduce barrier: in-memory
-  /// buckets of unspilled chunks plus stored bytes of spilled runs.
-  /// Deterministic (computed from sizes, not sampled).
+  /// Shuffle-state bytes resident at the map→reduce barrier: the
+  /// in-memory buckets of unspilled chunks (spilled runs are counted by
+  /// spilled_stored_bytes). Deterministic (computed from sizes, not
+  /// sampled).
   int64_t peak_shuffle_bytes = 0;
   /// Largest single reducer inbox, in intermediate bytes — the reduce-side
   /// working set a concurrent-reducer bound multiplies.
@@ -123,7 +125,8 @@ struct JobStats {
   PhaseFaultStats map_faults;
   PhaseFaultStats reduce_faults;
 
-  /// Out-of-core accounting; all-zero without a shuffle memory budget.
+  /// Shuffle memory accounting; see SpillStats for what an unbudgeted run
+  /// fills in.
   SpillStats spill;
 
   /// True when any attempt in the job faulted or was re-executed.

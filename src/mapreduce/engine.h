@@ -61,9 +61,9 @@ std::string DescribeKey(const K& key) {
 ///     communication cost the algorithms are designed to minimize;
 ///   * reducers execute as independent tasks with per-task timing, so
 ///     reducer skew is observable;
-///   * execution is deterministic: mapper outputs are concatenated in input
-///     order regardless of thread scheduling, and reducers iterate key
-///     groups in key order;
+///   * execution is deterministic: each reducer sees its pairs as a stable
+///     key sort of the chunk-major emit order, whatever the thread
+///     scheduling, and reduces its key groups in key order;
 ///   * tasks can fail and be re-executed: an `ExecutionContext::faults`
 ///     plan (mapreduce/fault.h) injects deterministic per-attempt
 ///     crash/flaky/straggler faults, and the engine retries with bounded
@@ -71,28 +71,47 @@ std::string DescribeKey(const K& key) {
 ///     produced — emits, user counters, DFS writes — so job output stays
 ///     byte-identical to a fault-free run (Hadoop's exactly-once task
 ///     re-execution, with the wasted work accounted in JobStats);
-///   * the shuffle is memory-budgeted: a positive
+///   * the shuffle has Hadoop's single path: every map chunk partitions
+///     and key-sorts its output; a chunk over its share of
 ///     `ExecutionContext::options.shuffle_memory_budget` (or the
-///     MWSJ_SHUFFLE_BUDGET env override) makes over-budget mapper chunks
-///     flush their buckets as sorted, columnar-compressed spill runs and
-///     reducers k-way merge them back lazily — same output bytes, bounded
-///     resident shuffle memory (DESIGN.md §2.13, JobStats::spill).
+///     MWSJ_SHUFFLE_BUDGET env override) flushes its buckets as sorted,
+///     columnar-compressed spill runs; and each reduce task k-way merges
+///     its bucket column straight into key groups. An unlimited budget
+///     never spills; output bytes are the same under every budget
+///     (DESIGN.md §2.13, JobStats::spill).
 ///
-/// Keys must be totally ordered (operator<) and equality-comparable; keys
-/// and values must be movable and default-constructible (the mapper-side
-/// scatter builds reducer-major shards in place). The partition and
-/// value-size functions run inside mapper tasks and must be thread-safe
-/// (in practice: pure functions of the key/value).
+/// Keys must be totally ordered (operator<) and equality-comparable. Keys,
+/// values and outputs must be copy-constructible — discarded attempts
+/// re-read the shuffle and spill runs copy buckets — and keys and values
+/// default-constructible (the mapper-side scatter builds reducer-major
+/// shards in place). The partition and value-size functions run inside
+/// mapper tasks and must be thread-safe (in practice: pure functions of the
+/// key/value).
 template <typename In, typename K, typename V, typename Out>
 class MapReduceJob {
+  static_assert(std::is_copy_constructible_v<K> &&
+                    std::is_copy_constructible_v<V> &&
+                    std::is_copy_constructible_v<Out>,
+                "MapReduceJob needs copyable keys, values and outputs");
+
+  /// One map attempt's output: its pairs in emit order, each pair's
+  /// reducer, byte tallies, and counter deltas.
+  struct MapOutput {
+    std::vector<std::pair<K, V>> pairs;
+    std::vector<uint32_t> route;
+    std::vector<int64_t> bucket_bytes;  // Intermediate bytes per reducer.
+    int64_t bytes = 0;
+    std::map<std::string, int64_t> counters;
+  };
+
  public:
   using PartitionFn = std::function<int(const K&)>;
   using SizeFn = std::function<int64_t(const V&)>;
 
   /// Collects intermediate pairs from one map invocation, computing each
-  /// pair's reducer at emit time. Each map chunk owns one emitter plus its
-  /// own byte/record tallies, so mappers never contend on shared state; the
-  /// tallies are summed after the map barrier.
+  /// pair's reducer and size at emit time. Each map chunk owns one emitter
+  /// and its output, so mappers never contend on shared state; the tallies
+  /// are summed after the map barrier.
   ///
   /// The emitter is scoped to one task *attempt*: counter increments land
   /// in an attempt-local map the engine merges into JobStats only when the
@@ -100,60 +119,55 @@ class MapReduceJob {
   /// with its emits (exactly-once under fault injection).
   class Emitter {
    public:
-    Emitter(std::vector<std::pair<K, V>>* pairs, std::vector<uint32_t>* route,
-            const PartitionFn* partition, const SizeFn* value_size,
-            const std::string* job_name, int num_reducers,
-            std::map<std::string, int64_t>* counters, int64_t job_id = -1)
-        : pairs_(pairs), route_(route), partition_(partition),
-          value_size_(value_size), job_name_(job_name),
-          num_reducers_(num_reducers), counters_(counters), job_id_(job_id) {}
+    Emitter(MapOutput* out, const PartitionFn* partition,
+            const SizeFn* value_size, const std::string* job_name,
+            int64_t job_id)
+        : out_(out), partition_(partition), value_size_(value_size),
+          job_name_(job_name), job_id_(job_id) {}
     /// MWSJ_DETERMINISTIC: the emit stream is the byte-identity contract —
     /// everything transitively feeding it must be order-deterministic.
     MWSJ_DETERMINISTIC void Emit(K key, V value) {
       const int r = (*partition_)(key);
+      const int num_reducers = static_cast<int>(out_->bucket_bytes.size());
       // An out-of-range partition result would corrupt the counting sort
       // out of bounds; fail fast with the job and key instead. With many
       // scheduled jobs sharing one pool, the same job *name* can be in
       // flight several times over — the id suffix names the offender
       // unambiguously.
-      if (r < 0 || r >= num_reducers_) [[unlikely]] {
+      if (r < 0 || r >= num_reducers) [[unlikely]] {
         const std::string job_suffix =
             job_id_ >= 0 ? " (job #" + std::to_string(job_id_) + ")" : "";
         std::fprintf(stderr,
                      "MapReduceJob '%s': partition function returned %d for "
                      "key %s, outside the valid reducer range [0, %d)%s\n",
                      job_name_->c_str(), r,
-                     engine_internal::DescribeKey(key).c_str(), num_reducers_,
+                     engine_internal::DescribeKey(key).c_str(), num_reducers,
                      job_suffix.c_str());
         std::abort();
       }
-      bytes_ += (*value_size_)(value);
+      const int64_t bytes = (*value_size_)(value);
+      out_->bytes += bytes;
+      out_->bucket_bytes[r] += bytes;
       // mwsj-check: allow(alloc-free-reach): emit buffers are pre-reserved
       // per attempt and budget-tracked; amortized growth here is the
       // engine's charge, not the allocation-free kernel caller's.
-      route_->push_back(static_cast<uint32_t>(r));
+      out_->route.push_back(static_cast<uint32_t>(r));
       // mwsj-check: allow(alloc-free-reach): same pre-reserved emit buffer.
-      pairs_->emplace_back(std::move(key), std::move(value));
+      out_->pairs.emplace_back(std::move(key), std::move(value));
     }
 
     /// Adds to a user counter, attempt-locally: the delta reaches
     /// JobStats.user_counters only if this attempt commits.
     void IncrementCounter(const std::string& name, int64_t delta) {
-      (*counters_)[name] += delta;
+      out_->counters[name] += delta;
     }
 
-    int64_t bytes() const { return bytes_; }
-
    private:
-    std::vector<std::pair<K, V>>* pairs_;
-    std::vector<uint32_t>* route_;
+    MapOutput* out_;
     const PartitionFn* partition_;
     const SizeFn* value_size_;
     const std::string* job_name_;
-    int num_reducers_;
-    std::map<std::string, int64_t>* counters_;
     int64_t job_id_ = -1;
-    int64_t bytes_ = 0;
   };
 
   /// Collects output records from one reduce invocation. Attempt-scoped
@@ -183,9 +197,9 @@ class MapReduceJob {
 
   using MapFn = std::function<void(const In&, Emitter&)>;
   /// One call per key group, in key order; values arrive in arrival
-  /// (chunk-major emit) order. The span points directly into the reducer's
-  /// sorted value array — it is valid only for the duration of the call,
-  /// and the reduce function must not retain it.
+  /// (chunk-major emit) order. The span points into the reduce task's
+  /// key-group buffer — it is valid only for the duration of the call, and
+  /// the reduce function must not retain it.
   using ReduceFn = std::function<void(const K&, std::span<const V>, OutEmitter&)>;
 
   MapReduceJob(std::string name, int num_reducers)
@@ -232,8 +246,8 @@ class MapReduceJob {
   /// Executes the job over `input`, appending reducer output to `*output`.
   /// `ctx.pool` may be null for synchronous single-threaded execution;
   /// `ctx.tracer` (optional) records the job span, the map/shuffle/reduce
-  /// phase spans, and one task span per map chunk / shuffle merge /
-  /// reduce task. When `ctx.job_id >= 0` (scheduler-submitted runs) every
+  /// phase spans, and one task span per map chunk / spill flush / reduce
+  /// task. When `ctx.job_id >= 0` (scheduler-submitted runs) every
   /// span carries a "job" arg, JobStats records the id, and DFS part files
   /// are staged under a per-job `job-<id>/` prefix so concurrent jobs with
   /// the same job name never collide.
@@ -318,164 +332,169 @@ JobStats MapReduceJob<In, K, V, Out>::Run(std::span<const In> input,
   if (faults != nullptr && faults->empty()) faults = nullptr;
   static const RetryPolicy kDefaultRetry;
   const RetryPolicy& retry = ctx.retry != nullptr ? *ctx.retry : kDefaultRetry;
-  // Charges (and serves) the backoff delay before retrying a failed
-  // attempt. Tests inject a virtual clock via RetryPolicy::sleep.
-  auto charge_backoff = [&retry](int attempt, PhaseFaultStats* fs) {
-    const double s = BackoffSeconds(retry, attempt);
-    fs->backoff_seconds += s;
-    if (retry.sleep) {
-      retry.sleep(s);
-    } else if (s > 0) {
-      std::this_thread::sleep_for(std::chrono::duration<double>(s));
+
+  // ---- The attempt runner shared by the map, spill-flush and reduce
+  // phases. Each attempt of `task` asks the fault plan what happens to it.
+  // A crash dies at once; a flaky attempt runs `discard(false)` (half of
+  // its work) and dies; both retry after a backoff until the retry policy's
+  // attempt budget is spent. A straggler commits, but first its
+  // speculative duplicate runs `discard(true)`: all of the work, all of it
+  // thrown away. Discarded attempts must leave the task's input intact;
+  // `commit(attempt)` then runs exactly once and may consume it. Every
+  // discarded attempt is traced as a failed `span_name` span (speculative
+  // ones only if `trace_speculative`) and charged to `*fs`.
+  auto run_attempts = [&](FaultPhase phase, size_t task, const char* span_name,
+                          const char* task_arg, bool trace_speculative,
+                          PhaseFaultStats* fs, auto&& discard, auto&& commit) {
+    for (int attempt = 0;; ++attempt) {
+      const FaultKind fault =
+          faults == nullptr
+              ? FaultKind::kNone
+              : faults->At(phase, static_cast<int64_t>(task), attempt);
+      ++fs->attempts;
+      const bool failed =
+          fault == FaultKind::kCrash || fault == FaultKind::kFlakyIo;
+      if (failed || fault == FaultKind::kSlow) {
+        TraceSpan span(failed || trace_speculative ? tracer : nullptr,
+                       span_name, "task");
+        tag_job(span);
+        span.AddArg(task_arg, static_cast<int64_t>(task));
+        span.AddArg("attempt",
+                    static_cast<int64_t>(failed ? attempt : attempt + 1));
+        span.AddArg("failed", int64_t{1});
+        if (!failed) span.AddArg("speculative", int64_t{1});
+        Stopwatch attempt_watch;
+        if (fault != FaultKind::kCrash) discard(/*full=*/!failed);
+        fs->wasted_seconds += attempt_watch.ElapsedSeconds();
+      }
+      if (!failed) {
+        if (fault == FaultKind::kSlow) {
+          ++fs->attempts;
+          ++fs->speculative;
+        }
+        commit(attempt);
+        return;
+      }
+      // A task exhausting its retry budget fails the whole job, matching
+      // Hadoop's mapred.*.max.attempts behavior; the engine has no
+      // partial-output mode, so fail fast like the partition-range check.
+      if (attempt + 1 >= retry.max_attempts) {
+        const std::string job_suffix =
+            job_id >= 0 ? " (job #" + std::to_string(job_id) + ")" : "";
+        std::fprintf(stderr,
+                     "MapReduceJob '%s': %s task %zu failed %d attempts, "
+                     "aborting job%s\n",
+                     name_.c_str(), FaultPhaseName(phase), task,
+                     retry.max_attempts, job_suffix.c_str());
+        std::abort();
+      }
+      ++fs->retries;
+      // Charge (and serve) the backoff delay before the retry. Tests
+      // inject a virtual clock via RetryPolicy::sleep.
+      const double backoff = BackoffSeconds(retry, attempt);
+      fs->backoff_seconds += backoff;
+      if (retry.sleep) {
+        retry.sleep(backoff);
+      } else if (backoff > 0) {
+        std::this_thread::sleep_for(std::chrono::duration<double>(backoff));
+      }
     }
   };
-  // A task exhausting its retry budget fails the whole job, matching
-  // Hadoop's mapred.*.max.attempts behavior; the engine has no partial-
-  // output mode, so fail fast like the partition-range check above.
-  auto retries_exhausted = [this, &retry, job_id](FaultPhase phase,
-                                                  size_t task) {
-    const std::string job_suffix =
-        job_id >= 0 ? " (job #" + std::to_string(job_id) + ")" : "";
-    std::fprintf(stderr,
-                 "MapReduceJob '%s': %s task %zu failed %d attempts, "
-                 "aborting job%s\n",
-                 name_.c_str(), FaultPhaseName(phase), task,
-                 retry.max_attempts, job_suffix.c_str());
-    std::abort();
-  };
 
-  // ---- Out-of-core shuffle setup (DESIGN.md §2.13). A positive budget
-  // puts the run in spill mode: every mapper chunk key-sorts its buckets
-  // after the counting sort, chunks whose intermediate bytes exceed their
-  // budget share flush all buckets as sorted runs, and each reducer k-way
-  // merges its bucket column lazily at reduce time. With no budget
-  // (default) the run takes the original all-in-memory path, untouched.
-  // Spill runs live in an engine-internal DFS, not ctx.dfs: the user's DFS
-  // accounts the algorithm's I/O (the paper's communication cost), while
-  // spill traffic is an engine implementation detail reported via
-  // SpillStats.
+  // ---- The shuffle (DESIGN.md §2.13) has one path, Hadoop's: every
+  // committed map chunk partitions its pairs by reducer and key-sorts each
+  // bucket; a chunk whose intermediate bytes exceed its share of the budget
+  // also flushes its buckets as sorted runs; each reduce task k-way merges
+  // its bucket column. An unlimited budget (0) is a budget no chunk ever
+  // exceeds. Spill runs live in an engine-internal DFS, not ctx.dfs: the
+  // user's DFS accounts the algorithm's I/O (the paper's communication
+  // cost), while spill traffic is an engine implementation detail reported
+  // via SpillStats.
   const int64_t shuffle_budget = spill::ResolveShuffleBudget(ctx.options);
-  const bool budget_mode = shuffle_budget > 0;
   stats.spill.budget_bytes = shuffle_budget;
   Dfs spill_dfs;
-  // Types that can neither be columnar-encoded nor copied into a raw run
-  // stay in memory even over budget (best effort — the engine never
-  // breaks a job to enforce the budget).
-  constexpr bool kCanSpill =
-      spill::kEncodable<K, V> || (std::is_copy_constructible_v<K> &&
-                                  std::is_copy_constructible_v<V>);
 
   // ---- Map phase. Input is split into fixed chunks; each chunk partitions
   // its pairs at emit time and finishes its task with a stable local
   // counting sort into a reducer-major shard (the chunk's row of the
   // num_chunks × num_reducers bucket matrix, stored compactly as one
   // vector plus offsets — Hadoop's mapper-side partition/sort/spill). The
-  // shuffle below is then a contention-free concatenation, and the overall
-  // pair order (chunk-major, emit order within a chunk) is independent of
-  // thread scheduling.
+  // overall pair order (chunk-major, emit order within a chunk) is
+  // independent of thread scheduling.
   const size_t num_reducers = static_cast<size_t>(num_reducers_);
   const size_t chunk_size =
       std::max<size_t>(1, (input.size() + 63) / 64);
   const size_t num_chunks =
       input.empty() ? 0 : (input.size() + chunk_size - 1) / chunk_size;
   struct MapShard {
-    std::vector<std::pair<K, V>> pairs;  // Reducer-major, emit-order stable.
+    std::vector<std::pair<K, V>> pairs;  // Reducer-major, key-sorted buckets.
     std::vector<size_t> offsets;         // Bucket r = [offsets[r], offsets[r+1]).
-    int64_t records = 0;                 // pairs.size() at commit (pairs may spill).
+    std::vector<int64_t> bucket_bytes;   // Per-reducer intermediate bytes.
     int64_t bytes = 0;
     double seconds = 0;
+    bool spilled = false;    // Buckets live as spill runs, not pairs.
     PhaseFaultStats faults;  // This task's attempt/retry accounting.
-    // Budget mode only:
-    std::vector<int64_t> bucket_bytes;  // Per-reducer intermediate bytes.
-    bool spilled = false;               // Buckets live as spill runs, not pairs.
-    int64_t stored_bytes = 0;           // On-disk size of this chunk's runs.
-    SpillStats spill;                   // This task's spill accounting.
+    SpillStats spill;        // This task's spill accounting.
   };
   std::vector<MapShard> shards(num_chunks);
-  const int64_t chunk_budget =
-      budget_mode ? spill::ChunkBudget(shuffle_budget, num_chunks) : 0;
+  const int64_t chunk_budget = spill::ChunkBudget(shuffle_budget, num_chunks);
 
-  // Budget mode: stable key sort of one bucket, preserving emit order
-  // within equal keys — the bucket becomes a sorted run whether it stays
-  // in memory or spills, so the reduce-side merge sees only sorted
-  // sources.
-  auto sort_bucket = [](std::vector<std::pair<K, V>>& pairs, size_t lo,
-                        size_t hi) {
-    const size_t m = hi - lo;
-    if (m < 2) return;
-    if constexpr (std::is_integral_v<K> && sizeof(K) <= 8) {
-      std::vector<K> keys(m);
-      std::vector<uint32_t> idx(m);
-      for (size_t i = 0; i < m; ++i) {
-        keys[i] = pairs[lo + i].first;
-        idx[i] = static_cast<uint32_t>(i);
-      }
-      simd::StableSortIndexByKey(keys, &idx);
-      std::vector<std::pair<K, V>> tmp;
-      tmp.reserve(m);
-      for (size_t i = 0; i < m; ++i) {
-        tmp.push_back(std::move(pairs[lo + idx[i]]));
-      }
-      std::move(tmp.begin(), tmp.end(), pairs.begin() + lo);
-    } else {
-      std::stable_sort(
-          pairs.begin() + static_cast<ptrdiff_t>(lo),
-          pairs.begin() + static_cast<ptrdiff_t>(hi),
-          [](const std::pair<K, V>& a, const std::pair<K, V>& b) {
-            return a.first < b.first;
-          });
+  // Stable key sort of one bucket, preserving emit order within equal keys,
+  // so the reduce-side merge sees only sorted sources. A bucket already in
+  // key order (every spatial job's: its bucket holds one cell id) costs one
+  // scan.
+  auto sort_bucket = [](std::pair<K, V>* lo, std::pair<K, V>* hi) {
+    if (std::is_sorted(lo, hi, [](const auto& a, const auto& b) {
+          return a.first < b.first;
+        })) {
+      return;
     }
+    const size_t m = static_cast<size_t>(hi - lo);
+    std::vector<K> keys;
+    keys.reserve(m);
+    std::vector<uint32_t> idx(m);
+    for (size_t i = 0; i < m; ++i) {
+      keys.push_back(lo[i].first);
+      idx[i] = static_cast<uint32_t>(i);
+    }
+    simd::StableSortIndexByKey(keys, &idx);
+    std::vector<std::pair<K, V>> sorted;
+    sorted.reserve(m);
+    for (const uint32_t i : idx) sorted.push_back(std::move(lo[i]));
+    std::move(sorted.begin(), sorted.end(), lo);
   };
   auto spill_run_name = [](size_t c, size_t r) {
     return "spill/chunk-" + std::to_string(c) + "/r-" + std::to_string(r);
   };
-  // Budget mode: after a chunk's committing map attempt, sort its buckets
-  // and — if the chunk exceeds its budget share — flush them all as
-  // sorted runs through an attempt-staged, fault-injectable write
-  // (FaultPhase::kSpill, task id = chunk index). Runs are columnar-
-  // compressed when (K, V) supports it, raw sorted pair vectors otherwise;
-  // either way flushing is non-destructive until the stage commits, so a
-  // failed flush attempt retries from intact buckets.
+  // After a chunk's committing map attempt: key-sort its buckets and, if
+  // the chunk exceeds its budget share, flush them all as sorted runs
+  // through an attempt-staged, fault-injectable write (FaultPhase::kSpill,
+  // task id = chunk index). Runs are columnar-compressed when (K, V)
+  // supports it, raw sorted pair vectors otherwise; either way flushing
+  // reads the buckets without moving them, so a failed flush attempt
+  // retries from intact buckets.
   auto sort_and_maybe_spill = [&](size_t c) {
     MapShard& shard = shards[c];
-    if (shard.pairs.empty()) return;
     Stopwatch spill_watch;
-    shard.bucket_bytes.assign(num_reducers, 0);
     for (size_t r = 0; r < num_reducers; ++r) {
-      for (size_t i = shard.offsets[r]; i < shard.offsets[r + 1]; ++i) {
-        shard.bucket_bytes[r] += value_size(shard.pairs[i].second);
-      }
-      sort_bucket(shard.pairs, shard.offsets[r], shard.offsets[r + 1]);
+      sort_bucket(shard.pairs.data() + shard.offsets[r],
+                  shard.pairs.data() + shard.offsets[r + 1]);
     }
-    if (shard.bytes > chunk_budget && kCanSpill) {
-      // Stages runs for the first `bucket_limit` reducers (a flaky flush
-      // dies midway through its buckets). Reads the buckets, never moves
-      // them.
-      auto stage_raw_run = [&](DfsStage& stage, size_t r, size_t lo,
-                               size_t hi) {
-        if constexpr (std::is_copy_constructible_v<K> &&
-                      std::is_copy_constructible_v<V>) {
-          auto run = std::make_shared<std::vector<std::pair<K, V>>>(
-              shard.pairs.begin() + static_cast<ptrdiff_t>(lo),
-              shard.pairs.begin() + static_cast<ptrdiff_t>(hi));
-          (void)stage.Write(
-              spill_run_name(c, r),
-              std::shared_ptr<const std::vector<std::pair<K, V>>>(
-                  std::move(run)),
-              1, shard.bucket_bytes[r]);
-        }
-      };
+    if (shard.bytes > chunk_budget) {
       // Column staging shared by every bucket of every flush attempt below
       // (including flaky-I/O retries and speculative duplicate flushes):
       // grows to the largest bucket once instead of reallocating a
       // bucket-sized vector per EncodeRun call.
       std::vector<uint64_t> encode_scratch;
+      // Stages runs for the first `bucket_limit` reducers (a flaky flush
+      // dies midway through its buckets); returns the run count.
       auto stage_runs = [&](DfsStage& stage, size_t bucket_limit) {
         int64_t runs = 0;
         for (size_t r = 0; r < bucket_limit; ++r) {
           const size_t lo = shard.offsets[r];
           const size_t hi = shard.offsets[r + 1];
           if (hi == lo) continue;
+          ++runs;
           if constexpr (spill::kEncodable<K, V>) {
             auto bytes = std::make_shared<std::vector<uint8_t>>();
             spill::EncodeRun(shard.pairs.data() + lo, hi - lo,
@@ -484,77 +503,55 @@ JobStats MapReduceJob<In, K, V, Out>::Run(std::span<const In> input,
             // A tiny run can encode *larger* than its raw bytes (frame and
             // block headers dominate a handful of rows); store whichever
             // representation is smaller. The merge probes the stored type.
-            bool use_encoded = true;
-            if constexpr (std::is_copy_constructible_v<K> &&
-                          std::is_copy_constructible_v<V>) {
-              use_encoded = encoded <= shard.bucket_bytes[r];
-            }
-            if (use_encoded) {
+            if (encoded <= shard.bucket_bytes[r]) {
               (void)stage.Write(spill_run_name(c, r),
                                 std::shared_ptr<const std::vector<uint8_t>>(
                                     std::move(bytes)),
                                 1, encoded);
-            } else {
-              stage_raw_run(stage, r, lo, hi);
+              continue;
             }
-          } else {
-            stage_raw_run(stage, r, lo, hi);
           }
-          ++runs;
+          (void)stage.Write(
+              spill_run_name(c, r),
+              std::make_shared<const std::vector<std::pair<K, V>>>(
+                  shard.pairs.begin() + static_cast<ptrdiff_t>(lo),
+                  shard.pairs.begin() + static_cast<ptrdiff_t>(hi)),
+              1, shard.bucket_bytes[r]);
         }
         return runs;
       };
-      for (int attempt = 0;; ++attempt) {
-        const FaultKind fault =
-            faults == nullptr ? FaultKind::kNone
-                              : faults->At(FaultPhase::kSpill,
-                                           static_cast<int64_t>(c), attempt);
-        if (fault == FaultKind::kCrash || fault == FaultKind::kFlakyIo) {
-          TraceSpan flush_span(tracer, "spill_flush", "task");
-          tag_job(flush_span);
-          flush_span.AddArg("chunk", static_cast<int64_t>(c));
-          flush_span.AddArg("attempt", static_cast<int64_t>(attempt));
-          flush_span.AddArg("failed", int64_t{1});
-          if (fault == FaultKind::kFlakyIo) {
-            // Flaky flush: half the buckets staged, then the attempt dies;
-            // the stage's destructor discards them, so the spill DFS never
-            // sees a partial flush.
+      // A flush attempt is not a map attempt: of its tally only the
+      // retries (as SpillStats::flush_retries) and the backoff are kept.
+      PhaseFaultStats flush;
+      run_attempts(
+          FaultPhase::kSpill, c, "spill_flush", "chunk",
+          /*trace_speculative=*/false, &flush,
+          [&](bool full) {
+            // The stage's destructor discards the staged runs, so the spill
+            // DFS never sees a partial or duplicate flush.
             DfsStage stage(&spill_dfs);
-            (void)stage_runs(stage, num_reducers / 2);
+            (void)stage_runs(stage, full ? num_reducers : num_reducers / 2);
             shard.spill.wasted_flush_bytes += stage.staged_bytes();
-          }
-          if (attempt + 1 >= retry.max_attempts) {
-            retries_exhausted(FaultPhase::kSpill, c);
-          }
-          ++shard.spill.flush_retries;
-          charge_backoff(attempt, &shard.faults);
-          continue;
-        }
-        TraceSpan flush_span(tracer, "spill_flush", "task");
-        tag_job(flush_span);
-        flush_span.AddArg("chunk", static_cast<int64_t>(c));
-        DfsStage stage(&spill_dfs);
-        const int64_t runs = stage_runs(stage, num_reducers);
-        shard.stored_bytes = stage.staged_bytes();
-        stage.Commit();
-        shard.spilled = true;
-        shard.spill.spilled_chunks = 1;
-        shard.spill.spilled_runs = runs;
-        shard.spill.spilled_raw_bytes = shard.bytes;
-        shard.spill.spilled_stored_bytes = shard.stored_bytes;
-        flush_span.AddArg("runs", runs);
-        flush_span.AddArg("stored_bytes", shard.stored_bytes);
-        if (fault == FaultKind::kSlow) {
-          // Straggler flush: the speculative duplicate stages an identical
-          // set of runs and is discarded (buckets are still intact — the
-          // pairs are released only below).
-          DfsStage spec(&spill_dfs);
-          (void)stage_runs(spec, num_reducers);
-          shard.spill.wasted_flush_bytes += spec.staged_bytes();
-        }
-        break;
-      }
-      std::vector<std::pair<K, V>>().swap(shard.pairs);  // Runs own the data now.
+          },
+          [&](int) {
+            TraceSpan flush_span(tracer, "spill_flush", "task");
+            tag_job(flush_span);
+            flush_span.AddArg("chunk", static_cast<int64_t>(c));
+            DfsStage stage(&spill_dfs);
+            const int64_t runs = stage_runs(stage, num_reducers);
+            const int64_t stored = stage.staged_bytes();
+            stage.Commit();
+            shard.spill.spilled_chunks = 1;
+            shard.spill.spilled_runs = runs;
+            shard.spill.spilled_raw_bytes = shard.bytes;
+            shard.spill.spilled_stored_bytes = stored;
+            flush_span.AddArg("runs", runs);
+            flush_span.AddArg("stored_bytes", stored);
+          });
+      shard.spill.flush_retries = flush.retries;
+      shard.faults.backoff_seconds += flush.backoff_seconds;
+      shard.spilled = true;
+      std::vector<std::pair<K, V>>().swap(shard.pairs);  // Runs own it now.
     }
     shard.seconds += spill_watch.ElapsedSeconds();
   };
@@ -565,104 +562,55 @@ JobStats MapReduceJob<In, K, V, Out>::Run(std::span<const In> input,
     shard.faults.tasks = 1;
     const size_t lo = c * chunk_size;
     const size_t hi = std::min(input.size(), lo + chunk_size);
-    // One attempt over the first `limit` records of the chunk (a flaky
-    // attempt dies midway; committing attempts process everything). The
-    // attempt's emits and counter deltas live entirely in the caller's
-    // buffers, so discarding an attempt is dropping its buffers.
-    auto run_attempt = [&](size_t limit, std::vector<std::pair<K, V>>* raw,
-                           std::vector<uint32_t>* route,
-                           std::map<std::string, int64_t>* counters) {
+    // One attempt over the first `limit` records of the chunk. Its output
+    // is its own, so discarding the attempt is dropping it.
+    auto map_attempt = [&](size_t limit) {
+      MapOutput o;
       // Most maps emit ≥1 pair per record; pre-sizing halves growth moves.
-      raw->reserve(hi - lo);
-      route->reserve(hi - lo);
-      Emitter emitter(raw, route, &partition, &value_size, &name_,
-                      num_reducers_, counters, job_id);
+      o.pairs.reserve(hi - lo);
+      o.route.reserve(hi - lo);
+      o.bucket_bytes.assign(num_reducers, 0);
+      Emitter emitter(&o, &partition, &value_size, &name_, job_id);
       for (size_t i = lo; i < lo + limit; ++i) map_(input[i], emitter);
-      return emitter.bytes();
+      return o;
     };
-    for (int attempt = 0;; ++attempt) {
-      const FaultKind fault =
-          faults == nullptr ? FaultKind::kNone
-                            : faults->At(FaultPhase::kMap,
-                                         static_cast<int64_t>(c), attempt);
-      ++shard.faults.attempts;
-      if (fault == FaultKind::kCrash || fault == FaultKind::kFlakyIo) {
-        TraceSpan attempt_span(tracer, "map_attempt", "task");
-        tag_job(attempt_span);
-        attempt_span.AddArg("chunk", static_cast<int64_t>(c));
-        attempt_span.AddArg("attempt", static_cast<int64_t>(attempt));
-        attempt_span.AddArg("failed", int64_t{1});
-        Stopwatch attempt_watch;
-        if (fault == FaultKind::kFlakyIo) {
-          // Flaky I/O: half the input processed, all of it discarded.
-          std::vector<std::pair<K, V>> raw;
-          std::vector<uint32_t> route;
-          std::map<std::string, int64_t> counters;
-          shard.faults.wasted_bytes +=
-              run_attempt((hi - lo) / 2, &raw, &route, &counters);
-          shard.faults.wasted_records += static_cast<int64_t>(raw.size());
-        }
-        shard.faults.wasted_seconds += attempt_watch.ElapsedSeconds();
-        attempt_span.End();
-        if (attempt + 1 >= retry.max_attempts) {
-          retries_exhausted(FaultPhase::kMap, c);
-        }
-        ++shard.faults.retries;
-        charge_backoff(attempt, &shard.faults);
-        continue;
-      }
-      // Committing attempt (fault-free, or a straggler that still wins).
-      TraceSpan chunk_span(tracer, "map_chunk", "task");
-      tag_job(chunk_span);
-      Stopwatch chunk_watch;
-      std::vector<std::pair<K, V>> raw;
-      std::vector<uint32_t> route;
-      std::map<std::string, int64_t> counters;
-      shard.bytes = run_attempt(hi - lo, &raw, &route, &counters);
-      chunk_span.AddArg("chunk", static_cast<int64_t>(c));
-      chunk_span.AddArg("records", static_cast<int64_t>(raw.size()));
-      if (faults != nullptr) {
-        chunk_span.AddArg("attempt", static_cast<int64_t>(attempt));
-      }
-      // Stable counting sort by reducer, preserving emit order per bucket.
-      shard.offsets.assign(num_reducers + 1, 0);
-      for (const uint32_t r : route) ++shard.offsets[r + 1];
-      for (size_t r = 0; r < num_reducers; ++r) {
-        shard.offsets[r + 1] += shard.offsets[r];
-      }
-      std::vector<size_t> cursor(shard.offsets.begin(),
-                                 shard.offsets.end() - 1);
-      shard.pairs.resize(raw.size());
-      for (size_t i = 0; i < raw.size(); ++i) {
-        shard.pairs[cursor[route[i]]++] = std::move(raw[i]);
-      }
-      shard.records = static_cast<int64_t>(shard.pairs.size());
-      shard.seconds = chunk_watch.ElapsedSeconds();
-      MergeCounters(counters);
-      if (fault == FaultKind::kSlow) {
-        // Straggler: the attempt exceeded the (virtual) straggler timeout,
-        // so a speculative duplicate ran alongside it. The duplicate's
-        // identical output is discarded and charged as wasted work.
-        TraceSpan spec_span(tracer, "map_attempt", "task");
-        tag_job(spec_span);
-        spec_span.AddArg("chunk", static_cast<int64_t>(c));
-        spec_span.AddArg("attempt", static_cast<int64_t>(attempt + 1));
-        spec_span.AddArg("failed", int64_t{1});
-        spec_span.AddArg("speculative", int64_t{1});
-        Stopwatch spec_watch;
-        std::vector<std::pair<K, V>> spec_raw;
-        std::vector<uint32_t> spec_route;
-        std::map<std::string, int64_t> spec_counters;
-        shard.faults.wasted_bytes +=
-            run_attempt(hi - lo, &spec_raw, &spec_route, &spec_counters);
-        shard.faults.wasted_records += static_cast<int64_t>(spec_raw.size());
-        shard.faults.wasted_seconds += spec_watch.ElapsedSeconds();
-        ++shard.faults.attempts;
-        ++shard.faults.speculative;
-      }
-      break;
-    }
-    if (budget_mode) sort_and_maybe_spill(c);
+    run_attempts(
+        FaultPhase::kMap, c, "map_attempt", "chunk",
+        /*trace_speculative=*/true, &shard.faults,
+        [&](bool full) {
+          const MapOutput o = map_attempt(full ? hi - lo : (hi - lo) / 2);
+          shard.faults.wasted_bytes += o.bytes;
+          shard.faults.wasted_records += static_cast<int64_t>(o.pairs.size());
+        },
+        [&](int attempt) {
+          TraceSpan chunk_span(tracer, "map_chunk", "task");
+          tag_job(chunk_span);
+          Stopwatch chunk_watch;
+          MapOutput o = map_attempt(hi - lo);
+          shard.bytes = o.bytes;
+          shard.bucket_bytes = std::move(o.bucket_bytes);
+          chunk_span.AddArg("chunk", static_cast<int64_t>(c));
+          chunk_span.AddArg("records", static_cast<int64_t>(o.pairs.size()));
+          if (faults != nullptr) {
+            chunk_span.AddArg("attempt", static_cast<int64_t>(attempt));
+          }
+          // Stable counting sort by reducer, preserving emit order per
+          // bucket.
+          shard.offsets.assign(num_reducers + 1, 0);
+          for (const uint32_t r : o.route) ++shard.offsets[r + 1];
+          for (size_t r = 0; r < num_reducers; ++r) {
+            shard.offsets[r + 1] += shard.offsets[r];
+          }
+          std::vector<size_t> cursor(shard.offsets.begin(),
+                                     shard.offsets.end() - 1);
+          shard.pairs.resize(o.pairs.size());
+          for (size_t i = 0; i < o.pairs.size(); ++i) {
+            shard.pairs[cursor[o.route[i]]++] = std::move(o.pairs[i]);
+          }
+          shard.seconds = chunk_watch.ElapsedSeconds();
+          MergeCounters(o.counters);
+        });
+    sort_and_maybe_spill(c);
   };
   {
     TraceSpan map_phase(tracer, "map", "phase");
@@ -676,423 +624,236 @@ JobStats MapReduceJob<In, K, V, Out>::Run(std::span<const In> input,
   }
   stats.per_chunk_map_seconds.resize(num_chunks);
   for (size_t c = 0; c < num_chunks; ++c) {
-    stats.intermediate_records += shards[c].records;
+    stats.intermediate_records +=
+        static_cast<int64_t>(shards[c].offsets.back());
     stats.intermediate_bytes += shards[c].bytes;
     stats.per_chunk_map_seconds[c] = shards[c].seconds;
     stats.map_faults.Add(shards[c].faults);
     stats.spill.Add(shards[c].spill);
   }
-  if (budget_mode) {
-    // Peak shuffle residency: intermediate bytes still held in memory
-    // after map-side spilling (spilled chunks' bytes live on disk as
-    // runs, counted by spilled_stored_bytes instead).
-    int64_t resident = 0;
-    for (size_t c = 0; c < num_chunks; ++c) {
-      if (!shards[c].spilled) resident += shards[c].bytes;
-    }
-    stats.spill.peak_shuffle_bytes = resident;
-    // Peak inbox: the largest single reducer's merged inbox — in budget
-    // mode that is the unit of resident reduce-side memory, since inboxes
-    // are built lazily and released eagerly.
+  stats.map_seconds = phase_watch.ElapsedSeconds();
+
+  // ---- Shuffle barrier. The buckets are partitioned, sorted and spilled
+  // already, and each reduce task streams its own merge (below), so this
+  // phase only derives the per-reducer record counts and the shuffle's
+  // memory figures: the intermediate bytes still resident (spilled chunks'
+  // bytes live on disk as runs, counted by spilled_stored_bytes instead),
+  // the largest reducer inbox, and the widest merge.
+  phase_watch.Reset();
+  {
+    TraceSpan shuffle_phase(tracer, "shuffle", "phase");
+    tag_job(shuffle_phase);
+    stats.per_reducer_records.assign(num_reducers, 0);
     for (size_t r = 0; r < num_reducers; ++r) {
       int64_t inbox_bytes = 0;
-      for (size_t c = 0; c < num_chunks; ++c) {
-        if (!shards[c].bucket_bytes.empty()) {
-          inbox_bytes += shards[c].bucket_bytes[r];
-        }
+      int64_t merge_width = 0;
+      for (const MapShard& shard : shards) {
+        const size_t n = shard.offsets[r + 1] - shard.offsets[r];
+        stats.per_reducer_records[r] += static_cast<int64_t>(n);
+        inbox_bytes += shard.bucket_bytes[r];
+        merge_width += n > 0 ? 1 : 0;
       }
       stats.spill.peak_inbox_bytes =
           std::max(stats.spill.peak_inbox_bytes, inbox_bytes);
+      stats.spill.merge_runs_max =
+          std::max(stats.spill.merge_runs_max, merge_width);
     }
-  }
-  stats.map_seconds = phase_watch.ElapsedSeconds();
-
-  // ---- Shuffle: each reducer's inbox is the concatenation of its bucket
-  // column in chunk order — byte-for-byte the order the former serial
-  // routing loop produced — merged in parallel across reducers (distinct
-  // reducers move disjoint shard slices, so no synchronization is needed).
-  // The inbox is structure-of-arrays: the reduce group-by sorts a compact
-  // index permutation over keys[] and hands reduce_ spans directly into a
-  // value array, never touching key-value pairs again.
-  phase_watch.Reset();
-  struct ReducerInbox {
-    std::vector<K> keys;
-    std::vector<V> values;  // Index-aligned with keys.
-  };
-  std::vector<ReducerInbox> inbox(num_reducers);
-  auto merge_reducer = [&](size_t r) {
-    TraceSpan merge_span(tracer, "shuffle_merge", "task");
-    tag_job(merge_span);
-    size_t total = 0;
-    for (size_t c = 0; c < num_chunks; ++c) {
-      total += shards[c].offsets[r + 1] - shards[c].offsets[r];
-    }
-    auto& in = inbox[r];
-    in.keys.reserve(total);
-    in.values.reserve(total);
-    for (size_t c = 0; c < num_chunks; ++c) {
-      MapShard& shard = shards[c];
-      for (size_t i = shard.offsets[r]; i < shard.offsets[r + 1]; ++i) {
-        in.keys.push_back(std::move(shard.pairs[i].first));
-        in.values.push_back(std::move(shard.pairs[i].second));
-      }
-    }
-    merge_span.AddArg("reducer", static_cast<int64_t>(r));
-    merge_span.AddArg("records", static_cast<int64_t>(total));
-  };
-  stats.per_reducer_records.resize(num_reducers);
-  if (!budget_mode) {
-    {
-      TraceSpan shuffle_phase(tracer, "shuffle", "phase");
-      tag_job(shuffle_phase);
-      if (pool != nullptr && num_reducers > 1) {
-        ParallelFor(pool, num_reducers, merge_reducer);
-      } else {
-        for (size_t r = 0; r < num_reducers; ++r) merge_reducer(r);
-      }
-    }
-    shards.clear();
-    shards.shrink_to_fit();
-    for (size_t r = 0; r < num_reducers; ++r) {
-      stats.per_reducer_records[r] = static_cast<int64_t>(inbox[r].keys.size());
-    }
-  } else {
-    // Budget mode defers the merge to reduce time: each reducer k-way
-    // merges its bucket column (memory buckets + spill runs) just before
-    // reducing, so at most one inbox per worker is resident at once. The
-    // shuffle phase itself only derives per-reducer record counts from
-    // the bucket offsets; shards stay alive through the reduce phase.
-    TraceSpan shuffle_phase(tracer, "shuffle", "phase");
-    tag_job(shuffle_phase);
-    shuffle_phase.AddArg("deferred", int64_t{1});
-    for (size_t r = 0; r < num_reducers; ++r) {
-      int64_t total = 0;
-      for (size_t c = 0; c < num_chunks; ++c) {
-        total += static_cast<int64_t>(shards[c].offsets[r + 1] -
-                                      shards[c].offsets[r]);
-      }
-      stats.per_reducer_records[r] = total;
+    for (const MapShard& shard : shards) {
+      if (!shard.spilled) stats.spill.peak_shuffle_bytes += shard.bytes;
     }
   }
   stats.shuffle_seconds = phase_watch.ElapsedSeconds();
 
-  // ---- Reduce phase: group by key within each reducer, in key order.
+  // ---- Reduce phase. Each reduce task k-way merges its bucket column —
+  // in-memory bucket slices and spill runs alike — with key ties broken by
+  // chunk index. That is exactly a stable sort by key of the chunk-major
+  // arrival order, whichever chunks spilled, so output is byte-identical
+  // under every budget. Key groups come straight out of the merge, in key
+  // order, into one reused value buffer.
   // Scheduler-submitted jobs stage DFS part files under a per-job prefix:
   // two concurrent submissions of the same algorithm share the job *name*,
   // and without the prefix their committers would race on one path.
   const std::string dfs_part_prefix =
       job_id >= 0 ? "job-" + std::to_string(job_id) + "/" + name_ : name_;
   phase_watch.Reset();
-  std::vector<std::vector<Out>> reducer_out(static_cast<size_t>(num_reducers_));
-  stats.per_reducer_seconds.assign(static_cast<size_t>(num_reducers_), 0.0);
-  std::vector<PhaseFaultStats> reduce_task_faults(
-      static_cast<size_t>(num_reducers_));
+  std::vector<std::vector<Out>> reducer_out(num_reducers);
+  stats.per_reducer_seconds.assign(num_reducers, 0.0);
+  std::vector<PhaseFaultStats> reduce_task_faults(num_reducers);
 
-  // Budget mode: rebuild reducer r's inbox by k-way merging its bucket
-  // column — in-memory sorted buckets are moved out of their shards,
-  // spilled buckets stream back through run cursors — with key ties
-  // broken by chunk index. That order is exactly the stable-sort-by-key
-  // permutation of the chunk-major arrival order the in-memory path
-  // feeds its StableSortIndexByKey, so reduce output is byte-identical;
-  // and since the merged keys arrive sorted, the reduce fast path below
-  // needs no further sort.
-  std::vector<int64_t> merge_widths(budget_mode ? num_reducers : 0, 0);
-  auto build_inbox = [&](size_t r) {
-    struct MergeSource {
-      std::pair<K, V>* mem = nullptr;  // In-memory sorted bucket slice.
-      size_t mem_pos = 0;
-      size_t mem_end = 0;
-      spill::EncodedRunCursor<K, V> enc;  // Columnar-compressed run.
-      bool use_enc = false;
-      K enc_key{};  // Decoded head key of `enc`.
-      std::shared_ptr<const std::vector<uint8_t>> enc_bytes;
-      std::shared_ptr<const std::vector<std::pair<K, V>>> raw;  // Raw run.
-      size_t raw_pos = 0;
-    };
-    ReducerInbox& in = inbox[r];
-    std::vector<MergeSource> sources;
-    std::vector<std::string> run_names;
-    size_t total = 0;
+  // One sorted source of a reducer's merge: a pair slice [pos, end) — an
+  // in-memory bucket or a raw spill run — or a columnar-encoded spill run.
+  struct Source {
+    const std::pair<K, V>* pos = nullptr;
+    const std::pair<K, V>* end = nullptr;
+    bool in_memory = false;           // The slice is a shard bucket.
+    std::shared_ptr<const void> run;  // Keeps a spill run alive.
+    std::unique_ptr<spill::EncodedRunCursor<K, V>> enc;  // Encoded run.
+    K enc_key{};  // Decoded head key of `enc`.
+
+    bool empty() const { return enc == nullptr ? pos == end : enc->empty(); }
+    const K& key() const { return enc == nullptr ? pos->first : enc_key; }
+    // Pops the head value: moved out of a shard bucket when `move` (the
+    // committing pass; the bucket itself is not const), else copied.
+    V Take(bool move) {
+      if (enc == nullptr) {
+        const std::pair<K, V>& p = *pos++;
+        if (move && in_memory) return std::move(const_cast<V&>(p.second));
+        return p.second;
+      }
+      K k{};
+      V v{};
+      if constexpr (spill::kEncodable<K, V>) {
+        enc->Pop(&k, &v);
+        if (!enc->empty()) enc_key = enc->key();
+      }
+      return v;
+    }
+  };
+  // Opens reducer r's bucket column afresh; each attempt merges its own.
+  auto open_sources = [&](size_t r) {
+    std::vector<Source> sources;
+    sources.reserve(num_chunks);
     for (size_t c = 0; c < num_chunks; ++c) {
-      MapShard& shard = shards[c];
+      const MapShard& shard = shards[c];
       const size_t lo = shard.offsets[r];
       const size_t hi = shard.offsets[r + 1];
       if (hi == lo) continue;
-      total += hi - lo;
-      MergeSource src;
+      Source& s = sources.emplace_back();
       if (!shard.spilled) {
-        src.mem = shard.pairs.data();
-        src.mem_pos = lo;
-        src.mem_end = hi;
-      } else {
-        run_names.push_back(spill_run_name(c, r));
-        bool loaded = false;
-        if constexpr (spill::kEncodable<K, V>) {
-          // Probe the columnar representation first; a run the flush chose
-          // to store raw (encoding expanded it) fails the type check and
-          // falls through.
-          auto data = spill_dfs.Read<uint8_t>(run_names.back());
-          if (data.ok()) {
-            src.enc_bytes = data.value();
-            src.use_enc = true;
-            const bool ok =
-                src.enc.Init(src.enc_bytes->data(), src.enc_bytes->size());
-            (void)ok;  // Engine-encoded frames always decode.
-            if (!src.enc.empty()) src.enc_key = src.enc.key();
-            loaded = true;
-          }
-        }
-        if constexpr (std::is_copy_constructible_v<K> &&
-                      std::is_copy_constructible_v<V>) {
-          if (!loaded) {
-            auto data = spill_dfs.Read<std::pair<K, V>>(run_names.back());
-            src.raw = data.value();
-          }
+        s.pos = shard.pairs.data() + lo;
+        s.end = shard.pairs.data() + hi;
+        s.in_memory = true;
+        continue;
+      }
+      const std::string name = spill_run_name(c, r);
+      if constexpr (spill::kEncodable<K, V>) {
+        // Probe the columnar representation first; a run the flush chose
+        // to store raw (encoding expanded it) fails the type check and
+        // falls through.
+        if (auto data = spill_dfs.Read<uint8_t>(name); data.ok()) {
+          const std::vector<uint8_t>& bytes = *data.value();
+          s.run = data.value();
+          s.enc = std::make_unique<spill::EncodedRunCursor<K, V>>();
+          // Engine-encoded frames always decode.
+          (void)s.enc->Init(bytes.data(), bytes.size());
+          if (!s.enc->empty()) s.enc_key = s.enc->key();
+          continue;
         }
       }
-      sources.push_back(std::move(src));
+      auto raw = spill_dfs.Read<std::pair<K, V>>(name).value();
+      s.pos = raw->data();
+      s.end = raw->data() + raw->size();
+      s.run = std::move(raw);
     }
-    merge_widths[r] = static_cast<int64_t>(sources.size());
-    auto src_empty = [](const MergeSource& s) {
-      if (s.mem != nullptr) return s.mem_pos >= s.mem_end;
-      if (s.use_enc) return s.enc.empty();
-      return s.raw == nullptr || s.raw_pos >= s.raw->size();
-    };
-    auto src_key = [](const MergeSource& s) -> const K& {
-      if (s.mem != nullptr) return s.mem[s.mem_pos].first;
-      if (s.use_enc) return s.enc_key;
-      return (*s.raw)[s.raw_pos].first;
-    };
-    auto beats = [&](size_t a, size_t b) {
-      const MergeSource& sa = sources[a];
-      const MergeSource& sb = sources[b];
-      if (src_empty(sa)) return false;
-      if (src_empty(sb)) return true;
-      const K& ka = src_key(sa);
-      const K& kb = src_key(sb);
-      if (ka < kb) return true;
-      if (kb < ka) return false;
-      return a < b;  // Chunk-order tie-break = merge stability.
-    };
-    in.keys.reserve(total);
-    in.values.reserve(total);
-    if (total > 0) {
-      spill::LoserTree<decltype(beats)> tree(sources.size(), beats);
-      for (size_t produced = 0; produced < total; ++produced) {
-        const size_t w = tree.winner();
-        MergeSource& s = sources[w];
-        if (s.mem != nullptr) {
-          in.keys.push_back(std::move(s.mem[s.mem_pos].first));
-          in.values.push_back(std::move(s.mem[s.mem_pos].second));
-          ++s.mem_pos;
-        } else if (s.use_enc) {
-          if constexpr (spill::kEncodable<K, V>) {
-            K k;
-            V v;
-            s.enc.Pop(&k, &v);
-            in.keys.push_back(std::move(k));
-            in.values.push_back(std::move(v));
-            if (!s.enc.empty()) s.enc_key = s.enc.key();
-          }
-        } else {
-          if constexpr (std::is_copy_constructible_v<K> &&
-                        std::is_copy_constructible_v<V>) {
-            in.keys.push_back((*s.raw)[s.raw_pos].first);
-            in.values.push_back((*s.raw)[s.raw_pos].second);
-            ++s.raw_pos;
-          }
-        }
-        tree.Replay(w);
-      }
-    }
-    // The merged inbox owns the records now; drop this reducer's spill
-    // runs so out-of-core memory drains as reducers complete.
-    sources.clear();
-    for (const std::string& name : run_names) spill_dfs.Remove(name);
+    return sources;
+  };
+  // Stages reducer r's part file; only a committing attempt publishes it
+  // (Hadoop OutputCommitter style), otherwise the stage's destructor
+  // discards it and the Dfs never sees the attempt's bytes.
+  auto write_part = [&](size_t r, const std::vector<Out>& records,
+                        bool commit) {
+    if (ctx.dfs == nullptr) return;
+    DfsStage stage(ctx.dfs);
+    (void)stage.Write(dfs_part_prefix + "/part-" + std::to_string(r),
+                      std::make_shared<const std::vector<Out>>(records),
+                      output_record_bytes_);
+    if (commit) stage.Commit();
   };
 
   auto run_reducer = [&](size_t r) {
     PhaseFaultStats& rf = reduce_task_faults[r];
     rf.tasks = 1;
-    if (budget_mode) build_inbox(r);
-    ReducerInbox& in = inbox[r];
-    const size_t n = in.keys.size();
-    // Groups [i, j) of a key-sorted key array, handing reduce_ a span
-    // directly into the matching value array — no per-group scratch copy.
-    // The spans are only valid during the reduce_ call. `limit` stops a
-    // flaky attempt roughly midway: the group containing record `limit`
-    // is the last one processed.
-    auto reduce_runs = [&](const K* keys, const V* values, size_t limit,
-                           OutEmitter& out) {
-      size_t i = 0;
-      while (i < limit) {
-        const K& key = keys[i];
-        size_t j = i + 1;
-        while (j < n && !(key < keys[j]) && !(keys[j] < key)) ++j;
-        reduce_(key, std::span<const V>(values + i, j - i), out);
-        i = j;
+    const size_t total = static_cast<size_t>(stats.per_reducer_records[r]);
+    // The current key group, reused across groups and attempts. Reserving
+    // the reducer's record count spares the regrowth copies of a
+    // one-group reducer (every spatial job's); pages past the largest
+    // group are never touched.
+    std::vector<V> values;
+    values.reserve(total);
+    // One pass over the reducer's key groups, each handed to reduce_ as a
+    // span over `values` that is valid only during the call. Groups that
+    // start at or past record `limit` are skipped (a flaky attempt dies
+    // midway). Only the committing pass (`commit`) moves values out of the
+    // in-memory buckets; discarded passes copy, leaving them intact.
+    auto reduce_pass = [&](size_t limit, bool commit, OutEmitter& out) {
+      std::vector<Source> sources = open_sources(r);
+      auto beats = [&sources](size_t a, size_t b) {
+        const Source& sa = sources[a];
+        const Source& sb = sources[b];
+        if (sa.empty()) return false;
+        if (sb.empty()) return true;
+        if (sa.key() < sb.key()) return true;
+        if (sb.key() < sa.key()) return false;
+        return a < b;  // Chunk-order tie-break = merge stability.
+      };
+      spill::LoserTree<decltype(beats)> tree(sources.size(), beats);
+      size_t taken = 0;
+      while (taken < limit) {
+        const K key = sources[tree.winner()].key();
+        values.clear();
+        while (taken < total) {
+          const size_t w = tree.winner();
+          Source& s = sources[w];
+          if (key < s.key()) break;
+          // Ties go to the lower chunk index, so the winner keeps winning
+          // while its head key equals `key`: drain it, then replay once.
+          do {
+            values.push_back(s.Take(commit));
+            ++taken;
+          } while (!s.empty() && !(key < s.key()));
+          tree.Replay(w);
+        }
+        reduce_(key, std::span<const V>(values), out);
       }
     };
-    // A doomed attempt (flaky failure or speculative duplicate) whose
-    // output is discarded. It must leave the inbox intact for the real
-    // attempt, so it reduces over the inbox in place when arrival order
-    // is already key-sorted and over a *copied* sorted view otherwise;
-    // move-only key/value types can't be copied, so the unsorted case
-    // degrades to a crash-style failure (nothing executed). Returns
-    // whether the attempt actually ran. All output lands in scratch
-    // buffers and a DfsStage that is aborted on scope exit.
-    auto run_discarded_attempt = [&](size_t limit) {
-      std::vector<Out> scratch;
-      std::map<std::string, int64_t> counters;
-      OutEmitter out(&scratch, &counters);
-      if (std::is_sorted(in.keys.begin(), in.keys.end())) {
-        reduce_runs(in.keys.data(), in.values.data(), limit, out);
-      } else if constexpr (std::is_copy_constructible_v<K> &&
-                           std::is_copy_constructible_v<V>) {
-        std::vector<uint32_t> idx(n);
-        for (size_t i = 0; i < n; ++i) idx[i] = static_cast<uint32_t>(i);
-        simd::StableSortIndexByKey(in.keys, &idx);
-        std::vector<K> sorted_keys;
-        std::vector<V> sorted_values;
-        sorted_keys.reserve(n);
-        sorted_values.reserve(n);
-        for (size_t i = 0; i < n; ++i) {
-          sorted_keys.push_back(in.keys[idx[i]]);
-          sorted_values.push_back(in.values[idx[i]]);
-        }
-        reduce_runs(sorted_keys.data(), sorted_values.data(), limit, out);
-      } else {
-        return false;
-      }
-      if (ctx.dfs != nullptr) {
-        if constexpr (std::is_copy_constructible_v<Out>) {
-          DfsStage stage(ctx.dfs);
-          auto part = std::make_shared<const std::vector<Out>>(scratch);
-          (void)stage.Write(dfs_part_prefix + "/part-" + std::to_string(r),
-                            part, output_record_bytes_);
-          // No Commit: the stage's destructor discards the part file, so
-          // the Dfs never sees this attempt's bytes.
-        }
-      }
-      rf.wasted_records += static_cast<int64_t>(scratch.size());
-      rf.wasted_bytes +=
-          static_cast<int64_t>(scratch.size()) * output_record_bytes_;
-      return true;
-    };
-    for (int attempt = 0;; ++attempt) {
-      const FaultKind fault =
-          faults == nullptr ? FaultKind::kNone
-                            : faults->At(FaultPhase::kReduce,
-                                         static_cast<int64_t>(r), attempt);
-      ++rf.attempts;
-      if (fault == FaultKind::kCrash || fault == FaultKind::kFlakyIo) {
-        TraceSpan attempt_span(tracer, "reduce_attempt", "task");
-        tag_job(attempt_span);
-        attempt_span.AddArg("reducer", static_cast<int64_t>(r));
-        attempt_span.AddArg("attempt", static_cast<int64_t>(attempt));
-        attempt_span.AddArg("failed", int64_t{1});
-        Stopwatch attempt_watch;
-        if (fault == FaultKind::kFlakyIo) {
-          (void)run_discarded_attempt(n / 2);
-        }
-        rf.wasted_seconds += attempt_watch.ElapsedSeconds();
-        attempt_span.End();
-        if (attempt + 1 >= retry.max_attempts) {
-          retries_exhausted(FaultPhase::kReduce, r);
-        }
-        ++rf.retries;
-        charge_backoff(attempt, &rf);
-        continue;
-      }
-      if (fault == FaultKind::kSlow) {
-        // Straggler: run the speculative duplicate first (non-destructive,
-        // discarded), then let the original attempt commit below.
-        TraceSpan spec_span(tracer, "reduce_attempt", "task");
-        tag_job(spec_span);
-        spec_span.AddArg("reducer", static_cast<int64_t>(r));
-        spec_span.AddArg("attempt", static_cast<int64_t>(attempt + 1));
-        spec_span.AddArg("failed", int64_t{1});
-        spec_span.AddArg("speculative", int64_t{1});
-        Stopwatch spec_watch;
-        if (run_discarded_attempt(n)) {
-          rf.wasted_seconds += spec_watch.ElapsedSeconds();
-          ++rf.attempts;
-          ++rf.speculative;
-        }
-      }
-      // Committing attempt: may consume the inbox destructively.
-      TraceSpan reduce_span(tracer, "reduce_task", "task");
-      tag_job(reduce_span);
-      reduce_span.AddArg("reducer", static_cast<int64_t>(r));
-      reduce_span.AddArg("records", static_cast<int64_t>(n));
-      if (faults != nullptr) {
-        reduce_span.AddArg("attempt", static_cast<int64_t>(attempt));
-      }
-      Stopwatch reducer_watch;
-      std::map<std::string, int64_t> counters;
-      OutEmitter out_emitter(&reducer_out[r], &counters);
-      if (std::is_sorted(in.keys.begin(), in.keys.end())) {
-        // Fast path: arrival order is already key-sorted — always true for
-        // the spatial algorithms' identity partitioner, where a reducer
-        // holds exactly one key (its cell). Reduce directly over the inbox:
-        // zero sorts, zero moves.
-        reduce_runs(in.keys.data(), in.values.data(), n, out_emitter);
-      } else {
-        // Stable index sort by key keeps same-key values in arrival (chunk)
-        // order, matching Hadoop's merge of mapper spills — it yields
-        // exactly the permutation a stable sort of (key, value) pairs
-        // would, while moving 4-byte indices instead of whole pairs. The
-        // permutation is applied once (one move per value), making same-key
-        // values one contiguous run.
-        std::vector<uint32_t> idx(n);
-        for (size_t i = 0; i < n; ++i) idx[i] = static_cast<uint32_t>(i);
-        simd::StableSortIndexByKey(in.keys, &idx);
-        std::vector<K> sorted_keys;
-        std::vector<V> sorted_values;
-        sorted_keys.reserve(n);
-        sorted_values.reserve(n);
-        for (size_t i = 0; i < n; ++i) {
-          sorted_keys.push_back(std::move(in.keys[idx[i]]));
-          sorted_values.push_back(std::move(in.values[idx[i]]));
-        }
-        reduce_runs(sorted_keys.data(), sorted_values.data(), n, out_emitter);
-      }
-      std::vector<K>().swap(in.keys);  // Release inbox memory eagerly.
-      std::vector<V>().swap(in.values);
-      if (ctx.dfs != nullptr) {
-        // Commit this reduce task's output as the job's part file, Hadoop
-        // OutputCommitter style: staged during the attempt, published only
-        // here, after the attempt has fully succeeded.
-        if constexpr (std::is_copy_constructible_v<Out>) {
-          DfsStage stage(ctx.dfs);
-          auto part = std::make_shared<const std::vector<Out>>(reducer_out[r]);
-          (void)stage.Write(dfs_part_prefix + "/part-" + std::to_string(r),
-                            part, output_record_bytes_);
-          stage.Commit();
-        }
-      }
-      stats.per_reducer_seconds[r] = reducer_watch.ElapsedSeconds();
-      MergeCounters(counters);
-      break;
+    run_attempts(
+        FaultPhase::kReduce, r, "reduce_attempt", "reducer",
+        /*trace_speculative=*/true, &rf,
+        [&](bool full) {
+          std::vector<Out> scratch;
+          std::map<std::string, int64_t> counters;
+          OutEmitter out(&scratch, &counters);
+          reduce_pass(full ? total : total / 2, /*commit=*/false, out);
+          write_part(r, scratch, /*commit=*/false);
+          rf.wasted_records += static_cast<int64_t>(scratch.size());
+          rf.wasted_bytes +=
+              static_cast<int64_t>(scratch.size()) * output_record_bytes_;
+        },
+        [&](int attempt) {
+          TraceSpan reduce_span(tracer, "reduce_task", "task");
+          tag_job(reduce_span);
+          reduce_span.AddArg("reducer", static_cast<int64_t>(r));
+          reduce_span.AddArg("records", static_cast<int64_t>(total));
+          if (faults != nullptr) {
+            reduce_span.AddArg("attempt", static_cast<int64_t>(attempt));
+          }
+          Stopwatch reducer_watch;
+          std::map<std::string, int64_t> counters;
+          OutEmitter out(&reducer_out[r], &counters);
+          reduce_pass(total, /*commit=*/true, out);
+          write_part(r, reducer_out[r], /*commit=*/true);
+          stats.per_reducer_seconds[r] = reducer_watch.ElapsedSeconds();
+          MergeCounters(counters);
+        });
+    // Drop this reducer's spill runs so out-of-core memory drains as
+    // reducers complete.
+    for (size_t c = 0; c < num_chunks; ++c) {
+      if (shards[c].spilled) spill_dfs.Remove(spill_run_name(c, r));
     }
   };
   {
     TraceSpan reduce_phase(tracer, "reduce", "phase");
     tag_job(reduce_phase);
-    if (pool != nullptr && num_reducers_ > 1) {
-      ParallelFor(pool, static_cast<size_t>(num_reducers_), run_reducer);
+    if (pool != nullptr && num_reducers > 1) {
+      ParallelFor(pool, num_reducers, run_reducer);
     } else {
-      for (int r = 0; r < num_reducers_; ++r) {
-        run_reducer(static_cast<size_t>(r));
-      }
+      for (size_t r = 0; r < num_reducers; ++r) run_reducer(r);
     }
   }
   stats.reduce_seconds = phase_watch.ElapsedSeconds();
+  std::vector<MapShard>().swap(shards);  // Free the buckets before output.
   for (const PhaseFaultStats& rf : reduce_task_faults) {
     stats.reduce_faults.Add(rf);
-  }
-  for (const int64_t w : merge_widths) {
-    stats.spill.merge_runs_max = std::max(stats.spill.merge_runs_max, w);
   }
 
   for (auto& out : reducer_out) {

@@ -25,8 +25,8 @@ namespace mwsj {
 
 /// Engine phase a fault is injected into. Map and reduce execute user
 /// code; kSpill covers the spill-flush I/O a budgeted mapper chunk
-/// performs when writing its sorted runs (task id = chunk index) — the
-/// in-memory shuffle merge remains unfaultable bookkeeping.
+/// performs when writing its sorted runs (task id = chunk index). The
+/// reduce-side merge runs inside the reduce attempt and faults with it.
 enum class FaultPhase {
   kMap = 0,
   kReduce = 1,

@@ -3,13 +3,14 @@
 
 // mwsj-lint: spill-budgeted
 //
-// Out-of-core shuffle support for the map-reduce engine (DESIGN.md §2.13):
-// budget resolution, the columnar spill-run codec bridge, streaming run
-// cursors, and the k-way loser-tree merge that rebuilds reducer inboxes in
-// exactly the order a stable sort of the in-memory path would produce.
+// Shuffle support for the map-reduce engine (DESIGN.md §2.13): budget
+// resolution, the columnar spill-run codec bridge, streaming run cursors,
+// and the k-way loser tree each reduce task merges its sorted bucket
+// column with.
 
 #include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -53,8 +54,10 @@ inline int64_t ResolveShuffleBudget(const ExecutionOptions& options) {
 }
 
 /// Each mapper chunk owns an equal share of the budget; a chunk whose
-/// intermediate bytes exceed its share spills.
+/// intermediate bytes exceed its share spills. An unlimited budget (0) is
+/// a share no chunk exceeds.
 inline int64_t ChunkBudget(int64_t budget, size_t num_chunks) {
+  if (budget <= 0) return std::numeric_limits<int64_t>::max();
   if (num_chunks == 0) return budget;
   const int64_t share = budget / static_cast<int64_t>(num_chunks);
   return share > 0 ? share : 1;

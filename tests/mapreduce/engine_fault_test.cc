@@ -30,13 +30,20 @@ struct JobRun {
   JobStats stats;
 };
 
-JobRun RunFaultJob(const ExecutionContext& ctx) {
+// kOneKey: key v % 4, one key per reducer (the spatial jobs' shape).
+// kTwoKeys: key v % 8 partitioned k % 4, so each reducer holds two keys,
+// and they arrive out of key order (reducer 1 sees key 5 before key 1).
+enum class KeyShape { kOneKey, kTwoKeys };
+
+JobRun RunFaultJob(const ExecutionContext& ctx,
+                   KeyShape shape = KeyShape::kOneKey) {
   const std::vector<int> input = {5, 3, 11, 0, 7, 2, 9, 4, 1, 10, 6, 8};
+  const int num_keys = shape == KeyShape::kOneKey ? 4 : 8;
   FaultJob job("fault_job", 4);
-  job.set_partition([](const int& k) { return k; });
-  job.set_map([](const int& v, FaultJob::Emitter& emit) {
+  job.set_partition([](const int& k) { return k % 4; });
+  job.set_map([num_keys](const int& v, FaultJob::Emitter& emit) {
     emit.IncrementCounter("mapped", 1);
-    emit.Emit(v % 4, v);
+    emit.Emit(v % num_keys, v);
   });
   job.set_reduce([](const int& k, std::span<const int> vals,
                     FaultJob::OutEmitter& out) {
@@ -49,6 +56,19 @@ JobRun RunFaultJob(const ExecutionContext& ctx) {
   run.stats = job.Run(std::span<const int>(input), &run.output, ctx);
   return run;
 }
+
+// Both key shapes, each under an unlimited shuffle budget and under a
+// 1-byte budget that spills every map chunk.
+struct ShapeAndBudget {
+  KeyShape shape;
+  int64_t budget;
+};
+constexpr ShapeAndBudget kShapesAndBudgets[] = {
+    {KeyShape::kOneKey, -1},
+    {KeyShape::kOneKey, 1},
+    {KeyShape::kTwoKeys, -1},
+    {KeyShape::kTwoKeys, 1},
+};
 
 TEST(FaultPlanTest, SeededPlanIsAPureFunctionOfItsKey) {
   const FaultPlan a = FaultPlan::Seeded(99, 0.2, 0.2, 0.1);
@@ -136,49 +156,61 @@ TEST(EngineFaultTest, ZeroFaultPlanMatchesPlanFreeRunExactly) {
 }
 
 TEST(EngineFaultTest, InjectedFaultsRecoverWithIdenticalOutputAndCounters) {
-  const JobRun baseline = RunFaultJob(ExecutionContext());
+  for (const auto& [shape, budget] : kShapesAndBudgets) {
+    SCOPED_TRACE(StrFormat("two keys per reducer: %d, budget: %lld",
+                           shape == KeyShape::kTwoKeys,
+                           static_cast<long long>(budget)));
+    ExecutionContext baseline_ctx;
+    baseline_ctx.options.shuffle_memory_budget = budget;
+    const JobRun baseline = RunFaultJob(baseline_ctx, shape);
 
-  FaultPlan plan;
-  plan.Inject(FaultPhase::kMap, 0, 0, FaultKind::kCrash);
-  plan.Inject(FaultPhase::kMap, 5, 0, FaultKind::kFlakyIo);
-  plan.Inject(FaultPhase::kMap, 5, 1, FaultKind::kCrash);
-  plan.Inject(FaultPhase::kMap, 7, 0, FaultKind::kSlow);
-  plan.Inject(FaultPhase::kReduce, 1, 0, FaultKind::kFlakyIo);
-  plan.Inject(FaultPhase::kReduce, 3, 0, FaultKind::kSlow);
-  RetryPolicy retry;
-  retry.sleep = [](double) {};
-  ExecutionContext ctx;
-  ctx.faults = &plan;
-  ctx.retry = &retry;
-  const JobRun faulted = RunFaultJob(ctx);
+    FaultPlan plan;
+    plan.Inject(FaultPhase::kMap, 0, 0, FaultKind::kCrash);
+    plan.Inject(FaultPhase::kMap, 5, 0, FaultKind::kFlakyIo);
+    plan.Inject(FaultPhase::kMap, 5, 1, FaultKind::kCrash);
+    plan.Inject(FaultPhase::kMap, 7, 0, FaultKind::kSlow);
+    plan.Inject(FaultPhase::kReduce, 1, 0, FaultKind::kFlakyIo);
+    plan.Inject(FaultPhase::kReduce, 3, 0, FaultKind::kSlow);
+    RetryPolicy retry;
+    retry.sleep = [](double) {};
+    ExecutionContext ctx = baseline_ctx;
+    ctx.faults = &plan;
+    ctx.retry = &retry;
+    const JobRun faulted = RunFaultJob(ctx, shape);
 
-  // Exactly-once: output, shuffle accounting, and user counters are
-  // byte-identical to the fault-free run despite 6 faulted attempts.
-  EXPECT_EQ(faulted.output, baseline.output);
-  EXPECT_EQ(faulted.stats.intermediate_records,
-            baseline.stats.intermediate_records);
-  EXPECT_EQ(faulted.stats.intermediate_bytes,
-            baseline.stats.intermediate_bytes);
-  EXPECT_EQ(faulted.stats.per_reducer_records,
-            baseline.stats.per_reducer_records);
-  EXPECT_EQ(faulted.stats.user_counters, baseline.stats.user_counters);
+    // Exactly-once: output, shuffle accounting, and user counters are
+    // byte-identical to the fault-free run despite 6 faulted attempts.
+    EXPECT_EQ(faulted.output, baseline.output);
+    EXPECT_EQ(faulted.stats.intermediate_records,
+              baseline.stats.intermediate_records);
+    EXPECT_EQ(faulted.stats.intermediate_bytes,
+              baseline.stats.intermediate_bytes);
+    EXPECT_EQ(faulted.stats.per_reducer_records,
+              baseline.stats.per_reducer_records);
+    EXPECT_EQ(faulted.stats.user_counters, baseline.stats.user_counters);
 
-  // And the wasted work is all accounted: 12 map tasks, 4 faulted map
-  // attempts (crash + flaky + crash = 3 retries, 1 speculative), 4 reduce
-  // tasks with 1 retry + 1 speculative.
-  EXPECT_TRUE(faulted.stats.AnyFaults());
-  EXPECT_EQ(faulted.stats.map_faults.tasks, 12);
-  EXPECT_EQ(faulted.stats.map_faults.attempts, 12 + 4);
-  EXPECT_EQ(faulted.stats.map_faults.retries, 3);
-  EXPECT_EQ(faulted.stats.map_faults.speculative, 1);
-  EXPECT_EQ(faulted.stats.reduce_faults.tasks, 4);
-  EXPECT_EQ(faulted.stats.reduce_faults.attempts, 4 + 2);
-  EXPECT_EQ(faulted.stats.reduce_faults.retries, 1);
-  EXPECT_EQ(faulted.stats.reduce_faults.speculative, 1);
-  // The flaky map attempt processed (and discarded) half of a 1-record
-  // chunk = 0 records, but the speculative attempts re-emitted real pairs.
-  EXPECT_GT(faulted.stats.map_faults.wasted_records, 0);
-  EXPECT_GT(faulted.stats.reduce_faults.wasted_records, 0);
+    // And the wasted work is all accounted: 12 map tasks, 4 faulted map
+    // attempts (crash + flaky + crash = 3 retries, 1 speculative), 4 reduce
+    // tasks with 1 retry + 1 speculative.
+    EXPECT_TRUE(faulted.stats.AnyFaults());
+    EXPECT_EQ(faulted.stats.map_faults.tasks, 12);
+    EXPECT_EQ(faulted.stats.map_faults.attempts, 12 + 4);
+    EXPECT_EQ(faulted.stats.map_faults.retries, 3);
+    EXPECT_EQ(faulted.stats.map_faults.speculative, 1);
+    EXPECT_EQ(faulted.stats.reduce_faults.tasks, 4);
+    EXPECT_EQ(faulted.stats.reduce_faults.attempts, 4 + 2);
+    EXPECT_EQ(faulted.stats.reduce_faults.retries, 1);
+    EXPECT_EQ(faulted.stats.reduce_faults.speculative, 1);
+    // The flaky map attempt processed (and discarded) half of a 1-record
+    // chunk = 0 records, but the speculative attempts re-emitted real pairs.
+    EXPECT_GT(faulted.stats.map_faults.wasted_records, 0);
+    EXPECT_GT(faulted.stats.reduce_faults.wasted_records, 0);
+    // Reducer 1's flaky attempt reduces only the groups starting in the
+    // first half of its key-sorted records (key 1, one output); reducer 3's
+    // speculative duplicate reduces all of its groups (one or two).
+    EXPECT_EQ(faulted.stats.reduce_faults.wasted_records,
+              shape == KeyShape::kOneKey ? 1 + 1 : 1 + 2);
+  }
 }
 
 TEST(EngineFaultTest, BackoffFollowsExponentialScheduleOnVirtualClock) {
@@ -235,30 +267,36 @@ TEST(EngineFaultDeathTest, ReduceRetryExhaustionAbortsTheJob) {
 }
 
 TEST(EngineFaultTest, DfsPartFilesAreCommittedExactlyOnce) {
-  Dfs baseline_dfs;
-  ExecutionContext baseline_ctx;
-  baseline_ctx.dfs = &baseline_dfs;
-  const JobRun baseline = RunFaultJob(baseline_ctx);
-  ASSERT_TRUE(baseline_dfs.Exists("fault_job/part-0"));
-  ASSERT_TRUE(baseline_dfs.Exists("fault_job/part-3"));
+  for (const auto& [shape, budget] : kShapesAndBudgets) {
+    SCOPED_TRACE(StrFormat("two keys per reducer: %d, budget: %lld",
+                           shape == KeyShape::kTwoKeys,
+                           static_cast<long long>(budget)));
+    Dfs baseline_dfs;
+    ExecutionContext baseline_ctx;
+    baseline_ctx.dfs = &baseline_dfs;
+    baseline_ctx.options.shuffle_memory_budget = budget;
+    const JobRun baseline = RunFaultJob(baseline_ctx, shape);
+    ASSERT_TRUE(baseline_dfs.Exists("fault_job/part-0"));
+    ASSERT_TRUE(baseline_dfs.Exists("fault_job/part-3"));
 
-  FaultPlan plan = FaultPlan::Seeded(17, 0.2, 0.15, 0.1);
-  RetryPolicy retry;
-  retry.sleep = [](double) {};
-  Dfs faulted_dfs;
-  ExecutionContext ctx;
-  ctx.faults = &plan;
-  ctx.retry = &retry;
-  ctx.dfs = &faulted_dfs;
-  const JobRun faulted = RunFaultJob(ctx);
+    FaultPlan plan = FaultPlan::Seeded(17, 0.2, 0.15, 0.1);
+    RetryPolicy retry;
+    retry.sleep = [](double) {};
+    Dfs faulted_dfs;
+    ExecutionContext ctx = baseline_ctx;
+    ctx.faults = &plan;
+    ctx.retry = &retry;
+    ctx.dfs = &faulted_dfs;
+    const JobRun faulted = RunFaultJob(ctx, shape);
 
-  EXPECT_EQ(faulted.output, baseline.output);
-  // Every part file committed once, by the committing attempt only: the
-  // write ledger equals the live datasets and matches the fault-free run.
-  EXPECT_EQ(faulted_dfs.bytes_written(), baseline_dfs.bytes_written());
-  EXPECT_EQ(faulted_dfs.records_written(), baseline_dfs.records_written());
-  EXPECT_EQ(faulted_dfs.bytes_written(), faulted_dfs.live_bytes());
-  EXPECT_EQ(faulted_dfs.records_written(), faulted_dfs.live_records());
+    EXPECT_EQ(faulted.output, baseline.output);
+    // Every part file committed once, by the committing attempt only: the
+    // write ledger equals the live datasets and matches the fault-free run.
+    EXPECT_EQ(faulted_dfs.bytes_written(), baseline_dfs.bytes_written());
+    EXPECT_EQ(faulted_dfs.records_written(), baseline_dfs.records_written());
+    EXPECT_EQ(faulted_dfs.bytes_written(), faulted_dfs.live_bytes());
+    EXPECT_EQ(faulted_dfs.records_written(), faulted_dfs.live_records());
+  }
 }
 
 TEST(EngineFaultTest, TracerMarksFailedAndSpeculativeAttempts) {

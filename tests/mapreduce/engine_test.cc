@@ -391,23 +391,22 @@ TEST(EngineTest, TracerRecordsJobPhaseAndTaskSpans) {
     for (int v : vals) out.Emit(v);
   });
 
-  Tracer tracer;
-  std::vector<int> output;
-  ExecutionContext ctx(nullptr, &tracer);
-  // The asserted span set is the in-memory pipeline's (shuffle_merge does
-  // not exist in budget mode, where the merge is deferred to reduce
-  // time); pin unlimited so an MWSJ_SHUFFLE_BUDGET env override can't
-  // change the traced structure.
-  ctx.options.shuffle_memory_budget = -1;
-  job.Run(std::span<const int>(input), &output, ctx);
+  // One span set whatever the shuffle budget: unlimited, and a budget so
+  // small that every map chunk spills.
+  for (const int64_t budget : {int64_t{-1}, int64_t{1}}) {
+    Tracer tracer;
+    std::vector<int> output;
+    ExecutionContext ctx(nullptr, &tracer);
+    ctx.options.shuffle_memory_budget = budget;
+    job.Run(std::span<const int>(input), &output, ctx);
 
-  const std::string json = tracer.ToJson();
-  for (const char* span_name :
-       {"traced_job", "map", "shuffle", "reduce", "map_chunk",
-        "shuffle_merge", "reduce_task"}) {
-    EXPECT_NE(json.find(StrFormat("\"name\": \"%s\"", span_name)),
-              std::string::npos)
-        << "missing span " << span_name;
+    const std::string json = tracer.ToJson();
+    for (const char* span_name : {"traced_job", "map", "shuffle", "reduce",
+                                  "map_chunk", "reduce_task"}) {
+      EXPECT_NE(json.find(StrFormat("\"name\": \"%s\"", span_name)),
+                std::string::npos)
+          << "missing span " << span_name << " at budget " << budget;
+    }
   }
 }
 
