@@ -147,30 +147,6 @@ void RunWithinDistanceBatch(benchmark::State& state, simd::Isa isa) {
                           static_cast<int64_t>(n));
 }
 
-void RunSortKeyIdxBatch(benchmark::State& state, simd::Isa isa) {
-  if (!simd::IsaAvailable(isa)) {
-    state.SkipWithError("ISA not available on this machine");
-    return;
-  }
-  const simd::KernelTable& kernels = simd::KernelsFor(isa);
-  const size_t n = static_cast<size_t>(state.range(0));
-  Rng rng(13);
-  std::vector<uint64_t> keys(n);
-  for (auto& k : keys) {
-    k = simd::OrderedKeyFromDouble(rng.Uniform(0, 1000));
-  }
-  std::vector<uint64_t> scratch_keys(n);
-  std::vector<uint32_t> idx(n);
-  for (auto _ : state) {
-    scratch_keys = keys;
-    for (size_t i = 0; i < n; ++i) idx[i] = static_cast<uint32_t>(i);
-    kernels.sort_key_idx(scratch_keys.data(), idx.data(), n);
-    benchmark::DoNotOptimize(idx.data());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(n));
-}
-
 void BM_OverlapBatch_Scalar(benchmark::State& state) {
   RunOverlapBatch(state, simd::Isa::kScalar);
 }
@@ -198,8 +174,8 @@ BENCHMARK(BM_WithinDistanceBatch_Sse)->Arg(1024)->Arg(65536);
 BENCHMARK(BM_WithinDistanceBatch_Avx2)->Arg(1024)->Arg(65536);
 
 // The pre-SIMD engine sort: std::stable_sort of an index array with an
-// indirect comparator over the key column. The kernel rows below replace
-// this with packed (key, index) sorts.
+// indirect comparator over the key column. BM_SortKeyIdx_Scalar below is
+// its replacement, a packed (key, index) sort.
 void BM_SortKeyIdx_StableSortBaseline(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   Rng rng(13);
@@ -220,17 +196,24 @@ void BM_SortKeyIdx_StableSortBaseline(benchmark::State& state) {
 BENCHMARK(BM_SortKeyIdx_StableSortBaseline)->Arg(65536);
 
 void BM_SortKeyIdx_Scalar(benchmark::State& state) {
-  RunSortKeyIdxBatch(state, simd::Isa::kScalar);
-}
-void BM_SortKeyIdx_Sse(benchmark::State& state) {
-  RunSortKeyIdxBatch(state, simd::Isa::kSse);
-}
-void BM_SortKeyIdx_Avx2(benchmark::State& state) {
-  RunSortKeyIdxBatch(state, simd::Isa::kAvx2);
+  const size_t n = static_cast<size_t>(state.range(0));
+  Rng rng(13);
+  std::vector<uint64_t> keys(n);
+  for (auto& k : keys) {
+    k = simd::OrderedKeyFromDouble(rng.Uniform(0, 1000));
+  }
+  std::vector<uint64_t> scratch_keys(n);
+  std::vector<uint32_t> idx(n);
+  for (auto _ : state) {
+    scratch_keys = keys;
+    for (size_t i = 0; i < n; ++i) idx[i] = static_cast<uint32_t>(i);
+    simd::SortKeyIdx(scratch_keys.data(), idx.data(), n);
+    benchmark::DoNotOptimize(idx.data());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(n));
 }
 BENCHMARK(BM_SortKeyIdx_Scalar)->Arg(65536);
-BENCHMARK(BM_SortKeyIdx_Sse)->Arg(65536);
-BENCHMARK(BM_SortKeyIdx_Avx2)->Arg(65536);
 
 }  // namespace
 }  // namespace mwsj

@@ -11,9 +11,8 @@
 ///
 ///   MWSJ_ALLOC_FREE     The function must not transitively reach
 ///                       operator new / malloc / growing-container calls.
-///                       Function-granular successor of the PR-5
-///                       `// mwsj-lint: alloc-free` file marker, enforcing
-///                       the PR-3 `allocs_per_probe == 0` kernel contract.
+///                       Enforces the `allocs_per_probe == 0` kernel
+///                       contract across the call graph.
 ///   MWSJ_DETERMINISTIC  Every path from the function into Emitter::Emit
 ///                       must avoid unordered-container iteration,
 ///                       pointer-valued ordering, and RNG outside common/ —

@@ -1,4 +1,4 @@
-// mwsj-lint: spill-budgeted
+// mwsj-check: spill-budgeted
 //
 // Block codec implementation. The delta/zigzag transforms dispatch through
 // the SIMD kernel table; the bitpack below is deliberately shared scalar

@@ -3,7 +3,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
@@ -41,13 +40,6 @@ class MultiwayLocalJoin {
   /// this reducer. The spans must outlive the object.
   MultiwayLocalJoin(const Query& query,
                     std::vector<std::span<const LocalRect>> relations);
-
-  /// Type-erased emit signature, kept for call sites that store the
-  /// callback; Execute itself is templated so lambdas dispatch statically
-  /// in the recursion (no std::function call per candidate).
-  // mwsj-lint: allow(hot-path-std-function) -- type-erased storage for
-  // callers that hold a callback; never invoked inside the Bind recursion.
-  using EmitFn = std::function<void(const std::vector<const LocalRect*>&)>;
 
   /// Runs the join. `emit` receives one pointer per relation (indexed by
   /// relation); the pointers are only valid during the callback. All

@@ -38,8 +38,7 @@ void PlaneSweepJoin(const std::vector<Rect>& a, const std::vector<Rect>& b,
     keys.push_back(simd::OrderedKeyFromDouble(b[j].min_x()));
     payloads.push_back(static_cast<uint32_t>(j));
   }
-  simd::ActiveKernels().sort_key_idx(keys.data(), payloads.data(),
-                                     num_events);
+  simd::SortKeyIdx(keys.data(), payloads.data(), num_events);
 
   // Active rectangles from each side, pruned lazily: an active rectangle
   // dies once the sweep line passes max_x + d.

@@ -2,7 +2,7 @@
 // QueryScratch; the query path must stay allocation-free (enforced by
 // tools/mwsj_check.py alloc-free-reach via the MWSJ_ALLOC_FREE probe
 // annotations in rtree.h) and without std::function indirection
-// (tools/mwsj_lint.py hot-path-std-function).
+// (tools/mwsj_check.py hot-path-std-function).
 #include "localjoin/rtree.h"
 
 #include <algorithm>

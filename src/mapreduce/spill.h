@@ -1,7 +1,7 @@
 #ifndef MWSJ_MAPREDUCE_SPILL_H_
 #define MWSJ_MAPREDUCE_SPILL_H_
 
-// mwsj-lint: spill-budgeted
+// mwsj-check: spill-budgeted
 //
 // Shuffle support for the map-reduce engine (DESIGN.md §2.13): budget
 // resolution, the columnar spill-run codec bridge, streaming run cursors,
@@ -121,7 +121,7 @@ MWSJ_DETERMINISTIC void EncodeRun(const std::pair<K, V>* pairs, size_t n,
                                   std::vector<uint8_t>* out) {
   constexpr size_t kCols = 1 + SpillColumns<V>::kNumColumns;
   // Column-major staging of the whole bucket; bounded by the chunk's
-  // budget share that triggered the spill. mwsj-lint: allow(spill-unbounded)
+  // budget share that triggered the spill.
   std::vector<uint64_t>& columns = *column_scratch;
   if (columns.size() < kCols * n) columns.resize(kCols * n);
   uint64_t scratch[kCols];
@@ -141,8 +141,8 @@ MWSJ_DETERMINISTIC void EncodeRun(const std::pair<K, V>* pairs, size_t n,
 template <typename K, typename V>
 MWSJ_DETERMINISTIC void EncodeRun(const std::pair<K, V>* pairs, size_t n,
                                   std::vector<uint8_t>* out) {
-  // mwsj-lint: allow(spill-unbounded) -- same bucket-bounded staging as
-  // the scratch-threaded overload, owned for one call.
+  // Same bucket-bounded staging as the scratch-threaded overload, owned
+  // for one call.
   std::vector<uint64_t> columns;
   EncodeRun(pairs, n, &columns, out);
 }

@@ -17,7 +17,6 @@ namespace {
 const KernelTable kScalarTable = {
     &internal::OverlapFilterScalar,
     &internal::WithinFilterScalar,
-    &internal::SortKeyIdxScalar,
     &internal::DeltaZigzagEncodeScalar,
     &internal::DeltaZigzagDecodeScalar,
     Isa::kScalar,
@@ -27,7 +26,6 @@ const KernelTable kScalarTable = {
 const KernelTable kSseTable = {
     &internal::OverlapFilterSse,
     &internal::WithinFilterSse,
-    &internal::SortKeyIdxSse,
     &internal::DeltaZigzagEncodeSse,
     &internal::DeltaZigzagDecodeSse,
     Isa::kSse,
@@ -38,7 +36,6 @@ const KernelTable kSseTable = {
 const KernelTable kAvx2Table = {
     &internal::OverlapFilterAvx2,
     &internal::WithinFilterAvx2,
-    &internal::SortKeyIdxAvx2,
     &internal::DeltaZigzagEncodeAvx2,
     &internal::DeltaZigzagDecodeAvx2,
     Isa::kAvx2,

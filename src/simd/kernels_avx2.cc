@@ -1,5 +1,3 @@
-// mwsj-lint: hot-path
-//
 // AVX2 kernel TU: 4 doubles / 4 u64 keys per vector. Compiled with -mavx2
 // (set per-source in CMakeLists.txt) only when the compiler supports it;
 // dispatch only selects these entry points when the CPU reports avx2, so

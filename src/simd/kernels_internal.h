@@ -41,11 +41,6 @@ inline bool WithinScalar(double b_min_x, double b_min_y, double b_max_x,
   return dx * dx + dy * dy <= d_sq;
 }
 
-inline bool CompositeLess(uint64_t key_a, uint32_t idx_a, uint64_t key_b,
-                          uint32_t idx_b) {
-  return key_a < key_b || (key_a == key_b && idx_a < idx_b);
-}
-
 // Zigzag transform over wrapping u64 differences (io/colcodec.h blocks).
 // Encode maps small signed deltas to small unsigned codes; decode is the
 // exact inverse. All arithmetic wraps, so any delta round-trips.
@@ -71,7 +66,6 @@ size_t WithinFilterScalar(const double* min_xs, const double* min_ys,
                           size_t n, double q_min_x, double q_min_y,
                           double q_max_x, double q_max_y, double d_sq,
                           uint32_t* out);
-void SortKeyIdxScalar(uint64_t* keys, uint32_t* idx, size_t n);
 uint64_t DeltaZigzagEncodeScalar(const uint64_t* vals, size_t n,
                                  uint64_t* out);
 void DeltaZigzagDecodeScalar(const uint64_t* deltas, size_t n, uint64_t base,
@@ -86,7 +80,6 @@ size_t WithinFilterSse(const double* min_xs, const double* min_ys,
                        const double* max_xs, const double* max_ys, size_t n,
                        double q_min_x, double q_min_y, double q_max_x,
                        double q_max_y, double d_sq, uint32_t* out);
-void SortKeyIdxSse(uint64_t* keys, uint32_t* idx, size_t n);
 uint64_t DeltaZigzagEncodeSse(const uint64_t* vals, size_t n, uint64_t* out);
 void DeltaZigzagDecodeSse(const uint64_t* deltas, size_t n, uint64_t base,
                           uint64_t* out);
@@ -101,7 +94,6 @@ size_t WithinFilterAvx2(const double* min_xs, const double* min_ys,
                         const double* max_xs, const double* max_ys, size_t n,
                         double q_min_x, double q_min_y, double q_max_x,
                         double q_max_y, double d_sq, uint32_t* out);
-void SortKeyIdxAvx2(uint64_t* keys, uint32_t* idx, size_t n);
 uint64_t DeltaZigzagEncodeAvx2(const uint64_t* vals, size_t n, uint64_t* out);
 void DeltaZigzagDecodeAvx2(const uint64_t* deltas, size_t n, uint64_t base,
                            uint64_t* out);

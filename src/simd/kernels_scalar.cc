@@ -1,13 +1,12 @@
-// mwsj-lint: hot-path
-//
 // Scalar reference kernels. Every vector variant must match these
-// byte-for-byte (same matching indices, same order, same sorted
-// permutation); the parity test suite pins that under each ISA.
-#include "simd/kernels_internal.h"
-
+// byte-for-byte (same matching indices, same order); the parity test suite
+// pins that under each ISA. The key/index sort has only this scalar form.
 #include <algorithm>
 #include <utility>
 #include <vector>
+
+#include "simd/kernels_internal.h"
+#include "simd/simd.h"
 
 namespace mwsj::simd::internal {
 
@@ -64,10 +63,14 @@ void DeltaZigzagDecodeScalar(const uint64_t* deltas, size_t n, uint64_t base,
   }
 }
 
-void SortKeyIdxScalar(uint64_t* keys, uint32_t* idx, size_t n) {
-  // Reference implementation: materialize (key, idx) pairs and let
-  // std::sort order them. Composite uniqueness makes the result the one
-  // true sorted permutation, so no stability machinery is needed.
+}  // namespace mwsj::simd::internal
+
+namespace mwsj::simd {
+
+void SortKeyIdx(uint64_t* keys, uint32_t* idx, size_t n) {
+  // Materialize (key, idx) pairs and let std::sort order them. Composite
+  // uniqueness makes the result the one true sorted permutation, so no
+  // stability machinery is needed.
   std::vector<std::pair<uint64_t, uint32_t>> pairs(n);
   for (size_t i = 0; i < n; ++i) pairs[i] = {keys[i], idx[i]};
   std::sort(pairs.begin(), pairs.end());
@@ -77,4 +80,4 @@ void SortKeyIdxScalar(uint64_t* keys, uint32_t* idx, size_t n) {
   }
 }
 
-}  // namespace mwsj::simd::internal
+}  // namespace mwsj::simd

@@ -1,5 +1,3 @@
-// mwsj-lint: hot-path
-//
 // SSE4.2 kernel TU: 2 doubles / 2 u64 keys per vector. Compiled with
 // -msse4.2 (set per-source in CMakeLists.txt) only when the compiler
 // supports it; dispatch only selects these entry points when the CPU

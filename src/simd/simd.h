@@ -39,7 +39,7 @@ bool IsaAvailable(Isa isa);
 /// streams do not depend on the active ISA.
 ///
 /// Function pointers, not std::function: the table is resolved once at
-/// startup and callers sit on per-probe hot paths (see mwsj_lint's
+/// startup and callers sit on per-probe hot paths (see mwsj_check's
 /// hot-path-std-function rule).
 struct KernelTable {
   /// Closed-set rectangle overlap against the query box (geometry's
@@ -60,15 +60,6 @@ struct KernelTable {
                           size_t n, double q_min_x, double q_min_y,
                           double q_max_x, double q_max_y, double d_sq,
                           uint32_t* out);
-
-  /// Sorts the parallel arrays (keys[i], idx[i]) ascending by the composite
-  /// (key, idx). When idx starts as the position permutation 0..n-1 this is
-  /// exactly a *stable* sort by key (ties keep arrival order), computed
-  /// with u64 compares instead of comparator calls. The composite must be
-  /// unique per element (true for any permutation idx), which makes the
-  /// result independent of partitioning order — every ISA produces the
-  /// identical permutation.
-  void (*sort_key_idx)(uint64_t* keys, uint32_t* idx, size_t n);
 
   /// Columnar-codec forward transform (io/colcodec.h): writes the n-1
   /// zigzag-encoded adjacent differences of vals[0..n) to out and returns
@@ -131,11 +122,18 @@ inline uint64_t OrderedKeyFromInt(K k) {
   }
 }
 
+/// Sorts the parallel arrays (keys[i], idx[i]) ascending by the composite
+/// (key, idx). When idx starts as the position permutation 0..n-1 this is
+/// exactly a *stable* sort by key (ties keep arrival order), computed with
+/// u64 compares instead of comparator calls. One scalar implementation:
+/// the vectorized-partition variants measured slower than it.
+void SortKeyIdx(uint64_t* keys, uint32_t* idx, size_t n);
+
 /// Sorts `*idx` (initially the identity permutation over keys) stably by
 /// keys[idx[i]] — a drop-in for
 ///   std::stable_sort(idx, [&](a, b) { return keys[a] < keys[b]; })
-/// Integral keys are widened order-preservingly and sorted by the active
-/// batch kernel; other key types fall back to std::stable_sort.
+/// Integral keys are widened order-preservingly and sorted by SortKeyIdx;
+/// other key types fall back to std::stable_sort.
 template <typename K>
 void StableSortIndexByKey(const std::vector<K>& keys,
                           std::vector<uint32_t>* idx) {
@@ -145,7 +143,7 @@ void StableSortIndexByKey(const std::vector<K>& keys,
     for (size_t i = 0; i < n; ++i) {
       widened[i] = OrderedKeyFromInt(keys[(*idx)[i]]);
     }
-    ActiveKernels().sort_key_idx(widened.data(), idx->data(), n);
+    SortKeyIdx(widened.data(), idx->data(), n);
   } else {
     std::stable_sort(
         idx->begin(), idx->end(),

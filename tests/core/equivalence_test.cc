@@ -76,6 +76,8 @@ TEST_P(EquivalenceTest, MatchesBruteForce) {
 }
 
 constexpr Scenario kScenarios[] = {
+    {QueryShape::kChain2, PredicateMix::kOverlapOnly, false, "chain2-overlap"},
+    {QueryShape::kChain2, PredicateMix::kRangeOnly, false, "chain2-range"},
     {QueryShape::kChain3, PredicateMix::kOverlapOnly, false, "chain3-overlap"},
     {QueryShape::kChain3, PredicateMix::kOverlapOnly, true,
      "chain3-overlap-int"},

@@ -165,7 +165,7 @@ TEST(SimdFilterTest, NaNCoordinatesMirrorTheScalarGeometry) {
 }
 
 // ---------------------------------------------------------------------------
-// Sort kernel.
+// Key/index sort.
 
 void CheckSortAgainstStableSort(const std::vector<uint64_t>& keys) {
   const size_t n = keys.size();
@@ -175,20 +175,18 @@ void CheckSortAgainstStableSort(const std::vector<uint64_t>& keys) {
                    [&keys](uint32_t a, uint32_t b) {
                      return keys[a] < keys[b];
                    });
-  for (const Isa isa : AvailableIsas()) {
-    std::vector<uint64_t> k = keys;
-    std::vector<uint32_t> idx(n);
-    for (size_t i = 0; i < n; ++i) idx[i] = static_cast<uint32_t>(i);
-    KernelsFor(isa).sort_key_idx(k.data(), idx.data(), n);
-    EXPECT_EQ(idx, expected) << IsaName(isa) << " n=" << n;
-    std::vector<uint64_t> sorted_keys = keys;
-    std::sort(sorted_keys.begin(), sorted_keys.end());
-    EXPECT_EQ(k, sorted_keys) << IsaName(isa) << " n=" << n;
-  }
+  std::vector<uint64_t> k = keys;
+  std::vector<uint32_t> idx(n);
+  for (size_t i = 0; i < n; ++i) idx[i] = static_cast<uint32_t>(i);
+  SortKeyIdx(k.data(), idx.data(), n);
+  EXPECT_EQ(idx, expected) << "n=" << n;
+  std::vector<uint64_t> sorted_keys = keys;
+  std::sort(sorted_keys.begin(), sorted_keys.end());
+  EXPECT_EQ(k, sorted_keys) << "n=" << n;
 }
 
 TEST(SimdSortTest, EqualsStableSortByKey) {
-  // Sizes straddle the insertion-sort threshold (32) and the lane widths;
+  // Sizes from empty through small to several thousand;
   // key ranges force heavy duplication so the idx tie-break does real work.
   for (size_t n : {0u, 1u, 2u, 3u, 31u, 32u, 33u, 64u, 100u, 1000u, 4096u}) {
     for (const uint64_t range : {uint64_t{1}, uint64_t{4}, uint64_t{1000},
@@ -210,7 +208,7 @@ TEST(SimdSortTest, AdversarialPatterns) {
   for (size_t i = 0; i < 1000; ++i) {
     sorted[i] = i;
     reversed[i] = 1000 - i;
-    organ[i] = std::min(i, 1000 - i);  // Organ-pipe: median-of-3 stress.
+    organ[i] = std::min(i, 1000 - i);  // Organ-pipe.
   }
   CheckSortAgainstStableSort(sorted);
   CheckSortAgainstStableSort(reversed);
@@ -276,7 +274,6 @@ TEST(SimdDispatchTest, ScalarAlwaysAvailable) {
   EXPECT_TRUE(IsaAvailable(Isa::kScalar));
   EXPECT_NE(ActiveKernels().overlap_filter, nullptr);
   EXPECT_NE(ActiveKernels().within_filter, nullptr);
-  EXPECT_NE(ActiveKernels().sort_key_idx, nullptr);
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 // Scalar-vs-SIMD parity: the 100-world randomized property suite runs
 // under every available ISA and the *unsorted* emit streams must be
 // byte-identical — not just the same result sets. This pins the whole
-// dispatch seam: R-tree traversal order, linear-scan candidate order, the
-// plane-sweep event sort, and the correctness of each filter.
+// dispatch seam: R-tree traversal order, linear-scan candidate order, and
+// the correctness of each filter. The plane sweep, whose event sort has
+// one scalar implementation, must stay ISA-independent too.
 
 #include <gtest/gtest.h>
 

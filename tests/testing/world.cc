@@ -31,6 +31,10 @@ Query MakeWorldQuery(const WorldConfig& config) {
   int n = 0;
   std::vector<std::pair<int, int>> edges;
   switch (config.shape) {
+    case QueryShape::kChain2:
+      n = 2;
+      edges = {{0, 1}};
+      break;
     case QueryShape::kChain3:
       n = 3;
       edges = {{0, 1}, {1, 2}};

@@ -16,6 +16,7 @@ enum class QueryShape {
   kChain4,  // R1 - R2 - R3 - R4
   kStar4,   // R1 at the center of R2, R3, R4
   kCycle3,  // triangle R1 - R2 - R3 - R1
+  kChain2,  // R1 - R2: the 2-way join of §5
 };
 
 /// Kind of predicates on the edges.

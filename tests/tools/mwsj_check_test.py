@@ -5,11 +5,14 @@ Run via ctest (tools_mwsj_check_test) or directly:
     python3 tests/tools/mwsj_check_test.py
 
 The fixtures under tests/tools/check_fixtures/ are analyzer inputs, never
-compiled by the build. Each rule has a violating, a clean, and a suppressed
-fixture. The suite always runs the textual frontend (available everywhere);
-when the python clang bindings are importable it re-runs the bad/clean
-fixtures under the libclang frontend against a generated compilation
-database and asserts the two frontends agree.
+compiled by the build. Each call-graph rule has a violating, a clean, and a
+suppressed fixture at the top level. The textual rules are scoped by path,
+so their fixtures sit in a miniature tree (check_fixtures/tree/) that is
+analyzed with --root pointing at it. The suite always runs the textual
+frontend (available everywhere); when the python clang bindings are
+importable it re-runs the top-level bad/clean fixtures under the libclang
+frontend against a generated compilation database and asserts the two
+frontends agree.
 """
 
 import json
@@ -23,6 +26,7 @@ import unittest
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent.parent
 CHECK = REPO_ROOT / "tools" / "mwsj_check.py"
 FIXTURES = REPO_ROOT / "tests" / "tools" / "check_fixtures"
+TREE = FIXTURES / "tree"
 BASELINE = REPO_ROOT / "tools" / "mwsj_check_baseline.txt"
 
 DIAG_RE = re.compile(
@@ -52,6 +56,28 @@ CLEAN_FIXTURES = [
     "hot_shared_rmw_suppressed.cc",
 ]
 
+# Textual-rule fixtures, relative to TREE.
+TREE_BAD_FIXTURES = {
+    "src/core/bad_rng.cc": "rng-outside-common",
+    "src/core/bad_stdout.cc": "stdout-in-library",
+    "src/core/bad_unordered_emit.cc": "unordered-emit",
+    "src/core/bad_hot_path.cc": "hot-path-std-function",
+    "src/simd/bad_std_function.cc": "hot-path-std-function",
+    "src/core/bad_trace_span.cc": "trace-span-temporary",
+    "src/core/bad_spill_unbounded.cc": "spill-unbounded",
+    "src/io/bad_engine_run.cc": "engine-run-outside-scheduler",
+}
+
+TREE_CLEAN_FIXTURES = [
+    "src/core/clean.cc",
+    "src/core/suppressed.cc",
+    "src/common/rng_ok.cc",
+    "src/io/engine_types_ok.cc",
+    "src/io/spill_budgeted_ok.cc",
+    "src/queries/knn_mr_ok.cc",
+    "tools/stdout_ok.cc",
+]
+
 
 def run_check(*args):
     return subprocess.run(
@@ -77,13 +103,15 @@ def have_libclang():
 
 
 class MwsjCheckFixtureTest(unittest.TestCase):
-    def check_fixture(self, rel, *extra):
-        return run_check("--root", str(FIXTURES), *extra, rel)
+    def check_fixture(self, rel, *extra, root=FIXTURES):
+        return run_check("--root", str(root), *extra, rel)
 
     def test_each_bad_fixture_violates_exactly_its_rule(self):
-        for rel, rule in BAD_FIXTURES.items():
+        cases = [(rel, rule, FIXTURES) for rel, rule in BAD_FIXTURES.items()]
+        cases += [(rel, rule, TREE) for rel, rule in TREE_BAD_FIXTURES.items()]
+        for rel, rule, root in cases:
             with self.subTest(fixture=rel):
-                proc = self.check_fixture(rel)
+                proc = self.check_fixture(rel, root=root)
                 self.assertEqual(proc.returncode, 1,
                                  f"{rel}: expected exit 1, got "
                                  f"{proc.returncode}\n{proc.stdout}"
@@ -99,9 +127,11 @@ class MwsjCheckFixtureTest(unittest.TestCase):
                 self.assertGreater(line, 0)
 
     def test_clean_and_suppressed_fixtures_pass(self):
-        for rel in CLEAN_FIXTURES:
+        cases = [(rel, FIXTURES) for rel in CLEAN_FIXTURES]
+        cases += [(rel, TREE) for rel in TREE_CLEAN_FIXTURES]
+        for rel, root in cases:
             with self.subTest(fixture=rel):
-                proc = self.check_fixture(rel)
+                proc = self.check_fixture(rel, root=root)
                 self.assertEqual(proc.returncode, 0,
                                  f"{rel}: expected exit 0\n{proc.stdout}"
                                  f"{proc.stderr}")
@@ -113,15 +143,42 @@ class MwsjCheckFixtureTest(unittest.TestCase):
         # Proves each bad fixture's diagnostic comes from its rule alone —
         # and pins that the rule is what keeps the fixture failing: if the
         # rule stopped firing, test_each_bad_fixture... would fail too.
-        for rel, rule in BAD_FIXTURES.items():
-            if rule == "bad-suppression":
-                continue  # not disableable; it guards the allow grammar
+        cases = [(rel, rule, FIXTURES) for rel, rule in BAD_FIXTURES.items()
+                 if rule != "bad-suppression"]  # guards the allow grammar
+        cases += [(rel, rule, TREE) for rel, rule in TREE_BAD_FIXTURES.items()]
+        for rel, rule, root in cases:
             with self.subTest(fixture=rel):
-                proc = self.check_fixture(rel, "--disable", rule)
+                proc = self.check_fixture(rel, "--disable", rule, root=root)
                 self.assertEqual(proc.returncode, 0,
                                  f"{rel}: still failing with {rule} "
                                  f"disabled:\n{proc.stdout}{proc.stderr}")
                 self.assertEqual(parse_diags(proc.stdout), [])
+
+    def test_whole_fixture_tree_reports_each_bad_fixture_once(self):
+        proc = run_check("--root", str(TREE), "src", "tools")
+        self.assertEqual(proc.returncode, 1)
+        diags = parse_diags(proc.stdout)
+        self.assertEqual(sorted((d[0], d[2]) for d in diags),
+                         sorted(TREE_BAD_FIXTURES.items()), proc.stdout)
+
+    def test_suppression_removed_reveals_violation(self):
+        # The suppressed fixture really contains violations: analyzing a
+        # copy with the allow() comments stripped must fail. Guards against
+        # the suppression grammar silently matching everything.
+        src = (TREE / "src/core/suppressed.cc").read_text()
+        stripped = re.sub(r"//\s*mwsj-check:\s*allow\(.*", "", src)
+        with tempfile.TemporaryDirectory() as tmp:
+            target = pathlib.Path(tmp) / "src" / "core" / "unsuppressed.cc"
+            target.parent.mkdir(parents=True)
+            target.write_text(stripped)
+            proc = run_check("--root", tmp, str(target))
+        self.assertEqual(proc.returncode, 1)
+        rules = {d[2] for d in parse_diags(proc.stdout)}
+        self.assertEqual(rules, {"rng-outside-common", "stdout-in-library",
+                                 "hot-path-std-function"})
+
+    def test_missing_path_is_a_usage_error(self):
+        self.assertEqual(run_check("no/such/dir").returncode, 2)
 
     def test_unknown_disable_rule_is_a_usage_error(self):
         proc = self.check_fixture("alloc_free_clean.cc",
@@ -179,18 +236,17 @@ class MwsjCheckFixtureTest(unittest.TestCase):
             self.assertIn("lock-order", rp.read_text())
 
     def test_real_tree_is_clean_under_baseline(self):
-        # The same gate CI applies (and the mwsj_check_tree ctest): src/
-        # analyzes clean modulo the justified baseline.
-        proc = run_check("--baseline", str(BASELINE), "src")
+        # The same gate CI applies (and the mwsj_check_tree ctest): src/ and
+        # tools/ analyze clean modulo the justified baseline.
+        proc = run_check("--baseline", str(BASELINE), "src", "tools")
         self.assertEqual(proc.returncode, 0,
-                         f"src/ has unbaselined findings:\n{proc.stdout}"
+                         f"unbaselined findings:\n{proc.stdout}"
                          f"{proc.stderr}")
 
-    def test_list_rules_names_all_five_graph_rules(self):
+    def test_list_rules_names_every_rule(self):
         proc = run_check("--list-rules")
         self.assertEqual(proc.returncode, 0)
-        for rule in ("alloc-free-reach", "emit-determinism",
-                     "blocking-reach", "hot-shared-rmw", "lock-order"):
+        for rule in {*BAD_FIXTURES.values(), *TREE_BAD_FIXTURES.values()}:
             self.assertIn(rule, proc.stdout)
 
 

@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
-"""mwsj_check: call-graph-aware invariant analyzer for the mwsj tree.
+"""mwsj_check: the invariant analyzer for the mwsj tree.
 
-Where tools/mwsj_lint.py matches single lines against regexes, this tool
-builds a whole-program call graph over the effect annotations declared in
-src/common/effects.h and propagates five invariants across it (rule table:
-tools/mwsj_check_rules.md; architecture: DESIGN.md section 2.15):
+It builds a whole-program call graph over the effect annotations declared
+in src/common/effects.h and propagates five invariants across it, and it
+runs file-scope textual rules over every file it reads (rule table:
+tools/mwsj_check_rules.md; architecture: DESIGN.md section 2.15).
+
+Call-graph rules:
 
   alloc-free-reach   An MWSJ_ALLOC_FREE function must not transitively
                      reach operator new / malloc / make_unique / a
@@ -29,6 +31,13 @@ tools/mwsj_check_rules.md; architecture: DESIGN.md section 2.15):
                      Class::member (instance-insensitive), so two
                      instances of the same member are one node.
 
+Textual rules match the comment- and string-stripped text of one file,
+scoped by its path relative to --root: rng-outside-common,
+stdout-in-library, unordered-emit, hot-path-std-function (src/simd/ and
+files declaring MWSJ_ALLOC_FREE), trace-span-temporary,
+engine-run-outside-scheduler, and spill-unbounded (files carrying the
+`// mwsj-check: spill-budgeted` marker).
+
 Frontends (--frontend=auto|libclang|textual):
 
   libclang  parses every TU named by compile_commands.json (--compdb) and
@@ -43,11 +52,13 @@ Both frontends emit the same intermediate representation, and feature /
 call-site extraction always runs over the function's *source text* with
 shared matchers, so the two frontends agree on the golden fixtures; the
 CI job additionally runs the fixture suite under whichever frontend it
-resolved before gating the tree.
+resolved before gating the tree. Either way every file in scope is read,
+and the textual rules run over each.
 
 Suppressions: `// mwsj-check: allow(rule[,rule]): justification` on the
-finding line or the line above. A missing or empty justification is
-itself a finding (bad-suppression) that cannot be suppressed. Baseline
+finding line, the line above, or in the contiguous `//` block above the
+finding line. A missing or empty justification is itself a finding
+(bad-suppression) that cannot be suppressed. Baseline
 entries (--baseline FILE) are `rule|path|function|justification` lines;
 entries that no longer match any finding are reported as stale and fail
 the run, keeping the baseline exact.
@@ -86,6 +97,24 @@ RULES = {
     "lock-order":
         "the MutexLock acquisition graph (including locks taken by "
         "callees) must be acyclic",
+    "rng-outside-common":
+        "no <random> engines/distributions or rand/srand/*rand48 outside "
+        "src/common/; use the seeded mwsj::Rng",
+    "stdout-in-library":
+        "no std::cout/printf in src/ (stdout belongs to tools/)",
+    "unordered-emit":
+        "no range-for over an unordered container whose body calls Emit(",
+    "hot-path-std-function":
+        "no std::function in src/simd/ or in files declaring "
+        "MWSJ_ALLOC_FREE functions",
+    "trace-span-temporary":
+        "TraceSpan must be a named local, not a temporary",
+    "spill-unbounded":
+        "in files marked `mwsj-check: spill-budgeted`, no push_back/"
+        "emplace_back on a vector never reserve()d in the file",
+    "engine-run-outside-scheduler":
+        "outside src/core, src/queries and src/mapreduce, files including "
+        "mapreduce/engine.h may not call .Run( directly",
     "bad-suppression":
         "every `mwsj-check: allow(...)` must name known rules and carry "
         "a non-empty justification",
@@ -297,7 +326,7 @@ NAME_BEFORE_PAREN_RE = re.compile(
 
 CLASS_HEAD_RE = re.compile(r"\b(?:class|struct)\s+([A-Za-z_]\w*)\s*"
                            r"(?:<[^;{]*>)?\s*(?:final\s*)?(?::[^;{]*)?$")
-NAMESPACE_HEAD_RE = re.compile(r"\bnamespace\s*([A-Za-z_]\w*)?\s*$")
+NAMESPACE_HEAD_RE = re.compile(r"\bnamespace\s*([A-Za-z_][\w:]*)?\s*$")
 
 
 def find_param_paren(head: str):
@@ -875,6 +904,125 @@ def scan_locks(fn: FunctionInfo, line_of) -> None:
 
 
 # ---------------------------------------------------------------------------
+# File-scope textual rules
+# ---------------------------------------------------------------------------
+#
+# Each rule reads one file's stripped text (so rule words inside comments and
+# string literals never match) and yields (offset, message). Path scopes use
+# the file's path relative to --root.
+
+SPILL_BUDGETED_RE = re.compile(r"//\s*mwsj-check:\s*spill-budgeted\b")
+STDOUT_RE = re.compile(r"std::cout\b|(?<![\w:])(?:std::)?printf\s*\(")
+UNORDERED_DECL_RE = re.compile(
+    r"std::unordered_(?:map|set|multimap|multiset)\s*"
+    r"<(?:[^<>;]|<[^<>;]*>)*>\s*(?:const\s*)?[&*]?\s*(\w+)")
+RANGE_FOR_RE = re.compile(r"\bfor\s*\([^;)]*:\s*\*?(\w+)\s*\)")
+EMIT_CALL_RE = re.compile(r"\bEmit\s*\(")
+STD_FUNCTION_RE = re.compile(r"std::function\b")
+TRACE_SPAN_RE = re.compile(r"(?:^|[;{}])\s*(TraceSpan)\s*[({]([^)}]*)", re.M)
+# A first "argument" that looks like a parameter type marks a constructor
+# declaration, not a temporary.
+DECL_ARG_RE = re.compile(r"\s*(?:const\b|\w+\s*[*&])")
+RESERVE_RE = re.compile(r"(\w+)\s*(?:\.|->)\s*reserve\s*\(")
+GROW_RE = re.compile(r"(\w+)\s*(?:\.|->)\s*(?:push_back|emplace_back)\s*\(")
+ENGINE_INCLUDE_RE = re.compile(r"(?m)^\s*#\s*include\s*[<\"]mapreduce/engine\.h")
+RUN_CALL_RE = re.compile(r"(?:\.|->)\s*Run\s*\(")
+
+
+def under(rel: str, *dirs: str) -> bool:
+    return any(rel.startswith(d + "/") for d in dirs)
+
+
+def check_rng_outside_common(fi):
+    if under(fi.rel, "src/common"):
+        return
+    for m in RNG_RE.finditer(fi.code):
+        yield m.start(), (f"'{m.group(0)}' outside src/common; "
+                          "use the seeded mwsj::Rng (common/random.h)")
+
+
+def check_stdout_in_library(fi):
+    if not under(fi.rel, "src"):
+        return
+    for m in STDOUT_RE.finditer(fi.code):
+        yield m.start(), (f"'{m.group(0).strip()}' in library code; return a "
+                          "Status or report via stats/trace (stdout is "
+                          "reserved for tools/)")
+
+
+def check_unordered_emit(fi):
+    code = fi.code
+    names = {m.group(1) for m in UNORDERED_DECL_RE.finditer(code)}
+    for m in RANGE_FOR_RE.finditer(code):
+        if m.group(1) not in names:
+            continue
+        # The loop body: a braced block, or one statement up to its `;`.
+        start = len(code) - len(code[m.end():].lstrip())
+        end = (match_brace(code, start) if code.startswith("{", start)
+               else code.find(";", start))
+        if EMIT_CALL_RE.search(code, start, end + 1):
+            yield m.start(), (f"iteration over unordered container "
+                              f"'{m.group(1)}' feeds an Emit path; unordered "
+                              "iteration order is nondeterministic — sort "
+                              "before emitting")
+
+
+def check_hot_path_std_function(fi):
+    if not (under(fi.rel, "src/simd") or
+            re.search(r"\bMWSJ_ALLOC_FREE\b", fi.code)):
+        return
+    for m in STD_FUNCTION_RE.finditer(fi.code):
+        yield m.start(), ("std::function in a hot-path file (src/simd/ or "
+                          "MWSJ_ALLOC_FREE annotations); use a template "
+                          "parameter or function pointer")
+
+
+def check_trace_span_temporary(fi):
+    for m in TRACE_SPAN_RE.finditer(fi.code):
+        args = m.group(2)
+        if not args.strip() or DECL_ARG_RE.match(args):
+            continue
+        yield m.start(1), ("TraceSpan constructed as a temporary dies at the "
+                           "end of the statement (zero-length span); bind it "
+                           "to a named local")
+
+
+def check_spill_unbounded(fi):
+    if not SPILL_BUDGETED_RE.search(fi.raw):
+        return
+    reserved = {m.group(1) for m in RESERVE_RE.finditer(fi.code)}
+    for m in GROW_RE.finditer(fi.code):
+        if m.group(1) not in reserved:
+            yield m.start(), (f"'{m.group(0).strip()}...' grows "
+                              f"'{m.group(1)}' with no reserve() in a file "
+                              "marked 'mwsj-check: spill-budgeted'; bound the "
+                              "allocation (reserve) or justify with "
+                              "allow(spill-unbounded)")
+
+
+def check_engine_run_outside_scheduler(fi):
+    if under(fi.rel, "src/core", "src/queries", "src/mapreduce") or \
+            not ENGINE_INCLUDE_RE.search(fi.raw):
+        return
+    for m in RUN_CALL_RE.finditer(fi.code):
+        yield m.start(), ("direct MapReduceJob::Run call outside the "
+                          "scheduler core; submit through "
+                          "JobScheduler::Submit (core/scheduler.h) or the "
+                          "RunSpatialJoin wrapper")
+
+
+TEXT_RULES = {
+    "rng-outside-common": check_rng_outside_common,
+    "stdout-in-library": check_stdout_in_library,
+    "unordered-emit": check_unordered_emit,
+    "hot-path-std-function": check_hot_path_std_function,
+    "trace-span-temporary": check_trace_span_temporary,
+    "spill-unbounded": check_spill_unbounded,
+    "engine-run-outside-scheduler": check_engine_run_outside_scheduler,
+}
+
+
+# ---------------------------------------------------------------------------
 # Analysis
 # ---------------------------------------------------------------------------
 
@@ -1049,6 +1197,7 @@ class Analyzer:
         self.rule_blocking_reach()
         self.rule_hot_shared_rmw()
         self.rule_lock_order()
+        self.rule_textual()
         # Dedup identical findings (templates parsed in many TUs, multiple
         # roots reaching one site, ...): keep the first per (rel,line,rule).
         seen = set()
@@ -1111,6 +1260,12 @@ class Analyzer:
                              f"{what} reachable from non-blocking "
                              f"'{root.qual}' via {' -> '.join(path)}",
                              fn.qual)
+
+    def rule_textual(self):
+        for rel, fi in sorted(self.r.files.items()):
+            for rule, check in TEXT_RULES.items():
+                for offset, message in check(fi):
+                    self.add(rel, fi.linemap.line(offset), rule, message, "")
 
     # -- lock order ---------------------------------------------------------
 
