@@ -169,17 +169,21 @@ void BM_MultiwayLocalJoinChain3(benchmark::State& state) {
 }
 BENCHMARK(BM_MultiwayLocalJoinChain3)->Arg(1000)->Arg(10000);
 
-void BM_MultiwayLocalJoinExecute(benchmark::State& state) {
-  // Probe-only: the trees are built once, the backtracking search runs per
-  // iteration. Also reports steady-state heap allocations per Execute —
-  // a small constant (the BindScratch vectors), independent of the number
-  // of probes and emitted tuples.
+// Probe-only: the trees are built once, the backtracking search runs per
+// iteration. Also reports steady-state heap allocations per Execute — a
+// small constant (the BindScratch vectors), independent of the number of
+// probes and emitted tuples, and of the owner window.
+void RunExecuteBench(benchmark::State& state,
+                     const std::vector<std::vector<LocalRect>>& locals,
+                     OwnerWindow window) {
   const Query query = MakeChainQuery(3, Predicate::Overlap()).value();
-  const int n = static_cast<int>(state.range(0));
-  const auto locals = MakeChainLocals(n);
   std::vector<std::span<const LocalRect>> spans;
-  for (const auto& l : locals) spans.emplace_back(l.data(), l.size());
-  const MultiwayLocalJoin join(query, std::move(spans));
+  size_t records = 0;
+  for (const auto& l : locals) {
+    spans.emplace_back(l.data(), l.size());
+    records += l.size();
+  }
+  const MultiwayLocalJoin join(query, std::move(spans), window);
   int64_t tuples = 0;
   join.Execute([&tuples](const std::vector<const LocalRect*>&) { ++tuples; });
   int64_t allocs = 0;
@@ -194,9 +198,55 @@ void BM_MultiwayLocalJoinExecute(benchmark::State& state) {
       static_cast<double>(allocs) / static_cast<double>(state.iterations()));
   state.counters["tuples"] =
       benchmark::Counter(static_cast<double>(tuples));
-  state.SetItemsProcessed(state.iterations() * 3 * n);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(records));
+}
+
+void BM_MultiwayLocalJoinExecute(benchmark::State& state) {
+  RunExecuteBench(state, MakeChainLocals(static_cast<int>(state.range(0))),
+                  OwnerWindow{});
 }
 BENCHMARK(BM_MultiwayLocalJoinExecute)->Arg(1000)->Arg(10000);
+
+// One join-round cell as a reducer sees it under f1 replication: the
+// cell [5000, 6000] x [4000, 5000] holds the rectangles that start in it
+// (projected) plus those starting in its left, top and top-left
+// neighbours (replicated to their whole fourth quadrant, so not all of
+// them reach the cell). Arg 1 selects the cell's owner window (left line
+// x = 5000, top line y = 5000) or none; `tuples` then counts the tuples
+// the cell owns vs every local tuple, and allocs_per_exec must be the same
+// for both.
+std::vector<std::vector<LocalRect>> MakeCellLocals(int n) {
+  const Rect cell(5000, 4000, 6000, 5000);
+  constexpr double kMaxDim = 300;
+  std::vector<std::vector<LocalRect>> locals;
+  for (uint64_t r = 0; r < 3; ++r) {
+    Rng rng(20 + r);
+    std::vector<LocalRect> local;
+    local.reserve(static_cast<size_t>(n));
+    for (int i = 0; i < n; ++i) {
+      const Rect rect = Rect::FromXYLB(
+          rng.Uniform(cell.min_x() - cell.length(), cell.max_x()),
+          rng.Uniform(cell.min_y(), cell.max_y() + cell.breadth()),
+          rng.Uniform(0, kMaxDim), rng.Uniform(0, kMaxDim));
+      local.push_back(LocalRect{rect, i});
+    }
+    locals.push_back(std::move(local));
+  }
+  return locals;
+}
+
+void BM_MultiwayLocalJoinExecuteCell(benchmark::State& state) {
+  const OwnerWindow window =
+      state.range(1) != 0 ? OwnerWindow{5000, 5000} : OwnerWindow{};
+  RunExecuteBench(state, MakeCellLocals(static_cast<int>(state.range(0))),
+                  window);
+}
+BENCHMARK(BM_MultiwayLocalJoinExecuteCell)
+    ->Args({400, 0})
+    ->Args({400, 1})
+    ->Args({1600, 0})
+    ->Args({1600, 1});
 
 }  // namespace
 }  // namespace mwsj

@@ -1,7 +1,7 @@
 #include "core/all_replicate.h"
 
 #include "common/trace.h"
-#include "core/dedup.h"
+#include "core/cell_join.h"
 #include "grid/transform.h"
 #include "mapreduce/engine.h"
 
@@ -39,49 +39,7 @@ StatusOr<JoinRunResult> AllReplicateJoin(
     for (CellId c : cells) emit.Emit(c, r);
   });
 
-  const int m = query.num_relations();
-  job.set_reduce([&grid, &query, m, count_only, tracer](
-                     const CellId& cell, std::span<const RelRect> values,
-                     Job::OutEmitter& out) {
-    TraceSpan local_span(tracer, "local_join", "task");
-    local_span.AddArg("cell", static_cast<int64_t>(cell));
-    local_span.AddArg("records", static_cast<int64_t>(values.size()));
-    std::vector<std::vector<LocalRect>> per_relation(
-        static_cast<size_t>(m));
-    for (const RelRect& v : values) {
-      per_relation[static_cast<size_t>(v.relation)].push_back(
-          LocalRect{v.rect, v.id});
-    }
-    std::vector<std::span<const LocalRect>> spans;
-    spans.reserve(per_relation.size());
-    for (const auto& rel : per_relation) {
-      spans.emplace_back(rel.data(), rel.size());
-    }
-    MultiwayLocalJoin local(query, std::move(spans));
-    std::vector<const Rect*> member_rects(static_cast<size_t>(m));
-    // Per-call tallies in locals, published once below through the
-    // attempt-scoped counters (a re-executed attempt must not double-count).
-    int64_t checks = 0;
-    int64_t owned = 0;
-    local.Execute([&](const std::vector<const LocalRect*>& members) {
-      for (int r = 0; r < m; ++r) {
-        member_rects[static_cast<size_t>(r)] =
-            &members[static_cast<size_t>(r)]->rect;
-      }
-      ++checks;
-      if (!OwnsTuple(grid, cell, member_rects)) return;
-      ++owned;
-      if (count_only) return;
-      IdTuple ids(static_cast<size_t>(m));
-      for (int r = 0; r < m; ++r) {
-        ids[static_cast<size_t>(r)] = members[static_cast<size_t>(r)]->id;
-      }
-      out.Emit(std::move(ids));
-    });
-    out.IncrementCounter(kCounterDedupTupleChecks, checks);
-    out.IncrementCounter(kCounterDedupOwned, owned);
-    if (count_only) out.IncrementCounter(kCounterTuplesCounted, owned);
-  });
+  job.set_reduce(CellJoinReduce<Job>(query, grid, count_only, tracer));
 
   JoinRunResult result;
   JobStats stats = job.Run(std::span<const RelRect>(input), &result.tuples, ctx);

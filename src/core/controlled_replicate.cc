@@ -7,7 +7,7 @@
 #include <unordered_set>
 
 #include "common/trace.h"
-#include "core/dedup.h"
+#include "core/cell_join.h"
 #include "localjoin/rtree.h"
 #include "mapreduce/engine.h"
 #include "query/bounds.h"
@@ -473,47 +473,7 @@ StatusOr<JoinRunResult> ControlledReplicateJoin(
   });
 
   const bool count_only = options.count_only;
-  round2.set_reduce([&grid, &query, m, count_only, tracer](
-                        const CellId& cell, std::span<const RelRect> values,
-                        Round2::OutEmitter& out) {
-    TraceSpan local_span(tracer, "local_join", "task");
-    local_span.AddArg("cell", static_cast<int64_t>(cell));
-    local_span.AddArg("records", static_cast<int64_t>(values.size()));
-    std::vector<std::vector<LocalRect>> per_relation(static_cast<size_t>(m));
-    for (const RelRect& v : values) {
-      per_relation[static_cast<size_t>(v.relation)].push_back(
-          LocalRect{v.rect, v.id});
-    }
-    std::vector<std::span<const LocalRect>> spans;
-    spans.reserve(per_relation.size());
-    for (const auto& rel : per_relation) {
-      spans.emplace_back(rel.data(), rel.size());
-    }
-    MultiwayLocalJoin local(query, std::move(spans));
-    std::vector<const Rect*> member_rects(static_cast<size_t>(m));
-    // Per-call tallies in locals, published once below: the callback runs
-    // once per enumerated tuple, far too often for a counter-map update.
-    int64_t checks = 0;
-    int64_t owned = 0;
-    local.Execute([&](const std::vector<const LocalRect*>& members) {
-      for (int r = 0; r < m; ++r) {
-        member_rects[static_cast<size_t>(r)] =
-            &members[static_cast<size_t>(r)]->rect;
-      }
-      ++checks;
-      if (!OwnsTuple(grid, cell, member_rects)) return;
-      ++owned;
-      if (count_only) return;
-      IdTuple ids(static_cast<size_t>(m));
-      for (int r = 0; r < m; ++r) {
-        ids[static_cast<size_t>(r)] = members[static_cast<size_t>(r)]->id;
-      }
-      out.Emit(std::move(ids));
-    });
-    out.IncrementCounter(kCounterDedupTupleChecks, checks);
-    out.IncrementCounter(kCounterDedupOwned, owned);
-    if (count_only) out.IncrementCounter(kCounterTuplesCounted, owned);
-  });
+  round2.set_reduce(CellJoinReduce<Round2>(query, grid, count_only, tracer));
 
   TraceSpan round2_span(tracer, "crep_round2", "stage");
   JobStats round2_stats = round2.Run(

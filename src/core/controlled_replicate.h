@@ -81,6 +81,17 @@ struct ControlledReplicateOptions {
 ///    unmarked members to share one start cell c0, and places the
 ///    reference point inside c0 — given the left/above boundary-point
 ///    ownership convention of GridPartition::CellOfPoint.
+///
+/// The same routing makes the round-2 local join ownership-aware
+/// (core/cell_join.h). CellOfPoint is monotone in each axis, so the owner
+/// is (max member row, max member column), and every member at cell c
+/// starts in or up-left of c. The owner's column reaches c's iff some
+/// member starts right of c's left grid line, and its row reaches c's iff
+/// some member starts below c's top grid line
+/// (GridPartition::QuadrantXLo/QuadrantYHi). MultiwayLocalJoin prunes
+/// every binding that can no longer satisfy both, so each tuple it emits
+/// is owned by c; the reducer still runs the exact OwnsTuple check, and
+/// its check count equals its owned count.
 StatusOr<JoinRunResult> ControlledReplicateJoin(
     const Query& query, const GridPartition& grid,
     const std::vector<std::vector<Rect>>& relations,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/str_format.h"
 
@@ -158,6 +159,18 @@ CellId GridPartition::CellOfPoint(const Point& p) const {
   int slab = static_cast<int>(y_it - y_bounds_.begin()) - 1;
   slab = std::clamp(slab, 0, rows_ - 1);
   return CellIdOf(rows_ - 1 - slab, col);
+}
+
+double GridPartition::QuadrantXLo(CellId id) const {
+  const int col = ColOf(id);
+  return col == 0 ? -std::numeric_limits<double>::infinity()
+                  : x_bounds_[static_cast<size_t>(col)];
+}
+
+double GridPartition::QuadrantYHi(CellId id) const {
+  const int row = RowOf(id);
+  return row == 0 ? std::numeric_limits<double>::infinity()
+                  : y_bounds_[static_cast<size_t>(rows_ - row)];
 }
 
 GridPartition::CellRange GridPartition::CellsOverlapping(const Rect& r) const {

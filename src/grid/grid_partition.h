@@ -116,6 +116,18 @@ class GridPartition {
     return ColOf(cell) >= ColOf(anchor) && RowOf(cell) >= RowOf(anchor);
   }
 
+  /// The open half-planes of cell `id`'s fourth quadrant under
+  /// CellOfPoint: for a finite point p,
+  ///   ColOf(CellOfPoint(p)) >= ColOf(id)  iff  p.x > QuadrantXLo(id),
+  ///   RowOf(CellOfPoint(p)) >= RowOf(id)  iff  p.y < QuadrantYHi(id).
+  /// They are the cell's left and top grid lines (the ownership convention
+  /// gives a boundary point to the cell left of / above it), and −∞ / +∞
+  /// on the first column / row, which also absorb points outside the
+  /// space. The §6.2 owner of a tuple is (max member row, max member
+  /// column), so these are the owner window of the multiway local join.
+  double QuadrantXLo(CellId id) const;
+  double QuadrantYHi(CellId id) const;
+
   std::string ToString() const;
 
  private:

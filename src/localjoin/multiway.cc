@@ -11,8 +11,9 @@
 namespace mwsj {
 
 MultiwayLocalJoin::MultiwayLocalJoin(
-    const Query& query, std::vector<std::span<const LocalRect>> relations)
-    : query_(query), relations_(std::move(relations)) {
+    const Query& query, std::vector<std::span<const LocalRect>> relations,
+    OwnerWindow window)
+    : query_(query), relations_(std::move(relations)), window_(window) {
   const int m = query_.num_relations();
   rects_.resize(static_cast<size_t>(m));
   trees_.resize(static_cast<size_t>(m));
@@ -74,6 +75,23 @@ MultiwayLocalJoin::MultiwayLocalJoin(
       const int other = (c.left == r) ? c.right : c.left;
       if (bound[static_cast<size_t>(other)]) check_conditions_[k].push_back(ci);
     }
+  }
+
+  // Owner window: a finite bound is a test some member must pass, and a
+  // relation can supply the tests any of its rectangles passes. Suffix
+  // unions over the plan tell Bind which tests the unbound depths can
+  // still supply.
+  need_ = static_cast<uint8_t>(
+      (window_.x_lo > -std::numeric_limits<double>::infinity() ? kNeedX : 0) |
+      (window_.y_hi < std::numeric_limits<double>::infinity() ? kNeedY : 0));
+  avail_.assign(order_.size() + 1, 0);
+  for (size_t k = order_.size(); k-- > 0;) {
+    uint8_t supplied = 0;
+    for (const LocalRect& lr : relations_[static_cast<size_t>(order_[k])]) {
+      supplied |= Supplies(lr.rect);
+      if ((supplied & need_) == need_) break;
+    }
+    avail_[k] = avail_[k + 1] | (supplied & need_);
   }
 
   // Index every relation probed at depth > 0, unless it is small enough

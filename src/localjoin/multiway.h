@@ -1,8 +1,10 @@
 #ifndef MWSJ_LOCALJOIN_MULTIWAY_H_
 #define MWSJ_LOCALJOIN_MULTIWAY_H_
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <span>
 #include <vector>
@@ -22,6 +24,15 @@ struct LocalRect {
   int64_t id = 0;
 };
 
+/// The owner window of a multiway local join: the half-planes x > x_lo and
+/// y < y_hi that must each hold some member's start point
+/// (GridPartition::QuadrantXLo/QuadrantYHi of the reducer's cell). An
+/// infinite bound imposes no requirement.
+struct OwnerWindow {
+  double x_lo = -std::numeric_limits<double>::infinity();
+  double y_hi = std::numeric_limits<double>::infinity();
+};
+
 /// Computes, within one reducer, every full assignment of rectangles (one
 /// per query relation) that satisfies all join conditions. This is the
 /// "compute the join" step every algorithm's final reduce phase runs
@@ -34,12 +45,26 @@ struct LocalRect {
 /// remaining conditions against already-bound rectangles before recursing.
 /// Relations smaller than kLinearScanThreshold are probed by a linear scan
 /// instead — cheaper than building a tree, and allocation-free.
+///
+/// An optional owner window restricts the enumeration to the assignments
+/// that can still be owned by the reducer's cell under the §6.2 rule: at
+/// least one member must start right of `x_lo` (start.x > x_lo) and at
+/// least one member must start below `y_hi` (start.y < y_hi). Both tests
+/// are separable over the members, so a partial binding carries a 2-bit
+/// `need` mask of the tests no bound member has passed yet; a binding
+/// whose outstanding bits no later relation can supply is dropped, and a
+/// depth that must supply a bit clips its overlap probe to the half-plane. Pruning only removes subtrees whose every
+/// assignment fails a test, and a clipped probe visits a subsequence of
+/// the unclipped one, so the windowed emit stream is exactly the
+/// unwindowed stream restricted to the assignments that pass both tests.
+/// The default window (−∞, +∞) needs no bit and prunes nothing.
 class MultiwayLocalJoin {
  public:
   /// `relations[r]` holds the rectangles of query relation r present at
   /// this reducer. The spans must outlive the object.
   MultiwayLocalJoin(const Query& query,
-                    std::vector<std::span<const LocalRect>> relations);
+                    std::vector<std::span<const LocalRect>> relations,
+                    OwnerWindow window = {});
 
   /// Runs the join. `emit` receives one pointer per relation (indexed by
   /// relation); the pointers are only valid during the callback. All
@@ -64,7 +89,7 @@ class MultiwayLocalJoin {
                               nullptr);
     // mwsj-check: allow(alloc-free-reach): same once-per-Execute setup.
     scratch.candidates.resize(order_.size());
-    Bind(0, scratch, emit);
+    Bind(0, need_, scratch, emit);
   }
 
   /// The planned binding order (order_[k] is the relation bound at depth
@@ -89,16 +114,52 @@ class MultiwayLocalJoin {
     RTree::QueryScratch rtree;
   };
 
+  // Owner-window tests a member can pass (bits of the `need` mask).
+  static constexpr uint8_t kNeedX = 1;  // start.x > window_.x_lo
+  static constexpr uint8_t kNeedY = 2;  // start.y < window_.y_hi
+
+  uint8_t Supplies(const Rect& r) const {
+    return static_cast<uint8_t>((r.min_x() > window_.x_lo ? kNeedX : 0) |
+                                (r.max_y() < window_.y_hi ? kNeedY : 0));
+  }
+
+  // Clips the overlap probe box `*q` (the anchor rectangle) to the
+  // half-planes of the `must` tests: a candidate starting right of x_lo
+  // that meets the anchor meets the clipped box. False when the anchor
+  // cannot reach a required half-plane, so no candidate can pass.
+  bool ClipOverlapProbe(uint8_t must, Rect* q) const {
+    const bool need_x = (must & kNeedX) != 0;
+    const bool need_y = (must & kNeedY) != 0;
+    if (need_x && !(q->max_x() > window_.x_lo)) return false;
+    if (need_y && !(q->min_y() < window_.y_hi)) return false;
+    *q = Rect(need_x ? std::max(q->min_x(), window_.x_lo) : q->min_x(),
+              q->min_y(), q->max_x(),
+              need_y ? std::min(q->max_y(), window_.y_hi) : q->max_y());
+    return true;
+  }
+
+  // `need` holds the window tests no member bound so far has passed.
   template <typename Emit>
-  void Bind(size_t depth, BindScratch& scratch, const Emit& emit) const {
+  void Bind(size_t depth, uint8_t need, BindScratch& scratch,
+            const Emit& emit) const {
     if (depth == order_.size()) {
       emit(scratch.assignment);
       return;
     }
     const int r = order_[depth];
     const auto relation = relations_[static_cast<size_t>(r)];
+    // Tests only this depth's candidate can still pass.
+    const uint8_t later = avail_[depth + 1];
+    const uint8_t must = need & static_cast<uint8_t>(~later);
 
     auto try_candidate = [&](const LocalRect& candidate) {
+      // Once every test has passed (always, without a window) the
+      // recursion below skips the window arithmetic.
+      uint8_t rest = 0;
+      if (need != 0) {
+        rest = need & static_cast<uint8_t>(~Supplies(candidate.rect));
+        if ((rest & ~later) != 0) return;
+      }
       for (int ci : check_conditions_[depth]) {
         const JoinCondition& c = query_.conditions()[static_cast<size_t>(ci)];
         const int other = (c.left == r) ? c.right : c.left;
@@ -107,7 +168,7 @@ class MultiwayLocalJoin {
         if (!c.predicate.Evaluate(candidate.rect, bound_rect->rect)) return;
       }
       scratch.assignment[static_cast<size_t>(r)] = &candidate;
-      Bind(depth + 1, scratch, emit);
+      Bind(depth + 1, rest, scratch, emit);
       scratch.assignment[static_cast<size_t>(r)] = nullptr;
     };
 
@@ -120,6 +181,13 @@ class MultiwayLocalJoin {
         query_.conditions()[static_cast<size_t>(anchor_condition_[depth])];
     const LocalRect* anchor_rect =
         scratch.assignment[static_cast<size_t>(anchor_relation_[depth])];
+    // A range probe is not narrowed: the candidate's own need check in
+    // try_candidate rejects what the window rules out.
+    Rect q = anchor_rect->rect;
+    if (must != 0 && anchor.predicate.is_overlap() &&
+        !ClipOverlapProbe(must, &q)) {
+      return;
+    }
     const RTree* tree = trees_[static_cast<size_t>(r)].get();
     if (tree == nullptr) {
       // Small relation: no tree was built; one batch-kernel call tests the
@@ -127,7 +195,6 @@ class MultiwayLocalJoin {
       // come back in ascending index order — the order the scalar loop
       // visited.
       const simd::SoaRects& soa = small_soa_[static_cast<size_t>(r)];
-      const Rect& q = anchor_rect->rect;
       const double d = anchor.predicate.distance();
       const double d_sq = d * d;
       if (!anchor.predicate.is_overlap() &&
@@ -169,11 +236,10 @@ class MultiwayLocalJoin {
     std::vector<int32_t>& candidates = scratch.candidates[depth];
     candidates.clear();
     if (anchor.predicate.is_overlap()) {
-      tree->CollectOverlapping(anchor_rect->rect, &scratch.rtree, &candidates);
+      tree->CollectOverlapping(q, &scratch.rtree, &candidates);
     } else {
-      tree->CollectWithinDistance(anchor_rect->rect,
-                                  anchor.predicate.distance(), &scratch.rtree,
-                                  &candidates);
+      tree->CollectWithinDistance(q, anchor.predicate.distance(),
+                                  &scratch.rtree, &candidates);
     }
     for (int32_t idx : candidates) {
       try_candidate(relation[static_cast<size_t>(idx)]);
@@ -182,6 +248,12 @@ class MultiwayLocalJoin {
 
   const Query& query_;
   std::vector<std::span<const LocalRect>> relations_;
+  OwnerWindow window_;
+  // Window tests the join must see passed (bits for the finite bounds),
+  // and avail_[k]: the tests some rectangle of the relations bound at
+  // depth >= k passes (avail_[order_.size()] == 0).
+  uint8_t need_ = 0;
+  std::vector<uint8_t> avail_;
   std::vector<std::vector<Rect>> rects_;  // Per relation, index-aligned.
   std::vector<std::unique_ptr<RTree>> trees_;
   // SoA mirrors of the small (tree-less) relations probed at depth > 0,

@@ -494,7 +494,9 @@ TEST(SchedulerStressTest, ConcurrentJobsReportOnlyTheirOwnDedupCounts) {
         RunSpatialJoin(queries[i], datasets[i], options);
     ASSERT_TRUE(solo.ok()) << solo.status().message();
     alone.push_back(Round2StatsCounts(solo.value().stats));
-    EXPECT_GT(alone[i].checks, alone[i].owned);
+    // The owner window prunes every tuple C-Rep's routing cannot own, so
+    // each ownership check the reducers run succeeds.
+    EXPECT_EQ(alone[i].checks, alone[i].owned);
     EXPECT_GT(alone[i].owned, 0);
     const auto spans = Round2SpanCounts(tracer.ToJson());
     ASSERT_EQ(spans.size(), 1u);

@@ -3,7 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 
+#include "common/random.h"
+#include "core/dedup.h"
+#include "grid/grid_partition.h"
 #include "localjoin/brute_force.h"
 #include "localjoin/multiway.h"
 #include "testing/world.h"
@@ -135,6 +140,212 @@ TEST(MultiwayLocalJoinEdge, RelationsBelowScanThresholdMatchBruteForce) {
   const Query query = testing::MakeWorldQuery(config);
   const auto data = testing::MakeWorldData(config, query.num_relations());
   EXPECT_EQ(RunLocalJoin(query, data), BruteForceJoin(query, data));
+}
+
+// The emit stream of one Execute, in emit order (not sorted), with each
+// tuple's member rectangles alongside its ids.
+struct Emitted {
+  IdTuple ids;
+  std::vector<Rect> rects;
+};
+
+std::vector<Emitted> EmitStream(
+    const Query& query, const std::vector<std::vector<LocalRect>>& local,
+    OwnerWindow window) {
+  std::vector<std::span<const LocalRect>> spans;
+  for (const auto& rel : local) spans.emplace_back(rel.data(), rel.size());
+  const MultiwayLocalJoin join(query, std::move(spans), window);
+  std::vector<Emitted> out;
+  join.Execute([&out](const std::vector<const LocalRect*>& members) {
+    Emitted e;
+    for (const LocalRect* m : members) {
+      e.ids.push_back(m->id);
+      e.rects.push_back(m->rect);
+    }
+    out.push_back(std::move(e));
+  });
+  return out;
+}
+
+std::vector<IdTuple> IdsWhere(const std::vector<Emitted>& stream,
+                              const auto& keep) {
+  std::vector<IdTuple> out;
+  for (const Emitted& e : stream) {
+    std::vector<const Rect*> members;
+    for (const Rect& r : e.rects) members.push_back(&r);
+    if (keep(std::span<const Rect* const>(members))) out.push_back(e.ids);
+  }
+  return out;
+}
+
+// Moves coordinates lying within 6 units of a grid line onto the line or
+// one ulp either side of it, so the window's edges see ties and
+// near-ties on every axis.
+void SnapToGridLines(const GridPartition& grid, uint64_t seed,
+                     std::vector<std::vector<Rect>>* data) {
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<double> lines;
+  for (int col = 0; col < grid.cols(); ++col) {
+    lines.push_back(grid.CellRect(grid.CellIdOf(0, col)).min_x());
+  }
+  lines.push_back(grid.space().max_x());  // Square grid: same lines in y.
+  Rng rng(seed);
+  auto snap = [&](double v) {
+    for (double line : lines) {
+      if (std::abs(v - line) < 6) {
+        const double choices[] = {std::nextafter(line, -inf), line,
+                                  std::nextafter(line, inf)};
+        return choices[rng.UniformInt(0, 2)];
+      }
+    }
+    return v;
+  };
+  for (auto& relation : *data) {
+    for (Rect& r : relation) {
+      const double x0 = snap(r.min_x());
+      const double y0 = snap(r.min_y());
+      const double x1 = snap(r.max_x());
+      const double y1 = snap(r.max_y());
+      r = Rect(std::min(x0, x1), std::min(y0, y1), std::max(x0, x1),
+               std::max(y0, y1));
+    }
+  }
+}
+
+// Every cell of a 4x4 grid over the world's space, for random worlds:
+//  * with the cell's f1-routed input (members start in or up-left of the
+//    cell, as in every join round), the windowed stream is exactly the
+//    unwindowed stream filtered by OwnsTuple — element by element, in
+//    order;
+//  * with the whole, unrouted input, the windowed stream is exactly the
+//    unwindowed stream filtered by the window's own two tests;
+//  * the infinite window (cell 0) emits the unwindowed stream unchanged.
+// Every non-integer world has its coordinates snapped onto the grid lines.
+TEST(MultiwayLocalJoinWindow, EmitsExactlyTheOwnedSubsequence) {
+  using testing::PredicateMix;
+  using testing::QueryShape;
+  const QueryShape shapes[] = {QueryShape::kChain3, QueryShape::kChain4,
+                               QueryShape::kStar4, QueryShape::kCycle3};
+  const PredicateMix mixes[] = {PredicateMix::kOverlapOnly,
+                                PredicateMix::kRangeOnly,
+                                PredicateMix::kHybrid};
+  int64_t owned_total = 0;
+  for (int trial = 0; trial < 60; ++trial) {
+    testing::WorldConfig config;
+    config.shape = shapes[trial % 4];
+    config.mix = mixes[trial % 3];
+    config.seed = 9100 + static_cast<uint64_t>(trial) * 7;
+    // Small worlds keep whole relations under kLinearScanThreshold (the
+    // SoA probe path); the others mix R-tree and SoA relations per cell.
+    config.max_rects_per_relation = (trial % 4 == 3) ? 6 : 10 + trial % 30;
+    config.integer_coords = (trial % 2 == 0);
+    // d*d overflows: the degenerate-distance scalar path.
+    if (trial % 10 == 7) config.range_d = 1e200;
+    const Query query = testing::MakeWorldQuery(config);
+    auto data = testing::MakeWorldData(config, query.num_relations());
+    const GridPartition grid =
+        GridPartition::Create(
+            Rect(0, 0, config.space_size, config.space_size), 4, 4)
+            .value();
+    if (trial % 2 == 1) SnapToGridLines(grid, config.seed, &data);
+
+    std::vector<std::vector<LocalRect>> whole(data.size());
+    for (size_t r = 0; r < data.size(); ++r) {
+      for (size_t i = 0; i < data[r].size(); ++i) {
+        whole[r].push_back(LocalRect{data[r][i], static_cast<int64_t>(i)});
+      }
+    }
+    const std::vector<Emitted> whole_stream =
+        EmitStream(query, whole, OwnerWindow{});
+
+    for (CellId cell = 0; cell < grid.num_cells(); ++cell) {
+      const OwnerWindow window{grid.QuadrantXLo(cell), grid.QuadrantYHi(cell)};
+      auto in_window = [&window](std::span<const Rect* const> members) {
+        bool x = false;
+        bool y = false;
+        for (const Rect* m : members) {
+          x = x || m->min_x() > window.x_lo;
+          y = y || m->max_y() < window.y_hi;
+        }
+        return x && y;
+      };
+      auto owned = [&grid, cell](std::span<const Rect* const> members) {
+        return OwnsTuple(grid, cell, members);
+      };
+      auto all = [](std::span<const Rect* const>) { return true; };
+      const std::vector<IdTuple> windowed_whole =
+          IdsWhere(EmitStream(query, whole, window), all);
+      EXPECT_EQ(windowed_whole, IdsWhere(whole_stream, in_window))
+          << "trial " << trial << " cell " << cell << " (unrouted)";
+      if (cell == 0) {
+        // The top-left cell's window is (−∞, +∞): nothing is pruned.
+        EXPECT_EQ(windowed_whole, IdsWhere(whole_stream, all))
+            << "trial " << trial;
+      }
+
+      std::vector<std::vector<LocalRect>> routed(data.size());
+      for (size_t r = 0; r < data.size(); ++r) {
+        for (const LocalRect& lr : whole[r]) {
+          if (grid.InFourthQuadrant(cell, grid.CellOfRect(lr.rect))) {
+            routed[r].push_back(lr);
+          }
+        }
+      }
+      const std::vector<IdTuple> expected =
+          IdsWhere(EmitStream(query, routed, OwnerWindow{}), owned);
+      EXPECT_EQ(IdsWhere(EmitStream(query, routed, window), all), expected)
+          << "trial " << trial << " cell " << cell << " (routed)";
+      owned_total += static_cast<int64_t>(expected.size());
+    }
+  }
+  EXPECT_GT(owned_total, 0);
+}
+
+// Directed edge cases for the overlap probe clip: the only partner of
+// the anchor lies one ulp inside a window half-plane, so a clip one ulp
+// too eager loses the tuple. Each case runs with the partner relation
+// below kLinearScanThreshold (SoA path) and padded past it (R-tree path).
+TEST(MultiwayLocalJoinWindow, KeepsPartnersOneUlpInsideTheWindow) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double above_25 = std::nextafter(25.0, inf);
+  const double below_25 = std::nextafter(25.0, -inf);
+  struct Case {
+    const char* name;
+    OwnerWindow window;
+    Rect anchor;   // Passes no window test.
+    Rect partner;  // Passes the outstanding one.
+  };
+  const Case cases[] = {
+      {"x", {25, inf}, Rect(20, 10, 30, 20), Rect(above_25, 12, above_25, 18)},
+      {"y", {-inf, 25}, Rect(10, 20, 20, 30), Rect(12, below_25, 18, below_25)},
+  };
+  for (const Case& c : cases) {
+    QueryBuilder b;
+    b.AddRelation("A");
+    b.AddRelation("B");
+    b.AddCondition(0, 1, Predicate::Overlap());
+    const Query q = b.Build().value();
+    for (int pad : {0, 2 * static_cast<int>(
+                             MultiwayLocalJoin::kLinearScanThreshold)}) {
+      // The anchor relation stays smallest, so it binds first and the
+      // partner's depth must supply the outstanding test.
+      std::vector<std::vector<LocalRect>> local = {{{c.anchor, 0}},
+                                                   {{c.partner, 0}}};
+      for (int i = 1; i <= pad; ++i) {
+        local[1].push_back(LocalRect{Rect(90, 90, 91, 91), i});
+      }
+      std::vector<std::span<const LocalRect>> spans;
+      for (const auto& rel : local) spans.emplace_back(rel.data(), rel.size());
+      const MultiwayLocalJoin join(q, std::move(spans), c.window);
+      ASSERT_EQ(join.binding_order(), (std::vector<int>{0, 1}));
+      std::vector<IdTuple> out;
+      join.Execute([&out](const std::vector<const LocalRect*>& members) {
+        out.push_back({members[0]->id, members[1]->id});
+      });
+      EXPECT_EQ(out, (std::vector<IdTuple>{{0, 0}}))
+          << c.name << " pad " << pad;
+    }
+  }
 }
 
 TEST(BruteForceTest, TinyHandComputedCase) {
