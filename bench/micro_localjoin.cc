@@ -1,5 +1,6 @@
 // Micro-benchmarks for the reducer-side join kernels: STR R-tree build and
-// probe, plane sweep, and the multiway backtracking join.
+// probe, plane sweep, the multiway backtracking join and its factorized
+// count.
 //
 // This binary replaces the global operator new/delete with counting
 // wrappers so probe benchmarks can assert the steady state performs zero
@@ -8,6 +9,7 @@
 #include <benchmark/benchmark.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <new>
 
@@ -243,6 +245,62 @@ void BM_MultiwayLocalJoinExecuteCell(benchmark::State& state) {
                   window);
 }
 BENCHMARK(BM_MultiwayLocalJoinExecuteCell)
+    ->Args({400, 0})
+    ->Args({400, 1})
+    ->Args({1600, 0})
+    ->Args({1600, 1});
+
+// The factorized count on the same cells. allocs_per_exec counts the
+// once-per-Count vector setup and must not grow with the probes or the
+// tuples; count_exec_ratio is Count's time per call over Execute's on the
+// same join (Execute timed before the loop, also checking that both
+// agree on the tuple count).
+void BM_MultiwayLocalJoinCountCell(benchmark::State& state) {
+  const OwnerWindow window =
+      state.range(1) != 0 ? OwnerWindow{5000, 5000} : OwnerWindow{};
+  const auto locals = MakeCellLocals(static_cast<int>(state.range(0)));
+  const Query query = MakeChainQuery(3, Predicate::Overlap()).value();
+  std::vector<std::span<const LocalRect>> spans;
+  size_t records = 0;
+  for (const auto& l : locals) {
+    spans.emplace_back(l.data(), l.size());
+    records += l.size();
+  }
+  const MultiwayLocalJoin join(query, std::move(spans), window);
+  constexpr int kExecuteReps = 5;
+  int64_t emitted = 0;
+  const auto execute_start = std::chrono::steady_clock::now();
+  for (int i = 0; i < kExecuteReps; ++i) {
+    join.Execute(
+        [&emitted](const std::vector<const LocalRect*>&) { ++emitted; });
+  }
+  const std::chrono::duration<double> execute_s =
+      std::chrono::steady_clock::now() - execute_start;
+  int64_t tuples = 0;
+  int64_t allocs = 0;
+  const auto count_start = std::chrono::steady_clock::now();
+  for (auto _ : state) {
+    const int64_t before = g_heap_allocs.load(std::memory_order_relaxed);
+    tuples = join.Count();
+    allocs += g_heap_allocs.load(std::memory_order_relaxed) - before;
+    benchmark::DoNotOptimize(tuples);
+  }
+  const std::chrono::duration<double> count_s =
+      std::chrono::steady_clock::now() - count_start;
+  if (tuples * kExecuteReps != emitted) {
+    state.SkipWithError("Count disagrees with Execute");
+    return;
+  }
+  const double iterations = static_cast<double>(state.iterations());
+  state.counters["allocs_per_exec"] =
+      benchmark::Counter(static_cast<double>(allocs) / iterations);
+  state.counters["tuples"] = benchmark::Counter(static_cast<double>(tuples));
+  state.counters["count_exec_ratio"] = benchmark::Counter(
+      (count_s.count() / iterations) / (execute_s.count() / kExecuteReps));
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(records));
+}
+BENCHMARK(BM_MultiwayLocalJoinCountCell)
     ->Args({400, 0})
     ->Args({400, 1})
     ->Args({1600, 0})

@@ -169,4 +169,11 @@ void TraceSpan::AddArg(std::string_view key, double value) {
   args_ += StrFormat("\"%s\": %.6f", EscapeJsonString(key).c_str(), value);
 }
 
+void TraceSpan::AddArg(std::string_view key, std::string_view value) {
+  if (tracer_ == nullptr) return;
+  if (!args_.empty()) args_ += ", ";
+  args_ += StrFormat("\"%s\": \"%s\"", EscapeJsonString(key).c_str(),
+                     EscapeJsonString(value).c_str());
+}
+
 }  // namespace mwsj

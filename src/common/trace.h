@@ -139,6 +139,7 @@ class TraceSpan {
   /// checking recording() first).
   void AddArg(std::string_view key, int64_t value);
   void AddArg(std::string_view key, double value);
+  void AddArg(std::string_view key, std::string_view value);
 
   bool recording() const { return tracer_ != nullptr; }
 

@@ -25,6 +25,18 @@ namespace mwsj {
 /// equals dedup_owned. The leaf check keeps the emitted set independent of
 /// the window's floating-point edges.
 ///
+/// Two paths, picked by the query's shape alone:
+///  * count: count_only on a tree-shaped join graph runs
+///    MultiwayLocalJoin::Count, the factorized count, which never
+///    assembles a tuple. It relies on window ⇔ ownership under the up-left
+///    routings, so there "checks" are the tuples whose ownership the
+///    window class decided: dedup_tuple_checks == dedup_owned ==
+///    tuples_counted.
+///  * enumerate: every materialized join, and cyclic graphs (kCycle3,
+///    cliques) counted or not, run Execute with the OwnsTuple leaf check.
+/// Both publish local_join_probes, and the `local_join` span names its
+/// path.
+///
 /// Dedup tallies live in locals and are published once per call through
 /// the attempt-scoped counters, so a re-executed attempt never
 /// double-counts. `Job` is a MapReduceJob keyed by CellId with RelRect
@@ -33,12 +45,14 @@ template <typename Job>
 typename Job::ReduceFn CellJoinReduce(const Query& query,
                                       const GridPartition& grid,
                                       bool count_only, Tracer* tracer) {
-  return [&query, &grid, count_only, tracer](
+  const bool count_path = count_only && query.IsTree();
+  return [&query, &grid, count_only, count_path, tracer](
              const CellId& cell, std::span<const RelRect> values,
              typename Job::OutEmitter& out) {
     TraceSpan local_span(tracer, "local_join", "task");
     local_span.AddArg("cell", static_cast<int64_t>(cell));
     local_span.AddArg("records", static_cast<int64_t>(values.size()));
+    local_span.AddArg("path", count_path ? "count" : "enumerate");
     const size_t m = static_cast<size_t>(query.num_relations());
     std::vector<std::vector<LocalRect>> per_relation(m);
     for (const RelRect& v : values) {
@@ -53,22 +67,30 @@ typename Job::ReduceFn CellJoinReduce(const Query& query,
     const MultiwayLocalJoin local(
         query, std::move(spans),
         {grid.QuadrantXLo(cell), grid.QuadrantYHi(cell)});
-    std::vector<const Rect*> member_rects(m);
+    int64_t probes = 0;
     int64_t checks = 0;
     int64_t owned = 0;
-    local.Execute([&](const std::vector<const LocalRect*>& members) {
-      for (size_t r = 0; r < m; ++r) member_rects[r] = &members[r]->rect;
-      ++checks;
-      if (!OwnsTuple(grid, cell, member_rects)) return;
-      ++owned;
-      if (count_only) return;
-      IdTuple ids(m);
-      for (size_t r = 0; r < m; ++r) ids[r] = members[r]->id;
-      out.Emit(std::move(ids));
-    });
+    if (count_path) {
+      checks = owned = local.Count(&probes);
+    } else {
+      std::vector<const Rect*> member_rects(m);
+      local.Execute(
+          [&](const std::vector<const LocalRect*>& members) {
+            for (size_t r = 0; r < m; ++r) member_rects[r] = &members[r]->rect;
+            ++checks;
+            if (!OwnsTuple(grid, cell, member_rects)) return;
+            ++owned;
+            if (count_only) return;
+            IdTuple ids(m);
+            for (size_t r = 0; r < m; ++r) ids[r] = members[r]->id;
+            out.Emit(std::move(ids));
+          },
+          &probes);
+    }
     out.IncrementCounter(kCounterDedupTupleChecks, checks);
     out.IncrementCounter(kCounterDedupOwned, owned);
     if (count_only) out.IncrementCounter(kCounterTuplesCounted, owned);
+    out.IncrementCounter(kCounterLocalJoinProbes, probes);
   };
 }
 

@@ -91,7 +91,9 @@ struct ControlledReplicateOptions {
 /// (GridPartition::QuadrantXLo/QuadrantYHi). MultiwayLocalJoin prunes
 /// every binding that can no longer satisfy both, so each tuple it emits
 /// is owned by c; the reducer still runs the exact OwnsTuple check, and
-/// its check count equals its owned count.
+/// its check count equals its owned count. A count-only round on a
+/// tree-shaped query counts the tuples passing both tests directly
+/// (MultiwayLocalJoin::Count), relying on the same equivalence.
 StatusOr<JoinRunResult> ControlledReplicateJoin(
     const Query& query, const GridPartition& grid,
     const std::vector<std::vector<Rect>>& relations,

@@ -129,6 +129,10 @@ inline constexpr char kCounterTuplesCounted[] = "tuples_counted";
 inline constexpr char kCounterDedupTupleChecks[] = "dedup_tuple_checks";
 inline constexpr char kCounterDedupPairChecks[] = "dedup_pair_checks";
 inline constexpr char kCounterDedupOwned[] = "dedup_owned";
+/// Anchor probes the join round's multiway local join issued
+/// (MultiwayLocalJoin::Execute or Count), summed over its reduce calls:
+/// the reducer's index work, as opposed to the tuples it produced.
+inline constexpr char kCounterLocalJoinProbes[] = "local_join_probes";
 
 /// Exactly-once user counters of the distributed kNN join
 /// (queries/knn_mr.h), defined here so core's explain/stats rendering can

@@ -1,8 +1,8 @@
 // The multiway binding recursion is the innermost loop of every reducer:
 // emits are templated (no std::function per candidate) and probes reuse
-// BindScratch. Build-time code below may allocate; the probe path is held
+// BindScratch. Build-time code below may allocate; the probe paths are held
 // allocation-free by tools/mwsj_check.py alloc-free-reach rooted at the
-// MWSJ_ALLOC_FREE Execute annotation in multiway.h.
+// MWSJ_ALLOC_FREE Execute and Count annotations in multiway.h.
 #include "localjoin/multiway.h"
 
 #include <algorithm>
@@ -116,6 +116,75 @@ MultiwayLocalJoin::MultiwayLocalJoin(
     }
     trees_[static_cast<size_t>(r)] = std::make_unique<RTree>(rects);
   }
+}
+
+int64_t MultiwayLocalJoin::Count(int64_t* probes) const {
+  if (probes != nullptr) *probes = 0;
+  for (const auto& relation : relations_) {
+    if (relation.empty()) return 0;  // No full assignment can exist.
+  }
+  const size_t depths = order_.size();
+  auto class_of = [this](const LocalRect& lr) {
+    return static_cast<size_t>(Supplies(lr.rect) & need_);
+  };
+  BindScratch scratch;
+  // mwsj-check: allow(alloc-free-reach): once-per-Count scratch setup, not
+  // per-probe work; every probe below reuses these buffers.
+  scratch.candidates.resize(depths);
+  // Count vectors of the parents (relations some depth anchors on, plus
+  // the root), each starting at its own class; a leaf's vector is implied
+  // by its class.
+  std::vector<std::vector<ClassCounts>> counts(relations_.size());
+  for (size_t k = 0; k < depths; ++k) {
+    const int parent = k == 0 ? order_[0] : anchor_relation_[k];
+    auto& vecs = counts[static_cast<size_t>(parent)];
+    if (!vecs.empty()) continue;
+    const auto relation = relations_[static_cast<size_t>(parent)];
+    // mwsj-check: allow(alloc-free-reach): same once-per-Count setup.
+    vecs.assign(relation.size(), ClassCounts{});
+    for (size_t i = 0; i < relation.size(); ++i) {
+      vecs[i][class_of(relation[i])] = 1;
+    }
+  }
+
+  // Fold from the deepest depth up: every child of order_[k] sits deeper,
+  // so its vectors are complete when depth k folds it into its parent.
+  for (size_t k = depths; k-- > 1;) {
+    const auto child = relations_[static_cast<size_t>(order_[k])];
+    const std::vector<ClassCounts>& child_counts =
+        counts[static_cast<size_t>(order_[k])];
+    const int parent = anchor_relation_[k];
+    const auto parents = relations_[static_cast<size_t>(parent)];
+    std::vector<ClassCounts>& parent_counts =
+        counts[static_cast<size_t>(parent)];
+    for (size_t i = 0; i < parents.size(); ++i) {
+      ClassCounts& vec = parent_counts[i];
+      // An earlier child matched nothing: no assignment through this
+      // rectangle remains, so skip its probe.
+      if (vec == ClassCounts{}) continue;
+      ClassCounts sum{};
+      if (child_counts.empty()) {
+        ProbeAnchor(k, parents[i].rect, scratch,
+                    [&](size_t j) { ++sum[class_of(child[j])]; });
+      } else {
+        ProbeAnchor(k, parents[i].rect, scratch, [&](size_t j) {
+          for (size_t c = 0; c < 4; ++c) sum[c] += child_counts[j][c];
+        });
+      }
+      ClassCounts folded{};
+      for (size_t a = 0; a < 4; ++a) {
+        for (size_t b = 0; b < 4; ++b) folded[a | b] += vec[a] * sum[b];
+      }
+      vec = folded;
+    }
+  }
+
+  int64_t total = 0;
+  for (const ClassCounts& vec : counts[static_cast<size_t>(order_[0])]) {
+    total += vec[need_];
+  }
+  if (probes != nullptr) *probes = scratch.probes;
+  return total;
 }
 
 }  // namespace mwsj

@@ -2,6 +2,7 @@
 #define MWSJ_LOCALJOIN_MULTIWAY_H_
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -58,6 +59,10 @@ struct OwnerWindow {
 /// the unclipped one, so the windowed emit stream is exactly the
 /// unwindowed stream restricted to the assignments that pass both tests.
 /// The default window (−∞, +∞) needs no bit and prunes nothing.
+///
+/// Count() gives Execute's emit count for tree-shaped queries without
+/// enumerating: a bottom-up fold over the same plan and the same anchor
+/// probe (ProbeAnchor), costing the probes plus the matched pairs.
 class MultiwayLocalJoin {
  public:
   /// `relations[r]` holds the rectangles of query relation r present at
@@ -70,7 +75,9 @@ class MultiwayLocalJoin {
   /// relation); the pointers are only valid during the callback. All
   /// per-depth buffers live in a scratch owned by this call, so the steady
   /// state allocates only when a depth's candidate list outgrows its
-  /// previous high-water mark.
+  /// previous high-water mark. `probes`, when set, receives the number of
+  /// anchor probes issued (one per binding at depth > 0 whose probe was not
+  /// pruned by the window).
   ///
   /// MWSJ_ALLOC_FREE: the binding recursion is every reducer's innermost
   /// loop; per-candidate work must not allocate (bench/micro_localjoin.cc
@@ -78,7 +85,9 @@ class MultiwayLocalJoin {
   /// — and therefore the emit stream — is part of the byte-identity
   /// contract across platforms and kernel ISAs.
   template <typename Emit>
-  MWSJ_ALLOC_FREE MWSJ_DETERMINISTIC void Execute(const Emit& emit) const {
+  MWSJ_ALLOC_FREE MWSJ_DETERMINISTIC void Execute(
+      const Emit& emit, int64_t* probes = nullptr) const {
+    if (probes != nullptr) *probes = 0;
     for (const auto& relation : relations_) {
       if (relation.empty()) return;  // No full assignment can exist.
     }
@@ -90,7 +99,31 @@ class MultiwayLocalJoin {
     // mwsj-check: allow(alloc-free-reach): same once-per-Execute setup.
     scratch.candidates.resize(order_.size());
     Bind(0, need_, scratch, emit);
+    if (probes != nullptr) *probes = scratch.probes;
   }
+
+  /// The number of assignments Execute would emit under the same owner
+  /// window, computed without enumerating them. Requires Query::IsTree():
+  /// every condition is then some depth's anchor, so relation order_[k]
+  /// (k > 0) is a child of anchor_relation_[k] and no residual check
+  /// remains.
+  ///
+  /// Factorized bottom-up count (Yannakakis-style, over the binding plan):
+  /// a rectangle's 2-bit window class is Supplies(rect) & need_, and an
+  /// assignment is emitted iff the OR of its members' classes is need_.
+  /// Every non-leaf rectangle keeps a 4-entry vector: entry c counts the
+  /// assignments of its subtree whose members' classes OR to c. Depths are
+  /// folded from the deepest up to 1: each parent rectangle probes its
+  /// child relation once, sums the matched children's vectors (a leaf
+  /// child contributes its class), and OR-convolves the sum into its own
+  /// vector. The result is the sum of vec[need_] over order_[0]. Cost is
+  /// the probes plus the matched pairs, not the output size. `probes`,
+  /// when set, receives the number of anchor probes issued.
+  ///
+  /// MWSJ_ALLOC_FREE: the per-probe loop must not allocate; only the
+  /// once-per-call vector setup does. MWSJ_DETERMINISTIC: integer sums.
+  MWSJ_ALLOC_FREE MWSJ_DETERMINISTIC int64_t
+  Count(int64_t* probes = nullptr) const;
 
   /// The planned binding order (order_[k] is the relation bound at depth
   /// k): smallest relation first, then greedily the smallest relation
@@ -112,7 +145,11 @@ class MultiwayLocalJoin {
     std::vector<const LocalRect*> assignment;
     std::vector<std::vector<int32_t>> candidates;
     RTree::QueryScratch rtree;
+    int64_t probes = 0;  // Anchor probes issued.
   };
+
+  // Per-rectangle count vector of Count(), indexed by window class.
+  using ClassCounts = std::array<int64_t, 4>;
 
   // Owner-window tests a member can pass (bits of the `need` mask).
   static constexpr uint8_t kNeedX = 1;  // start.x > window_.x_lo
@@ -188,6 +225,26 @@ class MultiwayLocalJoin {
         !ClipOverlapProbe(must, &q)) {
       return;
     }
+    ProbeAnchor(depth, q, scratch,
+                [&](size_t idx) { try_candidate(relation[idx]); });
+  }
+
+  // The anchor probe of depth `depth`, shared by Bind and Count: calls
+  // `visit(i)` for every rectangle i of relation order_[depth] meeting the
+  // depth's anchor condition against the probe box `q`. The R-tree path
+  // visits in tree order; the small-relation paths in ascending index
+  // order. Uses scratch.candidates[depth] and scratch.rtree, so a visit
+  // may start a probe at a deeper depth but not at this one.
+  template <typename Visit>
+  void ProbeAnchor(size_t depth, const Rect& q, BindScratch& scratch,
+                   const Visit& visit) const {
+    ++scratch.probes;
+    const int r = order_[depth];
+    const auto relation = relations_[static_cast<size_t>(r)];
+    const Predicate& predicate =
+        query_.conditions()[static_cast<size_t>(anchor_condition_[depth])]
+            .predicate;
+    std::vector<int32_t>& candidates = scratch.candidates[depth];
     const RTree* tree = trees_[static_cast<size_t>(r)].get();
     if (tree == nullptr) {
       // Small relation: no tree was built; one batch-kernel call tests the
@@ -195,20 +252,16 @@ class MultiwayLocalJoin {
       // come back in ascending index order — the order the scalar loop
       // visited.
       const simd::SoaRects& soa = small_soa_[static_cast<size_t>(r)];
-      const double d = anchor.predicate.distance();
+      const double d = predicate.distance();
       const double d_sq = d * d;
-      if (!anchor.predicate.is_overlap() &&
-          !(d >= 0 && std::isfinite(d_sq))) {
+      if (!predicate.is_overlap() && !(d >= 0 && std::isfinite(d_sq))) {
         // Degenerate distance (negative, or d·d overflows): scalar
         // evaluation carries the exact semantics.
-        for (const LocalRect& candidate : relation) {
-          if (anchor.predicate.Evaluate(candidate.rect, q)) {
-            try_candidate(candidate);
-          }
+        for (size_t i = 0; i < relation.size(); ++i) {
+          if (predicate.Evaluate(relation[i].rect, q)) visit(i);
         }
         return;
       }
-      std::vector<int32_t>& candidates = scratch.candidates[depth];
       if (candidates.size() < soa.size()) {
         // mwsj-check: allow(alloc-free-reach): grows to the relation's
         // high-water size once, then every probe reuses the buffer.
@@ -219,7 +272,7 @@ class MultiwayLocalJoin {
       uint32_t* out = reinterpret_cast<uint32_t*>(candidates.data());
       const simd::KernelTable& kernels = simd::ActiveKernels();
       const size_t hits =
-          anchor.predicate.is_overlap()
+          predicate.is_overlap()
               ? kernels.overlap_filter(soa.min_x.data(), soa.min_y.data(),
                                        soa.max_x.data(), soa.max_y.data(),
                                        soa.size(), q.min_x(), q.min_y(),
@@ -228,22 +281,17 @@ class MultiwayLocalJoin {
                                       soa.max_x.data(), soa.max_y.data(),
                                       soa.size(), q.min_x(), q.min_y(),
                                       q.max_x(), q.max_y(), d_sq, out);
-      for (size_t t = 0; t < hits; ++t) {
-        try_candidate(relation[out[t]]);
-      }
+      for (size_t t = 0; t < hits; ++t) visit(out[t]);
       return;
     }
-    std::vector<int32_t>& candidates = scratch.candidates[depth];
     candidates.clear();
-    if (anchor.predicate.is_overlap()) {
+    if (predicate.is_overlap()) {
       tree->CollectOverlapping(q, &scratch.rtree, &candidates);
     } else {
-      tree->CollectWithinDistance(q, anchor.predicate.distance(),
-                                  &scratch.rtree, &candidates);
+      tree->CollectWithinDistance(q, predicate.distance(), &scratch.rtree,
+                                  &candidates);
     }
-    for (int32_t idx : candidates) {
-      try_candidate(relation[static_cast<size_t>(idx)]);
-    }
+    for (int32_t idx : candidates) visit(static_cast<size_t>(idx));
   }
 
   const Query& query_;

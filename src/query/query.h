@@ -52,6 +52,11 @@ class Query {
   bool IsOverlapOnly() const;
   /// True when every predicate is a range (the §8 setting).
   bool IsRangeOnly() const;
+  /// True when the join graph is a tree: connected (an invariant) with one
+  /// condition fewer than relations, so no cycle and no parallel edge.
+  bool IsTree() const {
+    return conditions_.size() + 1 == relation_names_.size();
+  }
   /// Largest range distance in the query (0 for overlap-only queries).
   double MaxRangeDistance() const;
 

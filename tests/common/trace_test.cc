@@ -93,11 +93,13 @@ TEST(TracerTest, ArgsAppearOnClosingEvent) {
     TraceSpan span(&tracer, "work", "test");
     span.AddArg("records", int64_t{42});
     span.AddArg("seconds", 0.5);
+    span.AddArg("path", "co\"unt");
   }
   const std::string json = tracer.ToJson();
   EXPECT_TRUE(IsStructurallyValidJson(json)) << json;
   EXPECT_NE(json.find("\"records\": 42"), std::string::npos) << json;
   EXPECT_NE(json.find("\"seconds\""), std::string::npos) << json;
+  EXPECT_NE(json.find("\"path\": \"co\\\"unt\""), std::string::npos) << json;
 }
 
 TEST(TracerTest, NamesAreJsonEscaped) {

@@ -72,6 +72,17 @@ TEST_P(EquivalenceTest, MatchesBruteForce) {
         << scenario.name << " seed=" << seed << " grid=" << grid[0] << "x"
         << grid[1] << " (" << result.value().tuples.size() << " vs "
         << expected.size() << " tuples)";
+
+    // The same world counted: tree-shaped queries take the factorized
+    // count in the join round, cyclic ones keep enumerating.
+    options.count_only = true;
+    StatusOr<JoinRunResult> counted = RunSpatialJoin(query, data, options);
+    ASSERT_TRUE(counted.ok()) << counted.status().ToString();
+    EXPECT_TRUE(counted.value().tuples.empty()) << AlgorithmName(algorithm);
+    EXPECT_EQ(counted.value().num_tuples, static_cast<int64_t>(expected.size()))
+        << AlgorithmName(algorithm) << " count-only diverged from brute force"
+        << " on " << scenario.name << " seed=" << seed << " grid=" << grid[0]
+        << "x" << grid[1];
   }
 }
 

@@ -7,7 +7,9 @@
 #include <limits>
 
 #include "common/random.h"
+#include "common/trace.h"
 #include "core/dedup.h"
+#include "core/runner.h"
 #include "grid/grid_partition.h"
 #include "localjoin/brute_force.h"
 #include "localjoin/multiway.h"
@@ -184,13 +186,18 @@ std::vector<IdTuple> IdsWhere(const std::vector<Emitted>& stream,
 void SnapToGridLines(const GridPartition& grid, uint64_t seed,
                      std::vector<std::vector<Rect>>* data) {
   const double inf = std::numeric_limits<double>::infinity();
-  std::vector<double> lines;
+  std::vector<double> x_lines;
+  std::vector<double> y_lines;
   for (int col = 0; col < grid.cols(); ++col) {
-    lines.push_back(grid.CellRect(grid.CellIdOf(0, col)).min_x());
+    x_lines.push_back(grid.CellRect(grid.CellIdOf(0, col)).min_x());
   }
-  lines.push_back(grid.space().max_x());  // Square grid: same lines in y.
+  x_lines.push_back(grid.space().max_x());
+  for (int row = 0; row < grid.rows(); ++row) {
+    y_lines.push_back(grid.CellRect(grid.CellIdOf(row, 0)).min_y());
+  }
+  y_lines.push_back(grid.space().max_y());
   Rng rng(seed);
-  auto snap = [&](double v) {
+  auto snap = [&rng, inf](double v, const std::vector<double>& lines) {
     for (double line : lines) {
       if (std::abs(v - line) < 6) {
         const double choices[] = {std::nextafter(line, -inf), line,
@@ -202,10 +209,10 @@ void SnapToGridLines(const GridPartition& grid, uint64_t seed,
   };
   for (auto& relation : *data) {
     for (Rect& r : relation) {
-      const double x0 = snap(r.min_x());
-      const double y0 = snap(r.min_y());
-      const double x1 = snap(r.max_x());
-      const double y1 = snap(r.max_y());
+      const double x0 = snap(r.min_x(), x_lines);
+      const double y0 = snap(r.min_y(), y_lines);
+      const double x1 = snap(r.max_x(), x_lines);
+      const double y1 = snap(r.max_y(), y_lines);
       r = Rect(std::min(x0, x1), std::min(y0, y1), std::max(x0, x1),
                std::max(y0, y1));
     }
@@ -344,6 +351,175 @@ TEST(MultiwayLocalJoinWindow, KeepsPartnersOneUlpInsideTheWindow) {
       });
       EXPECT_EQ(out, (std::vector<IdTuple>{{0, 0}}))
           << c.name << " pad " << pad;
+    }
+  }
+}
+
+// The number of tuples Execute emits that `keep` accepts.
+int64_t EmitCount(const MultiwayLocalJoin& join, const auto& keep) {
+  int64_t n = 0;
+  std::vector<const Rect*> rects;
+  join.Execute([&](const std::vector<const LocalRect*>& members) {
+    rects.clear();
+    for (const LocalRect* m : members) rects.push_back(&m->rect);
+    if (keep(std::span<const Rect* const>(rects))) ++n;
+  });
+  return n;
+}
+
+std::vector<std::span<const LocalRect>> Spans(
+    const std::vector<std::vector<LocalRect>>& local) {
+  std::vector<std::span<const LocalRect>> spans;
+  for (const auto& rel : local) spans.emplace_back(rel.data(), rel.size());
+  return spans;
+}
+
+// Random tree-shaped worlds, every cell of a uniform and an equi-depth
+// 4x4 grid, each cell's contents routed up-left (members start in or
+// up-left of the cell, as in every join round):
+//  * Count() == the number Execute emits under the cell's window == the
+//    number of the unwindowed emits OwnsTuple assigns to the cell;
+//  * on the whole, unrouted input, Count() == the windowed emit count.
+// Worlds cover relations below kLinearScanThreshold (SoA probes), a
+// degenerate distance (the scalar probe), and coordinates snapped onto
+// the grid lines.
+TEST(MultiwayLocalJoinCount, MatchesWindowedAndOwnedEmitsPerCell) {
+  using testing::PredicateMix;
+  using testing::QueryShape;
+  const QueryShape shapes[] = {QueryShape::kChain2, QueryShape::kChain3,
+                               QueryShape::kChain4, QueryShape::kStar4};
+  const PredicateMix mixes[] = {PredicateMix::kOverlapOnly,
+                                PredicateMix::kRangeOnly,
+                                PredicateMix::kHybrid};
+  auto all = [](std::span<const Rect* const>) { return true; };
+  int64_t counted_total = 0;
+  for (int trial = 0; trial < 72; ++trial) {
+    testing::WorldConfig config;
+    config.shape = shapes[trial % 4];
+    config.mix = mixes[trial % 3];
+    config.seed = 7300 + static_cast<uint64_t>(trial) * 11;
+    config.max_rects_per_relation = (trial % 5 == 4) ? 6 : 10 + trial % 30;
+    config.integer_coords = (trial % 2 == 0);
+    if (trial % 12 == 7) config.range_d = 1e200;  // d*d overflows.
+    const Query query = testing::MakeWorldQuery(config);
+    ASSERT_TRUE(query.IsTree());
+    const auto data = testing::MakeWorldData(config, query.num_relations());
+    const Rect space(0, 0, config.space_size, config.space_size);
+    std::vector<Rect> sample;
+    for (const auto& relation : data) {
+      sample.insert(sample.end(), relation.begin(), relation.end());
+    }
+    const GridPartition grids[] = {
+        GridPartition::Create(space, 4, 4).value(),
+        GridPartition::CreateEquiDepth(space, 4, 4, sample).value()};
+    for (const GridPartition& grid : grids) {
+      auto world = data;
+      if (trial % 2 == 1) SnapToGridLines(grid, config.seed, &world);
+      std::vector<std::vector<LocalRect>> whole(world.size());
+      for (size_t r = 0; r < world.size(); ++r) {
+        for (size_t i = 0; i < world[r].size(); ++i) {
+          whole[r].push_back(LocalRect{world[r][i], static_cast<int64_t>(i)});
+        }
+      }
+      for (CellId cell = 0; cell < grid.num_cells(); ++cell) {
+        const OwnerWindow window{grid.QuadrantXLo(cell),
+                                 grid.QuadrantYHi(cell)};
+        const MultiwayLocalJoin unrouted(query, Spans(whole), window);
+        EXPECT_EQ(unrouted.Count(), EmitCount(unrouted, all))
+            << "trial " << trial << " cell " << cell << " (unrouted)";
+
+        std::vector<std::vector<LocalRect>> routed(world.size());
+        for (size_t r = 0; r < world.size(); ++r) {
+          for (const LocalRect& lr : whole[r]) {
+            if (grid.InFourthQuadrant(cell, grid.CellOfRect(lr.rect))) {
+              routed[r].push_back(lr);
+            }
+          }
+        }
+        const MultiwayLocalJoin windowed(query, Spans(routed), window);
+        const MultiwayLocalJoin plain(query, Spans(routed));
+        const int64_t owned =
+            EmitCount(plain, [&grid, cell](std::span<const Rect* const> m) {
+              return OwnsTuple(grid, cell, m);
+            });
+        EXPECT_EQ(EmitCount(windowed, all), owned)
+            << "trial " << trial << " cell " << cell;
+        EXPECT_EQ(windowed.Count(), owned)
+            << "trial " << trial << " cell " << cell;
+        counted_total += owned;
+      }
+    }
+  }
+  EXPECT_GT(counted_total, 0);
+}
+
+// Count and Execute issue their anchor probes through one helper and
+// report them; an empty relation short-circuits both.
+TEST(MultiwayLocalJoinCount, ReportsProbesAndShortCircuitsEmptyRelations) {
+  testing::WorldConfig config;
+  config.seed = 41;
+  const Query query = testing::MakeWorldQuery(config);  // kChain3.
+  auto data = testing::MakeWorldData(config, query.num_relations());
+  std::vector<std::vector<LocalRect>> local(data.size());
+  for (size_t r = 0; r < data.size(); ++r) {
+    for (size_t i = 0; i < data[r].size(); ++i) {
+      local[r].push_back(LocalRect{data[r][i], static_cast<int64_t>(i)});
+    }
+  }
+  const MultiwayLocalJoin join(query, Spans(local));
+  int64_t count_probes = -1;
+  int64_t exec_probes = -1;
+  int64_t emitted = 0;
+  join.Execute([&emitted](const std::vector<const LocalRect*>&) { ++emitted; },
+               &exec_probes);
+  EXPECT_EQ(join.Count(&count_probes), emitted);
+  EXPECT_GT(emitted, 0);
+  EXPECT_GT(count_probes, 0);
+  EXPECT_GT(exec_probes, 0);
+
+  local[1].clear();
+  const MultiwayLocalJoin empty(query, Spans(local));
+  EXPECT_EQ(empty.Count(&count_probes), 0);
+  EXPECT_EQ(count_probes, 0);
+}
+
+// The join round picks its path by the query's shape: a counted kCycle3
+// join keeps enumerating (the count path would ignore the closing
+// condition), while a counted chain takes the factorized count. The
+// `local_join` spans name the path each reduce call took.
+TEST(MultiwayLocalJoinCount, CyclicQueriesNeverTakeTheCountPath) {
+  using testing::QueryShape;
+  for (QueryShape shape : {QueryShape::kCycle3, QueryShape::kChain3}) {
+    testing::WorldConfig config;
+    config.shape = shape;
+    config.seed = 17;
+    const Query query = testing::MakeWorldQuery(config);
+    const auto data = testing::MakeWorldData(config, query.num_relations());
+    const bool tree = shape != QueryShape::kCycle3;
+    EXPECT_EQ(query.IsTree(), tree);
+    for (Algorithm algorithm :
+         {Algorithm::kAllReplicate, Algorithm::kControlledReplicate,
+          Algorithm::kControlledReplicateInLimit}) {
+      Tracer tracer;
+      RunnerOptions options;
+      options.algorithm = algorithm;
+      options.grid_rows = 3;
+      options.grid_cols = 3;
+      options.space = Rect(0, 0, config.space_size, config.space_size);
+      options.count_only = true;
+      options.context = ExecutionContext(nullptr, &tracer);
+      const StatusOr<JoinRunResult> result =
+          RunSpatialJoin(query, data, options);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      EXPECT_EQ(result.value().num_tuples,
+                static_cast<int64_t>(BruteForceJoin(query, data).size()))
+          << AlgorithmName(algorithm);
+      const std::string json = tracer.ToJson();
+      EXPECT_EQ(json.find("\"path\": \"count\"") != std::string::npos, tree)
+          << AlgorithmName(algorithm);
+      EXPECT_EQ(json.find("\"path\": \"enumerate\"") != std::string::npos,
+                !tree)
+          << AlgorithmName(algorithm);
     }
   }
 }
