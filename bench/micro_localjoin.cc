@@ -1,6 +1,5 @@
 // Micro-benchmarks for the reducer-side join kernels: STR R-tree build and
-// probe, plane sweep, the multiway backtracking join and its factorized
-// count.
+// probe, the multiway backtracking join and its factorized count.
 //
 // This binary replaces the global operator new/delete with counting
 // wrappers so probe benchmarks can assert the steady state performs zero
@@ -15,7 +14,6 @@
 
 #include "common/random.h"
 #include "localjoin/multiway.h"
-#include "localjoin/plane_sweep.h"
 #include "localjoin/rtree.h"
 #include "query/query.h"
 
@@ -74,7 +72,7 @@ void BM_RTreeOverlapProbe(benchmark::State& state) {
   size_t i = 0;
   for (auto _ : state) {
     out.clear();
-    tree.CollectOverlapping(probes[i & 511], &scratch, &out);
+    tree.Collect(Predicate::Overlap(), probes[i & 511], &scratch, &out);
     benchmark::DoNotOptimize(out.data());
     ++i;
   }
@@ -90,7 +88,7 @@ void BM_RTreeDistanceProbe(benchmark::State& state) {
   size_t i = 0;
   for (auto _ : state) {
     out.clear();
-    tree.CollectWithinDistance(probes[i & 511], 100.0, &scratch, &out);
+    tree.Collect(Predicate::Range(100.0), probes[i & 511], &scratch, &out);
     benchmark::DoNotOptimize(out.data());
     ++i;
   }
@@ -108,14 +106,14 @@ void BM_RTreeQuery(benchmark::State& state) {
   std::vector<int32_t> out;
   for (size_t i = 0; i < 512; ++i) {  // Warm buffers to high-water mark.
     out.clear();
-    tree.CollectOverlapping(probes[i], &scratch, &out);
+    tree.Collect(Predicate::Overlap(), probes[i], &scratch, &out);
   }
   int64_t allocs = 0;
   size_t i = 0;
   for (auto _ : state) {
     out.clear();
     const int64_t before = g_heap_allocs.load(std::memory_order_relaxed);
-    tree.CollectOverlapping(probes[i & 511], &scratch, &out);
+    tree.Collect(Predicate::Overlap(), probes[i & 511], &scratch, &out);
     allocs += g_heap_allocs.load(std::memory_order_relaxed) - before;
     benchmark::DoNotOptimize(out.data());
     ++i;
@@ -125,23 +123,11 @@ void BM_RTreeQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_RTreeQuery)->Arg(1000)->Arg(100000);
 
-void BM_PlaneSweepOverlap(benchmark::State& state) {
-  const auto a = MakeRects(static_cast<int>(state.range(0)), 6);
-  const auto b = MakeRects(static_cast<int>(state.range(0)), 7);
-  for (auto _ : state) {
-    int64_t pairs = 0;
-    PlaneSweepJoin(a, b, Predicate::Overlap(),
-                   [&pairs](int32_t, int32_t) { ++pairs; });
-    benchmark::DoNotOptimize(pairs);
-  }
-  state.SetItemsProcessed(state.iterations() * 2 * state.range(0));
-}
-BENCHMARK(BM_PlaneSweepOverlap)->Arg(1000)->Arg(20000);
-
-std::vector<std::vector<LocalRect>> MakeChainLocals(int n) {
+std::vector<std::vector<LocalRect>> MakeChainLocals(int n,
+                                                    double space = 10'000) {
   std::vector<std::vector<LocalRect>> locals;
   for (uint64_t r = 0; r < 3; ++r) {
-    const auto rects = MakeRects(n, 10 + r);
+    const auto rects = MakeRects(n, 10 + r, space);
     std::vector<LocalRect> local;
     local.reserve(rects.size());
     for (size_t i = 0; i < rects.size(); ++i) {
@@ -204,11 +190,45 @@ void RunExecuteBench(benchmark::State& state,
                           static_cast<int64_t>(records));
 }
 
-void BM_MultiwayLocalJoinExecute(benchmark::State& state) {
-  RunExecuteBench(state, MakeChainLocals(static_cast<int>(state.range(0))),
-                  OwnerWindow{});
+// Tiny relations, as in the cells of a fine grid: each relation fits one
+// R-tree leaf, so a reducer's cost is dominated by building the join, not
+// by its probes. Construct + Execute is timed per iteration, and
+// allocs_per_exec counts both. The rectangles share a 200 x 200 space so
+// the probes hit.
+void RunTinyBench(benchmark::State& state, int n) {
+  const Query query = MakeChainQuery(3, Predicate::Overlap()).value();
+  const auto locals = MakeChainLocals(n, /*space=*/200);
+  int64_t tuples = 0;
+  int64_t allocs = 0;
+  for (auto _ : state) {
+    const int64_t before = g_heap_allocs.load(std::memory_order_relaxed);
+    std::vector<std::span<const LocalRect>> spans;
+    for (const auto& l : locals) spans.emplace_back(l.data(), l.size());
+    const MultiwayLocalJoin join(query, std::move(spans));
+    tuples = 0;
+    join.Execute([&tuples](const std::vector<const LocalRect*>&) {
+      ++tuples;
+    });
+    allocs += g_heap_allocs.load(std::memory_order_relaxed) - before;
+    benchmark::DoNotOptimize(tuples);
+  }
+  state.counters["allocs_per_exec"] = benchmark::Counter(
+      static_cast<double>(allocs) / static_cast<double>(state.iterations()));
+  state.counters["tuples"] = benchmark::Counter(static_cast<double>(tuples));
+  state.SetItemsProcessed(state.iterations() * 3 * n);
 }
-BENCHMARK(BM_MultiwayLocalJoinExecute)->Arg(1000)->Arg(10000);
+
+// Arg: rectangles per relation. Below one R-tree leaf (16) the iteration
+// includes construction (RunTinyBench); above it the trees are built once.
+void BM_MultiwayLocalJoinExecute(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  if (n < 16) {
+    RunTinyBench(state, n);
+    return;
+  }
+  RunExecuteBench(state, MakeChainLocals(n), OwnerWindow{});
+}
+BENCHMARK(BM_MultiwayLocalJoinExecute)->Arg(4)->Arg(7)->Arg(1000)->Arg(10000);
 
 // One join-round cell as a reducer sees it under f1 replication: the
 // cell [5000, 6000] x [4000, 5000] holds the rectangles that start in it

@@ -16,8 +16,8 @@
 ///   MWSJ_DETERMINISTIC  Every path from the function into Emitter::Emit
 ///                       must avoid unordered-container iteration,
 ///                       pointer-valued ordering, and RNG outside common/ —
-///                       the static form of the PR-1 plane-sweep tie-break
-///                       bug class (byte-identical emit streams).
+///                       the static form of the tie-break bug class that
+///                       breaks byte-identical emit streams.
 ///   MWSJ_BLOCKING       The function may block (Dfs I/O under a mutex,
 ///                       CondVar waits, pool joins). Must be unreachable
 ///                       from map/reduce inner loops (any MWSJ_ALLOC_FREE
@@ -29,7 +29,7 @@
 ///
 /// Annotations go on the declaration, before the return type:
 ///
-///   MWSJ_ALLOC_FREE void CollectOverlapping(..., QueryScratch* scratch);
+///   MWSJ_ALLOC_FREE void Collect(..., QueryScratch* scratch, ...) const;
 ///
 /// Lambdas cannot carry attributes; hoist hot lambda bodies into named
 /// functions (see queries/knn_mr.cc) — which is also what makes them unit

@@ -66,9 +66,11 @@ StatusOr<JoinRunResult> AllReplicateJoin(
     // Keep the cost model honest: counted tuples would still have been
     // written by a real job.
     stats.reduce_output_records = result.num_tuples;
-    stats.reduce_output_bytes =
-        result.num_tuples * (8 * (query.num_relations() + 1));
   }
+  // The engine charged sizeof(IdTuple) per emitted tuple; a tuple is m ids
+  // plus a length word in either mode.
+  stats.reduce_output_bytes =
+      stats.reduce_output_records * (8 * (query.num_relations() + 1));
   result.stats.Add(std::move(stats));
   {
     TraceSpan sort_span(tracer, "sort_tuples", "stage");

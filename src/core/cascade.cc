@@ -218,12 +218,7 @@ StatusOr<JoinRunResult> CascadeJoin(
         const Rect& anchor_rect =
             t->components[static_cast<size_t>(anchor.bound_position)].rect;
         matches.clear();
-        if (anchor_pred.is_overlap()) {
-          tree.CollectOverlapping(anchor_rect, &scratch, &matches);
-        } else {
-          tree.CollectWithinDistance(anchor_rect, anchor_d, &scratch,
-                                     &matches);
-        }
+        tree.Collect(anchor_pred, anchor_rect, &scratch, &matches);
         for (int32_t mi : matches) {
           const CascadeRecord* cand = candidates[static_cast<size_t>(mi)];
           const Rect& cand_rect = cand->components[0].rect;

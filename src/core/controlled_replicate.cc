@@ -240,14 +240,9 @@ class MarkingOracle {
       // a single shared list would be clobbered mid-iteration.
       std::vector<int32_t>& candidates = candidate_buffers_[depth];
       candidates.clear();
-      if (anchor->predicate.is_overlap()) {
-        trees_[static_cast<size_t>(r)]->CollectOverlapping(
-            *anchor_rect, &rtree_scratch_, &candidates);
-      } else {
-        trees_[static_cast<size_t>(r)]->CollectWithinDistance(
-            *anchor_rect, anchor->predicate.distance(), &rtree_scratch_,
-            &candidates);
-      }
+      const RTree& tree = *trees_[static_cast<size_t>(r)];
+      tree.Collect(anchor->predicate, *anchor_rect, &rtree_scratch_,
+                   &candidates);
       for (int32_t i : candidates) {
         if (try_index(static_cast<size_t>(i))) return true;
       }
@@ -511,8 +506,11 @@ StatusOr<JoinRunResult> ControlledReplicateJoin(
     // Keep the cost model honest: counted tuples would still have been
     // written by a real job.
     round2_stats.reduce_output_records = result.num_tuples;
-    round2_stats.reduce_output_bytes = result.num_tuples * (8 * (m + 1));
   }
+  // The engine charged sizeof(IdTuple) per emitted tuple; a tuple is m ids
+  // plus a length word in either mode.
+  round2_stats.reduce_output_bytes =
+      round2_stats.reduce_output_records * (8 * (m + 1));
   result.stats.Add(std::move(round2_stats));
 
   {

@@ -4,7 +4,7 @@
 #include <limits>
 
 #include "common/random.h"
-#include "localjoin/plane_sweep.h"
+#include "localjoin/rtree.h"
 
 namespace mwsj {
 
@@ -117,9 +117,15 @@ std::vector<double> EstimateSelectivities(
       selectivities.push_back(0);
       continue;
     }
+    const RTree tree(right);
+    RTree::QueryScratch scratch;
+    std::vector<int32_t> hits;
     int64_t matches = 0;
-    PlaneSweepJoin(left, right, c.predicate,
-                   [&matches](int32_t, int32_t) { ++matches; });
+    for (const Rect& l : left) {
+      hits.clear();
+      tree.Collect(c.predicate, l, &scratch, &hits);
+      matches += static_cast<int64_t>(hits.size());
+    }
     // Laplace-style smoothing keeps estimates positive so the optimizer
     // can still rank orders when a sample sees no matches.
     selectivities.push_back(

@@ -232,28 +232,11 @@ StatusOr<JoinRunResult> ExecuteSpatialJoin(
 StatusOr<JoinRunResult> RunSpatialJoin(
     const Query& query, const std::vector<std::vector<Rect>>& relations,
     const RunnerOptions& options) {
-  // Honest submit + wait: an inline scheduler borrowing the caller's
-  // pool/tracer, one job borrowing the caller's relations and running on
-  // this thread — no driver thread is created or joined, so a tight loop
-  // of blocking joins pays nothing over the pre-scheduler API. tag_job_id
-  // is off so traces, stats, and DFS paths stay byte-identical to it too.
-  SchedulerOptions sched_options;
-  sched_options.pool = options.context.pool;
-  sched_options.tracer = options.context.tracer;
-  sched_options.catalog = options.catalog;
-  sched_options.max_in_flight = 1;
-  sched_options.max_queued = 1;
-  sched_options.inline_execution = true;
-  JobScheduler scheduler(sched_options);
-
   JobSpec spec;
   spec.query = query;
   spec.borrowed_relations = &relations;
   spec.options = options;
-  spec.tag_job_id = false;
-  StatusOr<JobHandle> handle = scheduler.Submit(std::move(spec));
-  if (!handle.ok()) return handle.status();
-  return handle.value().Take();
+  return RunJobInline(std::move(spec));
 }
 
 }  // namespace mwsj

@@ -273,4 +273,19 @@ void JobScheduler::RunJob(scheduler_internal::Job* job) {
   }
 }
 
+StatusOr<JoinRunResult> RunJobInline(JobSpec spec) {
+  SchedulerOptions sched_options;
+  sched_options.pool = spec.options.context.pool;
+  sched_options.tracer = spec.options.context.tracer;
+  sched_options.catalog = spec.options.catalog;
+  sched_options.max_in_flight = 1;
+  sched_options.max_queued = 1;
+  sched_options.inline_execution = true;
+  JobScheduler scheduler(sched_options);
+  spec.tag_job_id = false;
+  StatusOr<JobHandle> handle = scheduler.Submit(std::move(spec));
+  if (!handle.ok()) return handle.status();
+  return handle.value().Take();
+}
+
 }  // namespace mwsj

@@ -58,9 +58,9 @@ struct SchedulerOptions {
   /// Run each submission to a terminal state on the Submit caller's
   /// thread instead of on driver threads. No threads are spawned and the
   /// admission queue is never used (at most one job exists at a time, so
-  /// max_in_flight/max_queued are moot). The blocking compatibility
-  /// wrapper uses this so callers running joins in a tight loop don't pay
-  /// a thread create/join per call; execution is otherwise identical.
+  /// max_in_flight/max_queued are moot). RunJobInline uses this so
+  /// callers running joins in a tight loop don't pay a thread create/join
+  /// per call; execution is otherwise identical.
   bool inline_execution = false;
 };
 
@@ -90,8 +90,8 @@ struct JobSpec {
   RunnerOptions options;
 
   /// When false the job runs with `job_id = -1`: no "job" span args, no
-  /// stats_json "job_id", no DFS path prefix. Only the blocking
-  /// compatibility wrapper uses this, to keep pre-scheduler callers'
+  /// stats_json "job_id", no DFS path prefix. Only RunJobInline (the
+  /// blocking wrappers) clears it, to keep pre-scheduler callers'
   /// artifacts byte-identical.
   bool tag_job_id = true;
 
@@ -235,6 +235,14 @@ class JobScheduler {
   Counters counters_ GUARDED_BY(mu_);
   std::vector<std::thread> drivers_;  // Written only in the constructor.
 };
+
+/// Blocking submit + wait, shared by RunSpatialJoin and RunKnnJoinMr: an
+/// inline single-slot scheduler borrowing `spec.options`' pool, tracer and
+/// catalog runs the job on this thread, so no driver thread is created or
+/// joined and a tight loop of blocking joins pays nothing over the
+/// pre-scheduler API. The job runs with tag_job_id off, so traces, stats
+/// and DFS paths stay byte-identical to that API too.
+StatusOr<JoinRunResult> RunJobInline(JobSpec spec);
 
 }  // namespace mwsj
 

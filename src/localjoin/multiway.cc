@@ -15,7 +15,6 @@ MultiwayLocalJoin::MultiwayLocalJoin(
     OwnerWindow window)
     : query_(query), relations_(std::move(relations)), window_(window) {
   const int m = query_.num_relations();
-  rects_.resize(static_cast<size_t>(m));
   trees_.resize(static_cast<size_t>(m));
 
   // Plan the binding order greedily: start from the smallest relation,
@@ -94,27 +93,13 @@ MultiwayLocalJoin::MultiwayLocalJoin(
     avail_[k] = avail_[k + 1] | (supplied & need_);
   }
 
-  // Index every relation probed at depth > 0, unless it is small enough
-  // that a linear scan beats building (and probing) a tree; small ones get
-  // an SoA mirror so the scan is one batch-kernel call per probe.
-  small_soa_.resize(static_cast<size_t>(m));
+  // Index every relation probed at depth > 0.
+  std::vector<Rect> rects;
   for (size_t k = 1; k < order_.size(); ++k) {
-    const int r = order_[k];
-    if (relations_[static_cast<size_t>(r)].size() < kLinearScanThreshold) {
-      auto& soa = small_soa_[static_cast<size_t>(r)];
-      soa.Reserve(relations_[static_cast<size_t>(r)].size());
-      for (const LocalRect& lr : relations_[static_cast<size_t>(r)]) {
-        soa.PushBack(lr.rect.min_x(), lr.rect.min_y(), lr.rect.max_x(),
-                     lr.rect.max_y());
-      }
-      continue;
-    }
-    auto& rects = rects_[static_cast<size_t>(r)];
-    rects.reserve(relations_[static_cast<size_t>(r)].size());
-    for (const LocalRect& lr : relations_[static_cast<size_t>(r)]) {
-      rects.push_back(lr.rect);
-    }
-    trees_[static_cast<size_t>(r)] = std::make_unique<RTree>(rects);
+    const auto relation = relations_[static_cast<size_t>(order_[k])];
+    rects.clear();
+    for (const LocalRect& lr : relation) rects.push_back(lr.rect);
+    trees_[static_cast<size_t>(order_[k])] = std::make_unique<RTree>(rects);
   }
 }
 

@@ -3,7 +3,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -14,7 +13,6 @@
 #include "geometry/rect.h"
 #include "localjoin/rtree.h"
 #include "query/query.h"
-#include "simd/simd.h"
 
 namespace mwsj {
 
@@ -40,12 +38,13 @@ struct OwnerWindow {
 /// (§6.1, §7.1); the caller applies its duplicate-avoidance filter in the
 /// emit callback.
 ///
-/// Strategy: index each relation with an STR R-tree, bind relations along
-/// the join graph starting from the smallest relation, probe the next
-/// relation's tree through one connecting condition, and verify the
-/// remaining conditions against already-bound rectangles before recursing.
-/// Relations smaller than kLinearScanThreshold are probed by a linear scan
-/// instead — cheaper than building a tree, and allocation-free.
+/// Strategy: index each relation bound after the first with an STR
+/// R-tree, bind relations along the join graph starting from the smallest
+/// relation, probe the next relation's tree through one connecting
+/// condition (one RTree::Collect), and verify the remaining conditions
+/// against already-bound rectangles before recursing. A relation of at
+/// most one leaf's worth of rectangles is a one-leaf tree, probed by one
+/// root-MBR test and one batch-filter call.
 ///
 /// An optional owner window restricts the enumeration to the assignments
 /// that can still be owned by the reducer's cell under the §6.2 rule: at
@@ -54,10 +53,11 @@ struct OwnerWindow {
 /// are separable over the members, so a partial binding carries a 2-bit
 /// `need` mask of the tests no bound member has passed yet; a binding
 /// whose outstanding bits no later relation can supply is dropped, and a
-/// depth that must supply a bit clips its overlap probe to the half-plane. Pruning only removes subtrees whose every
-/// assignment fails a test, and a clipped probe visits a subsequence of
-/// the unclipped one, so the windowed emit stream is exactly the
-/// unwindowed stream restricted to the assignments that pass both tests.
+/// depth that must supply a bit clips its overlap probe to the half-plane.
+/// Pruning only removes subtrees whose every assignment fails a test, and
+/// a clipped probe visits a subsequence of the unclipped one, so the
+/// windowed emit stream is exactly the unwindowed stream restricted to the
+/// assignments that pass both tests.
 /// The default window (−∞, +∞) needs no bit and prunes nothing.
 ///
 /// Count() gives Execute's emit count for tree-shaped queries without
@@ -130,11 +130,6 @@ class MultiwayLocalJoin {
   /// connected to the bound set, ties broken by lowest relation index so
   /// the plan is platform-deterministic. Exposed for tests and EXPLAIN.
   const std::vector<int>& binding_order() const { return order_; }
-
-  /// Relations below this size are probed by linear scan instead of an
-  /// R-tree: build cost exceeds the probe savings, and the scan touches
-  /// one contiguous array.
-  static constexpr size_t kLinearScanThreshold = 8;
 
  private:
   /// Reusable per-Execute buffers: the assignment under construction, one
@@ -230,67 +225,21 @@ class MultiwayLocalJoin {
   }
 
   // The anchor probe of depth `depth`, shared by Bind and Count: calls
-  // `visit(i)` for every rectangle i of relation order_[depth] meeting the
-  // depth's anchor condition against the probe box `q`. The R-tree path
-  // visits in tree order; the small-relation paths in ascending index
-  // order. Uses scratch.candidates[depth] and scratch.rtree, so a visit
+  // `visit(i)`, in tree order, for every rectangle i of relation
+  // order_[depth] meeting the depth's anchor condition against the probe
+  // box `q`. Uses scratch.candidates[depth] and scratch.rtree, so a visit
   // may start a probe at a deeper depth but not at this one.
   template <typename Visit>
   void ProbeAnchor(size_t depth, const Rect& q, BindScratch& scratch,
                    const Visit& visit) const {
     ++scratch.probes;
-    const int r = order_[depth];
-    const auto relation = relations_[static_cast<size_t>(r)];
+    const RTree& tree = *trees_[static_cast<size_t>(order_[depth])];
     const Predicate& predicate =
         query_.conditions()[static_cast<size_t>(anchor_condition_[depth])]
             .predicate;
     std::vector<int32_t>& candidates = scratch.candidates[depth];
-    const RTree* tree = trees_[static_cast<size_t>(r)].get();
-    if (tree == nullptr) {
-      // Small relation: no tree was built; one batch-kernel call tests the
-      // anchor condition against the whole relation's SoA mirror. Matches
-      // come back in ascending index order — the order the scalar loop
-      // visited.
-      const simd::SoaRects& soa = small_soa_[static_cast<size_t>(r)];
-      const double d = predicate.distance();
-      const double d_sq = d * d;
-      if (!predicate.is_overlap() && !(d >= 0 && std::isfinite(d_sq))) {
-        // Degenerate distance (negative, or d·d overflows): scalar
-        // evaluation carries the exact semantics.
-        for (size_t i = 0; i < relation.size(); ++i) {
-          if (predicate.Evaluate(relation[i].rect, q)) visit(i);
-        }
-        return;
-      }
-      if (candidates.size() < soa.size()) {
-        // mwsj-check: allow(alloc-free-reach): grows to the relation's
-        // high-water size once, then every probe reuses the buffer.
-        candidates.resize(soa.size());
-      }
-      // int32_t and uint32_t may alias (signed/unsigned of one type), and
-      // the indices stay below the relation size, far under 2^31.
-      uint32_t* out = reinterpret_cast<uint32_t*>(candidates.data());
-      const simd::KernelTable& kernels = simd::ActiveKernels();
-      const size_t hits =
-          predicate.is_overlap()
-              ? kernels.overlap_filter(soa.min_x.data(), soa.min_y.data(),
-                                       soa.max_x.data(), soa.max_y.data(),
-                                       soa.size(), q.min_x(), q.min_y(),
-                                       q.max_x(), q.max_y(), out)
-              : kernels.within_filter(soa.min_x.data(), soa.min_y.data(),
-                                      soa.max_x.data(), soa.max_y.data(),
-                                      soa.size(), q.min_x(), q.min_y(),
-                                      q.max_x(), q.max_y(), d_sq, out);
-      for (size_t t = 0; t < hits; ++t) visit(out[t]);
-      return;
-    }
     candidates.clear();
-    if (predicate.is_overlap()) {
-      tree->CollectOverlapping(q, &scratch.rtree, &candidates);
-    } else {
-      tree->CollectWithinDistance(q, predicate.distance(), &scratch.rtree,
-                                  &candidates);
-    }
+    tree.Collect(predicate, q, &scratch.rtree, &candidates);
     for (int32_t idx : candidates) visit(static_cast<size_t>(idx));
   }
 
@@ -302,11 +251,8 @@ class MultiwayLocalJoin {
   // depth >= k passes (avail_[order_.size()] == 0).
   uint8_t need_ = 0;
   std::vector<uint8_t> avail_;
-  std::vector<std::vector<Rect>> rects_;  // Per relation, index-aligned.
+  // One R-tree per relation probed at depth > 0 (null for order_[0]).
   std::vector<std::unique_ptr<RTree>> trees_;
-  // SoA mirrors of the small (tree-less) relations probed at depth > 0,
-  // consumed by the batch anchor filter in Bind.
-  std::vector<simd::SoaRects> small_soa_;
 
   // Binding plan: order_[k] is the relation bound at depth k; for k > 0,
   // anchor_condition_[k] connects it to the already-bound

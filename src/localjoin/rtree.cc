@@ -140,16 +140,27 @@ RTree::RTree(const std::vector<Rect>& rects, int leaf_capacity)
   }
 }
 
-template <typename Visit>
-void RTree::Query(const Rect& probe, double d, QueryScratch* scratch,
-                  const Visit& visit) const {
+void RTree::Collect(const Predicate& predicate, const Rect& query,
+                    QueryScratch* scratch, std::vector<int32_t>* out) const {
   if (nodes_.empty()) return;
-  const bool overlap = d < 0;  // Sentinel from CollectOverlapping.
-  const double d_sq = d * d;
-  if (!overlap && !std::isfinite(d_sq)) {
-    QueryHugeDistance(probe, d, scratch, visit);
+  if (predicate.is_overlap()) {
+    Query(query, /*overlap=*/true, 0.0, scratch, out);
     return;
   }
+  // Mirrors WithinDistance: a negative (or NaN) d matches nothing, and a
+  // d whose square overflows takes the exact scalar form.
+  const double d = predicate.distance();
+  if (!(d >= 0)) return;
+  const double d_sq = d * d;
+  if (std::isfinite(d_sq)) {
+    Query(query, /*overlap=*/false, d_sq, scratch, out);
+  } else {
+    QueryHugeDistance(query, d, scratch, out);
+  }
+}
+
+void RTree::Query(const Rect& probe, bool overlap, double d_sq,
+                  QueryScratch* scratch, std::vector<int32_t>* out) const {
   const simd::KernelTable& kernels = simd::ActiveKernels();
   std::vector<int32_t>& stack = scratch->stack;
   std::vector<uint32_t>& matches = scratch->matches;
@@ -191,9 +202,12 @@ void RTree::Query(const Rect& probe, double d, QueryScratch* scratch,
                       width, probe.min_x(), probe.min_y(), probe.max_x(),
                       probe.max_y(), d_sq, matches.data());
     if (node.is_leaf) {
-      // Ascending slot order — the order the scalar leaf scan visited.
+      // Ascending slot order.
       for (size_t t = 0; t < hits; ++t) {
-        visit(entries_[base + matches[t]]);
+        // mwsj-check: allow(alloc-free-reach): `out` is the caller's
+        // candidate buffer, cleared and reused across probes; growth
+        // amortizes to zero.
+        out->push_back(entries_[base + matches[t]]);
       }
     } else {
       // Push matching children ascending: pops then visit them in the
@@ -206,10 +220,9 @@ void RTree::Query(const Rect& probe, double d, QueryScratch* scratch,
   }
 }
 
-template <typename Visit>
 void RTree::QueryHugeDistance(const Rect& probe, double d,
                               QueryScratch* scratch,
-                              const Visit& visit) const {
+                              std::vector<int32_t>* out) const {
   std::vector<int32_t>& stack = scratch->stack;
   stack.clear();
   // mwsj-check: allow(alloc-free-reach): amortized scratch stack.
@@ -223,7 +236,10 @@ void RTree::QueryHugeDistance(const Rect& probe, double d,
     if (node.is_leaf) {
       for (int32_t i = node.child_begin; i < node.child_end; ++i) {
         const Rect& r = leaf_rects_[static_cast<size_t>(i)];
-        if (MinDistance(r, probe) <= d) visit(entries_[static_cast<size_t>(i)]);
+        if (MinDistance(r, probe) <= d) {
+          // mwsj-check: allow(alloc-free-reach): caller's reused buffer.
+          out->push_back(entries_[static_cast<size_t>(i)]);
+        }
       }
     } else {
       for (int32_t c = node.child_begin; c < node.child_end; ++c) {
@@ -232,32 +248,6 @@ void RTree::QueryHugeDistance(const Rect& probe, double d,
       }
     }
   }
-}
-
-void RTree::CollectOverlapping(const Rect& query, QueryScratch* scratch,
-                               std::vector<int32_t>* out) const {
-  // mwsj-check: allow(alloc-free-reach): `out` is the caller's candidate
-  // buffer, cleared and reused across probes; growth amortizes to zero.
-  Query(query, -1.0, scratch, [out](int32_t i) { out->push_back(i); });
-}
-
-void RTree::CollectWithinDistance(const Rect& query, double d,
-                                  QueryScratch* scratch,
-                                  std::vector<int32_t>* out) const {
-  // mwsj-check: allow(alloc-free-reach): caller's reused candidate buffer.
-  Query(query, d, scratch, [out](int32_t i) { out->push_back(i); });
-}
-
-void RTree::CollectOverlapping(const Rect& query,
-                               std::vector<int32_t>* out) const {
-  QueryScratch scratch;
-  CollectOverlapping(query, &scratch, out);
-}
-
-void RTree::CollectWithinDistance(const Rect& query, double d,
-                                  std::vector<int32_t>* out) const {
-  QueryScratch scratch;
-  CollectWithinDistance(query, d, &scratch, out);
 }
 
 }  // namespace mwsj

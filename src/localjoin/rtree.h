@@ -6,14 +6,15 @@
 
 #include "common/effects.h"
 #include "geometry/rect.h"
+#include "query/predicate.h"
 #include "simd/simd.h"
 
 namespace mwsj {
 
 /// A static R-tree over a set of rectangles, bulk-loaded with the
 /// Sort-Tile-Recursive (STR) algorithm. Reducers build one per relation to
-/// answer the overlap and within-distance probes of the multiway local
-/// join; entries are identified by their index in the input vector.
+/// answer the Ov and Ra(d) probes of their local joins; entries are
+/// identified by their index in the input vector.
 ///
 /// The tree is immutable after construction — reducers build, probe, and
 /// discard, so no insert/delete machinery is carried. Leaf entry MBRs are
@@ -38,25 +39,15 @@ class RTree {
   /// only read during construction.
   explicit RTree(const std::vector<Rect>& rects, int leaf_capacity = 16);
 
-  /// Appends to `*out` the indices of all rectangles overlapping `query`,
-  /// using `*scratch` for the traversal stack. MWSJ_ALLOC_FREE: runs once
-  /// per candidate in the multiway probe loop; steady-state traversal uses
-  /// only the caller's scratch and output buffers.
-  MWSJ_ALLOC_FREE void CollectOverlapping(const Rect& query,
-                                          QueryScratch* scratch,
-                                          std::vector<int32_t>* out) const;
-
-  /// Appends to `*out` the indices of all rectangles within Euclidean
-  /// distance `d` of `query`, using `*scratch` for the traversal stack.
-  MWSJ_ALLOC_FREE void CollectWithinDistance(const Rect& query, double d,
-                                             QueryScratch* scratch,
-                                             std::vector<int32_t>* out) const;
-
-  /// Convenience overloads for one-shot callers; each call allocates a
-  /// local traversal stack. Hot paths should hold a QueryScratch instead.
-  void CollectOverlapping(const Rect& query, std::vector<int32_t>* out) const;
-  void CollectWithinDistance(const Rect& query, double d,
-                             std::vector<int32_t>* out) const;
+  /// Appends to `*out` the index of every rectangle r of the input with
+  /// `predicate.Evaluate(r, query)`, in tree order. This is the one
+  /// spatial probe: every reducer's candidate search goes through it.
+  /// MWSJ_ALLOC_FREE: runs once per candidate in the multiway probe loop;
+  /// steady-state traversal uses only the caller's scratch and output
+  /// buffers.
+  MWSJ_ALLOC_FREE void Collect(const Predicate& predicate, const Rect& query,
+                               QueryScratch* scratch,
+                               std::vector<int32_t>* out) const;
 
   size_t size() const { return size_; }
 
@@ -71,16 +62,15 @@ class RTree {
     bool is_leaf = true;
   };
 
-  template <typename Visit>
-  void Query(const Rect& probe, double d, QueryScratch* scratch,
-             const Visit& visit) const;
+  /// Batch-filter traversal: overlap, or squared distance <= d_sq.
+  void Query(const Rect& probe, bool overlap, double d_sq,
+             QueryScratch* scratch, std::vector<int32_t>* out) const;
 
   /// Scalar traversal for probes whose d·d overflows (kNN's unbounded +inf
   /// pass): the batch kernels compare squared distances, which would read
   /// inf <= inf there.
-  template <typename Visit>
   void QueryHugeDistance(const Rect& probe, double d, QueryScratch* scratch,
-                         const Visit& visit) const;
+                         std::vector<int32_t>* out) const;
 
   size_t size_ = 0;
   std::vector<int32_t> entries_;  // Leaf entry indices, grouped per leaf.

@@ -72,7 +72,7 @@ StatusOr<ContainmentResult> ContainmentJoin(const GridPartition& grid,
     std::vector<int32_t> hits;
     for (const Item* p : cell_points) {
       hits.clear();
-      tree.CollectOverlapping(p->rect, &scratch, &hits);
+      tree.Collect(Predicate::Overlap(), p->rect, &scratch, &hits);
       for (int32_t h : hits) {
         out.Emit({p->id, rect_ids[static_cast<size_t>(h)]});
       }

@@ -148,11 +148,7 @@ StatusOr<KnnResult> KnnJoin(const GridPartition& grid,
     std::vector<int32_t> hits;
     for (const Item* p : cell_points) {
       hits.clear();
-      if (std::isinf(p->radius)) {
-        tree.CollectWithinDistance(p->rect, kUnbounded, &scratch, &hits);
-      } else {
-        tree.CollectWithinDistance(p->rect, p->radius, &scratch, &hits);
-      }
+      tree.Collect(Predicate::Range(p->radius), p->rect, &scratch, &hits);
       for (int32_t h : hits) {
         const Rect& r = cell_rects[static_cast<size_t>(h)];
         // Each (point, rect) candidate is emitted by one cell: the §5.3

@@ -300,7 +300,7 @@ StatusOr<JoinRunResult> ExecuteKnnJoinMr(
     int64_t kept = 0;
     for (const KnnRouted* p : cell_points) {
       hits.clear();
-      tree.CollectWithinDistance(p->rect, p->bound, &scratch, &hits);
+      tree.Collect(Predicate::Range(p->bound), p->rect, &scratch, &hits);
       local.clear();
       local.reserve(hits.size());
       for (int32_t h : hits) {
@@ -375,24 +375,10 @@ JobSpec MakeKnnMrJobSpec(const Query& query, int k) {
 StatusOr<JoinRunResult> RunKnnJoinMr(
     const Query& query, const std::vector<std::vector<Rect>>& relations,
     int k, const RunnerOptions& options) {
-  // Mirror of RunSpatialJoin (core/runner.cc): submit + wait on an inline
-  // single-slot scheduler so blocking callers pay no thread create/join.
-  SchedulerOptions sched_options;
-  sched_options.pool = options.context.pool;
-  sched_options.tracer = options.context.tracer;
-  sched_options.catalog = options.catalog;
-  sched_options.max_in_flight = 1;
-  sched_options.max_queued = 1;
-  sched_options.inline_execution = true;
-  JobScheduler scheduler(sched_options);
-
   JobSpec spec = MakeKnnMrJobSpec(query, k);
   spec.borrowed_relations = &relations;
   spec.options = options;
-  spec.tag_job_id = false;
-  StatusOr<JobHandle> handle = scheduler.Submit(std::move(spec));
-  if (!handle.ok()) return handle.status();
-  return handle.value().Take();
+  return RunJobInline(std::move(spec));
 }
 
 }  // namespace mwsj

@@ -97,9 +97,9 @@ Isa ActiveIsa();
 void SetIsaForTesting(Isa isa);
 
 /// Order-preserving map from double to u64: x < y  ⇔  Key(x) < Key(y) for
-/// all non-NaN doubles, with -0.0 canonicalized to +0.0 so equal sweep
-/// positions stay *equal* keys (the payload tie-break decides, exactly as
-/// a double comparator would fall through on ==).
+/// all non-NaN doubles, with -0.0 canonicalized to +0.0 so equal doubles
+/// stay *equal* keys (the payload tie-break decides, exactly as a double
+/// comparator would fall through on ==).
 inline uint64_t OrderedKeyFromDouble(double x) {
   if (x == 0.0) x = 0.0;  // -0.0 == 0.0 compares equal; give both one key.
   uint64_t bits;
@@ -125,7 +125,8 @@ inline uint64_t OrderedKeyFromInt(K k) {
 /// Sorts the parallel arrays (keys[i], idx[i]) ascending by the composite
 /// (key, idx). When idx starts as the position permutation 0..n-1 this is
 /// exactly a *stable* sort by key (ties keep arrival order), computed with
-/// u64 compares instead of comparator calls. One scalar implementation:
+/// u64 compares instead of comparator calls. Its caller is the engine's
+/// shuffle sort (StableSortIndexByKey below). One scalar implementation:
 /// the vectorized-partition variants measured slower than it.
 void SortKeyIdx(uint64_t* keys, uint32_t* idx, size_t n);
 
@@ -152,8 +153,8 @@ void StableSortIndexByKey(const std::vector<K>& keys,
 }
 
 /// Structure-of-arrays rectangle storage for the batch filters. Owned by
-/// index builders (R-tree leaves, small-relation scans) that fill it once
-/// and probe it many times.
+/// index builders (the R-tree's leaf and node mirrors, the brute-force
+/// prefilter) that fill it once and probe it many times.
 struct SoaRects {
   std::vector<double> min_x, min_y, max_x, max_y;
 

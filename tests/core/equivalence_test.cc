@@ -286,6 +286,41 @@ TEST(EquivalenceEdgeCases, CountOnlyMatchesMaterializedCount) {
   }
 }
 
+// The cost model must not depend on the mode: a counted tuple is charged
+// the bytes a written one costs, in every job of every algorithm.
+TEST(EquivalenceEdgeCases, CountOnlyChargesMaterializedOutputBytes) {
+  WorldConfig config;
+  config.seed = 202;
+  config.mix = PredicateMix::kHybrid;
+  const Query query = testing::MakeWorldQuery(config);
+  const auto data = testing::MakeWorldData(config, query.num_relations());
+
+  for (Algorithm algorithm : AlgorithmsUnderTest()) {
+    RunnerOptions options;
+    options.algorithm = algorithm;
+    options.grid_rows = 4;
+    options.grid_cols = 4;
+    options.space = Rect(0, 0, 100, 100);
+    StatusOr<JoinRunResult> materialized =
+        RunSpatialJoin(query, data, options);
+    options.count_only = true;
+    StatusOr<JoinRunResult> counted = RunSpatialJoin(query, data, options);
+    ASSERT_TRUE(materialized.ok()) << materialized.status().ToString();
+    ASSERT_TRUE(counted.ok()) << counted.status().ToString();
+    ASSERT_GT(materialized.value().num_tuples, 0) << AlgorithmName(algorithm);
+    const auto& m_jobs = materialized.value().stats.jobs;
+    const auto& c_jobs = counted.value().stats.jobs;
+    ASSERT_EQ(m_jobs.size(), c_jobs.size()) << AlgorithmName(algorithm);
+    for (size_t j = 0; j < m_jobs.size(); ++j) {
+      EXPECT_EQ(m_jobs[j].reduce_output_records,
+                c_jobs[j].reduce_output_records)
+          << AlgorithmName(algorithm) << " job " << j;
+      EXPECT_EQ(m_jobs[j].reduce_output_bytes, c_jobs[j].reduce_output_bytes)
+          << AlgorithmName(algorithm) << " job " << j;
+    }
+  }
+}
+
 TEST(EquivalenceEdgeCases, CountOnlyRejectsDistinctIds) {
   WorldConfig config;
   const Query query = testing::MakeWorldQuery(config);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/random.h"
 #include "core/optimizer.h"
 #include "core/runner.h"
 #include "datagen/synthetic.h"
@@ -41,6 +42,113 @@ TEST(SelectivityTest, EmptyRelationYieldsZero) {
   const std::vector<std::vector<Rect>> data = {{}, Dataset(100, 30, 1)};
   const std::vector<double> sel = EstimateSelectivities(q, data);
   EXPECT_DOUBLE_EQ(sel[0], 0);
+}
+
+TEST(SelectivityTest, EmptySidesYieldZero) {
+  const Query q = MakeChainQuery(2, Predicate::Overlap()).value();
+  for (const auto& data : std::vector<std::vector<std::vector<Rect>>>{
+           {{}, Dataset(100, 30, 1)},
+           {Dataset(100, 30, 1), {}},
+           {{}, {}}}) {
+    const std::vector<double> sel = EstimateSelectivities(q, data);
+    EXPECT_DOUBLE_EQ(sel[0], 0);
+  }
+}
+
+// The selectivity EstimateSelectivities must report for R1 <pred> R2 when
+// both relations fit in the sample: the smoothed brute-force pair count
+// of Predicate::Evaluate over the whole relations.
+double BruteForceSelectivity(const std::vector<Rect>& a,
+                             const std::vector<Rect>& b,
+                             const Predicate& predicate) {
+  int64_t matches = 0;
+  for (const Rect& ra : a) {
+    for (const Rect& rb : b) {
+      if (predicate.Evaluate(ra, rb)) ++matches;
+    }
+  }
+  return (static_cast<double>(matches) + 0.5) /
+         (static_cast<double>(a.size()) * static_cast<double>(b.size()));
+}
+
+double EstimatedSelectivity(const std::vector<Rect>& a,
+                            const std::vector<Rect>& b,
+                            const Predicate& predicate) {
+  const Query q = MakeChainQuery(2, predicate).value();
+  const std::vector<double> sel = EstimateSelectivities(q, {a, b});
+  EXPECT_EQ(sel.size(), 1u);
+  return sel.at(0);
+}
+
+std::vector<Rect> RandomRects(int n, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Rect> out;
+  for (int i = 0; i < n; ++i) {
+    const double l = rng.Uniform(0, 12);
+    const double b = rng.Uniform(0, 12);
+    out.push_back(
+        Rect::FromXYLB(rng.Uniform(0, 100 - l), rng.Uniform(b, 100), l, b));
+  }
+  return out;
+}
+
+class SelectivityRandomTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(SelectivityRandomTest, OverlapCountMatchesBruteForce) {
+  const uint64_t seed = static_cast<uint64_t>(GetParam());
+  const auto a = RandomRects(120, seed * 2 + 1);
+  const auto b = RandomRects(150, seed * 2 + 2);
+  const Predicate p = Predicate::Overlap();
+  EXPECT_EQ(EstimatedSelectivity(a, b, p), BruteForceSelectivity(a, b, p));
+}
+
+TEST_P(SelectivityRandomTest, RangeCountMatchesBruteForce) {
+  const uint64_t seed = static_cast<uint64_t>(GetParam());
+  const auto a = RandomRects(100, seed * 3 + 1);
+  const auto b = RandomRects(100, seed * 3 + 2);
+  const Predicate p = Predicate::Range(6.5);
+  EXPECT_EQ(EstimatedSelectivity(a, b, p), BruteForceSelectivity(a, b, p));
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SelectivityRandomTest, ::testing::Range(0, 8));
+
+TEST(SelectivityTest, TouchingEdgesCount) {
+  const std::vector<Rect> a = {Rect::FromXYLB(0, 1, 1, 1)};
+  const std::vector<Rect> b = {Rect::FromXYLB(1, 1, 1, 1)};  // Shares edge.
+  const std::vector<Rect> apart = {Rect::FromXYLB(1.1, 1, 1, 1)};
+  for (const Predicate& p : {Predicate::Overlap(), Predicate::Range(0)}) {
+    EXPECT_EQ(EstimatedSelectivity(a, b, p), 1.5);  // One pair, smoothed.
+    EXPECT_EQ(EstimatedSelectivity(a, apart, p), 0.5);
+  }
+}
+
+TEST(SelectivityTest, IntegerCoordinatesWithTiedXMatchBruteForce) {
+  // Grid-aligned data: many rectangles share min_x and touch along whole
+  // edges, so every boundary decision is a tie.
+  Rng rng(42);
+  auto grid_rects = [&rng](int n) {
+    std::vector<Rect> out;
+    for (int i = 0; i < n; ++i) {
+      const double x = static_cast<double>(rng.UniformInt(0, 5)) * 10;
+      const double y = static_cast<double>(rng.UniformInt(0, 5)) * 10;
+      out.push_back(Rect::FromXYLB(x, y + 8, 8, 8));
+    }
+    return out;
+  };
+  const auto a = grid_rects(60);
+  const auto b = grid_rects(70);
+  for (const Predicate& p :
+       {Predicate::Overlap(), Predicate::Range(2), Predicate::Range(4)}) {
+    EXPECT_EQ(EstimatedSelectivity(a, b, p), BruteForceSelectivity(a, b, p))
+        << p.ToString();
+  }
+}
+
+TEST(SelectivityTest, RangeZeroEqualsOverlap) {
+  const auto a = RandomRects(80, 5);
+  const auto b = RandomRects(80, 6);
+  EXPECT_EQ(EstimatedSelectivity(a, b, Predicate::Range(0)),
+            EstimatedSelectivity(a, b, Predicate::Overlap()));
 }
 
 TEST(OptimizerTest, PrefersSelectiveRelationFirstOnSkewedChain) {

@@ -85,8 +85,8 @@ TEST(MultiwayLocalJoinEdge, ChainBindsThroughSmallestRelationFirst) {
 
 TEST(MultiwayLocalJoinProperty, MatchesBruteForceOnRandomWorlds) {
   // ~100 seeded random (query, dataset) pairs across every shape and
-  // predicate mix, with relation sizes straddling the linear-scan
-  // threshold so both the R-tree and scan probe paths are exercised.
+  // predicate mix, with relation sizes straddling one R-tree leaf so both
+  // one-leaf and deeper trees are probed.
   using testing::PredicateMix;
   using testing::QueryShape;
   const QueryShape shapes[] = {QueryShape::kChain3, QueryShape::kChain4,
@@ -132,13 +132,12 @@ TEST(MultiwayLocalJoinPlan, EqualSizeCliqueOrderIsIndexTieBroken) {
   EXPECT_EQ(join.binding_order(), (std::vector<int>{0, 1, 2}));
 }
 
-TEST(MultiwayLocalJoinEdge, RelationsBelowScanThresholdMatchBruteForce) {
-  // Every relation below kLinearScanThreshold: no R-tree is built and all
-  // probes take the linear-scan path.
+TEST(MultiwayLocalJoinEdge, TinyRelationsMatchBruteForce) {
+  // At most 7 rectangles per relation: every probed relation is a
+  // one-leaf R-tree.
   testing::WorldConfig config;
   config.seed = 123;
-  config.max_rects_per_relation =
-      static_cast<int>(MultiwayLocalJoin::kLinearScanThreshold) - 1;
+  config.max_rects_per_relation = 7;
   const Query query = testing::MakeWorldQuery(config);
   const auto data = testing::MakeWorldData(config, query.num_relations());
   EXPECT_EQ(RunLocalJoin(query, data), BruteForceJoin(query, data));
@@ -242,11 +241,11 @@ TEST(MultiwayLocalJoinWindow, EmitsExactlyTheOwnedSubsequence) {
     config.shape = shapes[trial % 4];
     config.mix = mixes[trial % 3];
     config.seed = 9100 + static_cast<uint64_t>(trial) * 7;
-    // Small worlds keep whole relations under kLinearScanThreshold (the
-    // SoA probe path); the others mix R-tree and SoA relations per cell.
+    // Small worlds keep every relation within one R-tree leaf; the others
+    // mix one-leaf and deeper trees per cell.
     config.max_rects_per_relation = (trial % 4 == 3) ? 6 : 10 + trial % 30;
     config.integer_coords = (trial % 2 == 0);
-    // d*d overflows: the degenerate-distance scalar path.
+    // d*d overflows: the R-tree's scalar huge-distance traversal.
     if (trial % 10 == 7) config.range_d = 1e200;
     const Query query = testing::MakeWorldQuery(config);
     auto data = testing::MakeWorldData(config, query.num_relations());
@@ -311,7 +310,7 @@ TEST(MultiwayLocalJoinWindow, EmitsExactlyTheOwnedSubsequence) {
 // Directed edge cases for the overlap probe clip: the only partner of
 // the anchor lies one ulp inside a window half-plane, so a clip one ulp
 // too eager loses the tuple. Each case runs with the partner relation
-// below kLinearScanThreshold (SoA path) and padded past it (R-tree path).
+// alone (a one-leaf tree) and padded past one leaf (a two-level tree).
 TEST(MultiwayLocalJoinWindow, KeepsPartnersOneUlpInsideTheWindow) {
   const double inf = std::numeric_limits<double>::infinity();
   const double above_25 = std::nextafter(25.0, inf);
@@ -332,8 +331,7 @@ TEST(MultiwayLocalJoinWindow, KeepsPartnersOneUlpInsideTheWindow) {
     b.AddRelation("B");
     b.AddCondition(0, 1, Predicate::Overlap());
     const Query q = b.Build().value();
-    for (int pad : {0, 2 * static_cast<int>(
-                             MultiwayLocalJoin::kLinearScanThreshold)}) {
+    for (int pad : {0, 16}) {
       // The anchor relation stays smallest, so it binds first and the
       // partner's depth must supply the outstanding test.
       std::vector<std::vector<LocalRect>> local = {{{c.anchor, 0}},
@@ -380,9 +378,8 @@ std::vector<std::span<const LocalRect>> Spans(
 //  * Count() == the number Execute emits under the cell's window == the
 //    number of the unwindowed emits OwnsTuple assigns to the cell;
 //  * on the whole, unrouted input, Count() == the windowed emit count.
-// Worlds cover relations below kLinearScanThreshold (SoA probes), a
-// degenerate distance (the scalar probe), and coordinates snapped onto
-// the grid lines.
+// Worlds cover one-leaf relations, a huge distance (the R-tree's scalar
+// traversal), and coordinates snapped onto the grid lines.
 TEST(MultiwayLocalJoinCount, MatchesWindowedAndOwnedEmitsPerCell) {
   using testing::PredicateMix;
   using testing::QueryShape;

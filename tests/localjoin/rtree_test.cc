@@ -1,8 +1,10 @@
-// STR R-tree: probe results must exactly match linear scans.
+// STR R-tree: Collect must return exactly the rectangles a linear scan of
+// Predicate::Evaluate accepts.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 
 #include "common/random.h"
 #include "localjoin/rtree.h"
@@ -29,24 +31,51 @@ std::vector<int32_t> Sorted(std::vector<int32_t> v) {
   return v;
 }
 
+std::vector<int32_t> Collect(const RTree& tree, const Predicate& predicate,
+                             const Rect& query) {
+  RTree::QueryScratch scratch;
+  std::vector<int32_t> out;
+  tree.Collect(predicate, query, &scratch, &out);
+  return out;
+}
+
+// The indices a linear scan of Predicate::Evaluate accepts, ascending.
+std::vector<int32_t> EvaluateScan(const std::vector<Rect>& rects,
+                                  const Predicate& predicate,
+                                  const Rect& query) {
+  std::vector<int32_t> want;
+  for (size_t i = 0; i < rects.size(); ++i) {
+    if (predicate.Evaluate(rects[i], query)) {
+      want.push_back(static_cast<int32_t>(i));
+    }
+  }
+  return want;
+}
+
 TEST(RTreeTest, EmptyTreeReturnsNothing) {
   const RTree tree(std::vector<Rect>{});
-  std::vector<int32_t> out;
-  tree.CollectOverlapping(Rect(0, 0, 100, 100), &out);
-  EXPECT_TRUE(out.empty());
+  EXPECT_TRUE(
+      Collect(tree, Predicate::Overlap(), Rect(0, 0, 100, 100)).empty());
   EXPECT_EQ(tree.size(), 0u);
 }
 
 TEST(RTreeTest, SingleEntry) {
   const std::vector<Rect> rects = {Rect::FromXYLB(5, 10, 2, 2)};
   const RTree tree(rects);
-  std::vector<int32_t> out;
-  tree.CollectOverlapping(Rect::FromXYLB(6, 9, 2, 2), &out);
-  EXPECT_EQ(out, (std::vector<int32_t>{0}));
-  out.clear();
-  tree.CollectOverlapping(Rect::FromXYLB(50, 50, 1, 1), &out);
-  EXPECT_TRUE(out.empty());
+  EXPECT_EQ(Collect(tree, Predicate::Overlap(), Rect::FromXYLB(6, 9, 2, 2)),
+            (std::vector<int32_t>{0}));
+  EXPECT_TRUE(Collect(tree, Predicate::Overlap(), Rect::FromXYLB(50, 50, 1, 1))
+                  .empty());
 }
+
+// Small trees on both sides of one leaf at the default capacity (16): one
+// leaf (1, 7, 16 rectangles) and one past it (17), each in a space dense
+// enough that probes hit.
+struct TreeShape {
+  int n;
+  double space;
+};
+constexpr TreeShape kShapes[] = {{1, 20}, {7, 30}, {16, 40}, {17, 40}};
 
 class RTreeRandomTest : public ::testing::TestWithParam<int> {};
 
@@ -59,17 +88,30 @@ TEST_P(RTreeRandomTest, OverlapProbesMatchLinearScan) {
   for (int probe = 0; probe < 50; ++probe) {
     const Rect q = Rect::FromXYLB(rng.Uniform(0, 90), rng.Uniform(10, 100),
                                   rng.Uniform(0, 20), rng.Uniform(0, 20));
-    std::vector<int32_t> got;
-    tree.CollectOverlapping(q, &got);
-    std::vector<int32_t> want;
-    for (size_t i = 0; i < rects.size(); ++i) {
-      if (Overlaps(rects[i], q)) want.push_back(static_cast<int32_t>(i));
+    EXPECT_EQ(Sorted(Collect(tree, Predicate::Overlap(), q)),
+              EvaluateScan(rects, Predicate::Overlap(), q))
+        << "probe " << probe;
+  }
+  for (const TreeShape& shape : kShapes) {
+    const std::vector<Rect> small = RandomRects(
+        shape.n, static_cast<uint64_t>(seed) * 31 + 5, shape.space);
+    const RTree small_tree(small);
+    for (int probe = 0; probe < 20; ++probe) {
+      const Rect q = Rect::FromXYLB(
+          rng.Uniform(0, shape.space - 5), rng.Uniform(5, shape.space),
+          rng.Uniform(0, 5), rng.Uniform(0, 5));
+      EXPECT_EQ(Sorted(Collect(small_tree, Predicate::Overlap(), q)),
+                EvaluateScan(small, Predicate::Overlap(), q))
+          << "n " << shape.n << " probe " << probe;
     }
-    EXPECT_EQ(Sorted(got), want) << "probe " << probe;
   }
 }
 
+// Random distances plus the edge cases of Range(d): 0 (touching counts),
+// 1e200 (d·d overflows: the scalar traversal), and a negative or NaN d,
+// which Evaluate rejects for every pair.
 TEST_P(RTreeRandomTest, DistanceProbesMatchLinearScan) {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
   const int seed = GetParam();
   const std::vector<Rect> rects =
       RandomRects(300, static_cast<uint64_t>(seed) + 7);
@@ -78,14 +120,26 @@ TEST_P(RTreeRandomTest, DistanceProbesMatchLinearScan) {
   for (int probe = 0; probe < 30; ++probe) {
     const Rect q = Rect::FromXYLB(rng.Uniform(0, 95), rng.Uniform(5, 100),
                                   rng.Uniform(0, 5), rng.Uniform(0, 5));
-    const double d = rng.Uniform(0, 15);
-    std::vector<int32_t> got;
-    tree.CollectWithinDistance(q, d, &got);
-    std::vector<int32_t> want;
-    for (size_t i = 0; i < rects.size(); ++i) {
-      if (WithinDistance(rects[i], q, d)) want.push_back(static_cast<int32_t>(i));
+    for (const double d : {rng.Uniform(0, 15), 0.0, 1e200, -1.0, kNaN}) {
+      EXPECT_EQ(Sorted(Collect(tree, Predicate::Range(d), q)),
+                EvaluateScan(rects, Predicate::Range(d), q))
+          << "probe " << probe << " d=" << d;
     }
-    EXPECT_EQ(Sorted(got), want) << "probe " << probe << " d=" << d;
+  }
+  for (const TreeShape& shape : kShapes) {
+    const std::vector<Rect> small = RandomRects(
+        shape.n, static_cast<uint64_t>(seed) * 37 + 11, shape.space);
+    const RTree small_tree(small);
+    for (int probe = 0; probe < 10; ++probe) {
+      const Rect q = Rect::FromXYLB(
+          rng.Uniform(0, shape.space - 5), rng.Uniform(5, shape.space),
+          rng.Uniform(0, 5), rng.Uniform(0, 5));
+      for (const double d : {rng.Uniform(0, 5), 0.0, 1e200, -1.0, kNaN}) {
+        EXPECT_EQ(Sorted(Collect(small_tree, Predicate::Range(d), q)),
+                  EvaluateScan(small, Predicate::Range(d), q))
+            << "n " << shape.n << " probe " << probe << " d=" << d;
+      }
+    }
   }
 }
 
@@ -95,9 +149,10 @@ TEST(RTreeScratchTest, EmptyTreeWithScratchReturnsNothing) {
   const RTree tree(std::vector<Rect>{});
   RTree::QueryScratch scratch;
   std::vector<int32_t> out;
-  tree.CollectOverlapping(Rect(0, 0, 100, 100), &scratch, &out);
+  tree.Collect(Predicate::Overlap(), Rect(0, 0, 100, 100), &scratch, &out);
   EXPECT_TRUE(out.empty());
-  tree.CollectWithinDistance(Rect(0, 0, 100, 100), 5.0, &scratch, &out);
+  tree.Collect(Predicate::Range(5.0), Rect(0, 0, 100, 100), &scratch,
+               &out);
   EXPECT_TRUE(out.empty());
   // The empty early-out must not grow the scratch stack.
   EXPECT_TRUE(scratch.stack.empty());
@@ -108,16 +163,20 @@ TEST(RTreeScratchTest, SingleRectTree) {
   const RTree tree(rects);
   RTree::QueryScratch scratch;
   std::vector<int32_t> out;
-  tree.CollectOverlapping(Rect::FromXYLB(6, 9, 2, 2), &scratch, &out);
+  tree.Collect(Predicate::Overlap(), Rect::FromXYLB(6, 9, 2, 2), &scratch,
+               &out);
   EXPECT_EQ(out, (std::vector<int32_t>{0}));
   out.clear();
-  tree.CollectOverlapping(Rect::FromXYLB(50, 50, 1, 1), &scratch, &out);
+  tree.Collect(Predicate::Overlap(), Rect::FromXYLB(50, 50, 1, 1), &scratch,
+               &out);
   EXPECT_TRUE(out.empty());
   out.clear();
-  tree.CollectWithinDistance(Rect::FromXYLB(10, 9, 1, 1), 3.0, &scratch, &out);
+  tree.Collect(Predicate::Range(3.0), Rect::FromXYLB(10, 9, 1, 1), &scratch,
+               &out);
   EXPECT_EQ(out, (std::vector<int32_t>{0}));
   out.clear();
-  tree.CollectWithinDistance(Rect::FromXYLB(10, 9, 1, 1), 2.9, &scratch, &out);
+  tree.Collect(Predicate::Range(2.9), Rect::FromXYLB(10, 9, 1, 1), &scratch,
+               &out);
   EXPECT_TRUE(out.empty());
 }
 
@@ -134,12 +193,9 @@ TEST(RTreeScratchTest, ScratchReusableAcrossProbesAndTrees) {
     const RTree& tree = (probe % 2 == 0) ? tree_a : tree_b;
     const std::vector<Rect>& rects = (probe % 2 == 0) ? rects_a : rects_b;
     std::vector<int32_t> got;
-    tree.CollectOverlapping(q, &scratch, &got);
-    std::vector<int32_t> want;
-    for (size_t i = 0; i < rects.size(); ++i) {
-      if (Overlaps(rects[i], q)) want.push_back(static_cast<int32_t>(i));
-    }
-    EXPECT_EQ(Sorted(got), want) << "probe " << probe;
+    tree.Collect(Predicate::Overlap(), q, &scratch, &got);
+    EXPECT_EQ(Sorted(got), EvaluateScan(rects, Predicate::Overlap(), q))
+        << "probe " << probe;
   }
 }
 
@@ -156,7 +212,7 @@ TEST(RTreeScratchTest, DistanceZeroMatchesTouchingRectangles) {
   const Rect probe(1, 0, 3, 3);
   RTree::QueryScratch scratch;
   std::vector<int32_t> out;
-  tree.CollectWithinDistance(probe, 0.0, &scratch, &out);
+  tree.Collect(Predicate::Range(0.0), probe, &scratch, &out);
   EXPECT_EQ(Sorted(out), (std::vector<int32_t>{0, 1, 2}));
   // A random set, cross-checked against a linear scan at d = 0.
   const std::vector<Rect> random = RandomRects(300, 21);
@@ -166,22 +222,17 @@ TEST(RTreeScratchTest, DistanceZeroMatchesTouchingRectangles) {
     const Rect q = Rect::FromXYLB(rng.Uniform(0, 90), rng.Uniform(10, 100),
                                   rng.Uniform(0, 20), rng.Uniform(0, 20));
     std::vector<int32_t> got;
-    random_tree.CollectWithinDistance(q, 0.0, &scratch, &got);
-    std::vector<int32_t> want;
-    for (size_t i = 0; i < random.size(); ++i) {
-      if (WithinDistance(random[i], q, 0.0)) {
-        want.push_back(static_cast<int32_t>(i));
-      }
-    }
-    EXPECT_EQ(Sorted(got), want) << "probe " << probe_i;
+    random_tree.Collect(Predicate::Range(0.0), q, &scratch, &got);
+    EXPECT_EQ(Sorted(got), EvaluateScan(random, Predicate::Range(0.0), q))
+        << "probe " << probe_i;
   }
 }
 
 TEST(RTreeTest, HandlesManyIdenticalRectangles) {
   const std::vector<Rect> rects(100, Rect::FromXYLB(5, 5, 1, 1));
   const RTree tree(rects);
-  std::vector<int32_t> out;
-  tree.CollectOverlapping(Rect::FromXYLB(5.5, 5, 1, 1), &out);
+  const std::vector<int32_t> out =
+      Collect(tree, Predicate::Overlap(), Rect::FromXYLB(5.5, 5, 1, 1));
   EXPECT_EQ(out.size(), 100u);
 }
 
@@ -191,8 +242,8 @@ TEST(RTreeTest, DegeneratePointEntriesAreFound) {
     rects.push_back(Rect::FromPoint(Point{static_cast<double>(i), 1.0}));
   }
   const RTree tree(rects, 4);
-  std::vector<int32_t> out;
-  tree.CollectOverlapping(Rect(4.5, 0, 9.5, 2), &out);
+  const std::vector<int32_t> out =
+      Collect(tree, Predicate::Overlap(), Rect(4.5, 0, 9.5, 2));
   EXPECT_EQ(Sorted(out), (std::vector<int32_t>{5, 6, 7, 8, 9}));
 }
 

@@ -1,19 +1,19 @@
 // Scalar-vs-SIMD parity: the 100-world randomized property suite runs
 // under every available ISA and the *unsorted* emit streams must be
 // byte-identical — not just the same result sets. This pins the whole
-// dispatch seam: R-tree traversal order, linear-scan candidate order, and
-// the correctness of each filter. The plane sweep, whose event sort has
-// one scalar implementation, must stay ISA-independent too.
+// dispatch seam: R-tree traversal order, candidate order, and the
+// correctness of each filter.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
 
 #include "localjoin/brute_force.h"
 #include "localjoin/multiway.h"
-#include "localjoin/plane_sweep.h"
+#include "localjoin/rtree.h"
 #include "queries/knn_mr.h"
 #include "testing/world.h"
 
@@ -152,7 +152,7 @@ TEST(SimdParityTest, KnnMrPipelineIsIdenticalUnderEveryIsa) {
   }
 }
 
-TEST(SimdParityTest, PlaneSweepEmitsIdenticalPairStreams) {
+TEST(SimdParityTest, RTreeProbeEmitsIdenticalCandidateStreams) {
   IsaGuard guard;
   const auto isas = AvailableIsas();
   for (int trial = 0; trial < 20; ++trial) {
@@ -160,25 +160,42 @@ TEST(SimdParityTest, PlaneSweepEmitsIdenticalPairStreams) {
     config.shape = testing::QueryShape::kChain3;
     config.mix = (trial % 2 == 0) ? testing::PredicateMix::kOverlapOnly
                                   : testing::PredicateMix::kRangeOnly;
-    // Integer coordinates force many equal sweep positions, stressing the
-    // sort key's tie-break encoding.
+    // Integer coordinates force many tied edges, so a filter that decides
+    // a boundary differently on one ISA changes the stream.
     config.integer_coords = true;
     config.seed = static_cast<uint64_t>(trial) * 977 + 3;
     const Query query = testing::MakeWorldQuery(config);
     const auto data = testing::MakeWorldData(config, 2);
     const Predicate& predicate = query.conditions()[0].predicate;
 
+    // Every data[0] rectangle probes a tree over data[1]; the candidate
+    // stream is kept in probe and tree order, unsorted.
     const auto run = [&]() {
+      const RTree tree(data[1]);
+      RTree::QueryScratch scratch;
+      std::vector<int32_t> hits;
       std::vector<std::pair<int32_t, int32_t>> pairs;
-      PlaneSweepJoin(data[0], data[1], predicate,
-                     [&pairs](int32_t i, int32_t j) {
-                       pairs.emplace_back(i, j);
-                     });
+      for (size_t i = 0; i < data[0].size(); ++i) {
+        hits.clear();
+        tree.Collect(predicate, data[0][i], &scratch, &hits);
+        for (int32_t j : hits) pairs.emplace_back(static_cast<int32_t>(i), j);
+      }
       return pairs;
     };
 
     simd::SetIsaForTesting(simd::Isa::kScalar);
     const auto reference = run();
+    std::vector<std::pair<int32_t, int32_t>> want;
+    for (size_t i = 0; i < data[0].size(); ++i) {
+      for (size_t j = 0; j < data[1].size(); ++j) {
+        if (predicate.Evaluate(data[1][j], data[0][i])) {
+          want.emplace_back(static_cast<int32_t>(i), static_cast<int32_t>(j));
+        }
+      }
+    }
+    auto sorted = reference;
+    std::sort(sorted.begin(), sorted.end());
+    EXPECT_EQ(sorted, want) << "trial=" << trial;
     for (const simd::Isa isa : isas) {
       simd::SetIsaForTesting(isa);
       EXPECT_EQ(run(), reference)

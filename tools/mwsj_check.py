@@ -15,7 +15,8 @@ Call-graph rules:
   emit-determinism   An MWSJ_DETERMINISTIC function must not transitively
                      iterate an unordered container, sort by raw pointer
                      value, or touch RNG outside src/common/ — the static
-                     form of the PR-1 plane-sweep tie-break bug class.
+                     form of the tie-break bug class that breaks
+                     byte-identical emit streams.
   blocking-reach     An MWSJ_BLOCKING function (Dfs I/O, CondVar waits,
                      pool joins) must be unreachable from MWSJ_ALLOC_FREE
                      / MWSJ_DETERMINISTIC functions except through an
