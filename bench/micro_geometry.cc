@@ -8,6 +8,7 @@
 #include "common/random.h"
 #include "geometry/polygon.h"
 #include "geometry/rect.h"
+#include "io/colcodec.h"
 #include "simd/simd.h"
 
 namespace mwsj {
@@ -200,7 +201,7 @@ void BM_SortKeyIdx_Scalar(benchmark::State& state) {
   Rng rng(13);
   std::vector<uint64_t> keys(n);
   for (auto& k : keys) {
-    k = simd::OrderedKeyFromDouble(rng.Uniform(0, 1000));
+    k = colcodec::OrderedBitsFromDouble(rng.Uniform(0, 1000));
   }
   std::vector<uint64_t> scratch_keys(n);
   std::vector<uint32_t> idx(n);

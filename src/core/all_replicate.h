@@ -17,7 +17,8 @@ namespace mwsj {
 /// reference-point rule. Correct but communication-heavy — each rectangle
 /// is shipped to O(cells) reducers whether or not it can contribute to any
 /// output tuple, which is exactly the redundancy Controlled-Replicate
-/// removes.
+/// removes. It is Controlled-Replicate's join round with every rectangle
+/// marked, and is defined beside it in core/controlled_replicate.cc.
 /// `count_only` suppresses tuple materialization (JoinRunResult::tuples
 /// stays empty; num_tuples is still exact).
 StatusOr<JoinRunResult> AllReplicateJoin(

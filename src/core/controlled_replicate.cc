@@ -3,11 +3,16 @@
 #include <algorithm>
 #include <limits>
 #include <memory>
+#include <optional>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 
 #include "common/trace.h"
-#include "core/cell_join.h"
+#include "core/all_replicate.h"
+#include "core/dedup.h"
+#include "localjoin/multiway.h"
 #include "localjoin/rtree.h"
 #include "mapreduce/engine.h"
 #include "query/bounds.h"
@@ -291,6 +296,201 @@ std::vector<std::vector<int64_t>> MarkRectanglesForCell(
   return marked;
 }
 
+// ---------------------------------------------------------------------------
+// Round 2: the join round of the replicate family.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+using JoinJob = MapReduceJob<MarkedRect, CellId, RelRect, IdTuple>;
+
+// Every rectangle of every relation as one record, tagged with its
+// relation and its index there.
+template <typename Record>
+std::vector<Record> FlattenRelations(
+    const std::vector<std::vector<Rect>>& relations) {
+  size_t total = 0;
+  for (const auto& rel : relations) total += rel.size();
+  std::vector<Record> records;
+  records.reserve(total);
+  for (size_t r = 0; r < relations.size(); ++r) {
+    for (size_t i = 0; i < relations[r].size(); ++i) {
+      records.push_back(Record{relations[r][i], static_cast<int64_t>(i),
+                               static_cast<int32_t>(r)});
+    }
+  }
+  return records;
+}
+
+// The join round's reduce body: bucket the cell's records by relation, run
+// the multiway local join under the cell's owner window, keep the tuples the
+// exact §6.2 OwnsTuple check assigns to `cell`, and emit their ids (or only
+// count them). The window (GridPartition::QuadrantXLo/QuadrantYHi) prunes
+// exactly the tuples whose reference point lies left of or above the cell,
+// which no routing can make owned; under the up-left routings of this round
+// it leaves only owned tuples, so dedup_tuple_checks equals dedup_owned. The
+// leaf check keeps the emitted set independent of the window's
+// floating-point edges.
+//
+// Two paths, picked by the query's shape alone:
+//  * count: count_only on a tree-shaped join graph runs
+//    MultiwayLocalJoin::Count, the factorized count, which never assembles
+//    a tuple. It relies on window ⇔ ownership under the up-left routings,
+//    so there "checks" are the tuples whose ownership the window class
+//    decided: dedup_tuple_checks == dedup_owned == tuples_counted.
+//  * enumerate: every materialized join, and cyclic graphs (kCycle3,
+//    cliques) counted or not, run Execute with the OwnsTuple leaf check.
+// Both publish local_join_probes, and the `local_join` span names its path.
+//
+// Dedup tallies live in locals and are published once per call through the
+// attempt-scoped counters, so a re-executed attempt never double-counts.
+void JoinCell(const Query& query, const GridPartition& grid, bool count_only,
+              Tracer* tracer, CellId cell, std::span<const RelRect> values,
+              JoinJob::OutEmitter& out) {
+  const bool count_path = count_only && query.IsTree();
+  TraceSpan local_span(tracer, "local_join", "task");
+  local_span.AddArg("cell", static_cast<int64_t>(cell));
+  local_span.AddArg("records", static_cast<int64_t>(values.size()));
+  local_span.AddArg("path", count_path ? "count" : "enumerate");
+  const size_t m = static_cast<size_t>(query.num_relations());
+  std::vector<std::vector<LocalRect>> per_relation(m);
+  for (const RelRect& v : values) {
+    per_relation[static_cast<size_t>(v.relation)].push_back(
+        LocalRect{v.rect, v.id});
+  }
+  std::vector<std::span<const LocalRect>> spans;
+  spans.reserve(m);
+  for (const auto& rel : per_relation) {
+    spans.emplace_back(rel.data(), rel.size());
+  }
+  const MultiwayLocalJoin local(
+      query, std::move(spans),
+      {grid.QuadrantXLo(cell), grid.QuadrantYHi(cell)});
+  int64_t probes = 0;
+  int64_t checks = 0;
+  int64_t owned = 0;
+  if (count_path) {
+    checks = owned = local.Count(&probes);
+  } else {
+    std::vector<const Rect*> member_rects(m);
+    local.Execute(
+        [&](const std::vector<const LocalRect*>& members) {
+          for (size_t r = 0; r < m; ++r) member_rects[r] = &members[r]->rect;
+          ++checks;
+          if (!OwnsTuple(grid, cell, member_rects)) return;
+          ++owned;
+          if (count_only) return;
+          IdTuple ids(m);
+          for (size_t r = 0; r < m; ++r) ids[r] = members[r]->id;
+          out.Emit(std::move(ids));
+        },
+        &probes);
+  }
+  out.IncrementCounter(kCounterDedupTupleChecks, checks);
+  out.IncrementCounter(kCounterDedupOwned, owned);
+  if (count_only) out.IncrementCounter(kCounterTuplesCounted, owned);
+  out.IncrementCounter(kCounterLocalJoinProbes, probes);
+}
+
+// What tells one join round of the family from another.
+struct JoinRound {
+  const char* job_name;
+  // Stage span that carries the round's args; null puts them on the
+  // algorithm span (All-Replicate, whose one job is the whole algorithm).
+  const char* stage_span;
+  // Marked rectangles replicate with f1 when null, else with f2 within
+  // their relation's bound under `metric` (C-Rep-L).
+  const std::vector<double>* f2_bounds;
+  DistanceMetric metric;
+  bool count_only;
+};
+
+// Runs one join round over `input`, of which `replicated` records are
+// marked: each unmarked record is projected to its start cell, each marked
+// one replicated, and every cell joins what it receives (JoinCell). Appends
+// the job's stats to `result`, stores its sorted tuples and sets num_tuples.
+void RunJoinRound(const Query& query, const GridPartition& grid,
+                  const JoinRound& round, std::span<const MarkedRect> input,
+                  int64_t replicated, TraceSpan& algo_span,
+                  const ExecutionContext& ctx, JoinRunResult* result) {
+  JoinJob job(round.job_name, grid.num_cells());
+  job.set_partition([](const CellId& c) { return static_cast<int>(c); });
+  job.set_map([&grid, &round](const MarkedRect& r, JoinJob::Emitter& emit) {
+    const RelRect payload{r.rect, r.id, r.relation};
+    if (!r.marked) {
+      emit.Emit(ProjectCell(grid, r.rect), payload);
+      return;
+    }
+    std::vector<CellId> cells;
+    if (round.f2_bounds != nullptr) {
+      ReplicateF2Cells(grid, r.rect,
+                       (*round.f2_bounds)[static_cast<size_t>(r.relation)],
+                       round.metric, &cells);
+    } else {
+      ReplicateF1Cells(grid, r.rect, &cells);
+    }
+    for (CellId c : cells) emit.Emit(c, payload);
+  });
+  job.set_reduce([&query, &grid, count_only = round.count_only,
+                  tracer = ctx.tracer](const CellId& cell,
+                                       std::span<const RelRect> values,
+                                       JoinJob::OutEmitter& out) {
+    JoinCell(query, grid, count_only, tracer, cell, values, out);
+  });
+
+  std::optional<TraceSpan> stage;
+  if (round.stage_span != nullptr) {
+    stage.emplace(ctx.tracer, round.stage_span, "stage");
+  }
+  TraceSpan& span = stage.has_value() ? *stage : algo_span;
+  JobStats stats = job.Run(input, &result->tuples, ctx);
+  // A job with no reduce input adds no dedup counts; keep the keys for
+  // stable stats output.
+  auto& counters = stats.user_counters;
+  counters.try_emplace(kCounterDedupTupleChecks, 0);
+  counters.try_emplace(kCounterDedupOwned, 0);
+  // Each unmarked record is projected to exactly one cell, so every other
+  // intermediate record is a replicated copy. The paper's "number of
+  // rectangles after replication" (§7.8.3) counts everything the join
+  // round's reducers receive: one copy per projected rectangle plus every
+  // replicated copy (this is what makes Table 2's C-Rep column ~= nI plus
+  // a small replication overhead).
+  const int64_t projected = stats.map_input_records - replicated;
+  counters[kCounterRectanglesReplicated] = replicated;
+  counters[kCounterReplicationCopies] = stats.intermediate_records - projected;
+  counters[kCounterRectanglesAfterReplication] = stats.intermediate_records;
+  const bool f2 = round.f2_bounds != nullptr;
+  span.AddArg("project_calls", projected);
+  span.AddArg("replicate_f1_calls", f2 ? 0 : replicated);
+  span.AddArg("replicate_f2_calls", f2 ? replicated : 0);
+  span.AddArg("dedup_tuple_checks", counters.at(kCounterDedupTupleChecks));
+  span.AddArg("dedup_owned", counters.at(kCounterDedupOwned));
+  if (stage.has_value()) stage->End();
+
+  result->num_tuples = round.count_only
+                           ? counters[kCounterTuplesCounted]
+                           : static_cast<int64_t>(result->tuples.size());
+  if (round.count_only) {
+    // Keep the cost model honest: counted tuples would still have been
+    // written by a real job.
+    stats.reduce_output_records = result->num_tuples;
+  }
+  // The engine charged sizeof(IdTuple) per emitted tuple; a tuple is m ids
+  // plus a length word in either mode.
+  stats.reduce_output_bytes =
+      stats.reduce_output_records * (8 * (query.num_relations() + 1));
+  result->stats.Add(std::move(stats));
+
+  {
+    TraceSpan sort_span(ctx.tracer, "sort_tuples", "stage");
+    sort_span.AddArg("tuples", static_cast<int64_t>(result->tuples.size()));
+    SortTuples(&result->tuples);
+  }
+  algo_span.AddArg("output_tuples", result->num_tuples);
+}
+
+}  // namespace
+
 StatusOr<JoinRunResult> ControlledReplicateJoin(
     const Query& query, const GridPartition& grid,
     const std::vector<std::vector<Rect>>& relations,
@@ -345,20 +545,7 @@ StatusOr<JoinRunResult> ControlledReplicateJoin(
       }
       limit_bounds = ComputeReplicationBounds(query, diagonals);
     }
-
-    if (marked_shared == nullptr) {
-      {
-        size_t total = 0;
-        for (const auto& rel : relations) total += rel.size();
-        input.reserve(total);
-      }
-      for (size_t r = 0; r < relations.size(); ++r) {
-        for (size_t i = 0; i < relations[r].size(); ++i) {
-          input.push_back(RelRect{relations[r][i], static_cast<int64_t>(i),
-                                  static_cast<int32_t>(r)});
-        }
-      }
-    }
+    if (marked_shared == nullptr) input = FlattenRelations<RelRect>(relations);
     setup_span.AddArg("input_records", static_cast<int64_t>(input.size()));
   }
 
@@ -397,16 +584,12 @@ StatusOr<JoinRunResult> ControlledReplicateJoin(
     }
   });
 
+  int64_t marked_count = 0;
   {
     TraceSpan round_span(tracer, "crep_round1", "stage");
     if (marked_shared != nullptr) {
       // Resident marking: the round is a lookup, not a job.
       round_span.AddArg("cached", int64_t{1});
-      int64_t marked_count = 0;
-      for (const MarkedRect& r : *marked_shared) {
-        marked_count += r.marked ? 1 : 0;
-      }
-      round_span.AddArg("marked_records", marked_count);
     } else {
       std::vector<MarkedRect> marked_rects;
       JobStats round1_stats =
@@ -414,11 +597,6 @@ StatusOr<JoinRunResult> ControlledReplicateJoin(
       // The map splits every input record exactly once.
       round_span.AddArg("split_calls", round1_stats.map_input_records);
       result.stats.Add(std::move(round1_stats));
-      int64_t marked_count = 0;
-      for (const MarkedRect& r : marked_rects) {
-        marked_count += r.marked ? 1 : 0;
-      }
-      round_span.AddArg("marked_records", marked_count);
       auto built = std::make_shared<const std::vector<MarkedRect>>(
           std::move(marked_rects));
       // First-wins Put: a concurrent identical job may have stored the
@@ -429,96 +607,41 @@ StatusOr<JoinRunResult> ControlledReplicateJoin(
               : options.catalog->Put<std::vector<MarkedRect>>(round1_key,
                                                               built);
     }
+    for (const MarkedRect& r : *marked_shared) {
+      marked_count += r.marked ? 1 : 0;
+    }
+    round_span.AddArg("marked_records", marked_count);
   }
 
   // -------------------------------------------------------------------
   // Round 2: replicate marked / project unmarked; join; §6.2 dedup.
   // -------------------------------------------------------------------
-  using Round2 = MapReduceJob<MarkedRect, CellId, RelRect, IdTuple>;
-  Round2 round2(options.limit_replication ? "crepl_round2_join"
-                                          : "crep_round2_join",
-                grid.num_cells());
-  round2.set_partition([](const CellId& c) { return static_cast<int>(c); });
+  const JoinRound round{
+      options.limit_replication ? "crepl_round2_join" : "crep_round2_join",
+      "crep_round2", options.limit_replication ? &limit_bounds : nullptr,
+      options.limit_metric, options.count_only};
+  RunJoinRound(query, grid, round, *marked_shared, marked_count, algo_span,
+               ctx, &result);
+  return result;
+}
 
-  const bool limit = options.limit_replication;
-  const DistanceMetric metric = options.limit_metric;
-  // Replication tallies go through the emitter's attempt-local counters,
-  // not captured atomics: a re-executed map attempt under fault injection
-  // would double-count an atomic, while discarded-attempt emitter deltas
-  // are dropped with the attempt.
-  round2.set_map([&grid, &limit_bounds, limit, metric](
-                     const MarkedRect& r, Round2::Emitter& emit) {
-    const RelRect payload{r.rect, r.id, r.relation};
-    if (!r.marked) {
-      emit.Emit(ProjectCell(grid, r.rect), payload);
-      return;
-    }
-    std::vector<CellId> cells;
-    if (limit) {
-      ReplicateF2Cells(grid, r.rect,
-                       limit_bounds[static_cast<size_t>(r.relation)], metric,
-                       &cells);
-    } else {
-      ReplicateF1Cells(grid, r.rect, &cells);
-    }
-    emit.IncrementCounter(kCounterRectanglesReplicated, 1);
-    emit.IncrementCounter(kCounterReplicationCopies,
-                          static_cast<int64_t>(cells.size()));
-    for (CellId c : cells) emit.Emit(c, payload);
-  });
+// All-Replicate (§6.1) is the join round with every rectangle marked: f1
+// ships each one to its whole fourth quadrant. It needs no marking round.
+StatusOr<JoinRunResult> AllReplicateJoin(
+    const Query& query, const GridPartition& grid,
+    const std::vector<std::vector<Rect>>& relations, bool count_only,
+    const ExecutionContext& ctx) {
+  TraceSpan algo_span(ctx.tracer, "all_replicate", "algorithm");
+  algo_span.AddArg("relations", static_cast<int64_t>(query.num_relations()));
+  algo_span.AddArg("cells", static_cast<int64_t>(grid.num_cells()));
+  std::vector<MarkedRect> input = FlattenRelations<MarkedRect>(relations);
+  for (MarkedRect& r : input) r.marked = true;
 
-  const bool count_only = options.count_only;
-  round2.set_reduce(CellJoinReduce<Round2>(query, grid, count_only, tracer));
-
-  TraceSpan round2_span(tracer, "crep_round2", "stage");
-  JobStats round2_stats = round2.Run(
-      std::span<const MarkedRect>(*marked_shared), &result.tuples, ctx);
-  // Counters no task added (no marked rectangle, no reduce input) are
-  // explicit zeros, for stable stats output.
-  auto& counters = round2_stats.user_counters;
-  for (const char* name :
-       {kCounterRectanglesReplicated, kCounterReplicationCopies,
-        kCounterDedupTupleChecks, kCounterDedupOwned}) {
-    counters.try_emplace(name, 0);
-  }
-  // Each marked record is replicated once (f1, or f2 under the limit) and
-  // each unmarked one projected once.
-  const int64_t replicated = counters.at(kCounterRectanglesReplicated);
-  round2_span.AddArg("project_calls",
-                     round2_stats.map_input_records - replicated);
-  round2_span.AddArg("replicate_f1_calls", limit ? 0 : replicated);
-  round2_span.AddArg("replicate_f2_calls", limit ? replicated : 0);
-  round2_span.AddArg("dedup_tuple_checks",
-                     counters.at(kCounterDedupTupleChecks));
-  round2_span.AddArg("dedup_owned", counters.at(kCounterDedupOwned));
-  round2_span.End();
-  // The paper's "number of rectangles after replication" (§7.8.3) counts
-  // rectangles received by the join round's reducers — the round-2
-  // intermediate records: one copy per projected rectangle plus every
-  // replicated copy (this is what makes Table 2's C-Rep column ~= nI plus
-  // a small replication overhead).
-  round2_stats.user_counters[kCounterRectanglesAfterReplication] =
-      round2_stats.intermediate_records;
-  result.num_tuples = count_only
-                          ? round2_stats.user_counters[kCounterTuplesCounted]
-                          : static_cast<int64_t>(result.tuples.size());
-  if (count_only) {
-    // Keep the cost model honest: counted tuples would still have been
-    // written by a real job.
-    round2_stats.reduce_output_records = result.num_tuples;
-  }
-  // The engine charged sizeof(IdTuple) per emitted tuple; a tuple is m ids
-  // plus a length word in either mode.
-  round2_stats.reduce_output_bytes =
-      round2_stats.reduce_output_records * (8 * (m + 1));
-  result.stats.Add(std::move(round2_stats));
-
-  {
-    TraceSpan sort_span(tracer, "sort_tuples", "stage");
-    sort_span.AddArg("tuples", static_cast<int64_t>(result.tuples.size()));
-    SortTuples(&result.tuples);
-  }
-  algo_span.AddArg("output_tuples", result.num_tuples);
+  JoinRunResult result;
+  const JoinRound round{"all_replicate", nullptr, nullptr,
+                        DistanceMetric::kChebyshev, count_only};
+  RunJoinRound(query, grid, round, input, static_cast<int64_t>(input.size()),
+               algo_span, ctx, &result);
   return result;
 }
 

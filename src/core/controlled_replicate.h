@@ -82,8 +82,9 @@ struct ControlledReplicateOptions {
 ///    reference point inside c0 — given the left/above boundary-point
 ///    ownership convention of GridPartition::CellOfPoint.
 ///
-/// The same routing makes the round-2 local join ownership-aware
-/// (core/cell_join.h). CellOfPoint is monotone in each axis, so the owner
+/// The same routing makes the round-2 local join ownership-aware (the
+/// join round's reduce in core/controlled_replicate.cc, which All-Replicate
+/// shares). CellOfPoint is monotone in each axis, so the owner
 /// is (max member row, max member column), and every member at cell c
 /// starts in or up-left of c. The owner's column reaches c's iff some
 /// member starts right of c's left grid line, and its row reaches c's iff

@@ -111,7 +111,9 @@ struct JoinRunResult {
 ///     join round (projected once + every replicated copy);
 ///   * kCounterReplicationCopies: copies produced for marked rectangles
 ///     only.
-/// All counters are incremented through the engine's attempt-scoped
+/// The three are derived from the join round's committed JobStats
+/// (intermediate and map-input records) and the marked count, and every
+/// other counter is incremented through the engine's attempt-scoped
 /// Emitter/OutEmitter, so re-executed task attempts under fault injection
 /// never double-count them.
 inline constexpr char kCounterRectanglesReplicated[] = "rectangles_replicated";

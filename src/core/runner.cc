@@ -135,6 +135,11 @@ StatusOr<JoinRunResult> ExecuteSpatialJoin(
         StrFormat("query has %d relations but %zu datasets were supplied",
                   query.num_relations(), relations.size()));
   }
+  if (options.count_only && options.distinct_ids) {
+    return Status::InvalidArgument(
+        "count_only cannot be combined with distinct_ids (the filter needs "
+        "materialized tuples)");
+  }
 
   const Rect space = options.space.value_or(ComputeBoundingSpace(relations));
   // Reject range distances / data extents that would overflow the grid
@@ -168,12 +173,6 @@ StatusOr<JoinRunResult> ExecuteSpatialJoin(
   const std::string& grid_key = acquired.value().grid_key;
   const GridPartition& grid_ref = *acquired.value().grid;
 
-  if (options.count_only && options.distinct_ids) {
-    return Status::InvalidArgument(
-        "count_only cannot be combined with distinct_ids (the filter needs "
-        "materialized tuples)");
-  }
-
   StatusOr<JoinRunResult> result = Status::Internal("unreachable");
   switch (options.algorithm) {
     case Algorithm::kBruteForce: {
@@ -197,18 +196,11 @@ StatusOr<JoinRunResult> ExecuteSpatialJoin(
       result = AllReplicateJoin(query, grid_ref, relations,
                                 options.count_only, ctx);
       break;
-    case Algorithm::kControlledReplicate: {
-      ControlledReplicateOptions crep;
-      crep.limit_replication = false;
-      crep.count_only = options.count_only;
-      crep.catalog = options.catalog;
-      crep.artifact_key = grid_key;
-      result = ControlledReplicateJoin(query, grid_ref, relations, crep, ctx);
-      break;
-    }
+    case Algorithm::kControlledReplicate:
     case Algorithm::kControlledReplicateInLimit: {
       ControlledReplicateOptions crep;
-      crep.limit_replication = true;
+      crep.limit_replication =
+          options.algorithm == Algorithm::kControlledReplicateInLimit;
       crep.limit_metric = options.limit_metric;
       crep.count_only = options.count_only;
       crep.catalog = options.catalog;

@@ -28,9 +28,9 @@ inline constexpr size_t kBlockRows = 256;
 /// Bijective order-preserving map between doubles and u64 keys:
 /// x < y  ⇔  Bits(x) < Bits(y) for all non-NaN doubles, and
 /// DoubleFromOrderedBits(OrderedBitsFromDouble(x)) == x bit-for-bit —
-/// including -0.0. This deliberately differs from simd::OrderedKeyFromDouble,
-/// which canonicalizes -0.0 to +0.0 for comparator semantics and is
-/// therefore lossy; spilled coordinates must round-trip exactly.
+/// including -0.0, which keeps a key of its own (below +0.0) even though
+/// the two compare equal as doubles: spilled coordinates must round-trip
+/// exactly.
 inline uint64_t OrderedBitsFromDouble(double x) {
   uint64_t bits;
   std::memcpy(&bits, &x, sizeof(bits));

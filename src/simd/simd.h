@@ -3,7 +3,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstring>
 #include <optional>
 #include <string_view>
 #include <type_traits>
@@ -95,19 +94,6 @@ Isa ActiveIsa();
 /// available ISA). Passing an unavailable ISA is the caller's bug. Not
 /// thread-safe against concurrent probes: call between joins, not during.
 void SetIsaForTesting(Isa isa);
-
-/// Order-preserving map from double to u64: x < y  ⇔  Key(x) < Key(y) for
-/// all non-NaN doubles, with -0.0 canonicalized to +0.0 so equal doubles
-/// stay *equal* keys (the payload tie-break decides, exactly as a double
-/// comparator would fall through on ==).
-inline uint64_t OrderedKeyFromDouble(double x) {
-  if (x == 0.0) x = 0.0;  // -0.0 == 0.0 compares equal; give both one key.
-  uint64_t bits;
-  std::memcpy(&bits, &x, sizeof(bits));
-  // Negative doubles: flip all bits (reverses their descending bit order).
-  // Non-negative: set the sign bit to place them above every negative.
-  return (bits >> 63) ? ~bits : (bits | (uint64_t{1} << 63));
-}
 
 /// Order-preserving widening of an integral key to u64 (sign-biased so
 /// signed negatives sort below positives).

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "common/thread_pool.h"
+#include "core/dataset_catalog.h"
 #include "core/runner.h"
 #include "datagen/synthetic.h"
 #include "localjoin/brute_force.h"
@@ -18,6 +19,31 @@ TEST(RunnerValidationTest, RelationCountMustMatchQuery) {
   const auto result = RunSpatialJoin(q, {{}, {}}, options);
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(RunnerValidationTest, RejectedCountOnlyDistinctBuildsNoGrid) {
+  // count_only with distinct_ids is rejected before the grid is resolved,
+  // so the rejected request neither looks up nor stores a catalog grid.
+  const Query q = MakeChainQuery(2, Predicate::Overlap()).value();
+  const std::vector<std::vector<Rect>> data = {
+      {Rect::FromXYLB(1, 5, 2, 2)}, {Rect::FromXYLB(2, 6, 2, 2)}};
+  DatasetCatalog catalog;
+  RunnerOptions options;
+  options.algorithm = Algorithm::kControlledReplicate;
+  options.catalog = &catalog;
+  options.artifact_key = "rejected-request";
+  options.count_only = true;
+  options.distinct_ids = true;
+  const auto rejected = RunSpatialJoin(q, data, options);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(catalog.misses(), 0);
+  EXPECT_EQ(catalog.hits(), 0);
+
+  // The same request without the conflict does consult the catalog.
+  options.distinct_ids = false;
+  ASSERT_TRUE(RunSpatialJoin(q, data, options).ok());
+  EXPECT_GT(catalog.misses(), 0);
 }
 
 TEST(RunnerValidationTest, DeclaredSpaceMustContainData) {
@@ -113,6 +139,24 @@ TEST(RunnerStatsTest, ReplicationCounterInvariants) {
   // C-Rep runs two jobs; All-Rep runs one.
   EXPECT_EQ(all_rep.stats.jobs.size(), 1u);
   EXPECT_EQ(crep.stats.jobs.size(), 2u);
+
+  // Exact identities. All-Replicate marks every rectangle, so each one is
+  // replicated and every join-round record is a copy.
+  int64_t inputs = 0;
+  for (const auto& rel : data) inputs += static_cast<int64_t>(rel.size());
+  EXPECT_EQ(all_marked, inputs);
+  EXPECT_EQ(all_rep.stats.UserCounter(kCounterReplicationCopies), all_after);
+  EXPECT_EQ(all_after, all_rep.stats.jobs[0].intermediate_records);
+  // C-Rep / C-Rep-L project each unmarked rectangle to exactly one cell,
+  // so the join round receives the copies plus one record per unmarked
+  // rectangle.
+  for (const JoinRunResult* r : {&crep, &crepl}) {
+    EXPECT_EQ(r->stats.UserCounter(kCounterRectanglesAfterReplication) -
+                  r->stats.UserCounter(kCounterReplicationCopies),
+              inputs - r->stats.UserCounter(kCounterRectanglesReplicated));
+  }
+  EXPECT_GT(crep_marked, 0);
+  EXPECT_LT(crep_marked, inputs);
 }
 
 TEST(RunnerStatsTest, CascadeRunsOneJobPerAdditionalRelation) {

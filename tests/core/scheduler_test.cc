@@ -395,7 +395,7 @@ std::optional<int64_t> TraceArg(const std::string& line,
   return std::stoll(line.substr(at + needle.size()));
 }
 
-// The dedup counts of one C-Rep join round, from its span or its stats.
+// The dedup counts of one join round, from its span or its stats.
 struct DedupCounts {
   int64_t checks = -1;
   int64_t owned = -1;
@@ -408,11 +408,11 @@ std::ostream& operator<<(std::ostream& os, const DedupCounts& c) {
 
 // Rebuilds the per-thread span nesting of `Tracer::ToJson()` output (one
 // event per line; B/E pairs nest per tid) and returns the dedup args of
-// every "crep_round2" span keyed by the "job" arg of its enclosing run
-// span (-1 for a standalone run).
-std::multimap<int64_t, DedupCounts> Round2SpanCounts(const std::string& json) {
+// every span that carries them (C-Rep's "crep_round2" stage, the
+// "all_replicate" algorithm span), keyed by the "job" arg of its enclosing
+// run span (-1 for a standalone run).
+std::multimap<int64_t, DedupCounts> DedupSpanCounts(const std::string& json) {
   struct Span {
-    std::string name;
     std::string end_line;
     int parent;
   };
@@ -425,9 +425,7 @@ std::multimap<int64_t, DedupCounts> Round2SpanCounts(const std::string& json) {
     if (!tid.has_value()) continue;
     std::vector<int>& stack = open[*tid];
     if (line.find("\"ph\": \"B\"") != std::string::npos) {
-      const size_t at = line.find("\"name\": \"") + 9;
-      spans.push_back(Span{line.substr(at, line.find('"', at) - at), "",
-                           stack.empty() ? -1 : stack.back()});
+      spans.push_back(Span{"", stack.empty() ? -1 : stack.back()});
       stack.push_back(static_cast<int>(spans.size()) - 1);
     } else if (line.find("\"ph\": \"E\"") != std::string::npos) {
       spans[static_cast<size_t>(stack.back())].end_line = line;
@@ -436,7 +434,9 @@ std::multimap<int64_t, DedupCounts> Round2SpanCounts(const std::string& json) {
   }
   std::multimap<int64_t, DedupCounts> out;
   for (const Span& span : spans) {
-    if (span.name != "crep_round2") continue;
+    const auto checks = TraceArg(span.end_line, "dedup_tuple_checks");
+    const auto owned = TraceArg(span.end_line, "dedup_owned");
+    if (!checks.has_value() && !owned.has_value()) continue;
     int64_t job = -1;
     for (int p = span.parent; p >= 0;) {
       const Span& ancestor = spans[static_cast<size_t>(p)];
@@ -447,18 +447,17 @@ std::multimap<int64_t, DedupCounts> Round2SpanCounts(const std::string& json) {
       }
       p = ancestor.parent;
     }
-    out.emplace(job,
-                DedupCounts{TraceArg(span.end_line, "dedup_tuple_checks")
-                                .value_or(-1),
-                            TraceArg(span.end_line, "dedup_owned")
-                                .value_or(-1)});
+    out.emplace(job, DedupCounts{checks.value_or(-1), owned.value_or(-1)});
   }
   return out;
 }
 
-DedupCounts Round2StatsCounts(const RunStats& stats) {
+// The dedup counters of the run's join-round job.
+DedupCounts JoinRoundStatsCounts(const RunStats& stats) {
   for (const JobStats& job : stats.jobs) {
-    if (job.job_name != "crep_round2_join") continue;
+    if (job.job_name != "crep_round2_join" && job.job_name != "all_replicate") {
+      continue;
+    }
     const auto get = [&job](const char* name) {
       const auto it = job.user_counters.find(name);
       return it != job.user_counters.end() ? it->second : int64_t{-1};
@@ -469,14 +468,15 @@ DedupCounts Round2StatsCounts(const RunStats& stats) {
 }
 
 TEST(SchedulerStressTest, ConcurrentJobsReportOnlyTheirOwnDedupCounts) {
-  // Two C-Rep jobs over different inputs run interleaved on one pool and
-  // one tracer. Each must report exactly the dedup work it reports when it
-  // runs alone — in its round-2 span args and in its JobStats counters —
-  // never a blend of both jobs' work.
+  // C-Rep and All-Replicate jobs over two different inputs run interleaved
+  // on one pool and one tracer. Each must report exactly the dedup work it
+  // reports when it runs alone — on exactly one span per job, and in its
+  // JobStats counters — never a blend of several jobs' work.
   constexpr int kRepeats = 3;
+  constexpr Algorithm kAlgorithms[] = {Algorithm::kControlledReplicate,
+                                       Algorithm::kAllReplicate};
   std::vector<Query> queries;
   std::vector<std::vector<std::vector<Rect>>> datasets;
-  std::vector<DedupCounts> alone;
   for (int i = 0; i < 2; ++i) {
     WorldConfig config;
     config.shape = QueryShape::kChain3;
@@ -485,24 +485,30 @@ TEST(SchedulerStressTest, ConcurrentJobsReportOnlyTheirOwnDedupCounts) {
     config.seed = SeedBase() + 61 + static_cast<uint64_t>(i);
     queries.push_back(MakeWorldQuery(config));
     datasets.push_back(MakeWorldData(config, queries.back().num_relations()));
-
+  }
+  // One input per (algorithm, dataset) pair: input k runs kAlgorithms[k / 2]
+  // over dataset k % 2.
+  constexpr int kInputs = 4;
+  std::vector<DedupCounts> alone;
+  for (int k = 0; k < kInputs; ++k) {
     Tracer tracer;
     RunnerOptions options;
-    options.algorithm = Algorithm::kControlledReplicate;
+    options.algorithm = kAlgorithms[k / 2];
     options.context.tracer = &tracer;
     const StatusOr<JoinRunResult> solo =
-        RunSpatialJoin(queries[i], datasets[i], options);
+        RunSpatialJoin(queries[k % 2], datasets[k % 2], options);
     ASSERT_TRUE(solo.ok()) << solo.status().message();
-    alone.push_back(Round2StatsCounts(solo.value().stats));
-    // The owner window prunes every tuple C-Rep's routing cannot own, so
-    // each ownership check the reducers run succeeds.
-    EXPECT_EQ(alone[i].checks, alone[i].owned);
-    EXPECT_GT(alone[i].owned, 0);
-    const auto spans = Round2SpanCounts(tracer.ToJson());
-    ASSERT_EQ(spans.size(), 1u);
-    EXPECT_EQ(spans.begin()->second, alone[i]);
+    alone.push_back(JoinRoundStatsCounts(solo.value().stats));
+    // The owner window prunes every tuple the up-left routing cannot own,
+    // so each ownership check the reducers run succeeds.
+    EXPECT_EQ(alone[k].checks, alone[k].owned);
+    EXPECT_GT(alone[k].owned, 0);
+    const auto spans = DedupSpanCounts(tracer.ToJson());
+    ASSERT_EQ(spans.size(), 1u) << "input " << k;
+    EXPECT_EQ(spans.begin()->second, alone[k]) << "input " << k;
   }
   ASSERT_NE(alone[0], alone[1]);
+  ASSERT_NE(alone[2], alone[3]);
 
   ThreadPool pool(4);
   Tracer tracer;
@@ -513,26 +519,30 @@ TEST(SchedulerStressTest, ConcurrentJobsReportOnlyTheirOwnDedupCounts) {
   JobScheduler scheduler(sched_options);
 
   std::vector<JobHandle> handles;
-  for (int k = 0; k < 2 * kRepeats; ++k) {
+  for (int j = 0; j < kInputs * kRepeats; ++j) {
+    const int k = j % kInputs;
     JobSpec spec;
     spec.query = queries[k % 2];
     spec.borrowed_relations = &datasets[k % 2];
-    spec.options.algorithm = Algorithm::kControlledReplicate;
+    spec.options.algorithm = kAlgorithms[k / 2];
     StatusOr<JobHandle> handle = scheduler.Submit(std::move(spec));
     ASSERT_TRUE(handle.ok()) << handle.status().message();
     handles.push_back(std::move(handle.value()));
   }
   std::map<int64_t, int> input_of_job;
-  for (int k = 0; k < 2 * kRepeats; ++k) {
-    const StatusOr<JoinRunResult>& result = handles[k].Wait();
+  for (int j = 0; j < kInputs * kRepeats; ++j) {
+    const StatusOr<JoinRunResult>& result = handles[j].Wait();
     ASSERT_TRUE(result.ok()) << result.status().message();
-    EXPECT_EQ(Round2StatsCounts(result.value().stats), alone[k % 2])
-        << "job " << handles[k].id();
-    input_of_job[handles[k].id()] = k % 2;
+    EXPECT_EQ(JoinRoundStatsCounts(result.value().stats), alone[j % kInputs])
+        << "job " << handles[j].id();
+    input_of_job[handles[j].id()] = j % kInputs;
   }
 
-  const auto spans = Round2SpanCounts(tracer.ToJson());
-  ASSERT_EQ(spans.size(), static_cast<size_t>(2 * kRepeats));
+  const auto spans = DedupSpanCounts(tracer.ToJson());
+  ASSERT_EQ(spans.size(), static_cast<size_t>(kInputs * kRepeats));
+  for (const auto& [job, input] : input_of_job) {
+    EXPECT_EQ(spans.count(job), 1u) << "job " << job;
+  }
   for (const auto& [job, counts] : spans) {
     ASSERT_TRUE(input_of_job.count(job)) << "span without its job: " << job;
     EXPECT_EQ(counts, alone[static_cast<size_t>(input_of_job[job])])

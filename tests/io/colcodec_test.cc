@@ -62,8 +62,8 @@ TEST(OrderedBitsTest, RoundTripsExactBitPatterns) {
     std::memcpy(&back_bits, &back, 8);
     EXPECT_EQ(d_bits, back_bits) << "value " << d;
   }
-  // -0.0 and +0.0 must stay distinguishable (bijective, not canonicalizing
-  // like simd::OrderedKeyFromDouble).
+  // -0.0 and +0.0 must stay distinguishable (bijective: the map never
+  // canonicalizes a signed zero).
   EXPECT_NE(OrderedBitsFromDouble(0.0), OrderedBitsFromDouble(-0.0));
 }
 

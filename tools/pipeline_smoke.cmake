@@ -1,6 +1,7 @@
 # End-to-end smoke test of the CLI tools, run by ctest:
 #   mwsj_datagen (csv + binary) -> mwsj_join --verify --output -> tuple CSV,
-#   plus a Chrome-trace export validated for structure and span coverage.
+#   plus a Chrome-trace export validated for structure and span coverage,
+#   and an All-Replicate run whose tuple CSV must match C-Rep-L's.
 # Invoked with -DDATAGEN=<path> -DJOIN=<path> -DWORKDIR=<dir>.
 
 file(MAKE_DIRECTORY ${WORKDIR})
@@ -39,6 +40,25 @@ string(FIND "${stats}" "crep_round1_mark" r1)
 string(FIND "${stats}" "crepl_round2_join" r2)
 if(r1 EQUAL -1 OR r2 EQUAL -1)
   message(FATAL_ERROR "stats.json missing job entries: ${stats}")
+endif()
+
+# All-Replicate is C-Rep's join round with every rectangle marked: on the
+# same inputs and query it must write the identical tuple file, from its
+# own single job.
+run_checked(${JOIN} --query "A OV B AND B RA(40) A2" --input A=${WORKDIR}/a.csv
+            --input B=${WORKDIR}/b.bin --input A2=${WORKDIR}/a.csv
+            --algorithm allrep --grid 4x4
+            --output ${WORKDIR}/allrep_tuples.csv
+            --stats-json ${WORKDIR}/allrep_stats.json)
+file(READ ${WORKDIR}/allrep_tuples.csv allrep_tuples)
+if(NOT allrep_tuples STREQUAL tuples)
+  message(FATAL_ERROR "allrep_tuples.csv differs from the crepl tuples.csv")
+endif()
+file(READ ${WORKDIR}/allrep_stats.json allrep_stats)
+string(FIND "${allrep_stats}" "\"all_replicate\"" allrep_job)
+if(allrep_job EQUAL -1)
+  message(FATAL_ERROR "allrep_stats.json missing the all_replicate job: "
+                      "${allrep_stats}")
 endif()
 
 # The trace must be present and cover the run: Chrome-trace envelope, both
