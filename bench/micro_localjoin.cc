@@ -1,5 +1,6 @@
 // Micro-benchmarks for the reducer-side join kernels: STR R-tree build and
-// probe, the multiway backtracking join and its factorized count.
+// probe, the multiway backtracking join and its factorized count, and the
+// output tuple sort.
 //
 // This binary replaces the global operator new/delete with counting
 // wrappers so probe benchmarks can assert the steady state performs zero
@@ -15,6 +16,7 @@
 #include "common/random.h"
 #include "localjoin/multiway.h"
 #include "localjoin/rtree.h"
+#include "localjoin/tuple_block.h"
 #include "query/query.h"
 
 namespace {
@@ -333,6 +335,43 @@ BENCHMARK(BM_MultiwayLocalJoinCountCell)
     ->Args({400, 1})
     ->Args({1600, 0})
     ->Args({1600, 1});
+
+// SortTuples on N random arity-3 rows, each id uniform over [0, N): the
+// shape of a join round's output (ids are input positions, ranges near
+// the row count), which takes the counting passes. Times the sort alone
+// (each iteration sorts a fresh copy) and reports ns_per_row.
+void BM_SortTuples(benchmark::State& state) {
+  const size_t rows = static_cast<size_t>(state.range(0));
+  Rng rng(43);
+  TupleBlock unsorted(3);
+  unsorted.reserve(rows);
+  for (size_t i = 0; i < rows; ++i) {
+    for (int64_t& id : unsorted.AppendRow()) {
+      id = rng.UniformInt(0, static_cast<int64_t>(rows) - 1);
+    }
+  }
+  double sort_s = 0;
+  for (auto _ : state) {
+    TupleBlock block = unsorted;
+    const auto start = std::chrono::steady_clock::now();
+    SortTuples(&block);
+    const std::chrono::duration<double> elapsed =
+        std::chrono::steady_clock::now() - start;
+    sort_s += elapsed.count();
+    state.SetIterationTime(elapsed.count());
+    benchmark::DoNotOptimize(block[0].data());
+  }
+  state.counters["ns_per_row"] = benchmark::Counter(
+      sort_s * 1e9 /
+      (static_cast<double>(state.iterations()) * static_cast<double>(rows)));
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(rows));
+}
+BENCHMARK(BM_SortTuples)
+    ->Arg(10000)
+    ->Arg(100000)
+    ->Arg(1000000)
+    ->UseManualTime()
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace mwsj

@@ -66,7 +66,7 @@ int main() {
                     static_cast<double>(result.value().candidate_tuples));
   }
   for (size_t i = 0; i < result.value().tuples.size() && i < 5; ++i) {
-    const mwsj::IdTuple& t = result.value().tuples[i];
+    const mwsj::IdTuple t = result.value().tuples[i];
     std::printf("  city %lld near forest %lld, crossing river %lld\n",
                 static_cast<long long>(t[0]), static_cast<long long>(t[1]),
                 static_cast<long long>(t[2]));

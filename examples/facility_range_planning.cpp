@@ -76,7 +76,7 @@ int main() {
   std::printf("feasible combinations: %lld\n",
               static_cast<long long>(result.value().num_tuples));
   for (size_t i = 0; i < result.value().tuples.size() && i < 5; ++i) {
-    const mwsj::IdTuple& t = result.value().tuples[i];
+    const mwsj::IdTuple t = result.value().tuples[i];
     std::printf("  site %lld on highway %lld, supplier %lld, substation %lld\n",
                 static_cast<long long>(t[0]), static_cast<long long>(t[1]),
                 static_cast<long long>(t[2]), static_cast<long long>(t[3]));

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/stopwatch.h"
 #include "common/str_format.h"
 #include "common/trace.h"
 #include "core/dedup.h"
@@ -298,21 +299,25 @@ StatusOr<JoinRunResult> CascadeJoin(
     algo_span.AddArg("output_tuples", result.num_tuples);
     return result;
   }
-  // Convert to relation-ordered id tuples.
+  // Write relation-ordered id rows straight into the result block, freeing
+  // each step record while it is still in cache, and sort.
+  Stopwatch post_join;
   TraceSpan finalize_span(tracer, "cascade_finalize", "stage");
+  const size_t m = static_cast<size_t>(query.num_relations());
+  result.tuples = TupleBlock(m);
   result.tuples.reserve(tuples.size());
-  for (const CascadeRecord& t : tuples) {
-    IdTuple ids(static_cast<size_t>(query.num_relations()), -1);
-    for (int r = 0; r < query.num_relations(); ++r) {
-      ids[static_cast<size_t>(r)] =
-          t.components[static_cast<size_t>(position_of[static_cast<size_t>(r)])]
-              .id;
+  for (CascadeRecord& t : tuples) {
+    const std::span<int64_t> row = result.tuples.AppendRow();
+    for (size_t r = 0; r < m; ++r) {
+      row[r] = t.components[static_cast<size_t>(position_of[r])].id;
     }
-    result.tuples.push_back(std::move(ids));
+    std::vector<LocalRect>().swap(t.components);
   }
+  std::vector<CascadeRecord>().swap(tuples);
   SortTuples(&result.tuples);
   result.num_tuples = static_cast<int64_t>(result.tuples.size());
   finalize_span.End();
+  result.stats.post_join_seconds += post_join.ElapsedSeconds();
   algo_span.AddArg("output_tuples", result.num_tuples);
   return result;
 }

@@ -9,6 +9,7 @@
 #include <unordered_set>
 #include <utility>
 
+#include "common/stopwatch.h"
 #include "common/trace.h"
 #include "core/all_replicate.h"
 #include "core/dedup.h"
@@ -302,7 +303,8 @@ std::vector<std::vector<int64_t>> MarkRectanglesForCell(
 
 namespace {
 
-using JoinJob = MapReduceJob<MarkedRect, CellId, RelRect, IdTuple>;
+// The round's output record is one TupleBlock per cell that owns tuples.
+using JoinJob = MapReduceJob<MarkedRect, CellId, RelRect, TupleBlock>;
 
 // Every rectangle of every relation as one record, tagged with its
 // relation and its index there.
@@ -324,8 +326,9 @@ std::vector<Record> FlattenRelations(
 
 // The join round's reduce body: bucket the cell's records by relation, run
 // the multiway local join under the cell's owner window, keep the tuples the
-// exact §6.2 OwnsTuple check assigns to `cell`, and emit their ids (or only
-// count them). The window (GridPartition::QuadrantXLo/QuadrantYHi) prunes
+// exact §6.2 OwnsTuple check assigns to `cell`, and append their ids to one
+// cell-local TupleBlock, emitted once when non-empty (or only count them).
+// The window (GridPartition::QuadrantXLo/QuadrantYHi) prunes
 // exactly the tuples whose reference point lies left of or above the cell,
 // which no routing can make owned; under the up-left routings of this round
 // it leaves only owned tuples, so dedup_tuple_checks equals dedup_owned. The
@@ -373,6 +376,7 @@ void JoinCell(const Query& query, const GridPartition& grid, bool count_only,
     checks = owned = local.Count(&probes);
   } else {
     std::vector<const Rect*> member_rects(m);
+    TupleBlock owned_tuples(m);
     local.Execute(
         [&](const std::vector<const LocalRect*>& members) {
           for (size_t r = 0; r < m; ++r) member_rects[r] = &members[r]->rect;
@@ -380,11 +384,11 @@ void JoinCell(const Query& query, const GridPartition& grid, bool count_only,
           if (!OwnsTuple(grid, cell, member_rects)) return;
           ++owned;
           if (count_only) return;
-          IdTuple ids(m);
-          for (size_t r = 0; r < m; ++r) ids[r] = members[r]->id;
-          out.Emit(std::move(ids));
+          const std::span<int64_t> row = owned_tuples.AppendRow();
+          for (size_t r = 0; r < m; ++r) row[r] = members[r]->id;
         },
         &probes);
+    if (!owned_tuples.empty()) out.Emit(std::move(owned_tuples));
   }
   out.IncrementCounter(kCounterDedupTupleChecks, checks);
   out.IncrementCounter(kCounterDedupOwned, owned);
@@ -409,6 +413,8 @@ struct JoinRound {
 // marked: each unmarked record is projected to its start cell, each marked
 // one replicated, and every cell joins what it receives (JoinCell). Appends
 // the job's stats to `result`, stores its sorted tuples and sets num_tuples.
+// The concatenation and sort of the cells' blocks run after the job, in the
+// `sort_tuples` stage, and are charged to RunStats::post_join_seconds.
 void RunJoinRound(const Query& query, const GridPartition& grid,
                   const JoinRound& round, std::span<const MarkedRect> input,
                   int64_t replicated, TraceSpan& algo_span,
@@ -443,7 +449,8 @@ void RunJoinRound(const Query& query, const GridPartition& grid,
     stage.emplace(ctx.tracer, round.stage_span, "stage");
   }
   TraceSpan& span = stage.has_value() ? *stage : algo_span;
-  JobStats stats = job.Run(input, &result->tuples, ctx);
+  std::vector<TupleBlock> cell_blocks;
+  JobStats stats = job.Run(input, &cell_blocks, ctx);
   // A job with no reduce input adds no dedup counts; keep the keys for
   // stable stats output.
   auto& counters = stats.user_counters;
@@ -467,25 +474,32 @@ void RunJoinRound(const Query& query, const GridPartition& grid,
   span.AddArg("dedup_owned", counters.at(kCounterDedupOwned));
   if (stage.has_value()) stage->End();
 
-  result->num_tuples = round.count_only
-                           ? counters[kCounterTuplesCounted]
-                           : static_cast<int64_t>(result->tuples.size());
   if (round.count_only) {
-    // Keep the cost model honest: counted tuples would still have been
-    // written by a real job.
-    stats.reduce_output_records = result->num_tuples;
+    result->num_tuples = counters[kCounterTuplesCounted];
+  } else {
+    Stopwatch post_join;
+    TraceSpan sort_span(ctx.tracer, "sort_tuples", "stage");
+    size_t rows = 0;
+    for (const TupleBlock& block : cell_blocks) rows += block.size();
+    sort_span.AddArg("tuples", static_cast<int64_t>(rows));
+    result->tuples = TupleBlock(static_cast<size_t>(query.num_relations()));
+    result->tuples.reserve(rows);
+    for (TupleBlock& block : cell_blocks) {
+      result->tuples.Append(block);
+      block = TupleBlock();  // Free each cell's rows once copied.
+    }
+    SortTuples(&result->tuples);
+    result->num_tuples = static_cast<int64_t>(rows);
+    sort_span.End();
+    result->stats.post_join_seconds += post_join.ElapsedSeconds();
   }
-  // The engine charged sizeof(IdTuple) per emitted tuple; a tuple is m ids
-  // plus a length word in either mode.
+  // The engine counted one output record per cell block; report tuples, as
+  // a real job writing them would (counted tuples included). A tuple is m
+  // ids plus a length word in either mode.
+  stats.reduce_output_records = result->num_tuples;
   stats.reduce_output_bytes =
       stats.reduce_output_records * (8 * (query.num_relations() + 1));
   result->stats.Add(std::move(stats));
-
-  {
-    TraceSpan sort_span(ctx.tracer, "sort_tuples", "stage");
-    sort_span.AddArg("tuples", static_cast<int64_t>(result->tuples.size()));
-    SortTuples(&result->tuples);
-  }
   algo_span.AddArg("output_tuples", result->num_tuples);
 }
 

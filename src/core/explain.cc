@@ -181,8 +181,9 @@ std::string ExplainRun(const Query& query, const JoinRunResult& result,
         static_cast<long long>(knn_points));
   }
 
-  out += StrFormat("\ntotal wall time: %.3fs\n",
-                   result.stats.total_wall_seconds);
+  out += StrFormat("\ntotal wall time: %.3fs | post-join: %.3fs\n",
+                   result.stats.total_wall_seconds,
+                   result.stats.post_join_seconds);
   out += StrFormat("modeled cluster time: %s\n",
                    FormatHhMm(model.RunSeconds(result.stats)).c_str());
   return out;

@@ -6,7 +6,7 @@
 
 #include "geometry/rect.h"
 #include "io/colcodec.h"
-#include "localjoin/brute_force.h"  // IdTuple
+#include "localjoin/tuple_block.h"
 #include "localjoin/multiway.h"     // LocalRect
 #include "mapreduce/counters.h"
 #include "mapreduce/spill.h"
@@ -90,12 +90,14 @@ struct spill::SpillColumns<MarkedRect> {
 
 /// Result of running a multi-way join end to end: the output tuples (one
 /// id per relation, in relation order, lexicographically sorted) plus the
-/// per-job statistics of the run. Runs started with `count_only` leave
-/// `tuples` empty and report only `num_tuples` — benchmarks over
-/// high-selectivity configurations use this to avoid materializing
-/// hundreds of millions of ids.
+/// per-job statistics of the run. The tuples are one TupleBlock: m ids per
+/// row in a single buffer, iterated as IdTuple row views, so a run of N
+/// tuples allocates O(1) blocks rather than N vectors. Runs started with
+/// `count_only` leave `tuples` empty and report only `num_tuples` —
+/// benchmarks over high-selectivity configurations use this to avoid
+/// materializing hundreds of millions of ids.
 struct JoinRunResult {
-  std::vector<IdTuple> tuples;
+  TupleBlock tuples;
   int64_t num_tuples = 0;  // == tuples.size() unless count_only.
   RunStats stats;
 };

@@ -6,7 +6,7 @@ namespace {
 
 bool TupleMatches(const Query& query,
                   const std::vector<std::vector<Polygon>>& relations,
-                  const IdTuple& tuple) {
+                  IdTuple tuple) {
   for (const JoinCondition& c : query.conditions()) {
     const Polygon& a =
         relations[static_cast<size_t>(c.left)]
@@ -25,13 +25,12 @@ bool TupleMatches(const Query& query,
 
 }  // namespace
 
-std::vector<IdTuple> RefineTuples(
-    const Query& query, const std::vector<std::vector<Polygon>>& relations,
-    const std::vector<IdTuple>& candidates) {
-  std::vector<IdTuple> out;
-  out.reserve(candidates.size());
-  for (const IdTuple& tuple : candidates) {
-    if (TupleMatches(query, relations, tuple)) out.push_back(tuple);
+TupleBlock RefineTuples(const Query& query,
+                        const std::vector<std::vector<Polygon>>& relations,
+                        const TupleBlock& candidates) {
+  TupleBlock out(candidates.arity());
+  for (const IdTuple tuple : candidates) {
+    if (TupleMatches(query, relations, tuple)) out.Append(tuple);
   }
   return out;
 }

@@ -18,13 +18,13 @@ namespace mwsj {
 /// `RefineTuples` re-checks each candidate tuple against the exact polygon
 /// predicates (edge intersection for overlap, exact boundary distance for
 /// range) and keeps only true matches.
-std::vector<IdTuple> RefineTuples(
-    const Query& query, const std::vector<std::vector<Polygon>>& relations,
-    const std::vector<IdTuple>& candidates);
+TupleBlock RefineTuples(const Query& query,
+                        const std::vector<std::vector<Polygon>>& relations,
+                        const TupleBlock& candidates);
 
 /// Statistics of a filter+refine run: how selective the filter step was.
 struct FilterRefineResult {
-  std::vector<IdTuple> tuples;   // True polygon-level matches.
+  TupleBlock tuples;             // True polygon-level matches.
   int64_t candidate_tuples = 0;  // MBR-level matches from the filter step.
   RunStats stats;                // Map-reduce statistics of the filter step.
 };

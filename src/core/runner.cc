@@ -4,6 +4,7 @@
 #include <memory>
 #include <utility>
 
+#include "common/stopwatch.h"
 #include "common/str_format.h"
 #include "common/trace.h"
 #include "core/all_replicate.h"
@@ -112,17 +113,15 @@ StatusOr<GridAcquisition> AcquireGrid(
 
 namespace {
 
-void FilterDistinctIds(std::vector<IdTuple>* tuples) {
-  tuples->erase(std::remove_if(tuples->begin(), tuples->end(),
-                               [](const IdTuple& t) {
-                                 for (size_t i = 0; i < t.size(); ++i) {
-                                   for (size_t j = i + 1; j < t.size(); ++j) {
-                                     if (t[i] == t[j]) return true;
-                                   }
-                                 }
-                                 return false;
-                               }),
-                tuples->end());
+void FilterDistinctIds(TupleBlock* tuples) {
+  tuples->EraseIf([](IdTuple t) {
+    for (size_t i = 0; i < t.size(); ++i) {
+      for (size_t j = i + 1; j < t.size(); ++j) {
+        if (t[i] == t[j]) return true;
+      }
+    }
+    return false;
+  });
 }
 
 }  // namespace
@@ -212,9 +211,11 @@ StatusOr<JoinRunResult> ExecuteSpatialJoin(
   if (!result.ok()) return result.status();
 
   if (options.distinct_ids) {
+    Stopwatch filter_watch;
     FilterDistinctIds(&result.value().tuples);
     result.value().num_tuples =
         static_cast<int64_t>(result.value().tuples.size());
+    result.value().stats.post_join_seconds += filter_watch.ElapsedSeconds();
   }
   result.value().stats.catalog_hits += catalog_hits;
   result.value().stats.catalog_misses += catalog_misses;

@@ -8,19 +8,19 @@ namespace mwsj {
 
 Status VerifyJoinResult(const Query& query,
                         const std::vector<std::vector<Rect>>& relations,
-                        const std::vector<IdTuple>& tuples) {
+                        const TupleBlock& tuples) {
   const size_t m = static_cast<size_t>(query.num_relations());
   if (relations.size() != m) {
     return Status::InvalidArgument("relation count does not match the query");
   }
 
+  if (!tuples.empty() && tuples.arity() != m) {
+    return Status::FailedPrecondition(
+        StrFormat("tuples have %zu components, query has %zu relations",
+                  tuples.arity(), m));
+  }
   for (size_t t = 0; t < tuples.size(); ++t) {
-    const IdTuple& tuple = tuples[t];
-    if (tuple.size() != m) {
-      return Status::FailedPrecondition(
-          StrFormat("tuple %zu has %zu components, query has %zu relations",
-                    t, tuple.size(), m));
-    }
+    const IdTuple tuple = tuples[t];
     for (size_t r = 0; r < m; ++r) {
       if (tuple[r] < 0 ||
           tuple[r] >= static_cast<int64_t>(relations[r].size())) {
@@ -46,14 +46,11 @@ Status VerifyJoinResult(const Query& query,
     }
   }
 
-  // Duplicate-freedom.
-  std::vector<const IdTuple*> sorted;
-  sorted.reserve(tuples.size());
-  for (const IdTuple& tuple : tuples) sorted.push_back(&tuple);
-  std::sort(sorted.begin(), sorted.end(),
-            [](const IdTuple* a, const IdTuple* b) { return *a < *b; });
+  // Duplicate-freedom: equal rows are adjacent once sorted.
+  TupleBlock sorted = tuples;
+  SortTuples(&sorted);
   for (size_t i = 1; i < sorted.size(); ++i) {
-    if (*sorted[i] == *sorted[i - 1]) {
+    if (std::ranges::equal(sorted[i], sorted[i - 1])) {
       return Status::FailedPrecondition(
           "result contains a duplicate tuple (duplicate-avoidance failed)");
     }

@@ -23,7 +23,7 @@ namespace mwsj {
 /// violation.
 Status VerifyJoinResult(const Query& query,
                         const std::vector<std::vector<Rect>>& relations,
-                        const std::vector<IdTuple>& tuples);
+                        const TupleBlock& tuples);
 
 }  // namespace mwsj
 

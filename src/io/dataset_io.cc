@@ -1,5 +1,7 @@
 #include "io/dataset_io.h"
 
+#include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -158,23 +160,44 @@ Status WriteRects(const std::string& path, const std::vector<Rect>& rects) {
 
 Status WriteTuplesCsv(const std::string& path,
                       const std::vector<std::string>& relation_names,
-                      const std::vector<IdTuple>& tuples) {
-  std::ofstream out(path);
-  if (!out) return Status::Internal("cannot open '" + path + "' for writing");
+                      const TupleBlock& tuples) {
+  std::FILE* file = std::fopen(path.c_str(), "wb");
+  if (file == nullptr) {
+    return Status::Internal("cannot open '" + path + "' for writing");
+  }
+  std::string header;
   for (size_t i = 0; i < relation_names.size(); ++i) {
-    if (i > 0) out << ',';
-    out << relation_names[i];
+    if (i > 0) header += ',';
+    header += relation_names[i];
   }
-  out << '\n';
-  for (const IdTuple& t : tuples) {
-    for (size_t i = 0; i < t.size(); ++i) {
-      if (i > 0) out << ',';
-      out << t[i];
+  header += '\n';
+  bool ok = std::fwrite(header.data(), 1, header.size(), file) == header.size();
+
+  // Rows are formatted with std::to_chars into one buffer that is written
+  // whenever less than a worst-case row (20 characters and a separator per
+  // id) is left.
+  constexpr size_t kIdChars = 20;  // "-9223372036854775808".
+  const size_t row_max = tuples.arity() * (kIdChars + 1);
+  std::vector<char> buffer(std::max<size_t>(size_t{1} << 20, 2 * row_max));
+  char* const begin = buffer.data();
+  char* const flush_at = begin + buffer.size() - row_max;
+  char* p = begin;
+  auto flush = [&] {
+    const size_t bytes = static_cast<size_t>(p - begin);
+    ok = ok && std::fwrite(begin, 1, bytes, file) == bytes;
+    p = begin;
+  };
+  for (const IdTuple row : tuples) {
+    for (size_t i = 0; i < row.size(); ++i) {
+      if (i > 0) *p++ = ',';
+      p = std::to_chars(p, p + kIdChars, row[i]).ptr;
     }
-    out << '\n';
+    *p++ = '\n';
+    if (p >= flush_at) flush();
   }
-  out.flush();
-  if (!out) return Status::Internal("write to '" + path + "' failed");
+  flush();
+  ok = std::fclose(file) == 0 && ok;
+  if (!ok) return Status::Internal("write to '" + path + "' failed");
   return Status::OK();
 }
 

@@ -6,7 +6,7 @@
 
 #include "common/status.h"
 #include "geometry/rect.h"
-#include "localjoin/brute_force.h"  // IdTuple
+#include "localjoin/tuple_block.h"
 
 namespace mwsj {
 
@@ -31,10 +31,10 @@ StatusOr<std::vector<Rect>> ReadRects(const std::string& path);
 Status WriteRects(const std::string& path, const std::vector<Rect>& rects);
 
 /// Writes join output tuples as CSV: a header naming the relations, then
-/// one comma-separated id row per tuple.
+/// one comma-separated decimal id row per tuple.
 Status WriteTuplesCsv(const std::string& path,
                       const std::vector<std::string>& relation_names,
-                      const std::vector<IdTuple>& tuples);
+                      const TupleBlock& tuples);
 
 }  // namespace mwsj
 

@@ -1,6 +1,5 @@
 #include "localjoin/brute_force.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "simd/simd.h"
@@ -23,10 +22,10 @@ void Recurse(const Query& query,
              const std::vector<simd::SoaRects>& soas, size_t depth,
              std::vector<int64_t>& ids, std::vector<const Rect*>& chosen,
              std::vector<std::vector<uint32_t>>& match_scratch,
-             std::vector<IdTuple>* out) {
+             TupleBlock* out) {
   const size_t m = static_cast<size_t>(query.num_relations());
   if (depth == m) {
-    out->push_back(ids);
+    out->Append(ids);
     return;
   }
   const auto& relation = relations[depth];
@@ -105,10 +104,10 @@ void Recurse(const Query& query,
 
 }  // namespace
 
-std::vector<IdTuple> BruteForceJoin(
-    const Query& query, const std::vector<std::vector<Rect>>& relations) {
-  std::vector<IdTuple> out;
+TupleBlock BruteForceJoin(const Query& query,
+                          const std::vector<std::vector<Rect>>& relations) {
   const size_t m = static_cast<size_t>(query.num_relations());
+  TupleBlock out(m);
   for (const auto& relation : relations) {
     if (relation.empty()) return out;
   }
@@ -125,10 +124,6 @@ std::vector<IdTuple> BruteForceJoin(
   Recurse(query, relations, soas, 0, ids, chosen, match_scratch, &out);
   SortTuples(&out);
   return out;
-}
-
-void SortTuples(std::vector<IdTuple>* tuples) {
-  std::sort(tuples->begin(), tuples->end());
 }
 
 }  // namespace mwsj

@@ -148,6 +148,13 @@ struct RunStats {
   /// Measured in-process wall time across all jobs.
   double total_wall_seconds = 0;
 
+  /// Wall time the caller waits after the last job: assembling and
+  /// sorting the output tuples (the join round's `sort_tuples`, Cascade's
+  /// `cascade_finalize`, knn-MR's row assembly) and the runner's
+  /// distinct-ids filter. Zero for count-only runs, which have no tuples.
+  /// Not part of total_wall_seconds, which stays the sum of job walls.
+  double post_join_seconds = 0;
+
   /// DatasetCatalog reuse accounting for this run: how many cached
   /// artifacts (grid partitioning, C-Rep round-1 marking, relation
   /// bundles) were found resident vs. built from scratch. Both zero when

@@ -56,6 +56,7 @@ std::string PhaseFaultsToJson(const PhaseFaultStats& f) {
 std::string RunStatsToJson(const RunStats& stats) {
   std::string out = "{";
   out += StrFormat("\"total_wall_seconds\": %.6f", stats.total_wall_seconds);
+  out += StrFormat(", \"post_join_seconds\": %.6f", stats.post_join_seconds);
   // Catalog reuse accounting appears only when a DatasetCatalog was
   // actually consulted, so catalog-less stats documents are unchanged.
   if (stats.catalog_hits > 0 || stats.catalog_misses > 0) {

@@ -15,6 +15,7 @@
 #include <string>
 #include <utility>
 
+#include "common/stopwatch.h"
 #include "common/str_format.h"
 #include "common/trace.h"
 #include "grid/transform.h"
@@ -350,12 +351,19 @@ StatusOr<JoinRunResult> ExecuteKnnJoinMr(
   result.stats.Add(
       merge_job.Run(std::span<const KnnCandidate>(candidates), &rows, ctx));
 
+  Stopwatch post_join;
+  result.tuples = TupleBlock(3);
   result.tuples.reserve(rows.size());
   for (const KnnRankedRow& r : rows) {
-    result.tuples.push_back(IdTuple{r.point_id, r.rank, r.rect_id});
+    const std::span<int64_t> row = result.tuples.AppendRow();
+    row[0] = r.point_id;
+    row[1] = r.rank;
+    row[2] = r.rect_id;
   }
-  std::sort(result.tuples.begin(), result.tuples.end());
+  std::vector<KnnRankedRow>().swap(rows);
+  SortTuples(&result.tuples);
   result.num_tuples = static_cast<int64_t>(result.tuples.size());
+  result.stats.post_join_seconds += post_join.ElapsedSeconds();
   result.stats.catalog_hits += catalog_hits;
   result.stats.catalog_misses += catalog_misses;
   return result;

@@ -41,24 +41,28 @@ JoinRunResult TwoWayCascade(const std::vector<Rect>& left,
   return CascadeJoin(TwoWayQuery(predicate), grid, {left, right}).value();
 }
 
-std::vector<IdTuple> Reference(const std::vector<Rect>& left,
-                               const std::vector<Rect>& right,
-                               const Predicate& pred) {
-  std::vector<IdTuple> out;
+// Rows are appended in (i, j) order, which is already sorted.
+TupleBlock Reference(const std::vector<Rect>& left,
+                     const std::vector<Rect>& right, const Predicate& pred) {
+  TupleBlock out(2);
   for (size_t i = 0; i < left.size(); ++i) {
     for (size_t j = 0; j < right.size(); ++j) {
       if (pred.Evaluate(left[i], right[j])) {
-        out.push_back({static_cast<int64_t>(i), static_cast<int64_t>(j)});
+        const int64_t row[] = {static_cast<int64_t>(i),
+                               static_cast<int64_t>(j)};
+        out.Append(row);
       }
     }
   }
-  std::sort(out.begin(), out.end());
   return out;
 }
 
 // The output is sorted, so a duplicate would sit next to its twin.
-bool DuplicateFree(const std::vector<IdTuple>& tuples) {
-  return std::adjacent_find(tuples.begin(), tuples.end()) == tuples.end();
+bool DuplicateFree(const TupleBlock& tuples) {
+  return std::adjacent_find(tuples.begin(), tuples.end(),
+                            [](IdTuple a, IdTuple b) {
+                              return std::ranges::equal(a, b);
+                            }) == tuples.end();
 }
 
 class TwoWayJoinTest : public ::testing::TestWithParam<int> {};

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 
 #include "core/controlled_replicate.h"
 #include "core/dedup.h"
@@ -115,12 +116,12 @@ TEST_F(Figure5Test, OutputTuplesAndOwningReducersMatchThePaper) {
   const std::vector<std::vector<Rect>> data = {u_, v_, w_, x_};
   const Query query = MakeQuery();
 
-  const std::vector<IdTuple> expected = {
+  const TupleBlock expected = {
       {1, 2, 0, 0}, {1, 2, 0, 1}, {2, 2, 0, 0}, {2, 2, 0, 1}};
   EXPECT_EQ(BruteForceJoin(query, data), expected);
 
   struct Owner {
-    IdTuple tuple;
+    std::array<int64_t, 4> tuple;
     CellId cell;
   };
   const Owner owners[] = {
@@ -190,7 +191,7 @@ TEST_F(Figure7Test, RangeMarkingAtC1MatchesThePaper) {
 
 TEST_F(Figure7Test, EndToEndRangeJoinFindsTheTriple) {
   const std::vector<std::vector<Rect>> data = {u_, v_, w_};
-  const std::vector<IdTuple> expected = {{0, 0, 0}};
+  const TupleBlock expected = {{0, 0, 0}};
   EXPECT_EQ(BruteForceJoin(query_.value(), data), expected);
 
   for (Algorithm algorithm :

@@ -49,7 +49,7 @@ TEST_P(EquivalenceTest, MatchesBruteForce) {
   const std::vector<std::vector<Rect>> data =
       testing::MakeWorldData(config, query.num_relations());
 
-  const std::vector<IdTuple> expected = BruteForceJoin(query, data);
+  const TupleBlock expected = BruteForceJoin(query, data);
 
   // Grid geometry varies with the seed: 1x1 (single reducer), skinny, and
   // square grids all must agree.
@@ -206,7 +206,7 @@ TEST(EquivalenceEdgeCases, SelfJoinWithSharedDataset) {
   const Query query = testing::MakeWorldQuery(config);
   const auto base = testing::MakeWorldData(config, 1);
   const std::vector<std::vector<Rect>> data = {base[0], base[0], base[0]};
-  const std::vector<IdTuple> expected = BruteForceJoin(query, data);
+  const TupleBlock expected = BruteForceJoin(query, data);
 
   for (Algorithm algorithm : AlgorithmsUnderTest()) {
     RunnerOptions options;
@@ -345,7 +345,7 @@ TEST(EquivalenceEdgeCases, DistinctIdsFilterDropsRepeatedRectangles) {
   options.distinct_ids = true;
   StatusOr<JoinRunResult> result = RunSpatialJoin(query, data, options);
   ASSERT_TRUE(result.ok());
-  for (const IdTuple& t : result.value().tuples) {
+  for (const IdTuple t : result.value().tuples) {
     EXPECT_NE(t[0], t[1]);
     EXPECT_NE(t[1], t[2]);
     EXPECT_NE(t[0], t[2]);

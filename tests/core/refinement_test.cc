@@ -24,9 +24,9 @@ TEST(RefineTuplesTest, DropsMbrOnlyMatches) {
   ASSERT_TRUE(a.Intersects(b_hit));
 
   const std::vector<std::vector<Polygon>> relations = {{a}, {b_hit, b_miss}};
-  const std::vector<IdTuple> candidates = {{0, 0}, {0, 1}};
+  const TupleBlock candidates = {{0, 0}, {0, 1}};
   EXPECT_EQ(RefineTuples(q, relations, candidates),
-            (std::vector<IdTuple>{{0, 0}}));
+            (TupleBlock{{0, 0}}));
 }
 
 TEST(RefineTuplesTest, RangePredicateUsesExactPolygonDistance) {
@@ -70,7 +70,7 @@ TEST(RunFilterRefineJoinTest, EndToEndPipeline) {
   options.grid_cols = 3;
   const auto result = RunFilterRefineJoin(q, relations, options);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_EQ(result.value().tuples, (std::vector<IdTuple>{{0, 0, 0}}));
+  EXPECT_EQ(result.value().tuples, (TupleBlock{{0, 0, 0}}));
   EXPECT_GE(result.value().candidate_tuples,
             static_cast<int64_t>(result.value().tuples.size()));
   EXPECT_FALSE(result.value().stats.jobs.empty());

@@ -3,11 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/thread_pool.h"
 #include "core/dataset_catalog.h"
+#include "core/explain.h"
 #include "core/runner.h"
 #include "datagen/synthetic.h"
 #include "localjoin/brute_force.h"
+#include "mapreduce/stats_json.h"
 #include "testing/world.h"
 
 namespace mwsj {
@@ -71,7 +75,7 @@ TEST(RunnerValidationTest, DefaultSpaceIsComputedFromData) {
                                                {Rect::FromXYLB(5.5, 6, 1, 1)}};
   const auto result = RunSpatialJoin(q, data, options);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_EQ(result.value().tuples, (std::vector<IdTuple>{{0, 0}}));
+  EXPECT_EQ(result.value().tuples, (TupleBlock{{0, 0}}));
 }
 
 TEST(RunnerValidationTest, EmptyDataWithDefaultSpaceWorks) {
@@ -171,6 +175,79 @@ TEST(RunnerStatsTest, CascadeRunsOneJobPerAdditionalRelation) {
   const auto result = RunSpatialJoin(query, data, options);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result.value().stats.jobs.size(), 3u);
+}
+
+// Post-join time (assembling and sorting the tuples after the last job)
+// is its own RunStats field, emitted by --stats-json and printed beside
+// the total wall time by explain. total_wall_seconds stays the sum of the
+// job walls, and a count-only run, with no tuples, reports zero.
+TEST(RunnerStatsTest, PostJoinSecondsIsReportedAndZeroWhenCountOnly) {
+  testing::WorldConfig config;
+  config.seed = 321;
+  config.max_rects_per_relation = 40;
+  const Query query = testing::MakeWorldQuery(config);
+  const auto data = testing::MakeWorldData(config, query.num_relations());
+  for (Algorithm algorithm :
+       {Algorithm::kControlledReplicate,
+        Algorithm::kControlledReplicateInLimit, Algorithm::kAllReplicate,
+        Algorithm::kTwoWayCascade}) {
+    RunnerOptions options;
+    options.algorithm = algorithm;
+    options.grid_rows = 4;
+    options.grid_cols = 4;
+    options.space = Rect(0, 0, 100, 100);
+    const auto materialized = RunSpatialJoin(query, data, options);
+    ASSERT_TRUE(materialized.ok()) << materialized.status().ToString();
+    const RunStats& stats = materialized.value().stats;
+    ASSERT_GT(materialized.value().num_tuples, 0) << AlgorithmName(algorithm);
+    EXPECT_GE(stats.post_join_seconds, 0) << AlgorithmName(algorithm);
+    double job_walls = 0;
+    for (const JobStats& job : stats.jobs) job_walls += job.wall_seconds;
+    EXPECT_DOUBLE_EQ(stats.total_wall_seconds, job_walls);
+    EXPECT_NE(RunStatsToJson(stats).find("\"post_join_seconds\": "),
+              std::string::npos);
+    EXPECT_NE(ExplainRun(query, materialized.value()).find("| post-join: "),
+              std::string::npos);
+
+    options.count_only = true;
+    const auto counted = RunSpatialJoin(query, data, options);
+    ASSERT_TRUE(counted.ok()) << counted.status().ToString();
+    EXPECT_EQ(counted.value().num_tuples, materialized.value().num_tuples);
+    EXPECT_EQ(counted.value().stats.post_join_seconds, 0.0)
+        << AlgorithmName(algorithm);
+    EXPECT_NE(RunStatsToJson(counted.value().stats)
+                  .find("\"post_join_seconds\": 0.000000"),
+              std::string::npos);
+  }
+}
+
+// The distinct-ids filter on the output block keeps exactly the brute-force
+// tuples whose ids are pairwise distinct, in order.
+TEST(RunnerDistinctIdsTest, MatchesFilteredBruteForce) {
+  testing::WorldConfig config;
+  config.seed = 77;
+  config.max_rects_per_relation = 30;
+  const Query query = MakeChainQuery(3, Predicate::Overlap()).value();
+  const auto base = testing::MakeWorldData(config, 1);
+  const std::vector<std::vector<Rect>> data = {base[0], base[0], base[0]};
+  TupleBlock expected(3);
+  for (const IdTuple t : BruteForceJoin(query, data)) {
+    if (t[0] != t[1] && t[1] != t[2] && t[0] != t[2]) expected.Append(t);
+  }
+  ASSERT_FALSE(expected.empty());
+  for (Algorithm algorithm :
+       {Algorithm::kBruteForce, Algorithm::kControlledReplicate,
+        Algorithm::kTwoWayCascade}) {
+    RunnerOptions options;
+    options.algorithm = algorithm;
+    options.space = Rect(0, 0, 100, 100);
+    options.distinct_ids = true;
+    const auto result = RunSpatialJoin(query, data, options);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result.value().tuples, expected) << AlgorithmName(algorithm);
+    EXPECT_EQ(result.value().num_tuples,
+              static_cast<int64_t>(expected.size()));
+  }
 }
 
 TEST(RunnerCascadeTest, ExplicitOrderMatchesDefault) {

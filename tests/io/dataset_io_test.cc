@@ -4,7 +4,9 @@
 
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <limits>
+#include <sstream>
 
 #include "common/random.h"
 #include "io/dataset_io.h"
@@ -39,6 +41,12 @@ class DatasetIoTest : public ::testing::Test {
 
   std::vector<std::string> created_;
 };
+
+std::string ReadAll(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
 
 TEST_F(DatasetIoTest, CsvRoundTrip) {
   const std::string path = Track(TempPath("roundtrip.csv"));
@@ -195,6 +203,64 @@ TEST_F(DatasetIoTest, TuplesCsv) {
   EXPECT_EQ(line, "1,2");
   std::getline(in, line);
   EXPECT_EQ(line, "3,4");
+}
+
+// Output bytes are pinned by golden files written by the stream-based
+// formatter this writer replaced: negative ids, the int64 extremes, and
+// arities 1 and 7.
+TEST_F(DatasetIoTest, TuplesCsvMatchesGoldenFiles) {
+  const int64_t lo = std::numeric_limits<int64_t>::min();
+  const int64_t hi = std::numeric_limits<int64_t>::max();
+  const std::string one = Track(TempPath("tuples_arity1.csv"));
+  ASSERT_TRUE(WriteTuplesCsv(one, {"only"},
+                             {{0}, {-1}, {7}, {lo}, {hi}, {-42}, {1000000007}})
+                  .ok());
+  EXPECT_EQ(ReadAll(one), ReadAll(MWSJ_IO_TESTDATA "/tuples_arity1.csv"));
+
+  const std::string seven = Track(TempPath("tuples_arity7.csv"));
+  ASSERT_TRUE(
+      WriteTuplesCsv(seven, {"R1", "R2", "R3", "R4", "R5", "R6", "R7"},
+                     {{0, 1, 2, 3, 4, 5, 6},
+                      {-1, -10, -100, -1000, -10000, -100000, -1000000},
+                      {lo, hi, 0, lo + 1, hi - 1, -9, 9},
+                      {123456789012345, -123456789012345, 5, -5, 50, -50, 0}})
+          .ok());
+  EXPECT_EQ(ReadAll(seven), ReadAll(MWSJ_IO_TESTDATA "/tuples_arity7.csv"));
+}
+
+// A file of several write buffers (about 9 MiB) equals the rows formatted
+// by `operator<<`, and an empty block writes the header alone.
+TEST_F(DatasetIoTest, TuplesCsvSpanningManyBuffersMatchesStreamFormatting) {
+  Rng rng(11);
+  TupleBlock tuples(7);
+  for (int i = 0; i < 200000; ++i) {
+    const std::span<int64_t> row = tuples.AppendRow();
+    for (int64_t& id : row) {
+      id = static_cast<int64_t>(rng.Next()) >> rng.UniformInt(0, 63);
+    }
+  }
+  std::ostringstream expected;
+  expected << "a,b,c,d,e,f,g\n";
+  for (const IdTuple row : tuples) {
+    for (size_t i = 0; i < row.size(); ++i) {
+      expected << (i > 0 ? "," : "") << row[i];
+    }
+    expected << '\n';
+  }
+  const std::string path = Track(TempPath("tuples_large.csv"));
+  ASSERT_TRUE(
+      WriteTuplesCsv(path, {"a", "b", "c", "d", "e", "f", "g"}, tuples).ok());
+  EXPECT_EQ(ReadAll(path), expected.str());
+
+  const std::string empty = Track(TempPath("tuples_empty.csv"));
+  ASSERT_TRUE(WriteTuplesCsv(empty, {"a", "b"}, TupleBlock(2)).ok());
+  EXPECT_EQ(ReadAll(empty), "a,b\n");
+}
+
+TEST_F(DatasetIoTest, TuplesCsvReportsAnUnwritablePath) {
+  EXPECT_FALSE(WriteTuplesCsv(TempPath("no_such_dir/tuples.csv"), {"a"},
+                              {{1}})
+                   .ok());
 }
 
 }  // namespace

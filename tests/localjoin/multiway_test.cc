@@ -18,8 +18,8 @@
 namespace mwsj {
 namespace {
 
-std::vector<IdTuple> RunLocalJoin(const Query& query,
-                                  const std::vector<std::vector<Rect>>& data) {
+TupleBlock RunLocalJoin(const Query& query,
+                        const std::vector<std::vector<Rect>>& data) {
   std::vector<std::vector<LocalRect>> local(data.size());
   for (size_t r = 0; r < data.size(); ++r) {
     for (size_t i = 0; i < data[r].size(); ++i) {
@@ -29,12 +29,10 @@ std::vector<IdTuple> RunLocalJoin(const Query& query,
   std::vector<std::span<const LocalRect>> spans;
   for (const auto& rel : local) spans.emplace_back(rel.data(), rel.size());
   MultiwayLocalJoin join(query, std::move(spans));
-  std::vector<IdTuple> out;
+  TupleBlock out(data.size());
   join.Execute([&out](const std::vector<const LocalRect*>& members) {
-    IdTuple ids;
-    ids.reserve(members.size());
-    for (const LocalRect* m : members) ids.push_back(m->id);
-    out.push_back(std::move(ids));
+    const std::span<int64_t> row = out.AppendRow();
+    for (size_t r = 0; r < members.size(); ++r) row[r] = members[r]->id;
   });
   SortTuples(&out);
   return out;
@@ -146,7 +144,7 @@ TEST(MultiwayLocalJoinEdge, TinyRelationsMatchBruteForce) {
 // The emit stream of one Execute, in emit order (not sorted), with each
 // tuple's member rectangles alongside its ids.
 struct Emitted {
-  IdTuple ids;
+  std::vector<int64_t> ids;
   std::vector<Rect> rects;
 };
 
@@ -168,9 +166,9 @@ std::vector<Emitted> EmitStream(
   return out;
 }
 
-std::vector<IdTuple> IdsWhere(const std::vector<Emitted>& stream,
-                              const auto& keep) {
-  std::vector<IdTuple> out;
+std::vector<std::vector<int64_t>> IdsWhere(const std::vector<Emitted>& stream,
+                                           const auto& keep) {
+  std::vector<std::vector<int64_t>> out;
   for (const Emitted& e : stream) {
     std::vector<const Rect*> members;
     for (const Rect& r : e.rects) members.push_back(&r);
@@ -279,7 +277,7 @@ TEST(MultiwayLocalJoinWindow, EmitsExactlyTheOwnedSubsequence) {
         return OwnsTuple(grid, cell, members);
       };
       auto all = [](std::span<const Rect* const>) { return true; };
-      const std::vector<IdTuple> windowed_whole =
+      const std::vector<std::vector<int64_t>> windowed_whole =
           IdsWhere(EmitStream(query, whole, window), all);
       EXPECT_EQ(windowed_whole, IdsWhere(whole_stream, in_window))
           << "trial " << trial << " cell " << cell << " (unrouted)";
@@ -297,7 +295,7 @@ TEST(MultiwayLocalJoinWindow, EmitsExactlyTheOwnedSubsequence) {
           }
         }
       }
-      const std::vector<IdTuple> expected =
+      const std::vector<std::vector<int64_t>> expected =
           IdsWhere(EmitStream(query, routed, OwnerWindow{}), owned);
       EXPECT_EQ(IdsWhere(EmitStream(query, routed, window), all), expected)
           << "trial " << trial << " cell " << cell << " (routed)";
@@ -343,11 +341,11 @@ TEST(MultiwayLocalJoinWindow, KeepsPartnersOneUlpInsideTheWindow) {
       for (const auto& rel : local) spans.emplace_back(rel.data(), rel.size());
       const MultiwayLocalJoin join(q, std::move(spans), c.window);
       ASSERT_EQ(join.binding_order(), (std::vector<int>{0, 1}));
-      std::vector<IdTuple> out;
+      std::vector<std::vector<int64_t>> out;
       join.Execute([&out](const std::vector<const LocalRect*>& members) {
         out.push_back({members[0]->id, members[1]->id});
       });
-      EXPECT_EQ(out, (std::vector<IdTuple>{{0, 0}}))
+      EXPECT_EQ(out, (std::vector<std::vector<int64_t>>{{0, 0}}))
           << c.name << " pad " << pad;
     }
   }
@@ -529,13 +527,13 @@ TEST(BruteForceTest, TinyHandComputedCase) {
       {Rect::FromXYLB(2.5, 2, 2, 2)},                         // c0
   };
   // a0-b0 overlap; b0-c0 overlap; b1 matches nothing.
-  EXPECT_EQ(BruteForceJoin(q, data), (std::vector<IdTuple>{{0, 0, 0}}));
+  EXPECT_EQ(BruteForceJoin(q, data), (TupleBlock{{0, 0, 0}}));
 }
 
 TEST(SortTuplesTest, LexicographicOrder) {
-  std::vector<IdTuple> tuples = {{2, 1}, {1, 5}, {1, 2}};
+  TupleBlock tuples = {{2, 1}, {1, 5}, {1, 2}};
   SortTuples(&tuples);
-  EXPECT_EQ(tuples, (std::vector<IdTuple>{{1, 2}, {1, 5}, {2, 1}}));
+  EXPECT_EQ(tuples, (TupleBlock{{1, 2}, {1, 5}, {2, 1}}));
 }
 
 }  // namespace

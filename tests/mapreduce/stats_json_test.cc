@@ -10,7 +10,8 @@ namespace {
 TEST(StatsJsonTest, EmptyRun) {
   RunStats stats;
   EXPECT_EQ(RunStatsToJson(stats),
-            "{\"total_wall_seconds\": 0.000000, \"jobs\": []}");
+            "{\"total_wall_seconds\": 0.000000, \"post_join_seconds\": "
+            "0.000000, \"jobs\": []}");
 }
 
 TEST(StatsJsonTest, FullJobFieldsAppear) {

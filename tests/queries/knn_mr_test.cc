@@ -45,14 +45,14 @@ std::vector<Rect> RandomRects(int n, uint64_t seed, double space = 100) {
 
 // Brute-force oracle in knn-mr's output encoding (testing/world.h):
 // {point, rank, rect} with ranks by (distance, rect id).
-std::vector<IdTuple> OracleTuples(const std::vector<Rect>& points,
-                                  const std::vector<Rect>& rects, int k) {
+TupleBlock OracleTuples(const std::vector<Rect>& points,
+                        const std::vector<Rect>& rects, int k) {
   return KnnOracleTuples(points, rects, k);
 }
 
 // Single-node KnnJoin (queries/knn.h) re-encoded the same way.
-std::vector<IdTuple> SingleNodeTuples(const std::vector<Rect>& points,
-                                      const std::vector<Rect>& rects, int k) {
+TupleBlock SingleNodeTuples(const std::vector<Rect>& points,
+                            const std::vector<Rect>& rects, int k) {
   return KnnSingleNodeTuples(points, rects, k, Rect(0, 0, 100, 100), 4, 4);
 }
 
@@ -66,7 +66,7 @@ TEST_P(KnnMrTest, MatchesOracleAndSingleNode) {
   const uint64_t seed = static_cast<uint64_t>(std::get<1>(GetParam()));
   const std::vector<std::vector<Rect>> data = {
       RandomPointRects(120, seed * 5 + 1), RandomRects(250, seed * 5 + 2)};
-  const std::vector<IdTuple> oracle = OracleTuples(data[0], data[1], k);
+  const TupleBlock oracle = OracleTuples(data[0], data[1], k);
   // Single-node and distributed must agree byte-for-byte with the oracle
   // (the (distance, rect id) tie-break makes top-k unique).
   EXPECT_EQ(SingleNodeTuples(data[0], data[1], k), oracle);
@@ -174,8 +174,8 @@ TEST(KnnMrRejectTest, InvalidArguments) {
 TEST(KnnMrSchedulerTest, ConcurrentSubmissionsThroughScheduler) {
   const std::vector<std::vector<Rect>> data = {RandomPointRects(60, 31),
                                                RandomRects(120, 32)};
-  const std::vector<IdTuple> oracle3 = OracleTuples(data[0], data[1], 3);
-  const std::vector<IdTuple> oracle7 = OracleTuples(data[0], data[1], 7);
+  const TupleBlock oracle3 = OracleTuples(data[0], data[1], 3);
+  const TupleBlock oracle7 = OracleTuples(data[0], data[1], 7);
 
   SchedulerOptions sched_options;
   sched_options.max_in_flight = 2;

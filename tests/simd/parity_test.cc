@@ -39,7 +39,7 @@ class IsaGuard {
 
 // The raw emit stream of the multiway local join — deliberately NOT
 // sorted, so any ISA-dependent traversal or candidate order shows up.
-std::vector<IdTuple> MultiwayEmitStream(
+TupleBlock MultiwayEmitStream(
     const Query& query, const std::vector<std::vector<Rect>>& data) {
   std::vector<std::vector<LocalRect>> local(data.size());
   for (size_t r = 0; r < data.size(); ++r) {
@@ -50,12 +50,10 @@ std::vector<IdTuple> MultiwayEmitStream(
   std::vector<std::span<const LocalRect>> spans;
   for (const auto& rel : local) spans.emplace_back(rel.data(), rel.size());
   MultiwayLocalJoin join(query, std::move(spans));
-  std::vector<IdTuple> stream;
+  TupleBlock stream(data.size());
   join.Execute([&stream](const std::vector<const LocalRect*>& members) {
-    IdTuple ids;
-    ids.reserve(members.size());
-    for (const LocalRect* m : members) ids.push_back(m->id);
-    stream.push_back(std::move(ids));
+    const std::span<int64_t> row = stream.AppendRow();
+    for (size_t r = 0; r < members.size(); ++r) row[r] = members[r]->id;
   });
   return stream;
 }
@@ -82,11 +80,11 @@ TEST(SimdParityTest, HundredWorldsEmitIdenticalStreamsUnderEveryIsa) {
     const auto data = testing::MakeWorldData(config, query.num_relations());
 
     simd::SetIsaForTesting(simd::Isa::kScalar);
-    const std::vector<IdTuple> reference = MultiwayEmitStream(query, data);
+    const TupleBlock reference = MultiwayEmitStream(query, data);
 
     // Correctness anchor: the scalar stream's sorted content matches the
     // brute-force join.
-    std::vector<IdTuple> sorted = reference;
+    TupleBlock sorted = reference;
     SortTuples(&sorted);
     ASSERT_EQ(sorted, BruteForceJoin(query, data)) << "trial=" << trial;
 

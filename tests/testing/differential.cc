@@ -89,7 +89,7 @@ class IsaPin {
 DifferentialOutcome RunDifferentialWorld(const DifferentialWorkload& workload,
                                          const DifferentialOptions& options) {
   DifferentialOutcome outcome;
-  const std::vector<IdTuple> expected = workload.oracle();
+  const TupleBlock expected = workload.oracle();
 
   // The baseline is the in-memory, fault-free, ambient-ISA ground truth:
   // whatever the variant's perturbations, its output must match this.

@@ -35,9 +35,9 @@ struct DifferentialWorkload {
   /// Label used in mismatch messages.
   std::string name;
 
-  /// Scalar brute-force oracle — the expected tuple vector, computed once
+  /// Scalar brute-force oracle — the expected tuple block, computed once
   /// outside the engine.
-  std::function<std::vector<IdTuple>()> oracle;
+  std::function<TupleBlock()> oracle;
 
   /// One engine run under the given context. Invoked twice per world:
   /// for the fault-free in-memory baseline and for the perturbed variant.

@@ -106,7 +106,7 @@ TEST_P(KnnMrChaosTest, DifferentialWorldsStayByteIdentical) {
 
     // Second pin: the single-node KnnJoin over the same grid must already
     // agree with the oracle in knn-mr's encoding.
-    const std::vector<IdTuple> oracle = KnnOracleTuples(data[0], data[1], k);
+    const TupleBlock oracle = KnnOracleTuples(data[0], data[1], k);
     ASSERT_EQ(KnnSingleNodeTuples(data[0], data[1], k, *runner.space, grid[0],
                                   grid[1]),
               oracle)
@@ -262,8 +262,9 @@ TEST(DifferentialHarnessTest, FlagsOracleDivergence) {
 
   DifferentialWorkload workload = MakeKnnWorkload(query, data, runner, 2);
   workload.oracle = [&data] {
-    std::vector<IdTuple> broken = KnnOracleTuples(data[0], data[1], 2);
-    broken.pop_back();
+    const TupleBlock full = KnnOracleTuples(data[0], data[1], 2);
+    TupleBlock broken(full.arity());  // Every row but the last.
+    for (size_t i = 0; i + 1 < full.size(); ++i) broken.Append(full[i]);
     return broken;
   };
   DifferentialOptions diff;
@@ -283,7 +284,7 @@ TEST(DifferentialHarnessTest, FlagsOracleDivergence) {
 TEST(DifferentialHarnessTest, ReportsBaselineFailure) {
   DifferentialWorkload workload;
   workload.name = "always-broken";
-  workload.oracle = [] { return std::vector<IdTuple>{}; };
+  workload.oracle = [] { return TupleBlock(); };
   workload.run = [](const ExecutionContext&) {
     return StatusOr<JoinRunResult>(Status::Internal("boom"));
   };

@@ -110,9 +110,10 @@ std::vector<std::vector<Rect>> MakeKnnWorldData(const KnnWorldConfig& config) {
   return out;
 }
 
-std::vector<IdTuple> KnnOracleTuples(const std::vector<Rect>& points,
-                                     const std::vector<Rect>& rects, int k) {
-  std::vector<IdTuple> out;
+TupleBlock KnnOracleTuples(const std::vector<Rect>& points,
+                           const std::vector<Rect>& rects, int k) {
+  // Rows are appended in (point, rank) order, which is already sorted.
+  TupleBlock out(3);
   std::vector<std::pair<double, int64_t>> all;
   for (size_t p = 0; p < points.size(); ++p) {
     all.clear();
@@ -124,33 +125,33 @@ std::vector<IdTuple> KnnOracleTuples(const std::vector<Rect>& points,
     std::sort(all.begin(), all.end());
     const size_t keep = std::min(all.size(), static_cast<size_t>(k));
     for (size_t rank = 0; rank < keep; ++rank) {
-      out.push_back(IdTuple{static_cast<int64_t>(p),
-                            static_cast<int64_t>(rank), all[rank].second});
+      const int64_t row[] = {static_cast<int64_t>(p),
+                             static_cast<int64_t>(rank), all[rank].second};
+      out.Append(row);
     }
   }
-  std::sort(out.begin(), out.end());
   return out;
 }
 
-std::vector<IdTuple> KnnSingleNodeTuples(const std::vector<Rect>& points,
-                                         const std::vector<Rect>& rects, int k,
-                                         const Rect& space, int rows,
-                                         int cols) {
+TupleBlock KnnSingleNodeTuples(const std::vector<Rect>& points,
+                               const std::vector<Rect>& rects, int k,
+                               const Rect& space, int rows, int cols) {
   std::vector<Point> query_points;
   query_points.reserve(points.size());
   for (const Rect& p : points) query_points.push_back(p.start_point());
   const GridPartition grid = GridPartition::Create(space, rows, cols).value();
   const StatusOr<KnnResult> result = KnnJoin(grid, query_points, rects, k);
-  std::vector<IdTuple> out;
+  // Rows are appended in (point, rank) order, which is already sorted.
+  TupleBlock out(3);
   if (!result.ok()) return out;  // Callers compare against the oracle.
   for (size_t p = 0; p < result.value().neighbors.size(); ++p) {
     const std::vector<KnnNeighbor>& nn = result.value().neighbors[p];
     for (size_t rank = 0; rank < nn.size(); ++rank) {
-      out.push_back(IdTuple{static_cast<int64_t>(p),
-                            static_cast<int64_t>(rank), nn[rank].rect_id});
+      const int64_t row[] = {static_cast<int64_t>(p),
+                             static_cast<int64_t>(rank), nn[rank].rect_id};
+      out.Append(row);
     }
   }
-  std::sort(out.begin(), out.end());
   return out;
 }
 

@@ -63,14 +63,14 @@ std::vector<std::vector<Rect>> MakeKnnWorldData(const KnnWorldConfig& config);
 /// Scalar brute-force kNN oracle in knn-mr's output encoding:
 /// {point_id, rank, rect_id} with ranks assigned by (distance, rect id),
 /// sorted by (point, rank). See queries/knn_mr.h.
-std::vector<IdTuple> KnnOracleTuples(const std::vector<Rect>& points,
-                                     const std::vector<Rect>& rects, int k);
+TupleBlock KnnOracleTuples(const std::vector<Rect>& points,
+                           const std::vector<Rect>& rects, int k);
 
 /// The single-node KnnJoin (queries/knn.h) over an explicit grid,
 /// re-encoded the same way — the second pin of the differential suite.
-std::vector<IdTuple> KnnSingleNodeTuples(const std::vector<Rect>& points,
-                                         const std::vector<Rect>& rects, int k,
-                                         const Rect& space, int rows, int cols);
+TupleBlock KnnSingleNodeTuples(const std::vector<Rect>& points,
+                               const std::vector<Rect>& rects, int k,
+                               const Rect& space, int rows, int cols);
 
 }  // namespace mwsj::testing
 
