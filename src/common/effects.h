@@ -18,13 +18,13 @@
 ///                       pointer-valued ordering, and RNG outside common/ —
 ///                       the static form of the tie-break bug class that
 ///                       breaks byte-identical emit streams.
-///   MWSJ_BLOCKING       The function may block (Dfs I/O under a mutex,
-///                       CondVar waits, pool joins). Must be unreachable
+///   MWSJ_BLOCKING       The function may block (CondVar waits, pool
+///                       joins). Must be unreachable
 ///                       from map/reduce inner loops (any MWSJ_ALLOC_FREE
 ///                       or MWSJ_DETERMINISTIC function) except through an
 ///                       MWSJ_BLOCKING_OK entry point.
-///   MWSJ_BLOCKING_OK    A sanctioned blocking entry point (spill-flush
-///                       staging, job orchestration). The blocking-reach
+///   MWSJ_BLOCKING_OK    A sanctioned blocking entry point (job
+///                       orchestration: MapReduceJob::Run). The blocking-reach
 ///                       traversal stops here: callees may block.
 ///
 /// Annotations go on the declaration, before the return type:

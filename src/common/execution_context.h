@@ -6,7 +6,6 @@
 
 namespace mwsj {
 
-class Dfs;
 class FaultPlan;
 struct RetryPolicy;
 class ThreadPool;
@@ -42,14 +41,10 @@ struct ExecutionOptions {
 ///                (or an empty plan) runs every task attempt fault-free;
 ///   * `retry`  — retry/backoff/straggler policy consulted only when an
 ///                attempt faults; null uses the engine's built-in default;
-///   * `dfs`    — optional distributed-file-system model; when set, each
-///                job commits its reduce output as `<job>/part-<r>` files
-///                through attempt-scoped staging;
 ///   * `job_id` — scheduler-assigned id when several jobs share one pool
 ///                (core/scheduler.h); -1 means a standalone run. When set,
-///                trace spans, JobStats, engine error messages, and DFS
-///                part paths carry the id so concurrent jobs stay
-///                attributable;
+///                trace spans, JobStats and engine error messages carry
+///                the id so concurrent jobs stay attributable;
 ///   * `options` — value knobs (shuffle memory budget) the engine reads
 ///                per run; see ExecutionOptions.
 ///
@@ -61,7 +56,6 @@ struct ExecutionContext {
   std::string label;
   const FaultPlan* faults = nullptr;
   const RetryPolicy* retry = nullptr;
-  Dfs* dfs = nullptr;
   int64_t job_id = -1;
   ExecutionOptions options;
 

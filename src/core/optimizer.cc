@@ -41,7 +41,7 @@ double StepCardinality(const Query& query,
   return estimate;
 }
 
-// Exhaustive DFS over connectivity-valid orders, minimizing the sum of
+// Exhaustive depth-first search over connectivity-valid orders, minimizing the sum of
 // intermediate cardinalities (the final result's size is order-invariant
 // but is included uniformly, so it does not affect the argmin).
 struct Enumerator {
@@ -55,7 +55,7 @@ struct Enumerator {
   std::vector<int> order;
   std::vector<bool> bound;
 
-  void Dfs(double cardinality, double cost) {
+  void Search(double cardinality, double cost) {
     const int m = query.num_relations();
     if (static_cast<int>(order.size()) == m) {
       if (cost < best_cost) {
@@ -89,7 +89,7 @@ struct Enumerator {
           static_cast<int>(order.size()) < query.num_relations()
               ? next_cardinality
               : 0;
-      Dfs(next_cardinality, cost + added);
+      Search(next_cardinality, cost + added);
       order.pop_back();
       bound[static_cast<size_t>(r)] = false;
     }
@@ -152,7 +152,7 @@ std::vector<int> OptimizeCascadeOrder(
                  std::numeric_limits<double>::infinity(),
                  {},
                  std::vector<bool>(static_cast<size_t>(m), false)};
-    e.Dfs(0, 0);
+    e.Search(0, 0);
     return e.best_order;
   }
 

@@ -69,8 +69,8 @@ struct RunnerOptions {
 
   /// Execution environment shared across phases: worker pool (null =
   /// synchronous), optional tracer, a run label for top-level spans, and
-  /// the fault-injection plan / retry policy / DFS model every engine job
-  /// of the run executes under (mapreduce/fault.h, mapreduce/dfs.h) —
+  /// the fault-injection plan and retry policy every engine job of the
+  /// run executes under (mapreduce/fault.h) —
   /// `mwsj_join --faults=SPEC` plugs in here. `context.job_id` is set by
   /// the JobScheduler for submitted jobs.
   ExecutionContext context;
@@ -104,7 +104,7 @@ struct RunnerOptions {
 /// spins up a single-slot JobScheduler on `options.context`'s pool/tracer,
 /// submits one job borrowing `relations`, and blocks on its handle —
 /// submit + wait, nothing more. Results, statuses, fault semantics, and
-/// every produced artifact (traces, stats_json, DFS paths) are identical
+/// every produced artifact (traces, stats_json) are identical
 /// to the pre-scheduler behavior. Deprecated for new multi-job callers:
 /// construct a JobScheduler (core/scheduler.h) and Submit() instead.
 StatusOr<JoinRunResult> RunSpatialJoin(

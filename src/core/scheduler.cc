@@ -188,7 +188,7 @@ void JobScheduler::RunJob(scheduler_internal::Job* job) {
   }
 
   // The per-job options inherit the scheduler's shared wiring; the spec's
-  // own label/faults/retry/dfs stay job-scoped.
+  // own label/faults/retry stay job-scoped.
   RunnerOptions options = job->spec.options;
   options.context.pool = options_.pool;
   options.context.tracer = options_.tracer;

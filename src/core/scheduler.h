@@ -84,15 +84,13 @@ struct JobSpec {
 
   /// Algorithm, grid, and per-job execution knobs. `options.context.pool`,
   /// `.tracer`, and `.job_id` are overwritten by the scheduler (the pool
-  /// and tracer are scheduler-owned); `.label`, `.faults`, `.retry`, and
-  /// `.dfs` are honored per job, so fault plans and DFS models stay
-  /// job-scoped.
+  /// and tracer are scheduler-owned); `.label`, `.faults` and `.retry`
+  /// are honored per job, so fault plans stay job-scoped.
   RunnerOptions options;
 
-  /// When false the job runs with `job_id = -1`: no "job" span args, no
-  /// stats_json "job_id", no DFS path prefix. Only RunJobInline (the
-  /// blocking wrappers) clears it, to keep pre-scheduler callers'
-  /// artifacts byte-identical.
+  /// When false the job runs with `job_id = -1`: no "job" span args and
+  /// no stats_json "job_id". Only RunJobInline (the blocking wrappers)
+  /// clears it, to keep pre-scheduler callers' artifacts byte-identical.
   bool tag_job_id = true;
 
   /// Workload override: when set, the driver invokes this instead of
@@ -186,7 +184,7 @@ class JobHandle {
 /// Each job executes exactly the blocking pipeline (ExecuteSpatialJoin),
 /// so per-job output is byte-identical to a serial run, fault semantics
 /// stay exactly-once, and the zero-fault fast path is untouched; isolation
-/// across jobs comes from per-job ids in spans/stats/DFS paths, not from
+/// across jobs comes from per-job ids in spans and stats, not from
 /// changed execution.
 ///
 /// Destruction drains: every accepted job still runs to a terminal state
@@ -240,8 +238,8 @@ class JobScheduler {
 /// inline single-slot scheduler borrowing `spec.options`' pool, tracer and
 /// catalog runs the job on this thread, so no driver thread is created or
 /// joined and a tight loop of blocking joins pays nothing over the
-/// pre-scheduler API. The job runs with tag_job_id off, so traces, stats
-/// and DFS paths stay byte-identical to that API too.
+/// pre-scheduler API. The job runs with tag_job_id off, so traces and
+/// stats stay byte-identical to that API too.
 StatusOr<JoinRunResult> RunJobInline(JobSpec spec);
 
 }  // namespace mwsj

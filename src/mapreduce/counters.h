@@ -53,12 +53,13 @@ struct SpillStats {
   int64_t spilled_runs = 0;
   /// Intermediate bytes of the spilled buckets before encoding.
   int64_t spilled_raw_bytes = 0;
-  /// Bytes committed to the spill store (columnar-compressed where the
-  /// record type supports it, raw otherwise).
+  /// Bytes the committed runs store in their map shards (columnar-compressed
+  /// where the record type supports it, raw otherwise).
   int64_t spilled_stored_bytes = 0;
   /// Spill-flush attempts retried under fault injection.
   int64_t flush_retries = 0;
-  /// Staged run bytes discarded by failed flush attempts.
+  /// Bytes of the runs that failed and speculative flush attempts built
+  /// and dropped.
   int64_t wasted_flush_bytes = 0;
   /// Shuffle-state bytes resident at the map→reduce barrier: the
   /// in-memory buckets of unspilled chunks (spilled runs are counted by

@@ -24,7 +24,6 @@
 #include "common/thread_pool.h"
 #include "common/trace.h"
 #include "mapreduce/counters.h"
-#include "mapreduce/dfs.h"
 #include "mapreduce/spill.h"
 #include "simd/simd.h"
 #include "mapreduce/fault.h"
@@ -68,7 +67,7 @@ std::string DescribeKey(const K& key) {
 ///     plan (mapreduce/fault.h) injects deterministic per-attempt
 ///     crash/flaky/straggler faults, and the engine retries with bounded
 ///     exponential backoff while discarding everything a failed attempt
-///     produced — emits, user counters, DFS writes — so job output stays
+///     produced — emits, user counters, spill runs — so job output stays
 ///     byte-identical to a fault-free run (Hadoop's exactly-once task
 ///     re-execution, with the wasted work accounted in JobStats);
 ///   * the shuffle has Hadoop's single path: every map chunk partitions
@@ -82,7 +81,7 @@ std::string DescribeKey(const K& key) {
 ///
 /// Keys must be totally ordered (operator<) and equality-comparable. Keys,
 /// values and outputs must be copy-constructible — discarded attempts
-/// re-read the shuffle and spill runs copy buckets — and keys and values
+/// re-read the shuffle and raw spill runs copy buckets — and keys and values
 /// default-constructible (the mapper-side scatter builds reducer-major
 /// shards in place). The partition and value-size functions run inside
 /// mapper tasks and must be thread-safe (in practice: pure functions of the
@@ -225,37 +224,18 @@ class MapReduceJob {
     value_size_ = std::move(fn);
     return *this;
   }
-  /// Byte size of one input / output record for DFS accounting.
-  MapReduceJob& set_record_bytes(int64_t in_bytes, int64_t out_bytes) {
-    input_record_bytes_ = in_bytes;
-    output_record_bytes_ = out_bytes;
-    return *this;
-  }
-
-  /// Adds to a user counter visible in the resulting JobStats. Thread-safe,
-  /// but NOT attempt-scoped: a map/reduce body calling this directly is
-  /// double-counted when its attempt is re-executed under a fault plan.
-  /// Task bodies must use Emitter/OutEmitter::IncrementCounter instead;
-  /// this method is for driver-side accounting outside task attempts.
-  void IncrementCounter(const std::string& name, int64_t delta)
-      EXCLUDES(counter_mu_) {
-    MutexLock lock(&counter_mu_);
-    user_counters_[name] += delta;
-  }
-
   /// Executes the job over `input`, appending reducer output to `*output`.
   /// `ctx.pool` may be null for synchronous single-threaded execution;
   /// `ctx.tracer` (optional) records the job span, the map/shuffle/reduce
   /// phase spans, and one task span per map chunk / spill flush / reduce
   /// task. When `ctx.job_id >= 0` (scheduler-submitted runs) every
-  /// span carries a "job" arg, JobStats records the id, and DFS part files
-  /// are staged under a per-job `job-<id>/` prefix so concurrent jobs with
-  /// the same job name never collide.
+  /// span carries a "job" arg and JobStats records the id, so concurrent
+  /// jobs with the same job name stay attributable.
   ///
   /// MWSJ_BLOCKING_OK: the driver is the one sanctioned blocking scope —
-  /// it forks/join task batches, simulates straggler delays, and commits
-  /// DFS stages. blocking-reach traversals stop here instead of flagging
-  /// the orchestration beneath it.
+  /// it forks/join task batches and simulates straggler delays.
+  /// blocking-reach traversals stop here instead of flagging the
+  /// orchestration beneath it.
   MWSJ_BLOCKING_OK JobStats Run(std::span<const In> input,
                                 std::vector<Out>* output,
                                 const ExecutionContext& ctx =
@@ -276,8 +256,6 @@ class MapReduceJob {
   ReduceFn reduce_;
   PartitionFn partition_;
   SizeFn value_size_;
-  int64_t input_record_bytes_ = static_cast<int64_t>(sizeof(In));
-  int64_t output_record_bytes_ = static_cast<int64_t>(sizeof(Out));
 
   Mutex counter_mu_;
   std::map<std::string, int64_t> user_counters_ GUARDED_BY(counter_mu_);
@@ -304,7 +282,8 @@ JobStats MapReduceJob<In, K, V, Out>::Run(std::span<const In> input,
   stats.job_id = job_id;
   stats.num_reducers = num_reducers_;
   stats.map_input_records = static_cast<int64_t>(input.size());
-  stats.map_input_bytes = stats.map_input_records * input_record_bytes_;
+  stats.map_input_bytes =
+      stats.map_input_records * static_cast<int64_t>(sizeof(In));
 
   // A reused job object starts each run with fresh user counters.
   {
@@ -406,13 +385,10 @@ JobStats MapReduceJob<In, K, V, Out>::Run(std::span<const In> input,
   // bucket; a chunk whose intermediate bytes exceed its share of the budget
   // also flushes its buckets as sorted runs; each reduce task k-way merges
   // its bucket column. An unlimited budget (0) is a budget no chunk ever
-  // exceeds. Spill runs live in an engine-internal DFS, not ctx.dfs: the
-  // user's DFS accounts the algorithm's I/O (the paper's communication
-  // cost), while spill traffic is an engine implementation detail reported
-  // via SpillStats.
+  // exceeds. A spilled chunk keeps its runs itself, one slot per reducer,
+  // and SpillStats reports the spill traffic.
   const int64_t shuffle_budget = spill::ResolveShuffleBudget(ctx.options);
   stats.spill.budget_bytes = shuffle_budget;
-  Dfs spill_dfs;
 
   // ---- Map phase. Input is split into fixed chunks; each chunk partitions
   // its pairs at emit time and finishes its task with a stable local
@@ -426,13 +402,21 @@ JobStats MapReduceJob<In, K, V, Out>::Run(std::span<const In> input,
       std::max<size_t>(1, (input.size() + 63) / 64);
   const size_t num_chunks =
       input.empty() ? 0 : (input.size() + chunk_size - 1) / chunk_size;
+  // One spilled bucket: its columnar frame, or its raw sorted pairs when
+  // (K, V) has no SpillColumns or encoding would make the run larger.
+  struct SpillRun {
+    std::vector<uint8_t> encoded;
+    std::vector<std::pair<K, V>> raw;
+  };
   struct MapShard {
     std::vector<std::pair<K, V>> pairs;  // Reducer-major, key-sorted buckets.
     std::vector<size_t> offsets;         // Bucket r = [offsets[r], offsets[r+1]).
     std::vector<int64_t> bucket_bytes;   // Per-reducer intermediate bytes.
     int64_t bytes = 0;
     double seconds = 0;
-    bool spilled = false;    // Buckets live as spill runs, not pairs.
+    // Empty unless the chunk spilled; then one run slot per reducer holds
+    // the buckets and `pairs` is freed.
+    std::vector<SpillRun> runs;
     PhaseFaultStats faults;  // This task's attempt/retry accounting.
     SpillStats spill;        // This task's spill accounting.
   };
@@ -463,16 +447,13 @@ JobStats MapReduceJob<In, K, V, Out>::Run(std::span<const In> input,
     for (const uint32_t i : idx) sorted.push_back(std::move(lo[i]));
     std::move(sorted.begin(), sorted.end(), lo);
   };
-  auto spill_run_name = [](size_t c, size_t r) {
-    return "spill/chunk-" + std::to_string(c) + "/r-" + std::to_string(r);
-  };
   // After a chunk's committing map attempt: key-sort its buckets and, if
-  // the chunk exceeds its budget share, flush them all as sorted runs
-  // through an attempt-staged, fault-injectable write (FaultPhase::kSpill,
-  // task id = chunk index). Runs are columnar-compressed when (K, V)
-  // supports it, raw sorted pair vectors otherwise; either way flushing
-  // reads the buckets without moving them, so a failed flush attempt
-  // retries from intact buckets.
+  // the chunk exceeds its budget share, flush them all as sorted runs into
+  // the shard's run slots through a fault-injectable flush
+  // (FaultPhase::kSpill, task id = chunk index). Flushing reads the
+  // buckets without moving them, so a failed flush attempt retries from
+  // intact buckets; a discarded attempt builds its runs in slots of its
+  // own and drops them.
   auto sort_and_maybe_spill = [&](size_t c) {
     MapShard& shard = shards[c];
     Stopwatch spill_watch;
@@ -486,39 +467,38 @@ JobStats MapReduceJob<In, K, V, Out>::Run(std::span<const In> input,
       // grows to the largest bucket once instead of reallocating a
       // bucket-sized vector per EncodeRun call.
       std::vector<uint64_t> encode_scratch;
-      // Stages runs for the first `bucket_limit` reducers (a flaky flush
-      // dies midway through its buckets); returns the run count.
-      auto stage_runs = [&](DfsStage& stage, size_t bucket_limit) {
-        int64_t runs = 0;
+      // Appends the runs of the first `bucket_limit` reducers to `*runs`
+      // (a flaky flush dies midway through its buckets); returns the run
+      // count and the bytes the runs store.
+      auto build_runs = [&](std::vector<SpillRun>* runs, size_t bucket_limit) {
+        runs->resize(num_reducers);
+        int64_t count = 0;
+        int64_t stored = 0;
         for (size_t r = 0; r < bucket_limit; ++r) {
-          const size_t lo = shard.offsets[r];
-          const size_t hi = shard.offsets[r + 1];
+          const auto lo = shard.pairs.begin() +
+                          static_cast<ptrdiff_t>(shard.offsets[r]);
+          const auto hi = shard.pairs.begin() +
+                          static_cast<ptrdiff_t>(shard.offsets[r + 1]);
           if (hi == lo) continue;
-          ++runs;
+          ++count;
+          SpillRun& run = (*runs)[r];
           if constexpr (spill::kEncodable<K, V>) {
-            auto bytes = std::make_shared<std::vector<uint8_t>>();
-            spill::EncodeRun(shard.pairs.data() + lo, hi - lo,
-                             &encode_scratch, bytes.get());
-            const int64_t encoded = static_cast<int64_t>(bytes->size());
+            spill::EncodeRun(&*lo, static_cast<size_t>(hi - lo),
+                             &encode_scratch, &run.encoded);
+            const int64_t encoded = static_cast<int64_t>(run.encoded.size());
             // A tiny run can encode *larger* than its raw bytes (frame and
             // block headers dominate a handful of rows); store whichever
-            // representation is smaller. The merge probes the stored type.
+            // representation is smaller.
             if (encoded <= shard.bucket_bytes[r]) {
-              (void)stage.Write(spill_run_name(c, r),
-                                std::shared_ptr<const std::vector<uint8_t>>(
-                                    std::move(bytes)),
-                                1, encoded);
+              stored += encoded;
               continue;
             }
+            std::vector<uint8_t>().swap(run.encoded);
           }
-          (void)stage.Write(
-              spill_run_name(c, r),
-              std::make_shared<const std::vector<std::pair<K, V>>>(
-                  shard.pairs.begin() + static_cast<ptrdiff_t>(lo),
-                  shard.pairs.begin() + static_cast<ptrdiff_t>(hi)),
-              1, shard.bucket_bytes[r]);
+          run.raw.insert(run.raw.end(), lo, hi);
+          stored += shard.bucket_bytes[r];
         }
-        return runs;
+        return std::pair<int64_t, int64_t>(count, stored);
       };
       // A flush attempt is not a map attempt: of its tally only the
       // retries (as SpillStats::flush_retries) and the backoff are kept.
@@ -527,20 +507,16 @@ JobStats MapReduceJob<In, K, V, Out>::Run(std::span<const In> input,
           FaultPhase::kSpill, c, "spill_flush", "chunk",
           /*trace_speculative=*/false, &flush,
           [&](bool full) {
-            // The stage's destructor discards the staged runs, so the spill
-            // DFS never sees a partial or duplicate flush.
-            DfsStage stage(&spill_dfs);
-            (void)stage_runs(stage, full ? num_reducers : num_reducers / 2);
-            shard.spill.wasted_flush_bytes += stage.staged_bytes();
+            std::vector<SpillRun> dropped;
+            shard.spill.wasted_flush_bytes +=
+                build_runs(&dropped, full ? num_reducers : num_reducers / 2)
+                    .second;
           },
           [&](int) {
             TraceSpan flush_span(tracer, "spill_flush", "task");
             tag_job(flush_span);
             flush_span.AddArg("chunk", static_cast<int64_t>(c));
-            DfsStage stage(&spill_dfs);
-            const int64_t runs = stage_runs(stage, num_reducers);
-            const int64_t stored = stage.staged_bytes();
-            stage.Commit();
+            const auto [runs, stored] = build_runs(&shard.runs, num_reducers);
             shard.spill.spilled_chunks = 1;
             shard.spill.spilled_runs = runs;
             shard.spill.spilled_raw_bytes = shard.bytes;
@@ -550,8 +526,7 @@ JobStats MapReduceJob<In, K, V, Out>::Run(std::span<const In> input,
           });
       shard.spill.flush_retries = flush.retries;
       shard.faults.backoff_seconds += flush.backoff_seconds;
-      shard.spilled = true;
-      std::vector<std::pair<K, V>>().swap(shard.pairs);  // Runs own it now.
+      std::vector<std::pair<K, V>>().swap(shard.pairs);  // Runs hold it now.
     }
     shard.seconds += spill_watch.ElapsedSeconds();
   };
@@ -659,7 +634,7 @@ JobStats MapReduceJob<In, K, V, Out>::Run(std::span<const In> input,
           std::max(stats.spill.merge_runs_max, merge_width);
     }
     for (const MapShard& shard : shards) {
-      if (!shard.spilled) stats.spill.peak_shuffle_bytes += shard.bytes;
+      if (shard.runs.empty()) stats.spill.peak_shuffle_bytes += shard.bytes;
     }
   }
   stats.shuffle_seconds = phase_watch.ElapsedSeconds();
@@ -670,11 +645,6 @@ JobStats MapReduceJob<In, K, V, Out>::Run(std::span<const In> input,
   // arrival order, whichever chunks spilled, so output is byte-identical
   // under every budget. Key groups come straight out of the merge, in key
   // order, into one reused value buffer.
-  // Scheduler-submitted jobs stage DFS part files under a per-job prefix:
-  // two concurrent submissions of the same algorithm share the job *name*,
-  // and without the prefix their committers would race on one path.
-  const std::string dfs_part_prefix =
-      job_id >= 0 ? "job-" + std::to_string(job_id) + "/" + name_ : name_;
   phase_watch.Reset();
   std::vector<std::vector<Out>> reducer_out(num_reducers);
   stats.per_reducer_seconds.assign(num_reducers, 0.0);
@@ -683,21 +653,19 @@ JobStats MapReduceJob<In, K, V, Out>::Run(std::span<const In> input,
   // One sorted source of a reducer's merge: a pair slice [pos, end) — an
   // in-memory bucket or a raw spill run — or a columnar-encoded spill run.
   struct Source {
-    const std::pair<K, V>* pos = nullptr;
-    const std::pair<K, V>* end = nullptr;
-    bool in_memory = false;           // The slice is a shard bucket.
-    std::shared_ptr<const void> run;  // Keeps a spill run alive.
+    std::pair<K, V>* pos = nullptr;
+    std::pair<K, V>* end = nullptr;
     std::unique_ptr<spill::EncodedRunCursor<K, V>> enc;  // Encoded run.
     K enc_key{};  // Decoded head key of `enc`.
 
     bool empty() const { return enc == nullptr ? pos == end : enc->empty(); }
     const K& key() const { return enc == nullptr ? pos->first : enc_key; }
-    // Pops the head value: moved out of a shard bucket when `move` (the
-    // committing pass; the bucket itself is not const), else copied.
+    // Pops the head value: moved out of a slice when `move` (the committing
+    // pass; nothing reads the slice after it), else copied.
     V Take(bool move) {
       if (enc == nullptr) {
-        const std::pair<K, V>& p = *pos++;
-        if (move && in_memory) return std::move(const_cast<V&>(p.second));
+        std::pair<K, V>& p = *pos++;
+        if (move) return std::move(p.second);
         return p.second;
       }
       K k{};
@@ -713,51 +681,30 @@ JobStats MapReduceJob<In, K, V, Out>::Run(std::span<const In> input,
   auto open_sources = [&](size_t r) {
     std::vector<Source> sources;
     sources.reserve(num_chunks);
-    for (size_t c = 0; c < num_chunks; ++c) {
-      const MapShard& shard = shards[c];
+    for (MapShard& shard : shards) {
       const size_t lo = shard.offsets[r];
       const size_t hi = shard.offsets[r + 1];
       if (hi == lo) continue;
       Source& s = sources.emplace_back();
-      if (!shard.spilled) {
+      if (shard.runs.empty()) {
         s.pos = shard.pairs.data() + lo;
         s.end = shard.pairs.data() + hi;
-        s.in_memory = true;
         continue;
       }
-      const std::string name = spill_run_name(c, r);
+      SpillRun& run = shard.runs[r];
       if constexpr (spill::kEncodable<K, V>) {
-        // Probe the columnar representation first; a run the flush chose
-        // to store raw (encoding expanded it) fails the type check and
-        // falls through.
-        if (auto data = spill_dfs.Read<uint8_t>(name); data.ok()) {
-          const std::vector<uint8_t>& bytes = *data.value();
-          s.run = data.value();
+        if (!run.encoded.empty()) {
           s.enc = std::make_unique<spill::EncodedRunCursor<K, V>>();
           // Engine-encoded frames always decode.
-          (void)s.enc->Init(bytes.data(), bytes.size());
+          (void)s.enc->Init(run.encoded.data(), run.encoded.size());
           if (!s.enc->empty()) s.enc_key = s.enc->key();
           continue;
         }
       }
-      auto raw = spill_dfs.Read<std::pair<K, V>>(name).value();
-      s.pos = raw->data();
-      s.end = raw->data() + raw->size();
-      s.run = std::move(raw);
+      s.pos = run.raw.data();
+      s.end = run.raw.data() + run.raw.size();
     }
     return sources;
-  };
-  // Stages reducer r's part file; only a committing attempt publishes it
-  // (Hadoop OutputCommitter style), otherwise the stage's destructor
-  // discards it and the Dfs never sees the attempt's bytes.
-  auto write_part = [&](size_t r, const std::vector<Out>& records,
-                        bool commit) {
-    if (ctx.dfs == nullptr) return;
-    DfsStage stage(ctx.dfs);
-    (void)stage.Write(dfs_part_prefix + "/part-" + std::to_string(r),
-                      std::make_shared<const std::vector<Out>>(records),
-                      output_record_bytes_);
-    if (commit) stage.Commit();
   };
 
   auto run_reducer = [&](size_t r) {
@@ -814,10 +761,8 @@ JobStats MapReduceJob<In, K, V, Out>::Run(std::span<const In> input,
           std::map<std::string, int64_t> counters;
           OutEmitter out(&scratch, &counters);
           reduce_pass(full ? total : total / 2, /*commit=*/false, out);
-          write_part(r, scratch, /*commit=*/false);
           rf.wasted_records += static_cast<int64_t>(scratch.size());
-          rf.wasted_bytes +=
-              static_cast<int64_t>(scratch.size()) * output_record_bytes_;
+          rf.wasted_bytes += static_cast<int64_t>(scratch.size() * sizeof(Out));
         },
         [&](int attempt) {
           TraceSpan reduce_span(tracer, "reduce_task", "task");
@@ -831,14 +776,13 @@ JobStats MapReduceJob<In, K, V, Out>::Run(std::span<const In> input,
           std::map<std::string, int64_t> counters;
           OutEmitter out(&reducer_out[r], &counters);
           reduce_pass(total, /*commit=*/true, out);
-          write_part(r, reducer_out[r], /*commit=*/true);
           stats.per_reducer_seconds[r] = reducer_watch.ElapsedSeconds();
           MergeCounters(counters);
         });
-    // Drop this reducer's spill runs so out-of-core memory drains as
-    // reducers complete.
-    for (size_t c = 0; c < num_chunks; ++c) {
-      if (shards[c].spilled) spill_dfs.Remove(spill_run_name(c, r));
+    // Free this reducer's run slots so out-of-core memory drains as
+    // reducers complete. Each reducer touches only its own slots.
+    for (MapShard& shard : shards) {
+      if (!shard.runs.empty()) shard.runs[r] = SpillRun();
     }
   };
   {
@@ -861,7 +805,8 @@ JobStats MapReduceJob<In, K, V, Out>::Run(std::span<const In> input,
     output->insert(output->end(), std::make_move_iterator(out.begin()),
                    std::make_move_iterator(out.end()));
   }
-  stats.reduce_output_bytes = stats.reduce_output_records * output_record_bytes_;
+  stats.reduce_output_bytes =
+      stats.reduce_output_records * static_cast<int64_t>(sizeof(Out));
 
   {
     MutexLock lock(&counter_mu_);

@@ -19,7 +19,7 @@ namespace mwsj {
 /// decides, as a pure function of (phase, task, attempt), whether an
 /// attempt crashes, fails midway, or straggles; the engine retries with
 /// bounded exponential backoff and discards everything a failed attempt
-/// produced (emits, user counters, DFS writes), so job output stays
+/// produced (emits, user counters, spill runs), so job output stays
 /// byte-identical to a fault-free run while the wasted work is accounted
 /// in JobStats.
 
@@ -41,8 +41,8 @@ enum class FaultKind {
   kCrash,
   /// The attempt dies midway through its input (flaky I/O): roughly half
   /// the records are processed and their emits, counter increments, and
-  /// staged DFS writes must all be discarded — the canonical test that
-  /// attempt staging is airtight.
+  /// spill runs must all be discarded — the canonical test that attempt
+  /// scoping is airtight.
   kFlakyIo,
   /// The attempt completes correctly but its (virtual) duration exceeds
   /// the straggler timeout, so the engine launches a speculative duplicate

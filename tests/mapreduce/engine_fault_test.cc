@@ -1,6 +1,6 @@
 // Fault injection and recovery semantics of the engine: deterministic
 // FaultPlan decisions, attempt-scoped discarding (emits, user counters,
-// DFS writes), bounded retry with injectable backoff clock, straggler
+// spill runs), bounded retry with injectable backoff clock, straggler
 // speculation, and retry-exhaustion aborts.
 
 #include <gtest/gtest.h>
@@ -11,7 +11,6 @@
 
 #include "common/str_format.h"
 #include "common/trace.h"
-#include "mapreduce/dfs.h"
 #include "mapreduce/engine.h"
 #include "mapreduce/fault.h"
 
@@ -171,6 +170,15 @@ TEST(EngineFaultTest, InjectedFaultsRecoverWithIdenticalOutputAndCounters) {
     plan.Inject(FaultPhase::kMap, 7, 0, FaultKind::kSlow);
     plan.Inject(FaultPhase::kReduce, 1, 0, FaultKind::kFlakyIo);
     plan.Inject(FaultPhase::kReduce, 3, 0, FaultKind::kSlow);
+    // Spill-flush faults (task id = chunk index; each 1-record chunk spills
+    // one run to reducer v % 4 under the 1-byte budget): chunk 2 (v = 11,
+    // reducer 3) crashes; chunk 3 (v = 0, reducer 0) dies flaky after its
+    // first two reducers, so it builds its one run and drops it; chunk 6
+    // (v = 9, reducer 1) straggles, so a speculative duplicate builds its
+    // run and drops it. An unlimited budget never flushes.
+    plan.Inject(FaultPhase::kSpill, 2, 0, FaultKind::kCrash);
+    plan.Inject(FaultPhase::kSpill, 3, 0, FaultKind::kFlakyIo);
+    plan.Inject(FaultPhase::kSpill, 6, 0, FaultKind::kSlow);
     RetryPolicy retry;
     retry.sleep = [](double) {};
     ExecutionContext ctx = baseline_ctx;
@@ -179,7 +187,8 @@ TEST(EngineFaultTest, InjectedFaultsRecoverWithIdenticalOutputAndCounters) {
     const JobRun faulted = RunFaultJob(ctx, shape);
 
     // Exactly-once: output, shuffle accounting, and user counters are
-    // byte-identical to the fault-free run despite 6 faulted attempts.
+    // byte-identical to the fault-free run despite 6 faulted task attempts
+    // (and 3 faulted flush attempts when spilling).
     EXPECT_EQ(faulted.output, baseline.output);
     EXPECT_EQ(faulted.stats.intermediate_records,
               baseline.stats.intermediate_records);
@@ -188,6 +197,27 @@ TEST(EngineFaultTest, InjectedFaultsRecoverWithIdenticalOutputAndCounters) {
     EXPECT_EQ(faulted.stats.per_reducer_records,
               baseline.stats.per_reducer_records);
     EXPECT_EQ(faulted.stats.user_counters, baseline.stats.user_counters);
+    // The runs the reducers merged are exactly the fault-free run's: no
+    // discarded flush attempt's runs survive in the run store.
+    const SpillStats& spill = faulted.stats.spill;
+    const SpillStats& clean = baseline.stats.spill;
+    EXPECT_EQ(spill.spilled_chunks, clean.spilled_chunks);
+    EXPECT_EQ(spill.spilled_runs, clean.spilled_runs);
+    EXPECT_EQ(spill.spilled_raw_bytes, clean.spilled_raw_bytes);
+    EXPECT_EQ(spill.spilled_stored_bytes, clean.spilled_stored_bytes);
+    if (budget > 0) {
+      EXPECT_EQ(clean.spilled_chunks, 12);
+      EXPECT_EQ(clean.spilled_runs, 12);
+      EXPECT_EQ(spill.flush_retries, 2);  // The crash and the flaky flush.
+      EXPECT_GT(spill.wasted_flush_bytes, 0);
+      // Two dropped one-pair runs, each stored raw ((int, int) has no
+      // SpillColumns) at its sizeof(K) + sizeof(V) intermediate bytes.
+      EXPECT_EQ(spill.wasted_flush_bytes, 2 * 8);
+    } else {
+      EXPECT_FALSE(spill.active());
+      EXPECT_EQ(spill.flush_retries, 0);
+      EXPECT_EQ(spill.wasted_flush_bytes, 0);
+    }
 
     // And the wasted work is all accounted: 12 map tasks, 4 faulted map
     // attempts (crash + flaky + crash = 3 retries, 1 speculative), 4 reduce
@@ -271,31 +301,40 @@ TEST(EngineFaultTest, DfsPartFilesAreCommittedExactlyOnce) {
     SCOPED_TRACE(StrFormat("two keys per reducer: %d, budget: %lld",
                            shape == KeyShape::kTwoKeys,
                            static_cast<long long>(budget)));
-    Dfs baseline_dfs;
     ExecutionContext baseline_ctx;
-    baseline_ctx.dfs = &baseline_dfs;
     baseline_ctx.options.shuffle_memory_budget = budget;
     const JobRun baseline = RunFaultJob(baseline_ctx, shape);
-    ASSERT_TRUE(baseline_dfs.Exists("fault_job/part-0"));
-    ASSERT_TRUE(baseline_dfs.Exists("fault_job/part-3"));
+    ASSERT_EQ(baseline.stats.per_reducer_records.size(), 4u);
 
     FaultPlan plan = FaultPlan::Seeded(17, 0.2, 0.15, 0.1);
     RetryPolicy retry;
     retry.sleep = [](double) {};
-    Dfs faulted_dfs;
     ExecutionContext ctx = baseline_ctx;
     ctx.faults = &plan;
     ctx.retry = &retry;
-    ctx.dfs = &faulted_dfs;
     const JobRun faulted = RunFaultJob(ctx, shape);
+    // The seeded plan does discard attempts, so the checks below bite.
+    ASSERT_GT(faulted.stats.map_faults.retries +
+                  faulted.stats.reduce_faults.retries,
+              0);
 
     EXPECT_EQ(faulted.output, baseline.output);
-    // Every part file committed once, by the committing attempt only: the
-    // write ledger equals the live datasets and matches the fault-free run.
-    EXPECT_EQ(faulted_dfs.bytes_written(), baseline_dfs.bytes_written());
-    EXPECT_EQ(faulted_dfs.records_written(), baseline_dfs.records_written());
-    EXPECT_EQ(faulted_dfs.bytes_written(), faulted_dfs.live_bytes());
-    EXPECT_EQ(faulted_dfs.records_written(), faulted_dfs.live_records());
+    // Every reducer's part committed once, by the committing attempt only:
+    // the output ledger matches the fault-free run.
+    EXPECT_EQ(faulted.stats.reduce_output_records,
+              baseline.stats.reduce_output_records);
+    EXPECT_EQ(faulted.stats.reduce_output_bytes,
+              baseline.stats.reduce_output_bytes);
+    EXPECT_EQ(faulted.stats.per_reducer_records,
+              baseline.stats.per_reducer_records);
+    // And every spill run committed once into its map shard: the run store
+    // the reducers merged equals the fault-free run's.
+    EXPECT_EQ(faulted.stats.spill.spilled_runs,
+              baseline.stats.spill.spilled_runs);
+    EXPECT_EQ(faulted.stats.spill.spilled_raw_bytes,
+              baseline.stats.spill.spilled_raw_bytes);
+    EXPECT_EQ(faulted.stats.spill.spilled_stored_bytes,
+              baseline.stats.spill.spilled_stored_bytes);
   }
 }
 

@@ -267,8 +267,8 @@ TEST(EngineTest, PhaseTimingsArePopulated) {
 TEST(EngineTest, RunTwiceDoesNotDoubleCountUserCounters) {
   IntJob job("rerun", 2);
   job.set_partition([](const int& k) { return k % 2; });
-  job.set_map([&job](const int& v, IntJob::Emitter& emit) {
-    job.IncrementCounter("mapped", 1);
+  job.set_map([](const int& v, IntJob::Emitter& emit) {
+    emit.IncrementCounter("mapped", 1);
     emit.Emit(v, v);
   });
   job.set_reduce([](const int&, std::span<const int>,
@@ -297,8 +297,8 @@ TEST(EngineTest, EmptyInputProducesEmptyOutputAndZeroCounters) {
 TEST(EngineTest, UserCountersAreCollected) {
   IntJob job("counters", 2);
   job.set_partition([](const int& k) { return k % 2; });
-  job.set_map([&job](const int& v, IntJob::Emitter& emit) {
-    if (v % 2 == 0) job.IncrementCounter("evens", 1);
+  job.set_map([](const int& v, IntJob::Emitter& emit) {
+    if (v % 2 == 0) emit.IncrementCounter("evens", 1);
     emit.Emit(v, v);
   });
   job.set_reduce([](const int&, std::span<const int>,

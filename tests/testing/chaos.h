@@ -18,7 +18,7 @@ namespace mwsj::testing {
 /// oracle, a fault-free baseline, and under a seeded deterministic
 /// FaultPlan — and cross-checks that fault injection is invisible in
 /// everything except the fault accounting itself: byte-identical tuples,
-/// user counters, shuffle statistics, and DFS byte accounting.
+/// user counters, shuffle statistics, and reduce output accounting.
 ///
 /// Since the differential-harness factoring this is a thin adapter: it
 /// assembles the multiway-join DifferentialWorkload (brute-force oracle +

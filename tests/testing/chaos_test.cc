@@ -1,6 +1,6 @@
 // Randomized chaos property test: 100+ worlds of seeded fault plans swept
 // over every distributed algorithm, threaded and unthreaded. Each world
-// must produce byte-identical output, counters, and DFS accounting to a
+// must produce byte-identical output, counters, and job statistics to a
 // fault-free run (and the brute-force oracle) — the engine's exactly-once
 // re-execution contract under crash, flaky-I/O, and straggler faults.
 //

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "common/str_format.h"
-#include "mapreduce/dfs.h"
 
 namespace mwsj::testing {
 
@@ -93,10 +92,8 @@ DifferentialOutcome RunDifferentialWorld(const DifferentialWorkload& workload,
 
   // The baseline is the in-memory, fault-free, ambient-ISA ground truth:
   // whatever the variant's perturbations, its output must match this.
-  Dfs baseline_dfs;
   ExecutionContext baseline_ctx;
   baseline_ctx.pool = options.pool;
-  baseline_ctx.dfs = &baseline_dfs;
   baseline_ctx.options.shuffle_memory_budget = -1;
   const StatusOr<JoinRunResult> baseline = workload.run(baseline_ctx);
   if (!baseline.ok()) {
@@ -112,10 +109,8 @@ DifferentialOutcome RunDifferentialWorld(const DifferentialWorkload& workload,
   RetryPolicy retry;
   retry.sleep = [](double) {};  // Virtual clock: differential sweeps never
                                 // sleep.
-  Dfs faulted_dfs;
   ExecutionContext variant_ctx;
   variant_ctx.pool = options.pool;
-  variant_ctx.dfs = &faulted_dfs;
   variant_ctx.options.shuffle_memory_budget = options.shuffle_memory_budget;
   variant_ctx.faults =
       options.fault_plan != nullptr ? options.fault_plan : &plan;
@@ -151,8 +146,9 @@ DifferentialOutcome RunDifferentialWorld(const DifferentialWorkload& workload,
   outcome.num_tuples = faulted.value().num_tuples;
 
   // Exactly-once, checked in rising order of subtlety: the oracle, the
-  // byte-identical tuple vector, the per-job statistics and counters, and
-  // the DFS ledger (no phantom bytes from discarded attempts).
+  // byte-identical tuple vector, and the per-job statistics and counters
+  // (reduce output records and bytes included, so a discarded attempt's
+  // output never shows).
   if (faulted.value().tuples != expected) {
     outcome.mismatch = StrFormat(
         "faulted run diverged from brute force (%zu vs %zu tuples)",
@@ -172,35 +168,6 @@ DifferentialOutcome RunDifferentialWorld(const DifferentialWorkload& workload,
   }
   outcome.mismatch =
       CompareJobStats(baseline.value().stats, faulted.value().stats);
-  if (!outcome.mismatch.empty()) return outcome;
-  if (faulted_dfs.bytes_written() != baseline_dfs.bytes_written() ||
-      faulted_dfs.records_written() != baseline_dfs.records_written()) {
-    outcome.mismatch = StrFormat(
-        "DFS write ledger diverged: %lld bytes / %lld records vs baseline "
-        "%lld / %lld",
-        static_cast<long long>(faulted_dfs.bytes_written()),
-        static_cast<long long>(faulted_dfs.records_written()),
-        static_cast<long long>(baseline_dfs.bytes_written()),
-        static_cast<long long>(baseline_dfs.records_written()));
-    return outcome;
-  }
-  if (faulted_dfs.live_bytes() != baseline_dfs.live_bytes() ||
-      faulted_dfs.live_records() != baseline_dfs.live_records()) {
-    outcome.mismatch = StrFormat(
-        "DFS live datasets diverged: %lld bytes vs baseline %lld",
-        static_cast<long long>(faulted_dfs.live_bytes()),
-        static_cast<long long>(baseline_dfs.live_bytes()));
-    return outcome;
-  }
-  // Committed writes must be exactly the live datasets: every part file is
-  // committed once, never re-committed by a discarded attempt.
-  if (faulted_dfs.bytes_written() != faulted_dfs.live_bytes()) {
-    outcome.mismatch = StrFormat(
-        "DFS bytes_written %lld != live bytes %lld (phantom attempt bytes)",
-        static_cast<long long>(faulted_dfs.bytes_written()),
-        static_cast<long long>(faulted_dfs.live_bytes()));
-    return outcome;
-  }
   return outcome;
 }
 

@@ -23,13 +23,13 @@ namespace mwsj::testing {
 /// under a seeded FaultPlan / shuffle budget / pinned SIMD ISA — and
 /// cross-checks that the perturbation axes are invisible in everything
 /// except their own accounting: byte-identical tuples, user counters,
-/// shuffle statistics, and the DFS write ledger. The chaos layer
+/// shuffle statistics, and reduce output records and bytes. The chaos layer
 /// (testing/chaos.h) is a multiway-join adapter over this harness; the
 /// knn-mr differential suite drives it directly.
 
 /// A workload under differential test. The harness owns the perturbation
 /// axes and hands the workload a fully assembled ExecutionContext (pool,
-/// faults, retry policy, DFS, shuffle budget); the workload folds it into
+/// faults, retry policy, shuffle budget); the workload folds it into
 /// its own options verbatim and runs the real pipeline.
 struct DifferentialWorkload {
   /// Label used in mismatch messages.

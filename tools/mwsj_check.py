@@ -17,10 +17,11 @@ Call-graph rules:
                      value, or touch RNG outside src/common/ — the static
                      form of the tie-break bug class that breaks
                      byte-identical emit streams.
-  blocking-reach     An MWSJ_BLOCKING function (Dfs I/O, CondVar waits,
-                     pool joins) must be unreachable from MWSJ_ALLOC_FREE
+  blocking-reach     An MWSJ_BLOCKING function (CondVar waits, pool
+                     joins) must be unreachable from MWSJ_ALLOC_FREE
                      / MWSJ_DETERMINISTIC functions except through an
-                     MWSJ_BLOCKING_OK barrier (spill-flush entry points).
+                     MWSJ_BLOCKING_OK barrier (job orchestration entry
+                     points such as MapReduceJob::Run).
   hot-shared-rmw     An MWSJ_ALLOC_FREE function must not transitively
                      perform an atomic read-modify-write (fetch_add,
                      exchange, compare_exchange, ++/+= on a std::atomic):

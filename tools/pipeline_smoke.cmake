@@ -1,7 +1,8 @@
 # End-to-end smoke test of the CLI tools, run by ctest:
 #   mwsj_datagen (csv + binary) -> mwsj_join --verify --output -> tuple CSV,
 #   plus a Chrome-trace export validated for structure and span coverage,
-#   and an All-Replicate run whose tuple CSV must match C-Rep-L's.
+#   and All-Replicate runs (in memory, and spilling under a 4k shuffle
+#   budget with injected faults) whose tuple CSVs must match C-Rep-L's.
 # Invoked with -DDATAGEN=<path> -DJOIN=<path> -DWORKDIR=<dir>.
 
 file(MAKE_DIRECTORY ${WORKDIR})
@@ -60,6 +61,32 @@ if(allrep_job EQUAL -1)
   message(FATAL_ERROR "allrep_stats.json missing the all_replicate job: "
                       "${allrep_stats}")
 endif()
+
+# The same run under a 4k shuffle budget spills every map chunk into its
+# run store and merges the runs back; the fault plan crashes, breaks and
+# slows map, spill-flush and reduce attempts. None of it may change a byte
+# of the tuple file, and the flush retries must really have happened.
+run_checked(${CMAKE_COMMAND} -E env MWSJ_SHUFFLE_BUDGET=4k
+            ${JOIN} --query "A OV B AND B RA(40) A2" --input A=${WORKDIR}/a.csv
+            --input B=${WORKDIR}/b.bin --input A2=${WORKDIR}/a.csv
+            --algorithm allrep --grid 4x4
+            --faults seed=5,crash=0.1,flaky=0.08,slow=0.05
+            --output ${WORKDIR}/allrep_spill_tuples.csv
+            --stats-json ${WORKDIR}/allrep_spill_stats.json)
+file(READ ${WORKDIR}/allrep_spill_tuples.csv allrep_spill_tuples)
+if(NOT allrep_spill_tuples STREQUAL tuples)
+  message(FATAL_ERROR
+          "allrep_spill_tuples.csv (4k budget, faults) differs from the "
+          "crepl tuples.csv")
+endif()
+file(READ ${WORKDIR}/allrep_spill_stats.json allrep_spill_stats)
+foreach(field spilled_runs flush_retries)
+  string(REGEX MATCH "\"${field}\": ([0-9]+)" _ "${allrep_spill_stats}")
+  if(NOT CMAKE_MATCH_1 OR CMAKE_MATCH_1 EQUAL 0)
+    message(FATAL_ERROR "allrep_spill_stats.json reports no ${field}: "
+                        "${allrep_spill_stats}")
+  endif()
+endforeach()
 
 # The trace must be present and cover the run: Chrome-trace envelope, both
 # C-Rep rounds, and every engine phase.
