@@ -1,6 +1,7 @@
-// kNN join micro-benchmarks: the distributed two-round knn-mr pipeline
-// (queries/knn_mr.h) against the single-node three-round KnnJoin
-// (queries/knn.h) on the same data, sweeping k. knn-mr additionally
+// kNN join micro-benchmarks: the distributed knn-mr pipeline
+// (queries/knn_mr.h; bound, join and merge: three rounds, two when the
+// catalog already holds the round-1 bounds) against the single-node
+// three-round KnnJoin (queries/knn.h) on the same data, sweeping k. knn-mr additionally
 // reports its point replication factor (round-2 point copies per point) —
 // the quantity its round-1 bounds exist to minimize.
 

@@ -73,13 +73,6 @@ void ReplicateF1Cells(const GridPartition& grid, const Rect& u,
   }
 }
 
-int64_t CountReplicateF1Cells(const GridPartition& grid, const Rect& u) {
-  const CellId anchor = grid.CellOfRect(u);
-  const int64_t rows = grid.rows() - grid.RowOf(anchor);
-  const int64_t cols = grid.cols() - grid.ColOf(anchor);
-  return rows * cols;
-}
-
 void ReplicateF2Cells(const GridPartition& grid, const Rect& u, double d,
                       DistanceMetric metric, std::vector<CellId>* out) {
   const CellId anchor = grid.CellOfRect(u);

@@ -76,9 +76,6 @@ MWSJ_ALLOC_FREE MWSJ_DETERMINISTIC void EnlargedSplitCells(
     const GridPartition& grid, const Rect& u, double d,
     std::vector<CellId>* out);
 
-/// Number of cells f1 would produce, without materializing them.
-int64_t CountReplicateF1Cells(const GridPartition& grid, const Rect& u);
-
 }  // namespace mwsj
 
 #endif  // MWSJ_GRID_TRANSFORM_H_

@@ -1,14 +1,11 @@
 // mwsj-check: spill-budgeted
 //
-// Block codec implementation. The delta/zigzag transforms dispatch through
-// the SIMD kernel table; the bitpack below is deliberately shared scalar
-// code (one u128 accumulator, LSB-first) so encoded bytes are identical
-// under every ISA — the spill parity suite pins that.
+// Block codec implementation: a delta + zigzag transform and an LSB-first
+// bitpack (one u128 accumulator), all plain scalar code, so the encoded
+// bytes do not depend on the CPU the spill ran on.
 #include "io/colcodec.h"
 
 #include <algorithm>
-
-#include "simd/simd.h"
 
 namespace mwsj::colcodec {
 
@@ -72,6 +69,42 @@ void UnpackBits(const uint8_t* data, size_t n, int width, uint64_t* out) {
   }
 }
 
+// Zigzag over wrapping u64 differences: small signed deltas map to small
+// unsigned codes, and decode is the exact inverse. All arithmetic wraps, so
+// any delta round-trips.
+inline uint64_t ZigzagEncode(uint64_t delta) {
+  return (delta << 1) ^
+         static_cast<uint64_t>(static_cast<int64_t>(delta) >> 63);
+}
+
+inline uint64_t ZigzagDecode(uint64_t z) {
+  return (z >> 1) ^ (uint64_t{0} - (z & 1));
+}
+
+// Writes the n-1 zigzag-encoded adjacent differences of vals[0..n) to out
+// and returns the OR of all of them, from which the encoder derives the
+// block's pack width. n <= 1 writes nothing and returns 0.
+uint64_t DeltaZigzagEncode(const uint64_t* vals, size_t n, uint64_t* out) {
+  uint64_t or_mask = 0;
+  for (size_t i = 0; i + 1 < n; ++i) {
+    const uint64_t z = ZigzagEncode(vals[i + 1] - vals[i]);
+    out[i] = z;
+    or_mask |= z;
+  }
+  return or_mask;
+}
+
+// Inverse: out[0] = base, out[i] = out[i-1] + unzigzag(deltas[i-1]).
+void DeltaZigzagDecode(const uint64_t* deltas, size_t n, uint64_t base,
+                       uint64_t* out) {
+  if (n == 0) return;
+  out[0] = base;
+  for (size_t i = 1; i < n; ++i) {
+    base += ZigzagDecode(deltas[i - 1]);
+    out[i] = base;
+  }
+}
+
 inline size_t PackedBytes(size_t n, int width) {
   return (n * static_cast<size_t>(width) + 7) / 8;
 }
@@ -92,7 +125,7 @@ size_t DecodeBlock(const uint8_t* data, size_t size, size_t pos, size_t count,
   } else {
     UnpackBits(data + pos + kBlockHeaderBytes, count - 1, width, deltas);
   }
-  simd::ActiveKernels().delta_zigzag_decode(deltas, count, base, out);
+  DeltaZigzagDecode(deltas, count, base, out);
   return kBlockHeaderBytes + packed;
 }
 
@@ -108,8 +141,7 @@ size_t EncodeColumn(const uint64_t* vals, size_t n, std::vector<uint8_t>* out) {
   uint64_t deltas[kBlockRows];
   for (size_t pos = 0; pos < n; pos += kBlockRows) {
     const size_t count = std::min(kBlockRows, n - pos);
-    const uint64_t or_mask =
-        simd::ActiveKernels().delta_zigzag_encode(vals + pos, count, deltas);
+    const uint64_t or_mask = DeltaZigzagEncode(vals + pos, count, deltas);
     const int width = BitWidth(or_mask);
     out->push_back(static_cast<uint8_t>(width));
     AppendU64Le(vals[pos], out);

@@ -17,9 +17,8 @@ namespace mwsj::colcodec {
 ///   [1B bit-width w][8B first value, little-endian]
 ///   [ceil((count-1) * w / 8) bytes of LSB-first bitpacked zigzag deltas]
 ///
-/// The delta + zigzag transform runs through the runtime-dispatched SIMD
-/// kernels (simd::KernelTable::delta_zigzag_*); the bitpack itself is
-/// shared scalar code, so the encoded bytes are identical under every ISA.
+/// The delta + zigzag transform and the bitpack are plain scalar code, so
+/// the encoded bytes do not depend on the CPU.
 /// Sorted-key columns and the order-preserving double mapping below make
 /// deltas small, which is where the compression comes from.
 

@@ -81,7 +81,7 @@ StatusOr<FaultPlan> FaultPlan::Parse(const std::string& spec) {
       bound = static_cast<int>(std::strtol(value.c_str(), &parse_end, 10));
     } else if (key == "crash" || key == "flaky" || key == "slow") {
       const double p = std::strtod(value.c_str(), &parse_end);
-      if (p < 0 || p > 1) {
+      if (!(p >= 0 && p <= 1)) {  // Written to reject NaN as well.
         return Status::InvalidArgument(
             StrFormat("fault probability '%s' outside [0, 1]", item.c_str()));
       }

@@ -8,9 +8,12 @@
 // and the k-way loser tree each reduce task merges its sorted bucket
 // column with.
 
+#include <charconv>
 #include <cstdint>
 #include <cstdlib>
 #include <limits>
+#include <string_view>
+#include <system_error>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -22,24 +25,34 @@
 
 namespace mwsj::spill {
 
-/// Parses the MWSJ_SHUFFLE_BUDGET override once per process: a positive
-/// byte count with an optional k/m/g (or K/M/G) binary suffix. Unset,
-/// empty, or unparseable means no override.
+/// Parses an MWSJ_SHUFFLE_BUDGET value: a positive decimal byte count
+/// with an optional k/m/g (or K/M/G) binary suffix. Returns 0 — no
+/// override — for anything else: empty, zero, negative, trailing
+/// characters, or a count whose suffixed byte size does not fit in int64.
+inline int64_t ParseShuffleBudget(std::string_view text) {
+  const char* const end = text.data() + text.size();
+  int64_t v = 0;
+  const auto [rest, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc() || v <= 0) return 0;
+  if (rest == end) return v;
+  if (rest + 1 != end) return 0;
+  int shift = 0;
+  switch (*rest) {
+    case 'k': case 'K': shift = 10; break;
+    case 'm': case 'M': shift = 20; break;
+    case 'g': case 'G': shift = 30; break;
+    default: return 0;
+  }
+  if (v > (std::numeric_limits<int64_t>::max() >> shift)) return 0;
+  return v << shift;
+}
+
+/// The MWSJ_SHUFFLE_BUDGET override, parsed once per process. Unset or
+/// unparseable means no override (0).
 inline int64_t EnvShuffleBudget() {
   static const int64_t cached = [] {
     const char* env = std::getenv("MWSJ_SHUFFLE_BUDGET");
-    if (env == nullptr || env[0] == '\0') return int64_t{0};
-    char* end = nullptr;
-    long long v = std::strtoll(env, &end, 10);
-    if (end == env || v <= 0) return int64_t{0};
-    switch (*end) {
-      case 'k': case 'K': v <<= 10; ++end; break;
-      case 'm': case 'M': v <<= 20; ++end; break;
-      case 'g': case 'G': v <<= 30; ++end; break;
-      default: break;
-    }
-    if (*end != '\0') return int64_t{0};
-    return static_cast<int64_t>(v);
+    return env == nullptr ? int64_t{0} : ParseShuffleBudget(env);
   }();
   return cached;
 }

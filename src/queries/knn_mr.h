@@ -150,8 +150,10 @@ struct KnnCellBounds {
 ///     the sample's k-th distance plus the cell diagonal;
 ///  2. *join*: each point is replicated to every cell whose Euclidean
 ///     cell distance is within its bound (all cells when unbounded),
-///     rectangles are Split; reducers run the allocation-free local kNN
-///     kernel (localjoin/rtree.h) and emit a local top-k per point;
+///     rectangles are Split; each reducer builds an R-tree over its cell's
+///     rectangles, collects those within each point's bound
+///     (RTree::Collect with Predicate::Range(bound), localjoin/rtree.h)
+///     and emits the point's local top-k, cut by std::partial_sort;
 ///  3. *merge*: candidates group by point id; duplicates from overlapping
 ///     cells collapse and the k smallest (distance, rect id) survive.
 ///

@@ -17,27 +17,13 @@ namespace {
 const KernelTable kScalarTable = {
     &internal::OverlapFilterScalar,
     &internal::WithinFilterScalar,
-    &internal::DeltaZigzagEncodeScalar,
-    &internal::DeltaZigzagDecodeScalar,
     Isa::kScalar,
 };
-
-#if MWSJ_SIMD_HAVE_SSE42
-const KernelTable kSseTable = {
-    &internal::OverlapFilterSse,
-    &internal::WithinFilterSse,
-    &internal::DeltaZigzagEncodeSse,
-    &internal::DeltaZigzagDecodeSse,
-    Isa::kSse,
-};
-#endif
 
 #if MWSJ_SIMD_HAVE_AVX2
 const KernelTable kAvx2Table = {
     &internal::OverlapFilterAvx2,
     &internal::WithinFilterAvx2,
-    &internal::DeltaZigzagEncodeAvx2,
-    &internal::DeltaZigzagDecodeAvx2,
     Isa::kAvx2,
 };
 #endif
@@ -54,9 +40,7 @@ Isa DetectIsa() {
     // CI leg naming an ISA must never silently run a different vector one.
     return Isa::kScalar;
   }
-  if (IsaAvailable(Isa::kAvx2)) return Isa::kAvx2;
-  if (IsaAvailable(Isa::kSse)) return Isa::kSse;
-  return Isa::kScalar;
+  return IsaAvailable(Isa::kAvx2) ? Isa::kAvx2 : Isa::kScalar;
 }
 
 // Testing override; nullptr means "use the detected table". Relaxed atomics
@@ -69,8 +53,6 @@ const char* IsaName(Isa isa) {
   switch (isa) {
     case Isa::kScalar:
       return "scalar";
-    case Isa::kSse:
-      return "sse";
     case Isa::kAvx2:
       return "avx2";
   }
@@ -79,7 +61,6 @@ const char* IsaName(Isa isa) {
 
 std::optional<Isa> ParseIsa(std::string_view name) {
   if (name == "scalar") return Isa::kScalar;
-  if (name == "sse") return Isa::kSse;
   if (name == "avx2") return Isa::kAvx2;
   return std::nullopt;
 }
@@ -88,12 +69,6 @@ bool IsaAvailable(Isa isa) {
   switch (isa) {
     case Isa::kScalar:
       return true;
-    case Isa::kSse:
-#if MWSJ_SIMD_HAVE_SSE42 && defined(__x86_64__) && defined(__GNUC__)
-      return __builtin_cpu_supports("sse4.2") != 0;
-#else
-      return false;
-#endif
     case Isa::kAvx2:
 #if MWSJ_SIMD_HAVE_AVX2 && defined(__x86_64__) && defined(__GNUC__)
       return __builtin_cpu_supports("avx2") != 0;
@@ -108,12 +83,6 @@ const KernelTable& KernelsFor(Isa isa) {
   switch (isa) {
     case Isa::kScalar:
       return kScalarTable;
-    case Isa::kSse:
-#if MWSJ_SIMD_HAVE_SSE42
-      return kSseTable;
-#else
-      break;
-#endif
     case Isa::kAvx2:
 #if MWSJ_SIMD_HAVE_AVX2
       return kAvx2Table;

@@ -41,21 +41,8 @@ inline bool WithinScalar(double b_min_x, double b_min_y, double b_max_x,
   return dx * dx + dy * dy <= d_sq;
 }
 
-// Zigzag transform over wrapping u64 differences (io/colcodec.h blocks).
-// Encode maps small signed deltas to small unsigned codes; decode is the
-// exact inverse. All arithmetic wraps, so any delta round-trips.
-
-inline uint64_t ZigzagEncodeScalar(uint64_t delta) {
-  return (delta << 1) ^
-         static_cast<uint64_t>(static_cast<int64_t>(delta) >> 63);
-}
-
-inline uint64_t ZigzagDecodeScalar(uint64_t z) {
-  return (z >> 1) ^ (uint64_t{0} - (z & 1));
-}
-
 // ---------------------------------------------------------------------------
-// Kernel entry points, one set per compiled ISA.
+// Kernel entry points: the scalar reference and, when compiled, AVX2.
 
 size_t OverlapFilterScalar(const double* min_xs, const double* min_ys,
                            const double* max_xs, const double* max_ys,
@@ -66,24 +53,6 @@ size_t WithinFilterScalar(const double* min_xs, const double* min_ys,
                           size_t n, double q_min_x, double q_min_y,
                           double q_max_x, double q_max_y, double d_sq,
                           uint32_t* out);
-uint64_t DeltaZigzagEncodeScalar(const uint64_t* vals, size_t n,
-                                 uint64_t* out);
-void DeltaZigzagDecodeScalar(const uint64_t* deltas, size_t n, uint64_t base,
-                             uint64_t* out);
-
-#if MWSJ_SIMD_HAVE_SSE42
-size_t OverlapFilterSse(const double* min_xs, const double* min_ys,
-                        const double* max_xs, const double* max_ys, size_t n,
-                        double q_min_x, double q_min_y, double q_max_x,
-                        double q_max_y, uint32_t* out);
-size_t WithinFilterSse(const double* min_xs, const double* min_ys,
-                       const double* max_xs, const double* max_ys, size_t n,
-                       double q_min_x, double q_min_y, double q_max_x,
-                       double q_max_y, double d_sq, uint32_t* out);
-uint64_t DeltaZigzagEncodeSse(const uint64_t* vals, size_t n, uint64_t* out);
-void DeltaZigzagDecodeSse(const uint64_t* deltas, size_t n, uint64_t base,
-                          uint64_t* out);
-#endif
 
 #if MWSJ_SIMD_HAVE_AVX2
 size_t OverlapFilterAvx2(const double* min_xs, const double* min_ys,
@@ -94,9 +63,6 @@ size_t WithinFilterAvx2(const double* min_xs, const double* min_ys,
                         const double* max_xs, const double* max_ys, size_t n,
                         double q_min_x, double q_min_y, double q_max_x,
                         double q_max_y, double d_sq, uint32_t* out);
-uint64_t DeltaZigzagEncodeAvx2(const uint64_t* vals, size_t n, uint64_t* out);
-void DeltaZigzagDecodeAvx2(const uint64_t* deltas, size_t n, uint64_t base,
-                           uint64_t* out);
 #endif
 
 }  // namespace mwsj::simd::internal

@@ -1,6 +1,6 @@
-// Scalar reference kernels. Every vector variant must match these
-// byte-for-byte (same matching indices, same order); the parity test suite
-// pins that under each ISA. The key/index sort has only this scalar form.
+// Scalar reference kernels. The AVX2 filters must match these byte-for-byte
+// (same matching indices, same order); the parity test suite pins that
+// under each ISA. The key/index sort has only this scalar form.
 #include <algorithm>
 #include <utility>
 #include <vector>
@@ -40,27 +40,6 @@ size_t WithinFilterScalar(const double* min_xs, const double* min_ys,
     count += hit ? 1 : 0;
   }
   return count;
-}
-
-uint64_t DeltaZigzagEncodeScalar(const uint64_t* vals, size_t n,
-                                 uint64_t* out) {
-  uint64_t or_mask = 0;
-  for (size_t i = 0; i + 1 < n; ++i) {
-    const uint64_t z = ZigzagEncodeScalar(vals[i + 1] - vals[i]);
-    out[i] = z;
-    or_mask |= z;
-  }
-  return or_mask;
-}
-
-void DeltaZigzagDecodeScalar(const uint64_t* deltas, size_t n, uint64_t base,
-                             uint64_t* out) {
-  if (n == 0) return;
-  out[0] = base;
-  for (size_t i = 1; i < n; ++i) {
-    base += ZigzagDecodeScalar(deltas[i - 1]);
-    out[i] = base;
-  }
 }
 
 }  // namespace mwsj::simd::internal

@@ -10,21 +10,21 @@
 
 namespace mwsj::simd {
 
-/// Instruction sets the batch kernels are compiled for. kScalar is always
-/// available and is the reference semantics: every wider variant must
-/// produce byte-identical outputs (same indices, same order) on the same
-/// inputs, so switching ISAs can never change a join result.
+/// Instruction sets the batch filters are compiled for. kScalar is always
+/// available and is the reference semantics: the AVX2 variant must produce
+/// byte-identical outputs (same indices, same order) on the same inputs, so
+/// switching ISAs can never change a join result. A CPU without AVX2 runs
+/// the scalar kernels.
 enum class Isa {
   kScalar = 0,
-  kSse = 1,   // SSE4.2: 2 doubles / 2 u64 keys per vector.
-  kAvx2 = 2,  // AVX2: 4 doubles / 4 u64 keys per vector.
+  kAvx2 = 1,  // AVX2: 4 doubles per vector.
 };
 
-/// Human-readable name ("scalar", "sse", "avx2") for logs and benches.
+/// Human-readable name ("scalar", "avx2") for logs and benches.
 const char* IsaName(Isa isa);
 
-/// Parses the MWSJ_SIMD override values: "scalar", "sse", "avx2"
-/// (case-sensitive). Returns nullopt for anything else.
+/// Parses the MWSJ_SIMD override values: "scalar", "avx2" (case-sensitive).
+/// Returns nullopt for anything else.
 std::optional<Isa> ParseIsa(std::string_view name);
 
 /// True when this build carries the ISA's kernels *and* the CPU executes
@@ -60,31 +60,17 @@ struct KernelTable {
                           double q_max_x, double q_max_y, double d_sq,
                           uint32_t* out);
 
-  /// Columnar-codec forward transform (io/colcodec.h): writes the n-1
-  /// zigzag-encoded adjacent differences of vals[0..n) to out and returns
-  /// the OR of all of them (the encoder derives the block's pack width
-  /// from it). n <= 1 writes nothing and returns 0.
-  uint64_t (*delta_zigzag_encode)(const uint64_t* vals, size_t n,
-                                  uint64_t* out);
-
-  /// Inverse transform: out[0] = base, out[i] = out[i-1] + unzigzag of
-  /// deltas[i-1] for i in [1, n) — the running prefix sum is inherently
-  /// serial, the per-lane unzigzag is vectorized. Byte-identical across
-  /// ISAs (wrapping u64 arithmetic throughout).
-  void (*delta_zigzag_decode)(const uint64_t* deltas, size_t n,
-                              uint64_t base, uint64_t* out);
-
   Isa isa = Isa::kScalar;
 };
 
 /// The table for a specific ISA. Precondition: IsaAvailable(isa).
 const KernelTable& KernelsFor(Isa isa);
 
-/// The process-wide active table: resolved on first use from the CPU (best
-/// of AVX2 > SSE4.2 > scalar), overridable with the MWSJ_SIMD environment
-/// variable ("scalar" | "sse" | "avx2"; an unavailable or unparseable
-/// value falls back to scalar — never to a faster guess — so a CI leg
-/// pinning an ISA can trust what it measured).
+/// The process-wide active table: resolved on first use from the CPU (AVX2
+/// when it has it, else scalar), overridable with the MWSJ_SIMD environment
+/// variable ("scalar" | "avx2"; an unavailable or unparseable value falls
+/// back to scalar — never to a faster guess — so a CI leg pinning an ISA
+/// can trust what it measured).
 const KernelTable& ActiveKernels();
 
 /// The ISA ActiveKernels() currently dispatches to.

@@ -1,9 +1,6 @@
 #include "stats/grid_histogram.h"
 
 #include <algorithm>
-#include <cmath>
-
-#include "common/str_format.h"
 
 namespace mwsj {
 
@@ -66,30 +63,6 @@ double GridHistogram::EstimateOverlapPairs(const GridHistogram& other) const {
 double GridHistogram::EstimateRangePairs(const GridHistogram& other,
                                          double d) const {
   return EstimatePairsImpl(*this, other, 2 * d);
-}
-
-double GridHistogram::SkewRatio() const {
-  if (counts_.empty() || total_ <= 0) return 0;
-  const double max = *std::max_element(counts_.begin(), counts_.end());
-  return max / (total_ / static_cast<double>(counts_.size()));
-}
-
-std::string GridHistogram::ToAsciiArt() const {
-  std::string out;
-  const double max =
-      counts_.empty()
-          ? 0
-          : *std::max_element(counts_.begin(), counts_.end());
-  for (int row = 0; row < grid_->rows(); ++row) {
-    for (int col = 0; col < grid_->cols(); ++col) {
-      const double c = counts_[static_cast<size_t>(grid_->CellIdOf(row, col))];
-      const int level =
-          max > 0 ? static_cast<int>(std::lround(9.0 * c / max)) : 0;
-      out += static_cast<char>(level == 0 ? '.' : '0' + level);
-    }
-    out += '\n';
-  }
-  return out;
 }
 
 double EstimateJoinCardinality(const Query& query,

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "grid/grid_partition.h"
@@ -14,8 +13,7 @@ namespace mwsj {
 /// A grid histogram over a rectangle dataset: per-cell counts of start
 /// points plus the average rectangle dimensions per cell. Built from a
 /// (sample of a) relation, it supports the position-aware cardinality
-/// estimates the CLI's `--estimate` mode and the bench reports use, and a
-/// quick skew summary of how a partitioning would load its reducers.
+/// estimates the CLI's `--estimate` mode and the bench reports use.
 class GridHistogram {
  public:
   /// Builds the histogram of `data` over `grid`. `scale_to` rescales the
@@ -49,13 +47,6 @@ class GridHistogram {
   /// Same for a range predicate with distance d (window grows by 2d on
   /// each axis).
   double EstimateRangePairs(const GridHistogram& other, double d) const;
-
-  /// max/avg occupancy ratio — reducer-balance indicator.
-  double SkewRatio() const;
-
-  /// Multi-line text rendering (one row of '#' bars per grid row), for the
-  /// CLI's dataset inspection.
-  std::string ToAsciiArt() const;
 
  private:
   const GridPartition* grid_;

@@ -44,8 +44,6 @@ TEST_F(Figure2Test, ReplicateF1ReturnsFourthQuadrantCells) {
   ReplicateF1Cells(grid_, r1_, &cells);
   EXPECT_EQ(PaperIds(cells),
             (std::vector<int>{6, 7, 8, 10, 11, 12, 14, 15, 16}));
-  EXPECT_EQ(CountReplicateF1Cells(grid_, r1_),
-            static_cast<int64_t>(cells.size()));
 }
 
 TEST_F(Figure2Test, ReplicateF2ReturnsNearbyFourthQuadrantCells) {

@@ -1,8 +1,6 @@
 // Columnar spill-codec tests: bijective double<->u64 ordered bits,
-// randomized encode/decode round trips (single-row runs, block-boundary
-// lengths, >2^20-row columns), malformed-input rejection, and per-ISA
-// parity of the delta+zigzag kernels — every compiled ISA must produce
-// byte-identical encodings, mirroring tests/simd/kernels_test.cc.
+// randomized encode/decode round trips (single-row runs, short and
+// block-boundary lengths, >2^20-row columns) and malformed-input rejection.
 
 #include "io/colcodec.h"
 
@@ -15,17 +13,9 @@
 #include <vector>
 
 #include "common/random.h"
-#include "simd/simd.h"
 
 namespace mwsj::colcodec {
 namespace {
-
-std::vector<simd::Isa> AvailableIsas() {
-  std::vector<simd::Isa> isas = {simd::Isa::kScalar};
-  if (simd::IsaAvailable(simd::Isa::kSse)) isas.push_back(simd::Isa::kSse);
-  if (simd::IsaAvailable(simd::Isa::kAvx2)) isas.push_back(simd::Isa::kAvx2);
-  return isas;
-}
 
 // NaN-free canonical doubles: the ordered-bits transform is bijective on
 // all bit patterns, but rectangle coordinates are ordinary finite values;
@@ -112,10 +102,11 @@ std::vector<uint64_t> RandomColumn(uint64_t seed, size_t n, int shape) {
 }
 
 TEST(ColCodecTest, ColumnRoundTripsAcrossLengthsAndShapes) {
-  // Lengths straddle every block boundary: empty, single row, one block,
-  // one block +/- 1, several blocks with a partial tail.
-  const size_t lengths[] = {0,   1,   2,   255, 256,
-                            257, 511, 512, 513, 3 * 256 + 17};
+  // Lengths cover short columns (a handful of deltas) and straddle every
+  // block boundary: empty, single row, one block, one block +/- 1, several
+  // blocks with a partial tail.
+  const size_t lengths[] = {0,   1,   2,   3,   4,   5,   8,   9,   255,
+                            256, 257, 511, 512, 513, 1000, 3 * 256 + 17};
   for (const size_t n : lengths) {
     for (int shape = 0; shape < 4; ++shape) {
       const std::vector<uint64_t> vals =
@@ -146,6 +137,18 @@ TEST(ColCodecTest, LargeColumnRoundTrips) {
   std::vector<uint64_t> out(n);
   ASSERT_EQ(DecodeColumn(buf.data(), buf.size(), n, out.data()), buf.size());
   EXPECT_EQ(out, vals);
+}
+
+TEST(ColCodecTest, BlockBytesMatchTheDocumentedLayout) {
+  // {10, 12, 11, 11}: deltas +2, -1, 0 zigzag to 4, 1, 0 (OR 5, width 3);
+  // packed LSB-first as 100 001 000 -> 0x0C 0x00. Spilled bytes must not
+  // depend on the build or the CPU.
+  const std::vector<uint64_t> vals = {10, 12, 11, 11};
+  std::vector<uint8_t> buf;
+  EncodeColumn(vals.data(), vals.size(), &buf);
+  const std::vector<uint8_t> expected = {3,  10, 0, 0, 0,   0,
+                                         0,  0,  0, 0x0C, 0x00};
+  EXPECT_EQ(buf, expected);
 }
 
 TEST(ColCodecTest, SortedStreamsCompress) {
@@ -225,47 +228,6 @@ TEST(ColCodecTest, FrameRejectsTruncation) {
   EXPECT_FALSE(reader.Init(buf.data(), buf.size() / 2));
   EXPECT_FALSE(reader.Init(buf.data(), 3));  // Shorter than the header.
   ASSERT_TRUE(reader.Init(buf.data(), buf.size()));
-}
-
-TEST(ColCodecTest, EncodingIsByteIdenticalAcrossIsas) {
-  // Per-ISA parity: the encode bytes (and decode results) must match the
-  // scalar reference exactly for every compiled ISA and tail length, the
-  // same contract the batch kernels test. Runs the kernels directly from
-  // the per-ISA tables, so one process covers every ISA.
-  for (const size_t n : {size_t{1}, size_t{2}, size_t{3}, size_t{4},
-                         size_t{5}, size_t{8}, size_t{9}, size_t{255},
-                         size_t{256}, size_t{1000}}) {
-    for (int shape = 0; shape < 4; ++shape) {
-      const std::vector<uint64_t> vals =
-          RandomColumn(7000 + n * 13 + static_cast<uint64_t>(shape), n,
-                       shape);
-      std::vector<uint64_t> ref_deltas(n > 0 ? n - 1 : 0);
-      const uint64_t ref_mask =
-          simd::KernelsFor(simd::Isa::kScalar)
-              .delta_zigzag_encode(vals.data(), n, ref_deltas.data());
-      std::vector<uint64_t> ref_decoded(n);
-      simd::KernelsFor(simd::Isa::kScalar)
-          .delta_zigzag_decode(ref_deltas.data(), n, vals.empty() ? 0
-                                                                  : vals[0],
-                               ref_decoded.data());
-      ASSERT_EQ(ref_decoded, vals) << "scalar decode n=" << n;
-      for (const simd::Isa isa : AvailableIsas()) {
-        std::vector<uint64_t> deltas(n > 0 ? n - 1 : 0, 0xabababababababab);
-        const uint64_t mask = simd::KernelsFor(isa).delta_zigzag_encode(
-            vals.data(), n, deltas.data());
-        EXPECT_EQ(mask, ref_mask)
-            << "isa " << static_cast<int>(isa) << " n=" << n;
-        ASSERT_EQ(deltas, ref_deltas)
-            << "isa " << static_cast<int>(isa) << " n=" << n
-            << " shape=" << shape;
-        std::vector<uint64_t> decoded(n);
-        simd::KernelsFor(isa).delta_zigzag_decode(
-            deltas.data(), n, vals.empty() ? 0 : vals[0], decoded.data());
-        ASSERT_EQ(decoded, vals)
-            << "isa " << static_cast<int>(isa) << " n=" << n;
-      }
-    }
-  }
 }
 
 }  // namespace

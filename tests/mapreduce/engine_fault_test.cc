@@ -127,6 +127,7 @@ TEST(FaultPlanTest, ParseRoundTripsAndRejectsBadSpecs) {
     }
   }
   EXPECT_FALSE(FaultPlan::Parse("crash=2.0").ok());       // Out of [0,1].
+  EXPECT_FALSE(FaultPlan::Parse("crash=nan").ok());       // NaN is not in it.
   EXPECT_FALSE(FaultPlan::Parse("crash=0.6,flaky=0.6").ok());  // Sum > 1.
   EXPECT_FALSE(FaultPlan::Parse("frobnicate=1").ok());    // Unknown key.
   EXPECT_FALSE(FaultPlan::Parse("seed=abc").ok());        // Unparseable.

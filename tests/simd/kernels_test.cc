@@ -13,16 +13,12 @@
 
 #include "common/random.h"
 #include "simd/simd.h"
+#include "testing/isas.h"
 
 namespace mwsj::simd {
 namespace {
 
-std::vector<Isa> AvailableIsas() {
-  std::vector<Isa> isas = {Isa::kScalar};
-  if (IsaAvailable(Isa::kSse)) isas.push_back(Isa::kSse);
-  if (IsaAvailable(Isa::kAvx2)) isas.push_back(Isa::kAvx2);
-  return isas;
-}
+using testing::AvailableIsas;
 
 struct FilterCase {
   SoaRects boxes;
@@ -79,8 +75,8 @@ std::vector<uint32_t> RunWithin(const KernelTable& k, const FilterCase& fc) {
 
 TEST(SimdFilterTest, MatchesScalarOnEveryIsaAndTailLength) {
   const auto isas = AvailableIsas();
-  // Every length from empty through 17 crosses the 2- and 4-lane tail
-  // boundaries several times; a few larger sizes exercise long runs.
+  // Every length from empty through 17 crosses the 4-lane tail boundary
+  // several times; a few larger sizes exercise long runs.
   for (size_t n : {0u, 1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u, 10u, 11u, 12u,
                    13u, 14u, 15u, 16u, 17u, 100u, 257u}) {
     for (uint64_t seed = 1; seed <= 5; ++seed) {
@@ -233,7 +229,7 @@ TEST(OrderedKeyTest, PreservesIntegerOrdering) {
 
 TEST(SimdDispatchTest, ParseAndNames) {
   EXPECT_EQ(ParseIsa("scalar"), Isa::kScalar);
-  EXPECT_EQ(ParseIsa("sse"), Isa::kSse);
+  EXPECT_EQ(ParseIsa("sse"), std::nullopt);  // No SSE tier: pins scalar.
   EXPECT_EQ(ParseIsa("avx2"), Isa::kAvx2);
   EXPECT_EQ(ParseIsa("AVX2"), std::nullopt);
   EXPECT_EQ(ParseIsa(""), std::nullopt);

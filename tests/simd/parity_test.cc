@@ -15,17 +15,13 @@
 #include "localjoin/multiway.h"
 #include "localjoin/rtree.h"
 #include "queries/knn_mr.h"
+#include "testing/isas.h"
 #include "testing/world.h"
 
 namespace mwsj {
 namespace {
 
-std::vector<simd::Isa> AvailableIsas() {
-  std::vector<simd::Isa> isas = {simd::Isa::kScalar};
-  if (simd::IsaAvailable(simd::Isa::kSse)) isas.push_back(simd::Isa::kSse);
-  if (simd::IsaAvailable(simd::Isa::kAvx2)) isas.push_back(simd::Isa::kAvx2);
-  return isas;
-}
+using testing::AvailableIsas;
 
 // Restores the pre-test dispatch table even when an assertion fails.
 class IsaGuard {

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/random.h"
 #include "datagen/synthetic.h"
 #include "localjoin/brute_force.h"
 #include "stats/grid_histogram.h"
@@ -41,22 +40,6 @@ TEST(GridHistogramTest, ScaleToExtrapolatesSampleCounts) {
   const std::vector<Rect> sample = UniformData(500, 10, 3);
   const GridHistogram h(grid, sample, /*scale_to=*/50'000);
   EXPECT_NEAR(h.total(), 50'000, 1e-6);
-}
-
-TEST(GridHistogramTest, SkewRatioDetectsClustering) {
-  const GridPartition grid =
-      GridPartition::Create(Rect(0, 0, 1000, 1000), 4, 4).value();
-  const GridHistogram uniform(grid, UniformData(5000, 10, 1));
-  EXPECT_LT(uniform.SkewRatio(), 1.5);
-
-  std::vector<Rect> clustered;
-  Rng rng(2);
-  for (int i = 0; i < 5000; ++i) {
-    clustered.push_back(Rect::FromXYLB(rng.Uniform(0, 100),
-                                       rng.Uniform(900, 1000), 5, 5));
-  }
-  const GridHistogram skewed(grid, clustered);
-  EXPECT_GT(skewed.SkewRatio(), 10);
 }
 
 TEST(GridHistogramTest, OverlapPairEstimateTracksTruth) {
@@ -99,14 +82,6 @@ TEST(GridHistogramTest, JoinCardinalityEstimateTracksTruth) {
   const double truth = static_cast<double>(BruteForceJoin(q, data).size());
   EXPECT_GT(estimate, 0.2 * truth);
   EXPECT_LT(estimate, 5 * truth);
-}
-
-TEST(GridHistogramTest, AsciiArtShape) {
-  const GridPartition grid =
-      GridPartition::Create(Rect(0, 0, 10, 10), 2, 3).value();
-  const std::vector<Rect> data = {Rect::FromXYLB(1, 9, 1, 1)};
-  const std::string art = GridHistogram(grid, data).ToAsciiArt();
-  EXPECT_EQ(art, "9..\n...\n");
 }
 
 }  // namespace

@@ -22,11 +22,13 @@
 #include "queries/knn_mr.h"
 #include "simd/simd.h"
 #include "testing/differential.h"
+#include "testing/isas.h"
 #include "testing/world.h"
 
 namespace mwsj {
 namespace {
 
+using testing::AvailableIsas;
 using testing::DifferentialOptions;
 using testing::DifferentialOutcome;
 using testing::DifferentialWorkload;
@@ -40,15 +42,6 @@ uint64_t SeedBase() {
   const char* env = std::getenv("MWSJ_CHAOS_SEED_BASE");
   if (env == nullptr || *env == '\0') return 0;
   return std::strtoull(env, nullptr, 10);
-}
-
-std::vector<simd::Isa> AvailableIsas() {
-  std::vector<simd::Isa> out;
-  for (const simd::Isa isa :
-       {simd::Isa::kScalar, simd::Isa::kSse, simd::Isa::kAvx2}) {
-    if (simd::IsaAvailable(isa)) out.push_back(isa);
-  }
-  return out;
 }
 
 Query KnnQuery() { return MakeChainQuery(2, Predicate::Overlap()).value(); }

@@ -1,8 +1,9 @@
 # End-to-end smoke test of the CLI tools, run by ctest:
 #   mwsj_datagen (csv + binary) -> mwsj_join --verify --output -> tuple CSV,
 #   plus a Chrome-trace export validated for structure and span coverage,
-#   and All-Replicate runs (in memory, and spilling under a 4k shuffle
-#   budget with injected faults) whose tuple CSVs must match C-Rep-L's.
+#   All-Replicate runs (in memory, and spilling under a 4k shuffle budget
+#   with injected faults) whose tuple CSVs must match C-Rep-L's, and
+#   malformed integer flags that must be rejected with exit code 2.
 # Invoked with -DDATAGEN=<path> -DJOIN=<path> -DWORKDIR=<dir>.
 
 file(MAKE_DIRECTORY ${WORKDIR})
@@ -27,6 +28,20 @@ run_checked(${JOIN} --query "A OV B AND B RA(40) A2" --input A=${WORKDIR}/a.csv
             --output ${WORKDIR}/tuples.csv
             --stats-json ${WORKDIR}/stats.json
             --trace=${WORKDIR}/trace.json)
+
+# Integer flags are parsed whole and in int range: a value that would wrap
+# to a small count, or a grid with trailing junk, is a usage error (exit 2)
+# rather than a run with some other setting.
+foreach(bad_flag "--threads;4294967297" "--jobs;4294967297" "--k;4294967298"
+        "--grid;8x8junk")
+  execute_process(COMMAND ${JOIN} --query "A OV B" --input A=${WORKDIR}/a.csv
+                  --input B=${WORKDIR}/a.csv --count-only ${bad_flag}
+                  RESULT_VARIABLE code OUTPUT_QUIET ERROR_QUIET)
+  if(NOT code EQUAL 2)
+    string(REPLACE ";" " " shown "${bad_flag}")
+    message(FATAL_ERROR "mwsj_join ${shown} exited ${code}, expected 2")
+  endif()
+endforeach()
 
 # The output CSV must exist, have the right header, and more than one line.
 file(READ ${WORKDIR}/tuples.csv tuples)
