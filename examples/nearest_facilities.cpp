@@ -2,15 +2,18 @@
 // Given a city's incident locations (points) and facility footprints
 // (rectangles), find for each incident (a) the 3 nearest fire stations
 // (kNN query) and (b) the district polygon-MBB containing it (containment
-// query).
+// query). Containment is the overlap join `P OV R` with each point as a
+// degenerate rectangle: a point lies in a closed rectangle exactly when
+// the two overlap.
 //
 //   $ ./examples/nearest_facilities
 
 #include <cstdio>
 
 #include "common/random.h"
-#include "queries/containment.h"
+#include "core/runner.h"
 #include "queries/knn.h"
+#include "query/parser.h"
 
 int main() {
   constexpr double kCity = 10'000;
@@ -46,7 +49,15 @@ int main() {
     std::fprintf(stderr, "knn error: %s\n", knn.status().ToString().c_str());
     return 1;
   }
-  const auto containment = mwsj::ContainmentJoin(grid, incidents, districts);
+  std::vector<mwsj::Rect> incident_points;
+  for (const mwsj::Point& p : incidents) {
+    incident_points.push_back(mwsj::Rect::FromPoint(p));
+  }
+  mwsj::RunnerOptions options;
+  options.space = grid.space();
+  const auto containment =
+      mwsj::RunSpatialJoin(mwsj::ParseQuery("P OV R").value(),
+                           {incident_points, districts}, options);
   if (!containment.ok()) {
     std::fprintf(stderr, "containment error: %s\n",
                  containment.status().ToString().c_str());
@@ -61,8 +72,8 @@ int main() {
               incidents.size(), stations.size(), districts.size());
   std::printf("average distance to the nearest station: %.0f\n",
               avg_first / static_cast<double>(incidents.size()));
-  std::printf("district assignments found: %zu\n",
-              containment.value().pairs.size());
+  std::printf("district assignments found: %lld\n",
+              static_cast<long long>(containment.value().num_tuples));
 
   const auto& first = knn.value().neighbors[0];
   std::printf("incident 0 at (%.0f, %.0f):\n", incidents[0].x, incidents[0].y);

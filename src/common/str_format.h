@@ -1,9 +1,12 @@
 #ifndef MWSJ_COMMON_STR_FORMAT_H_
 #define MWSJ_COMMON_STR_FORMAT_H_
 
+#include <charconv>
 #include <cstdarg>
 #include <cstdio>
 #include <string>
+#include <string_view>
+#include <system_error>
 
 namespace mwsj {
 
@@ -36,6 +39,18 @@ std::string FormatHhMm(double seconds);
 /// human-readable millions with one decimal, mirroring the paper's
 /// "(in millions)" columns.
 std::string FormatMillions(double count);
+
+/// Parses all of `text` as one decimal number of type `T` (std::from_chars
+/// syntax: no leading whitespace or '+'). Returns false for an empty or
+/// non-numeric string, trailing characters, a sign on an unsigned type or
+/// a value outside `T`'s range — never a wrapped, truncated or partial
+/// value. `*out` is unspecified on failure.
+template <typename T>
+bool ParseWhole(std::string_view text, T* out) {
+  const char* const end = text.data() + text.size();
+  const auto [rest, ec] = std::from_chars(text.data(), end, *out);
+  return ec == std::errc() && rest == end;
+}
 
 }  // namespace mwsj
 

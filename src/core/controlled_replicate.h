@@ -33,11 +33,12 @@ struct ControlledReplicateOptions {
   bool count_only = false;
 
   /// Optional resident-artifact catalog plus the base key covering the
-  /// canonical query, the dataset epochs, and the grid (composed by
-  /// ExecuteSpatialJoin). When both are set, the round-1 marking output —
-  /// which depends only on those inputs, never on the limit options — is
-  /// reused across jobs: a repeat query skips the whole split+mark round,
-  /// and C-Rep / C-Rep-L share one artifact. Empty key disables reuse.
+  /// canonical query, the dataset epochs, and the grid (the grid key that
+  /// RunSpatialJoin gets from AcquireGrid). When both are set, the round-1
+  /// marking output — which depends only on those inputs, never on the
+  /// limit options — is reused across jobs: a repeat query skips the
+  /// whole split+mark round, and C-Rep / C-Rep-L share one artifact.
+  /// Empty key disables reuse.
   DatasetCatalog* catalog = nullptr;
   std::string artifact_key;
 };

@@ -11,7 +11,6 @@
 #include "core/cascade.h"
 #include "core/controlled_replicate.h"
 #include "core/optimizer.h"
-#include "core/scheduler.h"
 #include "localjoin/brute_force.h"
 #include "query/bounds.h"
 
@@ -49,6 +48,21 @@ Rect ComputeBoundingSpace(const std::vector<std::vector<Rect>>& relations) {
                  space.max_y());
   }
   return space;
+}
+
+StatusOr<Rect> ResolveSpace(const std::vector<std::vector<Rect>>& relations,
+                            const RunnerOptions& options) {
+  if (!options.space.has_value()) return ComputeBoundingSpace(relations);
+  for (size_t r = 0; r < relations.size(); ++r) {
+    for (const Rect& rect : relations[r]) {
+      if (!options.space->Contains(rect)) {
+        return Status::InvalidArgument(StrFormat(
+            "relation %zu contains a rectangle outside the declared space",
+            r));
+      }
+    }
+  }
+  return *options.space;
 }
 
 StatusOr<GridAcquisition> AcquireGrid(
@@ -126,7 +140,7 @@ void FilterDistinctIds(TupleBlock* tuples) {
 
 }  // namespace
 
-StatusOr<JoinRunResult> ExecuteSpatialJoin(
+StatusOr<JoinRunResult> RunSpatialJoin(
     const Query& query, const std::vector<std::vector<Rect>>& relations,
     const RunnerOptions& options) {
   if (static_cast<int>(relations.size()) != query.num_relations()) {
@@ -140,23 +154,14 @@ StatusOr<JoinRunResult> ExecuteSpatialJoin(
         "materialized tuples)");
   }
 
-  const Rect space = options.space.value_or(ComputeBoundingSpace(relations));
+  const StatusOr<Rect> resolved = ResolveSpace(relations, options);
+  if (!resolved.ok()) return resolved.status();
+  const Rect& space = resolved.value();
   // Reject range distances / data extents that would overflow the grid
   // transforms (EnlargeByDistance to ±inf routes a rectangle to no cell,
   // silently dropping its join results).
   if (Status bounds_ok = ValidateQueryBounds(query, space); !bounds_ok.ok()) {
     return bounds_ok;
-  }
-  if (options.space.has_value()) {
-    for (size_t r = 0; r < relations.size(); ++r) {
-      for (const Rect& rect : relations[r]) {
-        if (!space.Contains(rect)) {
-          return Status::InvalidArgument(StrFormat(
-              "relation %zu contains a rectangle outside the declared space",
-              r));
-        }
-      }
-    }
   }
   ExecutionContext ctx = options.context;
   if (ctx.label.empty()) ctx.label = AlgorithmName(options.algorithm);
@@ -220,16 +225,6 @@ StatusOr<JoinRunResult> ExecuteSpatialJoin(
   result.value().stats.catalog_hits += catalog_hits;
   result.value().stats.catalog_misses += catalog_misses;
   return result;
-}
-
-StatusOr<JoinRunResult> RunSpatialJoin(
-    const Query& query, const std::vector<std::vector<Rect>>& relations,
-    const RunnerOptions& options) {
-  JobSpec spec;
-  spec.query = query;
-  spec.borrowed_relations = &relations;
-  spec.options = options;
-  return RunJobInline(std::move(spec));
 }
 
 }  // namespace mwsj

@@ -72,7 +72,8 @@ struct RunnerOptions {
   /// the fault-injection plan and retry policy every engine job of the
   /// run executes under (mapreduce/fault.h) —
   /// `mwsj_join --faults=SPEC` plugs in here. `context.job_id` is set by
-  /// the JobScheduler for submitted jobs.
+  /// the JobScheduler for submitted jobs; a standalone run keeps the
+  /// default -1, so its spans carry no "job" arg and its JobStats no id.
   ExecutionContext context;
 
   /// Optional resident-artifact catalog (core/dataset_catalog.h). With a
@@ -100,31 +101,26 @@ struct RunnerOptions {
 /// pass it once per role here (datasets are taken by const reference, so
 /// no copy is needed at the call site beyond the vector of vectors).
 ///
-/// Since the scheduler redesign this is a *compatibility wrapper*: it
-/// spins up a single-slot JobScheduler on `options.context`'s pool/tracer,
-/// submits one job borrowing `relations`, and blocks on its handle —
-/// submit + wait, nothing more. Results, statuses, fault semantics, and
-/// every produced artifact (traces, stats_json) are identical
-/// to the pre-scheduler behavior. Deprecated for new multi-job callers:
-/// construct a JobScheduler (core/scheduler.h) and Submit() instead.
+/// This is the whole pipeline: it validates the query against the
+/// datasets and the declared space, builds (or retrieves from the
+/// catalog) the reducer grid, dispatches to the selected algorithm, and
+/// post-processes the tuples — synchronously, on the calling thread, with
+/// all parallelism coming from `options.context.pool`. The JobScheduler
+/// (core/scheduler.h) runs exactly this for every admitted job, after
+/// composing the job's pool, tracer, job id and catalog into `options`.
 StatusOr<JoinRunResult> RunSpatialJoin(
-    const Query& query, const std::vector<std::vector<Rect>>& relations,
-    const RunnerOptions& options);
-
-/// The execution pipeline behind every scheduled job: validates the query
-/// against the datasets and the declared space, builds (or retrieves from
-/// the catalog) the reducer grid, dispatches to the selected algorithm,
-/// and post-processes the tuples — synchronously, on the calling thread,
-/// with all parallelism coming from `options.context.pool`. The
-/// JobScheduler's drivers call this; everything else goes through
-/// RunSpatialJoin or the scheduler.
-StatusOr<JoinRunResult> ExecuteSpatialJoin(
     const Query& query, const std::vector<std::vector<Rect>>& relations,
     const RunnerOptions& options);
 
 /// Smallest rectangle containing every rectangle of every relation —
 /// the default partitioned space.
 Rect ComputeBoundingSpace(const std::vector<std::vector<Rect>>& relations);
+
+/// The partitioned space of a run: `options.space` when declared, which
+/// must then contain every rectangle of every relation (InvalidArgument
+/// otherwise), else ComputeBoundingSpace(relations).
+StatusOr<Rect> ResolveSpace(const std::vector<std::vector<Rect>>& relations,
+                            const RunnerOptions& options);
 
 /// A reducer grid resolved against the catalog: the grid itself, the
 /// extended artifact key it is (or would be) resident under, and the
@@ -138,7 +134,7 @@ struct GridAcquisition {
 };
 
 /// The grid-resolution step of the execution pipeline, shared by
-/// ExecuteSpatialJoin and the query workloads that run outside the
+/// RunSpatialJoin and the query workloads that run outside the
 /// Algorithm enum (e.g. queries/knn_mr.h): extends `options.artifact_key`
 /// with every input the grid construction reads (geometry, partitioning
 /// mode, space), retrieves a resident grid from the catalog or builds one

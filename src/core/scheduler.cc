@@ -192,7 +192,7 @@ void JobScheduler::RunJob(scheduler_internal::Job* job) {
   RunnerOptions options = job->spec.options;
   options.context.pool = options_.pool;
   options.context.tracer = options_.tracer;
-  options.context.job_id = job->spec.tag_job_id ? job->id : -1;
+  options.context.job_id = job->id;
   if (options.catalog == nullptr) options.catalog = options_.catalog;
   if (options_.shuffle_memory_budget > 0) {
     // Concurrent jobs share the process budget: each in-flight slot gets
@@ -247,7 +247,7 @@ void JobScheduler::RunJob(scheduler_internal::Job* job) {
   if (relations != nullptr) {
     result = job->spec.execute != nullptr
                  ? job->spec.execute(*job->spec.query, *relations, options)
-                 : ExecuteSpatialJoin(*job->spec.query, *relations, options);
+                 : RunSpatialJoin(*job->spec.query, *relations, options);
     if (result.ok()) {
       result.value().stats.catalog_hits += bundle_hits;
       result.value().stats.catalog_misses += bundle_misses;
@@ -271,21 +271,6 @@ void JobScheduler::RunJob(scheduler_internal::Job* job) {
     job->state = ok ? JobState::kSucceeded : JobState::kFailed;
     job->done.NotifyAll();
   }
-}
-
-StatusOr<JoinRunResult> RunJobInline(JobSpec spec) {
-  SchedulerOptions sched_options;
-  sched_options.pool = spec.options.context.pool;
-  sched_options.tracer = spec.options.context.tracer;
-  sched_options.catalog = spec.options.catalog;
-  sched_options.max_in_flight = 1;
-  sched_options.max_queued = 1;
-  sched_options.inline_execution = true;
-  JobScheduler scheduler(sched_options);
-  spec.tag_job_id = false;
-  StatusOr<JobHandle> handle = scheduler.Submit(std::move(spec));
-  if (!handle.ok()) return handle.status();
-  return handle.value().Take();
 }
 
 }  // namespace mwsj

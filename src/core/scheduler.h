@@ -58,9 +58,10 @@ struct SchedulerOptions {
   /// Run each submission to a terminal state on the Submit caller's
   /// thread instead of on driver threads. No threads are spawned and the
   /// admission queue is never used (at most one job exists at a time, so
-  /// max_in_flight/max_queued are moot). RunJobInline uses this so
-  /// callers running joins in a tight loop don't pay a thread create/join
-  /// per call; execution is otherwise identical.
+  /// max_in_flight/max_queued are moot). For callers that want scheduler
+  /// features (job ids, process budget, dataset names) in a tight loop
+  /// without a thread create/join per job; execution is otherwise
+  /// identical. A caller needing none of them calls RunSpatialJoin.
   bool inline_execution = false;
 };
 
@@ -71,8 +72,8 @@ struct SchedulerOptions {
 ///     service path: inputs stay resident, repeat queries skip ingest);
 ///   * `relations`     — inline datasets owned by the spec;
 ///   * `borrowed_relations` — non-owning view; the caller must keep the
-///     data alive until the job reaches a terminal state (this is how the
-///     blocking compatibility wrapper submits without copying).
+///     data alive until the job reaches a terminal state (submitting
+///     without copying).
 struct JobSpec {
   /// The query to run. (Optional only because Query is builder-created
   /// and has no default constructor; Submit rejects an empty spec.)
@@ -88,13 +89,8 @@ struct JobSpec {
   /// are honored per job, so fault plans stay job-scoped.
   RunnerOptions options;
 
-  /// When false the job runs with `job_id = -1`: no "job" span args and
-  /// no stats_json "job_id". Only RunJobInline (the blocking wrappers)
-  /// clears it, to keep pre-scheduler callers' artifacts byte-identical.
-  bool tag_job_id = true;
-
   /// Workload override: when set, the driver invokes this instead of
-  /// ExecuteSpatialJoin, with the same resolved inputs and fully composed
+  /// RunSpatialJoin, with the same resolved inputs and fully composed
   /// options (scheduler-owned pool/tracer/job_id, clamped shuffle budget,
   /// catalog artifact_key for dataset-name submissions). This is how
   /// workloads outside the Algorithm enum — e.g. the distributed kNN join
@@ -155,8 +151,8 @@ class JobHandle {
   /// Take() is called.
   const StatusOr<JoinRunResult>& Wait() const;
 
-  /// Like Wait(), but moves the result out (valid once). The blocking
-  /// wrapper uses this to return without copying the tuple set.
+  /// Like Wait(), but moves the result out (valid once), so a caller
+  /// keeps the tuple set without copying it.
   StatusOr<JoinRunResult> Take();
 
   /// Cancels the job iff it is still queued. Returns true when this call
@@ -181,7 +177,7 @@ class JobHandle {
 /// With `inline_execution` there are no drivers at all: Submit runs the
 /// job on the calling thread and returns a terminal handle.
 ///
-/// Each job executes exactly the blocking pipeline (ExecuteSpatialJoin),
+/// Each job executes exactly the blocking pipeline (RunSpatialJoin),
 /// so per-job output is byte-identical to a serial run, fault semantics
 /// stay exactly-once, and the zero-fault fast path is untouched; isolation
 /// across jobs comes from per-job ids in spans and stats, not from
@@ -233,14 +229,6 @@ class JobScheduler {
   Counters counters_ GUARDED_BY(mu_);
   std::vector<std::thread> drivers_;  // Written only in the constructor.
 };
-
-/// Blocking submit + wait, shared by RunSpatialJoin and RunKnnJoinMr: an
-/// inline single-slot scheduler borrowing `spec.options`' pool, tracer and
-/// catalog runs the job on this thread, so no driver thread is created or
-/// joined and a tight loop of blocking joins pays nothing over the
-/// pre-scheduler API. The job runs with tag_job_id off, so traces and
-/// stats stay byte-identical to that API too.
-StatusOr<JoinRunResult> RunJobInline(JobSpec spec);
 
 }  // namespace mwsj
 

@@ -157,9 +157,9 @@ struct RunStats {
   double post_join_seconds = 0;
 
   /// DatasetCatalog reuse accounting for this run: how many cached
-  /// artifacts (grid partitioning, C-Rep round-1 marking, relation
-  /// bundles) were found resident vs. built from scratch. Both zero when
-  /// the run had no catalog attached.
+  /// artifacts (grid partitioning, C-Rep round-1 marking, knn-mr round-1
+  /// cell bounds, relation bundles) were found resident vs. built from
+  /// scratch. Both zero when the run had no catalog attached.
   int64_t catalog_hits = 0;
   int64_t catalog_misses = 0;
 

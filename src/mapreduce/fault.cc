@@ -1,6 +1,6 @@
 #include "mapreduce/fault.h"
 
-#include <cstdlib>
+#include <limits>
 
 #include "common/str_format.h"
 
@@ -74,16 +74,25 @@ StatusOr<FaultPlan> FaultPlan::Parse(const std::string& spec) {
     }
     const std::string key = item.substr(0, eq);
     const std::string value = item.substr(eq + 1);
-    char* parse_end = nullptr;
     if (key == "seed") {
-      seed = std::strtoull(value.c_str(), &parse_end, 10);
+      if (!ParseWhole(value, &seed)) {
+        return Status::InvalidArgument(StrFormat(
+            "fault seed '%s' is not an unsigned 64-bit integer",
+            item.c_str()));
+      }
     } else if (key == "bound") {
-      bound = static_cast<int>(std::strtol(value.c_str(), &parse_end, 10));
+      if (!ParseWhole(value, &bound) || bound < 0) {
+        return Status::InvalidArgument(StrFormat(
+            "fault bound '%s' is not an attempt count in [0, %d]",
+            item.c_str(), std::numeric_limits<int>::max()));
+      }
     } else if (key == "crash" || key == "flaky" || key == "slow") {
-      const double p = std::strtod(value.c_str(), &parse_end);
-      if (!(p >= 0 && p <= 1)) {  // Written to reject NaN as well.
-        return Status::InvalidArgument(
-            StrFormat("fault probability '%s' outside [0, 1]", item.c_str()));
+      double p = 0;
+      // `!(p >= 0 && p <= 1)` rejects NaN as well.
+      if (!ParseWhole(value, &p) || !(p >= 0 && p <= 1)) {
+        return Status::InvalidArgument(StrFormat(
+            "fault probability '%s' is not a number in [0, 1]",
+            item.c_str()));
       }
       (key == "crash" ? crash : key == "flaky" ? flaky : slow) = p;
     } else {
@@ -91,10 +100,6 @@ StatusOr<FaultPlan> FaultPlan::Parse(const std::string& spec) {
           StrFormat("unknown fault spec key '%s' (expected seed, crash, "
                     "flaky, slow, or bound)",
                     key.c_str()));
-    }
-    if (parse_end == value.c_str() || *parse_end != '\0') {
-      return Status::InvalidArgument(
-          StrFormat("unparseable fault spec value '%s'", item.c_str()));
     }
   }
   if (crash + flaky + slow > 1.0) {

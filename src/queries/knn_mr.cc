@@ -55,7 +55,7 @@ double CellDiagonal(const GridPartition& grid, CellId cell) {
 
 }  // namespace
 
-StatusOr<JoinRunResult> ExecuteKnnJoinMr(
+StatusOr<JoinRunResult> RunKnnJoinMr(
     const Query& query, const std::vector<std::vector<Rect>>& relations,
     int k, const RunnerOptions& options) {
   if (k <= 0) return Status::InvalidArgument("k must be positive");
@@ -83,18 +83,8 @@ StatusOr<JoinRunResult> ExecuteKnnJoinMr(
   const std::vector<Rect>& rects = relations[1];
   if (points.empty() || rects.empty()) return result;
 
-  const Rect space = options.space.value_or(ComputeBoundingSpace(relations));
-  if (options.space.has_value()) {
-    for (size_t r = 0; r < relations.size(); ++r) {
-      for (const Rect& rect : relations[r]) {
-        if (!space.Contains(rect)) {
-          return Status::InvalidArgument(StrFormat(
-              "relation %zu contains a rectangle outside the declared space",
-              r));
-        }
-      }
-    }
-  }
+  const StatusOr<Rect> space = ResolveSpace(relations, options);
+  if (!space.ok()) return space.status();
 
   ExecutionContext ctx = options.context;
   if (ctx.label.empty()) ctx.label = "knn-mr";
@@ -102,7 +92,7 @@ StatusOr<JoinRunResult> ExecuteKnnJoinMr(
   if (ctx.job_id >= 0) run_span.AddArg("job", ctx.job_id);
 
   StatusOr<GridAcquisition> acquired =
-      AcquireGrid(relations, space, options, ctx);
+      AcquireGrid(relations, space.value(), options, ctx);
   if (!acquired.ok()) return acquired.status();
   const GridPartition& grid = *acquired.value().grid;
   int64_t catalog_hits = acquired.value().catalog_hits;
@@ -375,18 +365,9 @@ JobSpec MakeKnnMrJobSpec(const Query& query, int k) {
   spec.execute = [k](const Query& q,
                      const std::vector<std::vector<Rect>>& rels,
                      const RunnerOptions& opts) {
-    return ExecuteKnnJoinMr(q, rels, k, opts);
+    return RunKnnJoinMr(q, rels, k, opts);
   };
   return spec;
-}
-
-StatusOr<JoinRunResult> RunKnnJoinMr(
-    const Query& query, const std::vector<std::vector<Rect>>& relations,
-    int k, const RunnerOptions& options) {
-  JobSpec spec = MakeKnnMrJobSpec(query, k);
-  spec.borrowed_relations = &relations;
-  spec.options = options;
-  return RunJobInline(std::move(spec));
 }
 
 }  // namespace mwsj

@@ -167,24 +167,19 @@ struct KnnCellBounds {
 /// `query` must have exactly 2 relations (predicates are not interpreted;
 /// the query carries the relation count and the canonical artifact key).
 /// count_only and distinct_ids are rejected. Runs synchronously on the
-/// calling thread — this is the `JobSpec::execute` payload; submit through
-/// the scheduler via MakeKnnMrJobSpec, or use the blocking RunKnnJoinMr.
-StatusOr<JoinRunResult> ExecuteKnnJoinMr(
+/// calling thread, like RunSpatialJoin (core/runner.h); submit through the
+/// scheduler via MakeKnnMrJobSpec.
+StatusOr<JoinRunResult> RunKnnJoinMr(
     const Query& query, const std::vector<std::vector<Rect>>& relations,
     int k, const RunnerOptions& options);
 
 /// A JobSpec running the distributed kNN join through JobScheduler::Submit:
-/// sets `query` and the `execute` hook; the caller supplies the input
-/// source (dataset_names / relations / borrowed_relations) and options.
-/// Dataset-name submissions inherit the scheduler's catalog artifact key,
-/// so the grid and the round-1 bounds become resident artifacts.
+/// sets `query` and an `execute` hook calling RunKnnJoinMr; the caller
+/// supplies the input source (dataset_names / relations /
+/// borrowed_relations) and options. Dataset-name submissions inherit the
+/// scheduler's catalog artifact key, so the grid and the round-1 bounds
+/// become resident artifacts.
 JobSpec MakeKnnMrJobSpec(const Query& query, int k);
-
-/// Blocking convenience wrapper: submit + wait on an inline single-slot
-/// scheduler, exactly like RunSpatialJoin (core/runner.h).
-StatusOr<JoinRunResult> RunKnnJoinMr(
-    const Query& query, const std::vector<std::vector<Rect>>& relations,
-    int k, const RunnerOptions& options);
 
 }  // namespace mwsj
 

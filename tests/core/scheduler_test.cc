@@ -1,7 +1,7 @@
-// JobScheduler: submit/wait parity with the blocking wrapper, FIFO
-// admission with bounded queueing and cancellation, concurrent
-// mixed-algorithm stress with per-job attribution, and DatasetCatalog
-// reuse across repeat queries. The stress suite is what the CI
+// JobScheduler: submit/wait parity with the blocking calls (which carry
+// no job id), FIFO admission with bounded queueing and cancellation,
+// concurrent mixed-algorithm stress with per-job attribution, and
+// DatasetCatalog reuse across repeat queries. The stress suite is what the CI
 // scheduler-stress job runs under TSan (`ctest -R Scheduler`).
 
 #include <gtest/gtest.h>
@@ -23,6 +23,7 @@
 #include "core/scheduler.h"
 #include "mapreduce/fault.h"
 #include "mapreduce/stats_json.h"
+#include "queries/knn_mr.h"
 #include "testing/world.h"
 
 namespace mwsj {
@@ -100,6 +101,66 @@ TEST(SchedulerTest, SubmitWaitMatchesBlockingRunPerAlgorithm) {
   EXPECT_EQ(counters.submitted, 4);
   EXPECT_EQ(counters.succeeded, 4);
   EXPECT_EQ(counters.failed, 0);
+}
+
+TEST(SchedulerTest, StandaloneRunsCarryNoJobId) {
+  // RunSpatialJoin and RunKnnJoinMr called directly are not scheduler
+  // jobs: no span carries a "job" arg, every JobStats keeps job_id -1 and
+  // the stats JSON has no "job_id". The same job submitted through an
+  // inline scheduler is tagged with its submission id.
+  WorldConfig config;
+  config.seed = SeedBase() + 11;
+  const Query query = MakeWorldQuery(config);
+  const auto data = MakeWorldData(config, query.num_relations());
+  const Query knn_query = MakeChainQuery(2, Predicate::Overlap()).value();
+  testing::KnnWorldConfig knn_config;
+  knn_config.seed = SeedBase() + 11;
+  const auto knn_data = testing::MakeKnnWorldData(knn_config);
+
+  ThreadPool pool(2);
+  Tracer tracer;
+  RunnerOptions options;
+  options.context.pool = &pool;
+  options.context.tracer = &tracer;
+  std::vector<StatusOr<JoinRunResult>> runs;
+  for (Algorithm algorithm :
+       {Algorithm::kBruteForce, Algorithm::kTwoWayCascade,
+        Algorithm::kAllReplicate, Algorithm::kControlledReplicate,
+        Algorithm::kControlledReplicateInLimit}) {
+    options.algorithm = algorithm;
+    runs.push_back(RunSpatialJoin(query, data, options));
+  }
+  runs.push_back(RunKnnJoinMr(knn_query, knn_data, 3, options));
+  for (const StatusOr<JoinRunResult>& run : runs) {
+    ASSERT_TRUE(run.ok()) << run.status().message();
+    for (const JobStats& job : run.value().stats.jobs) {
+      EXPECT_EQ(job.job_id, -1) << job.job_name;
+    }
+    EXPECT_EQ(RunStatsToJson(run.value().stats).find("\"job_id\""),
+              std::string::npos);
+  }
+  const std::string trace = tracer.ToJson();
+  EXPECT_NE(trace.find("\"knn_mr\""), std::string::npos);
+  EXPECT_EQ(trace.find("\"job\": "), std::string::npos);
+
+  SchedulerOptions sched_options;
+  sched_options.pool = &pool;
+  sched_options.tracer = &tracer;
+  sched_options.inline_execution = true;
+  JobScheduler scheduler(sched_options);
+  JobSpec spec = MakeKnnMrJobSpec(knn_query, 3);
+  spec.borrowed_relations = &knn_data;
+  StatusOr<JobHandle> handle = scheduler.Submit(std::move(spec));
+  ASSERT_TRUE(handle.ok()) << handle.status().message();
+  const StatusOr<JoinRunResult>& scheduled = handle.value().Wait();
+  ASSERT_TRUE(scheduled.ok()) << scheduled.status().message();
+  EXPECT_EQ(scheduled.value().tuples, runs.back().value().tuples);
+  for (const JobStats& job : scheduled.value().stats.jobs) {
+    EXPECT_EQ(job.job_id, handle.value().id());
+  }
+  EXPECT_NE(tracer.ToJson().find("\"job\": " +
+                                 std::to_string(handle.value().id())),
+            std::string::npos);
 }
 
 TEST(SchedulerTest, ProcessShuffleBudgetClampsConcurrentJobs) {

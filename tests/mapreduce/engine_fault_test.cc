@@ -131,6 +131,24 @@ TEST(FaultPlanTest, ParseRoundTripsAndRejectsBadSpecs) {
   EXPECT_FALSE(FaultPlan::Parse("crash=0.6,flaky=0.6").ok());  // Sum > 1.
   EXPECT_FALSE(FaultPlan::Parse("frobnicate=1").ok());    // Unknown key.
   EXPECT_FALSE(FaultPlan::Parse("seed=abc").ok());        // Unparseable.
+  // seed= and bound= are parsed whole into their own types: a value that
+  // would wrap, a sign where none belongs, or trailing characters are
+  // rejected rather than run as some other plan.
+  EXPECT_TRUE(FaultPlan::Parse("seed=18446744073709551615").ok());
+  EXPECT_FALSE(FaultPlan::Parse("seed=18446744073709551616").ok());
+  EXPECT_FALSE(FaultPlan::Parse("seed=-1").ok());
+  EXPECT_FALSE(FaultPlan::Parse("seed=7x").ok());
+  EXPECT_FALSE(FaultPlan::Parse("seed=").ok());
+  EXPECT_TRUE(FaultPlan::Parse("bound=0").ok());
+  EXPECT_TRUE(FaultPlan::Parse("bound=2147483647").ok());
+  EXPECT_FALSE(FaultPlan::Parse("bound=4294967297").ok());  // Was bound=1.
+  EXPECT_FALSE(FaultPlan::Parse("bound=2147483648").ok());
+  EXPECT_FALSE(FaultPlan::Parse("bound=-1").ok());
+  EXPECT_FALSE(FaultPlan::Parse("bound=3junk").ok());
+  EXPECT_FALSE(FaultPlan::Parse("bound= 3").ok());
+  EXPECT_EQ(FaultPlan::Parse("bound=4294967297").status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_FALSE(FaultPlan::Parse("crash=0.1x").ok());
 }
 
 TEST(EngineFaultTest, ZeroFaultPlanMatchesPlanFreeRunExactly) {

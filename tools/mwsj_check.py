@@ -1010,7 +1010,7 @@ def check_engine_run_outside_scheduler(fi):
         yield m.start(), ("direct MapReduceJob::Run call outside the "
                           "scheduler core; submit through "
                           "JobScheduler::Submit (core/scheduler.h) or the "
-                          "RunSpatialJoin wrapper")
+                          "blocking RunSpatialJoin")
 
 
 TEXT_RULES = {

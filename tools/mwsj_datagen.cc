@@ -9,11 +9,13 @@
 // california generator synthesizes MBBs matching the published statistics
 // of the Census 2000 TIGER/Line road dataset.
 
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <string>
 
 #include "common/stopwatch.h"
+#include "common/str_format.h"
 #include "datagen/california.h"
 #include "datagen/synthetic.h"
 #include "io/dataset_io.h"
@@ -50,17 +52,28 @@ int main(int argc, char** argv) {
     if (arg == "--kind" && (v = next())) {
       kind = v;
     } else if (arg == "--n" && (v = next())) {
-      n = std::atoll(v);
+      if (!mwsj::ParseWhole(v, &n) || n <= 0) {
+        std::fprintf(stderr, "--n expects COUNT >= 1, got '%s'\n", v);
+        return 2;
+      }
     } else if (arg == "--seed" && (v = next())) {
-      seed = static_cast<uint64_t>(std::atoll(v));
+      if (!mwsj::ParseWhole(v, &seed)) {
+        std::fprintf(stderr, "--seed expects an unsigned integer, got '%s'\n",
+                     v);
+        return 2;
+      }
     } else if (arg == "--out" && (v = next())) {
       out_path = v;
-    } else if (arg == "--space" && (v = next())) {
-      space = std::atof(v);
-    } else if (arg == "--lmax" && (v = next())) {
-      lmax = std::atof(v);
-    } else if (arg == "--bmax" && (v = next())) {
-      bmax = std::atof(v);
+    } else if ((arg == "--space" || arg == "--lmax" || arg == "--bmax") &&
+               (v = next())) {
+      double* value = arg == "--space" ? &space
+                      : arg == "--lmax" ? &lmax
+                                        : &bmax;
+      if (!mwsj::ParseWhole(v, value) || !std::isfinite(*value)) {
+        std::fprintf(stderr, "%s expects a finite number, got '%s'\n",
+                     arg.c_str(), v);
+        return 2;
+      }
     } else if (arg == "--dist-xy" && (v = next())) {
       if (std::strcmp(v, "uniform") == 0) {
         dist_xy = mwsj::Distribution::kUniform;

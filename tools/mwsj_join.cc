@@ -37,7 +37,6 @@
 // All the other machinery (grids, threads, faults, traces, --jobs with
 // grid + round-1-bound artifact reuse, stats JSON) applies unchanged.
 
-#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -45,7 +44,6 @@
 #include <memory>
 #include <string>
 #include <string_view>
-#include <system_error>
 #include <vector>
 
 #include "common/str_format.h"
@@ -79,14 +77,6 @@ int Usage(const char* argv0) {
                "  [--output PATH] [--stats-json PATH] [--trace PATH]\n",
                argv0);
   return 2;
-}
-
-// Parses a whole decimal int. An empty string, trailing characters and a
-// value outside int's range are errors, never wrapped or truncated.
-bool ParseInt(std::string_view text, int* out) {
-  const char* const end = text.data() + text.size();
-  const auto [rest, ec] = std::from_chars(text.data(), end, *out);
-  return ec == std::errc() && rest == end;
 }
 
 }  // namespace
@@ -137,8 +127,8 @@ int main(int argc, char** argv) {
       const std::string_view grid = v;
       const size_t x = grid.find('x');
       if (x == std::string_view::npos ||
-          !ParseInt(grid.substr(0, x), &options.grid_rows) ||
-          !ParseInt(grid.substr(x + 1), &options.grid_cols)) {
+          !mwsj::ParseWhole(grid.substr(0, x), &options.grid_rows) ||
+          !mwsj::ParseWhole(grid.substr(x + 1), &options.grid_cols)) {
         std::fprintf(stderr, "--grid expects RxC, got '%s'\n", v);
         return 2;
       }
@@ -191,21 +181,21 @@ int main(int argc, char** argv) {
     } else if (arg == "--threads") {
       const char* v = next();
       if (!v) return Usage(argv[0]);
-      if (!ParseInt(v, &threads) || threads < 0) {
+      if (!mwsj::ParseWhole(v, &threads) || threads < 0) {
         std::fprintf(stderr, "--threads expects N >= 0, got '%s'\n", v);
         return 2;
       }
     } else if (arg == "--jobs") {
       const char* v = next();
       if (!v) return Usage(argv[0]);
-      if (!ParseInt(v, &num_jobs) || num_jobs < 1) {
+      if (!mwsj::ParseWhole(v, &num_jobs) || num_jobs < 1) {
         std::fprintf(stderr, "--jobs expects N >= 1, got '%s'\n", v);
         return 2;
       }
     } else if (arg == "--k") {
       const char* v = next();
       if (!v) return Usage(argv[0]);
-      if (!ParseInt(v, &knn_k) || knn_k < 1) {
+      if (!mwsj::ParseWhole(v, &knn_k) || knn_k < 1) {
         std::fprintf(stderr, "--k expects N >= 1, got '%s'\n", v);
         return 2;
       }

@@ -3,7 +3,8 @@
 #   plus a Chrome-trace export validated for structure and span coverage,
 #   All-Replicate runs (in memory, and spilling under a 4k shuffle budget
 #   with injected faults) whose tuple CSVs must match C-Rep-L's, and
-#   malformed integer flags that must be rejected with exit code 2.
+#   malformed numeric flags of both tools that must be rejected with exit
+#   code 2.
 # Invoked with -DDATAGEN=<path> -DJOIN=<path> -DWORKDIR=<dir>.
 
 file(MAKE_DIRECTORY ${WORKDIR})
@@ -40,6 +41,18 @@ foreach(bad_flag "--threads;4294967297" "--jobs;4294967297" "--k;4294967298"
   if(NOT code EQUAL 2)
     string(REPLACE ";" " " shown "${bad_flag}")
     message(FATAL_ERROR "mwsj_join ${shown} exited ${code}, expected 2")
+  endif()
+endforeach()
+
+# The generator's numeric flags are parsed whole too: junk, trailing
+# characters and a negative count are usage errors, not seed 0 or n = 5.
+foreach(bad_flag "--seed;abc" "--n;5x" "--space;2000junk" "--n;-3")
+  execute_process(COMMAND ${DATAGEN} --kind synthetic --n 10
+                  --out ${WORKDIR}/bad_flag.csv ${bad_flag}
+                  RESULT_VARIABLE code OUTPUT_QUIET ERROR_QUIET)
+  if(NOT code EQUAL 2)
+    string(REPLACE ";" " " shown "${bad_flag}")
+    message(FATAL_ERROR "mwsj_datagen ${shown} exited ${code}, expected 2")
   endif()
 endforeach()
 
