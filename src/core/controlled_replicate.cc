@@ -524,29 +524,9 @@ StatusOr<JoinRunResult> ControlledReplicateJoin(
 
   JoinRunResult result;
 
-  // Round-1 marking is a resident artifact when a catalog and base key are
-  // attached: the marking depends only on (query, grid, datasets) — all
-  // pinned by the key — and never on the limit options, so C-Rep and
-  // C-Rep-L jobs over the same inputs share one artifact. On a hit the
-  // input assembly and the whole split+mark round are skipped.
-  const std::string round1_key =
-      options.catalog != nullptr && !options.artifact_key.empty()
-          ? options.artifact_key + "|crep_round1"
-          : std::string();
-  std::shared_ptr<const std::vector<MarkedRect>> marked_shared;
-  if (!round1_key.empty()) {
-    marked_shared = options.catalog->Get<std::vector<MarkedRect>>(round1_key);
-    if (marked_shared != nullptr) {
-      ++result.stats.catalog_hits;
-    } else {
-      ++result.stats.catalog_misses;
-    }
-  }
-
   // Per-relation replication bounds for C-Rep-L, from the data's diagonal
   // upper bounds and the join graph (§7.9, §8, footnote 3).
   std::vector<double> limit_bounds;
-  std::vector<RelRect> input;
   {
     TraceSpan setup_span(tracer, "crep_setup", "stage");
     if (options.limit_replication) {
@@ -559,8 +539,10 @@ StatusOr<JoinRunResult> ControlledReplicateJoin(
       }
       limit_bounds = ComputeReplicationBounds(query, diagonals);
     }
-    if (marked_shared == nullptr) input = FlattenRelations<RelRect>(relations);
-    setup_span.AddArg("input_records", static_cast<int64_t>(input.size()));
+    // Round 1's input size, whether the round runs or is served resident.
+    size_t input_records = 0;
+    for (const auto& relation : relations) input_records += relation.size();
+    setup_span.AddArg("input_records", static_cast<int64_t>(input_records));
   }
 
   // -------------------------------------------------------------------
@@ -598,32 +580,41 @@ StatusOr<JoinRunResult> ControlledReplicateJoin(
     }
   });
 
+  // Round-1 marking is a resident artifact when a catalog and base key are
+  // attached: the marking depends only on (query, grid, datasets) — all
+  // pinned by the key — and never on the limit options, so C-Rep and
+  // C-Rep-L jobs over the same inputs share one artifact. On a hit the
+  // input assembly and the whole split+mark round are skipped.
+  const std::string round1_key =
+      options.catalog != nullptr && !options.artifact_key.empty()
+          ? options.artifact_key + "|crep_round1"
+          : std::string();
+  std::shared_ptr<const std::vector<MarkedRect>> marked;
   int64_t marked_count = 0;
   {
     TraceSpan round_span(tracer, "crep_round1", "stage");
-    if (marked_shared != nullptr) {
-      // Resident marking: the round is a lookup, not a job.
-      round_span.AddArg("cached", int64_t{1});
-    } else {
-      std::vector<MarkedRect> marked_rects;
-      JobStats round1_stats =
-          round1.Run(std::span<const RelRect>(input), &marked_rects, ctx);
-      // The map splits every input record exactly once.
-      round_span.AddArg("split_calls", round1_stats.map_input_records);
-      result.stats.Add(std::move(round1_stats));
-      auto built = std::make_shared<const std::vector<MarkedRect>>(
-          std::move(marked_rects));
-      // First-wins Put: a concurrent identical job may have stored the
-      // artifact already; every consumer then shares the resident copy.
-      marked_shared =
-          round1_key.empty()
-              ? built
-              : options.catalog->Put<std::vector<MarkedRect>>(round1_key,
-                                                              built);
+    StatusOr<DatasetCatalog::Resident<std::vector<MarkedRect>>> round1_out =
+        DatasetCatalog::GetOrBuild<std::vector<MarkedRect>>(
+            options.catalog, round1_key, [&] {
+              const std::vector<RelRect> input =
+                  FlattenRelations<RelRect>(relations);
+              std::vector<MarkedRect> marked_rects;
+              JobStats round1_stats = round1.Run(
+                  std::span<const RelRect>(input), &marked_rects, ctx);
+              // The map splits every input record exactly once.
+              round_span.AddArg("split_calls",
+                                round1_stats.map_input_records);
+              result.stats.Add(std::move(round1_stats));
+              return marked_rects;
+            });
+    if (!round1_out.ok()) return round1_out.status();
+    // A resident marking makes the round a lookup, not a job.
+    if (round1_out.value().cached) round_span.AddArg("cached", int64_t{1});
+    if (!round1_key.empty()) {
+      result.stats.CountCatalogLookup(round1_out.value().cached);
     }
-    for (const MarkedRect& r : *marked_shared) {
-      marked_count += r.marked ? 1 : 0;
-    }
+    marked = std::move(round1_out.value().value);
+    for (const MarkedRect& r : *marked) marked_count += r.marked ? 1 : 0;
     round_span.AddArg("marked_records", marked_count);
   }
 
@@ -634,8 +625,8 @@ StatusOr<JoinRunResult> ControlledReplicateJoin(
       options.limit_replication ? "crepl_round2_join" : "crep_round2_join",
       "crep_round2", options.limit_replication ? &limit_bounds : nullptr,
       options.limit_metric, options.count_only};
-  RunJoinRound(query, grid, round, *marked_shared, marked_count, algo_span,
-               ctx, &result);
+  RunJoinRound(query, grid, round, *marked, marked_count, algo_span, ctx,
+               &result);
   return result;
 }
 

@@ -25,38 +25,30 @@ void DatasetCatalog::EvictArtifactsOf(const std::string& name) {
   // refers to a superseded epoch — so dropping keys containing the token
   // frees exactly the stale bundles, grids, and round-1 markings. A
   // token false positive (another name whose rendering happens to embed
-  // this token) only over-evicts: a safe miss, never a wrong hit. A job
-  // still running against the old epoch may re-publish a stale artifact
-  // afterwards; it is unreachable (new data_keys carry the new epoch)
-  // and the next bump sweeps it.
+  // this token) only over-evicts: a safe miss, never a wrong hit. An
+  // evicted in-flight build is not published (its flight is gone), and
+  // its waiters wake to build the key themselves. A job still running
+  // against the old epoch may yet build a stale artifact afterwards; it
+  // is unreachable (new data_keys carry the new epoch) and the next bump
+  // sweeps it.
   const std::string token = StrFormat("%zu:", name.size()) + name + "@";
   for (auto it = artifacts_.begin(); it != artifacts_.end();) {
     if (it->first.find(token) != std::string::npos) {
+      if (it->second.value != nullptr) {
+        evictions_.fetch_add(1, std::memory_order_relaxed);
+      }
       it = artifacts_.erase(it);
-      evictions_.fetch_add(1, std::memory_order_relaxed);
     } else {
       ++it;
     }
   }
+  settled_.NotifyAll();
 }
 
 int64_t DatasetCatalog::PutDataset(const std::string& name,
                                    std::vector<Rect> data) {
   return PutDataset(
       name, std::make_shared<const std::vector<Rect>>(std::move(data)));
-}
-
-std::shared_ptr<const std::vector<Rect>> DatasetCatalog::GetDataset(
-    const std::string& name) const {
-  MutexLock lock(&mu_);
-  const auto it = datasets_.find(name);
-  return it == datasets_.end() ? nullptr : it->second.data;
-}
-
-int64_t DatasetCatalog::EpochOf(const std::string& name) const {
-  MutexLock lock(&mu_);
-  const auto it = datasets_.find(name);
-  return it == datasets_.end() ? -1 : it->second.epoch;
 }
 
 StatusOr<DatasetCatalog::RelationBundle> DatasetCatalog::GetRelationBundle(
@@ -85,59 +77,72 @@ StatusOr<DatasetCatalog::RelationBundle> DatasetCatalog::GetRelationBundle(
   }
   data_key += ']';
 
-  RelationBundle bundle;
-  bundle.data_key = data_key;
-  const std::string bundle_key = "bundle|" + data_key;
-  if (auto resident = Get<std::vector<std::vector<Rect>>>(bundle_key)) {
-    bundle.relations = std::move(resident);
-    bundle.cache_hit = true;
-    return bundle;
-  }
-  // Assemble outside the lock (the copies can be large); Put is
-  // first-wins, so a concurrent assembler costs a duplicate copy once but
-  // every later consumer shares a single resident bundle.
-  auto assembled = std::make_shared<std::vector<std::vector<Rect>>>();
-  assembled->reserve(resolved.size());
-  for (const auto& data : resolved) assembled->push_back(*data);
-  bundle.relations = Put<std::vector<std::vector<Rect>>>(
-      bundle_key,
-      std::shared_ptr<const std::vector<std::vector<Rect>>>(
-          std::move(assembled)));
-  bundle.cache_hit = false;
-  return bundle;
+  // Assembled outside the lock (the copies can be large), once per key.
+  StatusOr<Resident<std::vector<std::vector<Rect>>>> assembled =
+      GetOrBuild<std::vector<std::vector<Rect>>>(
+          this, "bundle|" + data_key, [&resolved] {
+            std::vector<std::vector<Rect>> relations;
+            relations.reserve(resolved.size());
+            for (const auto& data : resolved) relations.push_back(*data);
+            return relations;
+          });
+  if (!assembled.ok()) return assembled.status();
+  return RelationBundle{std::move(assembled.value().value),
+                        std::move(data_key), assembled.value().cached};
 }
 
-std::vector<std::string> DatasetCatalog::DatasetNames() const {
-  MutexLock lock(&mu_);
-  std::vector<std::string> names;
-  names.reserve(datasets_.size());
-  for (const auto& [name, dataset] : datasets_) names.push_back(name);
-  return names;
+StatusOr<DatasetCatalog::Resident<void>> DatasetCatalog::Uncached(
+    const ErasedBuild& build) {
+  StatusOr<std::shared_ptr<const void>> built = build();
+  if (!built.ok()) return built.status();
+  return Resident<void>{std::move(built).value(), false};
 }
 
-std::pair<std::shared_ptr<const void>, const std::type_info*>
-DatasetCatalog::GetArtifact(const std::string& key) {
-  MutexLock lock(&mu_);
-  const auto it = artifacts_.find(key);
-  if (it == artifacts_.end()) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    return {nullptr, &typeid(void)};
+StatusOr<DatasetCatalog::Resident<void>> DatasetCatalog::GetOrBuildErased(
+    const std::string& key, const std::type_info& type,
+    const ErasedBuild& build) {
+  int64_t flight = 0;
+  {
+    MutexLock lock(&mu_);
+    for (;;) {
+      auto [it, inserted] = artifacts_.try_emplace(key);
+      Artifact& artifact = it->second;
+      if (inserted) {
+        artifact.type = &type;
+        artifact.flight = flight = ++next_flight_;
+        misses_.fetch_add(1, std::memory_order_relaxed);
+        break;
+      }
+      // Key discipline makes a cross-type lookup a bug; refuse to
+      // reinterpret the resident value.
+      if (*artifact.type != type) {
+        return Status::InvalidArgument(StrFormat(
+            "catalog artifact '%s' holds a different type", key.c_str()));
+      }
+      if (artifact.value != nullptr) {
+        hits_.fetch_add(1, std::memory_order_relaxed);
+        return Resident<void>{artifact.value, true};
+      }
+      settled_.Wait(mu_);  // In flight: wait for its builder, then re-check.
+    }
   }
-  hits_.fetch_add(1, std::memory_order_relaxed);
-  return {it->second.value, it->second.type};
-}
-
-std::pair<std::shared_ptr<const void>, const std::type_info*>
-DatasetCatalog::PutArtifact(const std::string& key,
-                            std::shared_ptr<const void> value,
-                            const std::type_info* type) {
-  MutexLock lock(&mu_);
-  auto [it, inserted] = artifacts_.try_emplace(key);
-  if (inserted) {
-    it->second.value = std::move(value);
-    it->second.type = type;
+  StatusOr<std::shared_ptr<const void>> built = build();
+  {
+    MutexLock lock(&mu_);
+    const auto it = artifacts_.find(key);
+    // Publish (or, on failure, withdraw) only our own flight: an eviction
+    // may have removed it, and a waiter may have started a new one since.
+    if (it != artifacts_.end() && it->second.flight == flight) {
+      if (built.ok()) {
+        it->second.value = built.value();
+      } else {
+        artifacts_.erase(it);
+      }
+    }
+    settled_.NotifyAll();
   }
-  return {it->second.value, it->second.type};
+  if (!built.ok()) return built.status();
+  return Resident<void>{std::move(built).value(), false};
 }
 
 }  // namespace mwsj

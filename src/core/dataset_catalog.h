@@ -3,10 +3,12 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
 #include <typeinfo>
+#include <utility>
 #include <vector>
 
 #include "common/mutex.h"
@@ -23,7 +25,7 @@ namespace mwsj {
 /// split+mark round), following the map-side-join insight that inputs
 /// already partitioned by a prior round should not be re-partitioned.
 ///
-/// Three layers, all first-wins and immutable once stored:
+/// Three layers, each value built once and immutable once stored:
 ///
 ///   * **Datasets** — named rectangle sets with a monotonically increasing
 ///     *epoch*. Re-putting a name bumps its epoch, which changes every key
@@ -35,15 +37,18 @@ namespace mwsj {
 ///     assembled once per distinct (name@epoch, ...) list and shared by
 ///     every subsequent job over the same inputs.
 ///   * **Artifacts** — a typed key→value cache for derived immutable
-///     values (grid partitionings, C-Rep round-1 markings). Keys embed the
-///     query canonical form, the dataset epochs, and the artifact kind, so
-///     a key can never alias across queries, data versions, or types; a
-///     type check backs that up at retrieval.
+///     values (grid partitionings, C-Rep round-1 markings, kNN-MR cell
+///     bounds). Keys embed the query canonical form, the dataset epochs,
+///     and the artifact kind, so a key can never alias across queries,
+///     data versions, or types; a type check backs that up at retrieval.
 ///
-/// Thread-safe; all values are shared immutable snapshots, so readers never
-/// block each other beyond the map lookup. Global hit/miss counters
-/// aggregate across jobs; per-run attribution is the caller's job (the
-/// runner counts its own lookups into RunStats).
+/// Every artifact (bundles included) goes through GetOrBuild, which builds
+/// each key at most once: concurrent callers for a key being built wait
+/// for the builder and share its value. Thread-safe; the catalog lock is
+/// never held while a value is built. Global hit/miss counters aggregate
+/// across jobs; per-run attribution is the caller's job (each GetOrBuild
+/// reports whether its value was `cached`, and the runner counts those
+/// into RunStats).
 class DatasetCatalog {
  public:
   DatasetCatalog() = default;
@@ -58,12 +63,14 @@ class DatasetCatalog {
   int64_t PutDataset(const std::string& name, std::vector<Rect> data)
       EXCLUDES(mu_);
 
-  /// The current data for `name`, or null when absent.
-  std::shared_ptr<const std::vector<Rect>> GetDataset(
-      const std::string& name) const EXCLUDES(mu_);
-
-  /// The current epoch of `name`, or -1 when absent.
-  int64_t EpochOf(const std::string& name) const EXCLUDES(mu_);
+  /// A value from GetOrBuild: the shared immutable artifact, and whether
+  /// it was already resident (built by an earlier or concurrent caller)
+  /// rather than built by this call.
+  template <typename T>
+  struct Resident {
+    std::shared_ptr<const T> value;
+    bool cached = false;
+  };
 
   /// A runner-ready view over the named datasets, in request order.
   struct RelationBundle {
@@ -74,7 +81,7 @@ class DatasetCatalog {
     /// so any dataset replacement invalidates them implicitly.
     std::string data_key;
     /// True when the assembled bundle was already resident.
-    bool cache_hit = false;
+    bool cached = false;
   };
 
   /// Assembles (or retrieves) the bundle for `names`. The epochs captured
@@ -84,30 +91,43 @@ class DatasetCatalog {
   StatusOr<RelationBundle> GetRelationBundle(
       const std::vector<std::string>& names) EXCLUDES(mu_);
 
-  /// Retrieves artifact `key`, or null on miss (or on a type mismatch,
-  /// which key discipline should make impossible).
-  template <typename T>
-  std::shared_ptr<const T> Get(const std::string& key) EXCLUDES(mu_) {
-    auto [value, type] = GetArtifact(key);
-    if (value == nullptr || *type != typeid(T)) return nullptr;
-    return std::static_pointer_cast<const T>(value);
+  /// The artifact resident under `key` in `catalog`, or the one `build`
+  /// (a callable returning StatusOr<T>, or T) makes — built at most once
+  /// per key:
+  ///
+  ///   * the first caller for an absent key counts a miss, marks the key
+  ///     in flight and runs `build` without holding the catalog lock;
+  ///   * a concurrent caller for that key waits for the builder and then
+  ///     counts a hit on its value (a resident key is a hit at once);
+  ///   * a failed build leaves nothing resident and returns its error, and
+  ///     a waiting caller then builds the key itself;
+  ///   * if a PutDataset evicts the key while it is being built, the
+  ///     builder returns its value without publishing it and any waiter
+  ///     builds afresh.
+  ///
+  /// A null `catalog` or an empty `key` runs `build` uncached (`cached` is
+  /// false, nothing is counted). A key resident under another type is an
+  /// InvalidArgument error.
+  template <typename T, typename Build>
+  static StatusOr<Resident<T>> GetOrBuild(DatasetCatalog* catalog,
+                                          const std::string& key,
+                                          Build&& build) {
+    const ErasedBuild erased =
+        [&build]() -> StatusOr<std::shared_ptr<const void>> {
+      StatusOr<T> built = build();
+      if (!built.ok()) return built.status();
+      return std::shared_ptr<const void>(
+          std::make_shared<const T>(std::move(built).value()));
+    };
+    StatusOr<Resident<void>> got =
+        catalog == nullptr || key.empty()
+            ? Uncached(erased)
+            : catalog->GetOrBuildErased(key, typeid(T), erased);
+    if (!got.ok()) return got.status();
+    return Resident<T>{
+        std::static_pointer_cast<const T>(std::move(got.value().value)),
+        got.value().cached};
   }
-
-  /// Stores artifact `key` first-wins: if a concurrent job already stored
-  /// the key, the resident value is returned and `value` is dropped, so
-  /// every consumer shares one immutable object.
-  template <typename T>
-  std::shared_ptr<const T> Put(const std::string& key,
-                               std::shared_ptr<const T> value) EXCLUDES(mu_) {
-    auto [resident, type] = PutArtifact(
-        key, std::static_pointer_cast<const void>(std::move(value)),
-        &typeid(T));
-    if (*type != typeid(T)) return nullptr;
-    return std::static_pointer_cast<const T>(resident);
-  }
-
-  /// Datasets currently registered.
-  std::vector<std::string> DatasetNames() const EXCLUDES(mu_);
 
   /// Cross-job reuse totals (bundle + artifact lookups).
   int64_t hits() const { return hits_.load(std::memory_order_relaxed); }
@@ -120,28 +140,40 @@ class DatasetCatalog {
   }
 
  private:
+  using ErasedBuild = std::function<StatusOr<std::shared_ptr<const void>>()>;
+
   struct Dataset {
     std::shared_ptr<const std::vector<Rect>> data;
     int64_t epoch = 0;
   };
+  /// A resident artifact, or one in flight: `value` is null while its
+  /// builder (identified by `flight`) runs.
   struct Artifact {
     std::shared_ptr<const void> value;
     const std::type_info* type = nullptr;
+    int64_t flight = 0;
   };
 
-  std::pair<std::shared_ptr<const void>, const std::type_info*> GetArtifact(
-      const std::string& key) EXCLUDES(mu_);
-  std::pair<std::shared_ptr<const void>, const std::type_info*> PutArtifact(
-      const std::string& key, std::shared_ptr<const void> value,
-      const std::type_info* type) EXCLUDES(mu_);
+  static StatusOr<Resident<void>> Uncached(const ErasedBuild& build);
+
+  /// GetOrBuild for a non-null catalog and non-empty key.
+  StatusOr<Resident<void>> GetOrBuildErased(const std::string& key,
+                                            const std::type_info& type,
+                                            const ErasedBuild& build)
+      EXCLUDES(mu_);
 
   /// Drops every artifact whose key references `name` (all resident
-  /// mentions are of superseded epochs at bump time).
+  /// mentions are of superseded epochs at bump time), in-flight ones
+  /// included, and wakes their waiters.
   void EvictArtifactsOf(const std::string& name) REQUIRES(mu_);
 
-  mutable Mutex mu_;
+  Mutex mu_;
+  /// Signalled whenever an in-flight artifact is published, abandoned
+  /// (failed build) or evicted.
+  CondVar settled_;
   std::map<std::string, Dataset> datasets_ GUARDED_BY(mu_);
   std::map<std::string, Artifact> artifacts_ GUARDED_BY(mu_);
+  int64_t next_flight_ GUARDED_BY(mu_) = 0;
   std::atomic<int64_t> hits_{0};
   std::atomic<int64_t> misses_{0};
   std::atomic<int64_t> evictions_{0};

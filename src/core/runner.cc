@@ -83,42 +83,33 @@ StatusOr<GridAcquisition> AcquireGrid(
                              space.max_y());
   }
   TraceSpan grid_span(ctx.tracer, "grid_build", "stage");
-  if (!out.grid_key.empty()) {
-    out.grid = options.catalog->Get<GridPartition>(out.grid_key);
-    if (out.grid != nullptr) {
-      ++out.catalog_hits;
-      grid_span.AddArg("cached", int64_t{1});
-    } else {
-      ++out.catalog_misses;
-    }
-  }
-  if (out.grid == nullptr) {
-    StatusOr<GridPartition> grid = Status::Internal("unreachable");
-    if (options.partitioning == Partitioning::kEquiDepth) {
-      // Sample start points across all relations (bounded, round-robin).
-      std::vector<Rect> sample;
-      constexpr size_t kMaxSample = 20'000;
-      size_t total = 0;
-      for (const auto& rel : relations) total += rel.size();
-      const size_t stride = std::max<size_t>(1, total / kMaxSample);
-      size_t i = 0;
-      for (const auto& rel : relations) {
-        for (const Rect& r : rel) {
-          if (i++ % stride == 0) sample.push_back(r);
-        }
-      }
-      grid = GridPartition::CreateEquiDepth(space, options.grid_rows,
-                                            options.grid_cols, sample);
-    } else {
-      grid = GridPartition::Create(space, options.grid_rows, options.grid_cols);
-    }
-    if (!grid.ok()) return grid.status();
-    out.grid = std::make_shared<const GridPartition>(std::move(grid.value()));
-    if (!out.grid_key.empty()) {
-      // First-wins: a concurrent identical job may have stored it already.
-      out.grid = options.catalog->Put<GridPartition>(out.grid_key, out.grid);
-    }
-  }
+  StatusOr<DatasetCatalog::Resident<GridPartition>> grid =
+      DatasetCatalog::GetOrBuild<GridPartition>(
+          options.catalog, out.grid_key, [&]() -> StatusOr<GridPartition> {
+            if (options.partitioning != Partitioning::kEquiDepth) {
+              return GridPartition::Create(space, options.grid_rows,
+                                           options.grid_cols);
+            }
+            // Sample start points across all relations (bounded,
+            // round-robin).
+            std::vector<Rect> sample;
+            constexpr size_t kMaxSample = 20'000;
+            size_t total = 0;
+            for (const auto& rel : relations) total += rel.size();
+            const size_t stride = std::max<size_t>(1, total / kMaxSample);
+            size_t i = 0;
+            for (const auto& rel : relations) {
+              for (const Rect& r : rel) {
+                if (i++ % stride == 0) sample.push_back(r);
+              }
+            }
+            return GridPartition::CreateEquiDepth(
+                space, options.grid_rows, options.grid_cols, sample);
+          });
+  if (!grid.ok()) return grid.status();
+  out.grid = std::move(grid.value().value);
+  out.cached = grid.value().cached;
+  if (out.cached) grid_span.AddArg("cached", int64_t{1});
   grid_span.AddArg("rows", static_cast<int64_t>(options.grid_rows));
   grid_span.AddArg("cols", static_cast<int64_t>(options.grid_cols));
   grid_span.End();
@@ -172,8 +163,6 @@ StatusOr<JoinRunResult> RunSpatialJoin(
   StatusOr<GridAcquisition> acquired =
       AcquireGrid(relations, space, options, ctx);
   if (!acquired.ok()) return acquired.status();
-  const int64_t catalog_hits = acquired.value().catalog_hits;
-  const int64_t catalog_misses = acquired.value().catalog_misses;
   const std::string& grid_key = acquired.value().grid_key;
   const GridPartition& grid_ref = *acquired.value().grid;
 
@@ -222,8 +211,9 @@ StatusOr<JoinRunResult> RunSpatialJoin(
         static_cast<int64_t>(result.value().tuples.size());
     result.value().stats.post_join_seconds += filter_watch.ElapsedSeconds();
   }
-  result.value().stats.catalog_hits += catalog_hits;
-  result.value().stats.catalog_misses += catalog_misses;
+  if (!grid_key.empty()) {
+    result.value().stats.CountCatalogLookup(acquired.value().cached);
+  }
   return result;
 }
 

@@ -77,9 +77,9 @@ struct RunnerOptions {
   ExecutionContext context;
 
   /// Optional resident-artifact catalog (core/dataset_catalog.h). With a
-  /// non-empty `artifact_key`, the run reuses (or stores) its reducer
-  /// grid and — for the C-Rep family — the round-1 marking under keys
-  /// derived from it, and counts the lookups into RunStats
+  /// non-empty `artifact_key`, the run reuses (or builds once) its
+  /// reducer grid and — for the C-Rep family — the round-1 marking under
+  /// keys derived from it, and counts the lookups into RunStats
   /// catalog_hits/catalog_misses.
   DatasetCatalog* catalog = nullptr;
 
@@ -123,24 +123,23 @@ StatusOr<Rect> ResolveSpace(const std::vector<std::vector<Rect>>& relations,
                             const RunnerOptions& options);
 
 /// A reducer grid resolved against the catalog: the grid itself, the
-/// extended artifact key it is (or would be) resident under, and the
-/// catalog lookup tallies to fold into RunStats. `grid_key` is empty when
-/// artifact reuse is disabled (no catalog or empty base key).
+/// extended artifact key it is (or would be) resident under, and whether
+/// it was already resident. `grid_key` is empty when artifact reuse is
+/// disabled (no catalog or empty base key).
 struct GridAcquisition {
   std::shared_ptr<const GridPartition> grid;
   std::string grid_key;
-  int64_t catalog_hits = 0;
-  int64_t catalog_misses = 0;
+  bool cached = false;
 };
 
 /// The grid-resolution step of the execution pipeline, shared by
 /// RunSpatialJoin and the query workloads that run outside the
 /// Algorithm enum (e.g. queries/knn_mr.h): extends `options.artifact_key`
 /// with every input the grid construction reads (geometry, partitioning
-/// mode, space), retrieves a resident grid from the catalog or builds one
-/// (equi-depth grids sample the relations' start points), and stores the
-/// fresh grid first-wins. Records a "grid_build" trace span on
-/// `ctx.tracer`, exactly as the pre-factored pipeline did.
+/// mode, space) and gets the grid through DatasetCatalog::GetOrBuild —
+/// resident, or built once (equi-depth grids sample the relations' start
+/// points). Records a "grid_build" trace span on `ctx.tracer`, with a
+/// `cached` arg when the grid was resident.
 StatusOr<GridAcquisition> AcquireGrid(
     const std::vector<std::vector<Rect>>& relations, const Rect& space,
     const RunnerOptions& options, const ExecutionContext& ctx);

@@ -209,8 +209,7 @@ void JobScheduler::RunJob(scheduler_internal::Job* job) {
   const std::vector<std::vector<Rect>>* relations = nullptr;
   // Keeps a catalog bundle alive across the run.
   std::shared_ptr<const std::vector<std::vector<Rect>>> bundle_data;
-  int64_t bundle_hits = 0;
-  int64_t bundle_misses = 0;
+  bool bundle_cached = false;
   if (!job->spec.dataset_names.empty()) {
     StatusOr<DatasetCatalog::RelationBundle> bundle =
         options.catalog->GetRelationBundle(job->spec.dataset_names);
@@ -219,7 +218,7 @@ void JobScheduler::RunJob(scheduler_internal::Job* job) {
     } else {
       bundle_data = bundle.value().relations;
       relations = bundle_data.get();
-      (bundle.value().cache_hit ? bundle_hits : bundle_misses) += 1;
+      bundle_cached = bundle.value().cached;
       // Base artifact key: canonical query form + epoch-qualified inputs
       // + the canonical-rank-to-position permutation. The canonical form
       // relabels relations and forgets which position each rank came
@@ -248,9 +247,8 @@ void JobScheduler::RunJob(scheduler_internal::Job* job) {
     result = job->spec.execute != nullptr
                  ? job->spec.execute(*job->spec.query, *relations, options)
                  : RunSpatialJoin(*job->spec.query, *relations, options);
-    if (result.ok()) {
-      result.value().stats.catalog_hits += bundle_hits;
-      result.value().stats.catalog_misses += bundle_misses;
+    if (result.ok() && bundle_data != nullptr) {
+      result.value().stats.CountCatalogLookup(bundle_cached);
     }
   }
 

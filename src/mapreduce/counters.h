@@ -163,6 +163,11 @@ struct RunStats {
   int64_t catalog_hits = 0;
   int64_t catalog_misses = 0;
 
+  /// Counts one catalog lookup: a hit when its value was `cached`.
+  void CountCatalogLookup(bool cached) {
+    ++(cached ? catalog_hits : catalog_misses);
+  }
+
   /// Sum of user counter `name` across jobs.
   int64_t UserCounter(const std::string& name) const;
   int64_t TotalIntermediateRecords() const;

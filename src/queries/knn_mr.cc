@@ -78,13 +78,13 @@ StatusOr<JoinRunResult> RunKnnJoinMr(
     }
   }
 
+  const StatusOr<Rect> space = ResolveSpace(relations, options);
+  if (!space.ok()) return space.status();
+
   JoinRunResult result;
   const std::vector<Rect>& points = relations[0];
   const std::vector<Rect>& rects = relations[1];
   if (points.empty() || rects.empty()) return result;
-
-  const StatusOr<Rect> space = ResolveSpace(relations, options);
-  if (!space.ok()) return space.status();
 
   ExecutionContext ctx = options.context;
   if (ctx.label.empty()) ctx.label = "knn-mr";
@@ -95,8 +95,7 @@ StatusOr<JoinRunResult> RunKnnJoinMr(
       AcquireGrid(relations, space.value(), options, ctx);
   if (!acquired.ok()) return acquired.status();
   const GridPartition& grid = *acquired.value().grid;
-  int64_t catalog_hits = acquired.value().catalog_hits;
-  int64_t catalog_misses = acquired.value().catalog_misses;
+  const std::string& grid_key = acquired.value().grid_key;
 
   TraceSpan algo_span(ctx.tracer, "knn_mr", "algorithm");
   algo_span.AddArg("points", static_cast<int64_t>(points.size()));
@@ -113,19 +112,10 @@ StatusOr<JoinRunResult> RunKnnJoinMr(
 
   // ---- Round 1: per-cell upper bound on the k-th neighbor distance of
   // every in-cell point — or a catalog hit on a prior run's bounds.
-  std::shared_ptr<const KnnCellBounds> bounds_ptr;
-  std::string bounds_key;
-  if (options.catalog != nullptr && !acquired.value().grid_key.empty()) {
-    bounds_key =
-        acquired.value().grid_key + StrFormat("|knn_bounds[k=%d]", k);
-    bounds_ptr = options.catalog->Get<KnnCellBounds>(bounds_key);
-    if (bounds_ptr != nullptr) {
-      ++catalog_hits;
-    } else {
-      ++catalog_misses;
-    }
-  }
-  if (bounds_ptr == nullptr) {
+  const std::string bounds_key =
+      grid_key.empty() ? std::string()
+                       : grid_key + StrFormat("|knn_bounds[k=%d]", k);
+  const auto build_bounds = [&]() -> KnnCellBounds {
     std::vector<KnnRouted> bound_input;
     bound_input.reserve(points.size() + rects.size());
     for (size_t i = 0; i < points.size(); ++i) {
@@ -206,19 +196,22 @@ StatusOr<JoinRunResult> RunKnnJoinMr(
     result.stats.Add(bound_job.Run(std::span<const KnnRouted>(bound_input),
                                    &cell_bounds, ctx));
 
-    std::shared_ptr<KnnCellBounds> fresh = std::make_shared<KnnCellBounds>();
-    fresh->per_cell.assign(static_cast<size_t>(grid.num_cells()), kUnbounded);
+    KnnCellBounds fresh;
+    fresh.per_cell.assign(static_cast<size_t>(grid.num_cells()), kUnbounded);
     for (const KnnCellBound& b : cell_bounds) {
-      fresh->per_cell[static_cast<size_t>(b.cell)] = b.bound;
+      fresh.per_cell[static_cast<size_t>(b.cell)] = b.bound;
     }
-    bounds_ptr = fresh;
-    if (!bounds_key.empty()) {
-      // First-wins, like the grid: a concurrent identical job may have
-      // stored its (byte-identical) bounds already.
-      bounds_ptr = options.catalog->Put<KnnCellBounds>(bounds_key, bounds_ptr);
-    }
+    return fresh;
+  };
+  StatusOr<DatasetCatalog::Resident<KnnCellBounds>> cell_bounds_out =
+      DatasetCatalog::GetOrBuild<KnnCellBounds>(options.catalog, bounds_key,
+                                                build_bounds);
+  if (!cell_bounds_out.ok()) return cell_bounds_out.status();
+  if (!grid_key.empty()) {
+    result.stats.CountCatalogLookup(acquired.value().cached);
+    result.stats.CountCatalogLookup(cell_bounds_out.value().cached);
   }
-  const std::vector<double>& bounds = bounds_ptr->per_cell;
+  const std::vector<double>& bounds = cell_bounds_out.value().value->per_cell;
 
   // ---- Round 2: replicate points within their bounds, local top-k per
   // (point, cell) over the allocation-free local kNN kernel.
@@ -354,8 +347,6 @@ StatusOr<JoinRunResult> RunKnnJoinMr(
   SortTuples(&result.tuples);
   result.num_tuples = static_cast<int64_t>(result.tuples.size());
   result.stats.post_join_seconds += post_join.ElapsedSeconds();
-  result.stats.catalog_hits += catalog_hits;
-  result.stats.catalog_misses += catalog_misses;
   return result;
 }
 

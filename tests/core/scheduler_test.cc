@@ -683,6 +683,59 @@ TEST(SchedulerCatalogTest, RepeatQueryReusesResidentArtifacts) {
   EXPECT_EQ(bumped.value().tuples, cold.value().tuples);
 }
 
+TEST(SchedulerCatalogTest, ConcurrentIdenticalJobsBuildEachArtifactOnce) {
+  WorldConfig config;
+  config.shape = QueryShape::kChain3;
+  config.seed = SeedBase() + 43;
+  const Query query = MakeWorldQuery(config);
+  const auto data = MakeWorldData(config, query.num_relations());
+  const std::vector<std::string> names = {"lakes", "roads", "parks"};
+  constexpr int kJobs = 4;
+
+  // Distinct artifact keys per algorithm: bundle + grid, plus the round-1
+  // marking for C-Rep.
+  for (const auto& [algorithm, distinct_keys] :
+       {std::pair{Algorithm::kControlledReplicate, 3},
+        std::pair{Algorithm::kAllReplicate, 2}}) {
+    SCOPED_TRACE(AlgorithmName(algorithm));
+    DatasetCatalog catalog;
+    for (size_t r = 0; r < names.size(); ++r) {
+      catalog.PutDataset(names[r], data[r]);
+    }
+    SchedulerOptions sched_options;
+    sched_options.catalog = &catalog;
+    sched_options.max_in_flight = kJobs;
+    std::vector<JobHandle> handles;
+    {
+      JobScheduler scheduler(sched_options);
+      for (int j = 0; j < kJobs; ++j) {
+        JobSpec spec;
+        spec.query = query;
+        spec.dataset_names = names;
+        spec.options.algorithm = algorithm;
+        StatusOr<JobHandle> handle = scheduler.Submit(std::move(spec));
+        ASSERT_TRUE(handle.ok()) << handle.status().message();
+        handles.push_back(std::move(handle).value());
+      }
+    }  // Destruction drains every submission.
+
+    int64_t hits = 0;
+    int64_t misses = 0;
+    for (JobHandle& handle : handles) {
+      const StatusOr<JoinRunResult>& result = handle.Wait();
+      ASSERT_TRUE(result.ok()) << result.status().message();
+      EXPECT_EQ(result.value().tuples, handles[0].Wait().value().tuples);
+      hits += result.value().stats.catalog_hits;
+      misses += result.value().stats.catalog_misses;
+    }
+    // Every key is built by exactly one job; the others wait and hit.
+    EXPECT_EQ(misses, distinct_keys);
+    EXPECT_EQ(hits, (kJobs - 1) * distinct_keys);
+    EXPECT_EQ(catalog.misses(), misses);
+    EXPECT_EQ(catalog.hits(), hits);
+  }
+}
+
 TEST(SchedulerCatalogTest, CollidingCanonicalFormsNeverShareArtifacts) {
   // Regression (review): the canonical form relabels relations by sorted
   // name and forgets the name-to-position binding, while datasets bind by

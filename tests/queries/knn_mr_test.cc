@@ -169,6 +169,17 @@ TEST(KnnMrRejectTest, InvalidArguments) {
   RunnerOptions distinct = options;
   distinct.distinct_ids = true;
   EXPECT_FALSE(RunKnnJoinMr(KnnQuery(), data, 2, distinct).ok());
+  // A rectangle outside the declared space is rejected even when the other
+  // relation is empty, as RunSpatialJoin rejects it.
+  RunnerOptions declared = options;
+  declared.space = Rect(0, 0, 10, 10);
+  const std::vector<Rect> outside = {Rect(20, 20, 30, 30)};
+  EXPECT_EQ(RunKnnJoinMr(KnnQuery(), {{}, outside}, 2, declared)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(RunSpatialJoin(KnnQuery(), {{}, outside}, declared).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(KnnMrSchedulerTest, ConcurrentSubmissionsThroughScheduler) {
@@ -225,14 +236,53 @@ TEST(KnnMrCatalogTest, GridAndBoundsArtifactsAreReused) {
   EXPECT_EQ(first.value().tuples, second.value().tuples);
   EXPECT_FALSE(first.value().tuples.empty());
 
-  // Cold run: 3 jobs (bound, join, merge), all artifact lookups miss.
+  // Cold run: 3 jobs (bound, join, merge); the bundle, grid and bounds
+  // lookups all miss.
   ASSERT_EQ(first.value().stats.jobs.size(), 3u);
   EXPECT_EQ(first.value().stats.catalog_hits, 0);
-  EXPECT_GT(first.value().stats.catalog_misses, 0);
-  // Warm run: the resident grid and per-cell bounds skip round 1.
+  EXPECT_EQ(first.value().stats.catalog_misses, 3);
+  // Warm run: all three are resident; the bounds skip round 1.
   ASSERT_EQ(second.value().stats.jobs.size(), 2u);
-  EXPECT_GE(second.value().stats.catalog_hits, 2);
+  EXPECT_EQ(second.value().stats.catalog_hits, 3);
+  EXPECT_EQ(second.value().stats.catalog_misses, 0);
   EXPECT_EQ(second.value().stats.jobs[0].job_name, "knn_mr_round2_join");
+}
+
+TEST(KnnMrCatalogTest, ConcurrentIdenticalJobsBuildEachArtifactOnce) {
+  DatasetCatalog catalog;
+  catalog.PutDataset("points", RandomPointRects(80, 43));
+  catalog.PutDataset("rects", RandomRects(200, 44));
+  constexpr int kJobs = 4;
+  constexpr int kDistinctKeys = 3;  // Bundle, grid, per-cell bounds.
+
+  SchedulerOptions sched_options;
+  sched_options.catalog = &catalog;
+  sched_options.max_in_flight = kJobs;
+  std::vector<JobHandle> handles;
+  {
+    JobScheduler scheduler(sched_options);
+    for (int j = 0; j < kJobs; ++j) {
+      JobSpec spec = MakeKnnMrJobSpec(KnnQuery(), 4);
+      spec.dataset_names = {"points", "rects"};
+      StatusOr<JobHandle> handle = scheduler.Submit(std::move(spec));
+      ASSERT_TRUE(handle.ok()) << handle.status().ToString();
+      handles.push_back(std::move(handle).value());
+    }
+  }  // Destruction drains every submission.
+
+  int64_t hits = 0;
+  int64_t misses = 0;
+  for (JobHandle& handle : handles) {
+    const StatusOr<JoinRunResult>& result = handle.Wait();
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result.value().tuples, handles[0].Wait().value().tuples);
+    hits += result.value().stats.catalog_hits;
+    misses += result.value().stats.catalog_misses;
+  }
+  EXPECT_EQ(misses, kDistinctKeys);
+  EXPECT_EQ(hits, (kJobs - 1) * kDistinctKeys);
+  EXPECT_EQ(catalog.misses(), misses);
+  EXPECT_EQ(catalog.hits(), hits);
 }
 
 TEST(KnnMrStatsTest, CountersAndExplainReport) {

@@ -2,7 +2,8 @@
 #   mwsj_datagen (csv + binary) -> mwsj_join --verify --output -> tuple CSV,
 #   plus a Chrome-trace export validated for structure and span coverage,
 #   All-Replicate runs (in memory, and spilling under a 4k shuffle budget
-#   with injected faults) whose tuple CSVs must match C-Rep-L's, and
+#   with injected faults) whose tuple CSVs must match C-Rep-L's, the exact
+#   catalog totals of three concurrent identical submissions, and
 #   malformed numeric flags of both tools that must be rejected with exit
 #   code 2.
 # Invoked with -DDATAGEN=<path> -DJOIN=<path> -DWORKDIR=<dir>.
@@ -113,6 +114,29 @@ foreach(field spilled_runs flush_retries)
   if(NOT CMAKE_MATCH_1 OR CMAKE_MATCH_1 EQUAL 0)
     message(FATAL_ERROR "allrep_spill_stats.json reports no ${field}: "
                         "${allrep_spill_stats}")
+  endif()
+endforeach()
+
+# Three identical submissions in flight at once build each catalog artifact
+# once: the other two jobs wait for the builder and hit. M distinct keys
+# (bundle, grid and, for C-Rep, the round-1 marking) give exactly M misses
+# and 2 x M hits, however the jobs interleave.
+foreach(case "crep;6 hits, 3 misses" "allrep;4 hits, 2 misses")
+  list(GET case 0 algorithm)
+  list(GET case 1 totals)
+  execute_process(COMMAND ${JOIN} --query "A OV B AND B RA(40) A2"
+                  --input A=${WORKDIR}/a.csv --input B=${WORKDIR}/b.bin
+                  --input A2=${WORKDIR}/a.csv --algorithm ${algorithm}
+                  --grid 4x4 --threads 2 --jobs 3 --count-only
+                  OUTPUT_VARIABLE jobs_out RESULT_VARIABLE code)
+  if(NOT code EQUAL 0)
+    message(FATAL_ERROR "mwsj_join --jobs 3 --algorithm ${algorithm} "
+                        "exited ${code}: ${jobs_out}")
+  endif()
+  string(FIND "${jobs_out}" "catalog totals: ${totals}\n" pos)
+  if(pos EQUAL -1)
+    message(FATAL_ERROR "mwsj_join --jobs 3 --algorithm ${algorithm}: "
+                        "expected catalog totals: ${totals}\n${jobs_out}")
   endif()
 endforeach()
 
