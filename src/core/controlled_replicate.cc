@@ -6,7 +6,6 @@
 #include <optional>
 #include <span>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "common/stopwatch.h"
@@ -281,17 +280,16 @@ class MarkingOracle {
 
 }  // namespace
 
-std::vector<std::vector<int64_t>> MarkRectanglesForCell(
+std::vector<std::vector<char>> MarkRectanglesForCell(
     const Query& query, const GridPartition& grid, CellId cell,
     const std::vector<std::vector<LocalRect>>& cell_rects) {
   MarkingOracle oracle(query, grid, cell, cell_rects);
-  std::vector<std::vector<int64_t>> marked(cell_rects.size());
+  std::vector<std::vector<char>> marked(cell_rects.size());
   for (size_t r = 0; r < cell_rects.size(); ++r) {
+    marked[r].assign(cell_rects[r].size(), 0);
     for (size_t i = 0; i < cell_rects[r].size(); ++i) {
       if (grid.CellOfRect(cell_rects[r][i].rect) != cell) continue;
-      if (oracle.IsMarked(static_cast<int>(r), i)) {
-        marked[r].push_back(cell_rects[r][i].id);
-      }
+      marked[r][i] = oracle.IsMarked(static_cast<int>(r), i) ? 1 : 0;
     }
   }
   return marked;
@@ -324,10 +322,16 @@ std::vector<Record> FlattenRelations(
   return records;
 }
 
-// The join round's reduce body: bucket the cell's records by relation, run
-// the multiway local join under the cell's owner window, keep the tuples the
+// The join round's reduce body: bucket the cell's records by relation,
+// dropping those the owner window's reach (OwnerReach) rules out, run the
+// multiway local join under the cell's owner window, keep the tuples the
 // exact §6.2 OwnsTuple check assigns to `cell`, and append their ids to one
 // cell-local TupleBlock, emitted once when non-empty (or only count them).
+// The reach drops only rectangles no windowed assignment can contain, so
+// the local join emits and counts the same tuples as over every record; a
+// replicated copy far right of or below the cell's top-left corner is the
+// common case it drops, since f1 ships each rectangle to its whole fourth
+// quadrant.
 // The window (GridPartition::QuadrantXLo/QuadrantYHi) prunes
 // exactly the tuples whose reference point lies left of or above the cell,
 // which no routing can make owned; under the up-left routings of this round
@@ -343,7 +347,8 @@ std::vector<Record> FlattenRelations(
 //    decided: dedup_tuple_checks == dedup_owned == tuples_counted.
 //  * enumerate: every materialized join, and cyclic graphs (kCycle3,
 //    cliques) counted or not, run Execute with the OwnsTuple leaf check.
-// Both publish local_join_probes, and the `local_join` span names its path.
+// Both publish local_join_probes and local_join_rects_pruned, and the
+// `local_join` span names its path and the records it `kept`.
 //
 // Dedup tallies live in locals and are published once per call through the
 // attempt-scoped counters, so a re-executed attempt never double-counts.
@@ -356,19 +361,31 @@ void JoinCell(const Query& query, const GridPartition& grid, bool count_only,
   local_span.AddArg("records", static_cast<int64_t>(values.size()));
   local_span.AddArg("path", count_path ? "count" : "enumerate");
   const size_t m = static_cast<size_t>(query.num_relations());
-  std::vector<std::vector<LocalRect>> per_relation(m);
+  const OwnerWindow window{grid.QuadrantXLo(cell), grid.QuadrantYHi(cell)};
+  std::vector<double> max_length(m, 0.0);
+  std::vector<double> max_breadth(m, 0.0);
   for (const RelRect& v : values) {
+    const size_t r = static_cast<size_t>(v.relation);
+    max_length[r] = std::max(max_length[r], v.rect.length());
+    max_breadth[r] = std::max(max_breadth[r], v.rect.breadth());
+  }
+  const OwnerReach reach =
+      OwnerReach::Of(query, window, max_length, max_breadth);
+  std::vector<std::vector<LocalRect>> per_relation(m);
+  int64_t kept = 0;
+  for (const RelRect& v : values) {
+    if (!reach.Admits(v.rect)) continue;
     per_relation[static_cast<size_t>(v.relation)].push_back(
         LocalRect{v.rect, v.id});
+    ++kept;
   }
+  local_span.AddArg("kept", kept);
   std::vector<std::span<const LocalRect>> spans;
   spans.reserve(m);
   for (const auto& rel : per_relation) {
     spans.emplace_back(rel.data(), rel.size());
   }
-  const MultiwayLocalJoin local(
-      query, std::move(spans),
-      {grid.QuadrantXLo(cell), grid.QuadrantYHi(cell)});
+  const MultiwayLocalJoin local(query, std::move(spans), window);
   int64_t probes = 0;
   int64_t checks = 0;
   int64_t owned = 0;
@@ -394,6 +411,8 @@ void JoinCell(const Query& query, const GridPartition& grid, bool count_only,
   out.IncrementCounter(kCounterDedupOwned, owned);
   if (count_only) out.IncrementCounter(kCounterTuplesCounted, owned);
   out.IncrementCounter(kCounterLocalJoinProbes, probes);
+  out.IncrementCounter(kCounterLocalJoinRectsPruned,
+                       static_cast<int64_t>(values.size()) - kept);
 }
 
 // What tells one join round of the family from another.
@@ -565,18 +584,17 @@ StatusOr<JoinRunResult> ControlledReplicateJoin(
       per_relation[static_cast<size_t>(v.relation)].push_back(
           LocalRect{v.rect, v.id});
     }
-    const std::vector<std::vector<int64_t>> marked_ids =
+    const std::vector<std::vector<char>> marked =
         MarkRectanglesForCell(query, grid, cell, per_relation);
-    std::vector<std::unordered_set<int64_t>> marked(static_cast<size_t>(m));
-    for (size_t r = 0; r < marked_ids.size(); ++r) {
-      marked[r].insert(marked_ids[r].begin(), marked_ids[r].end());
-    }
-    // Emit each rectangle exactly once, from its start cell.
+    // Emit each rectangle exactly once, from its start cell. `values` was
+    // bucketed in order, so a per-relation cursor is each record's
+    // position in its relation's list.
+    std::vector<size_t> cursor(static_cast<size_t>(m), 0);
     for (const RelRect& v : values) {
+      const size_t r = static_cast<size_t>(v.relation);
+      const size_t i = cursor[r]++;
       if (grid.CellOfRect(v.rect) != cell) continue;
-      out.Emit(MarkedRect{v.rect, v.id, v.relation,
-                          marked[static_cast<size_t>(v.relation)].count(
-                              v.id) > 0});
+      out.Emit(MarkedRect{v.rect, v.id, v.relation, marked[r][i] != 0});
     }
   });
 

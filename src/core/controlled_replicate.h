@@ -104,12 +104,14 @@ StatusOr<JoinRunResult> ControlledReplicateJoin(
 
 /// Round-1 marking decision, exposed for unit tests that replay the
 /// paper's §7.7 walkthrough: given the rectangles split onto cell `cell`,
-/// returns the ids (per relation) of the rectangles C-Rep marks for
-/// replication among those starting in `cell`.
+/// flags the rectangles C-Rep marks for replication among those starting
+/// in `cell`.
 ///
 /// `cell_rects[r]` holds the rectangles of relation r received by this
-/// reducer. The result is index-aligned with `cell_rects`.
-std::vector<std::vector<int64_t>> MarkRectanglesForCell(
+/// reducer. The result is index-aligned with `cell_rects` down to the
+/// position: result[r][i] is 1 iff cell_rects[r][i] starts in `cell` and is
+/// marked.
+std::vector<std::vector<char>> MarkRectanglesForCell(
     const Query& query, const GridPartition& grid, CellId cell,
     const std::vector<std::vector<LocalRect>>& cell_rects);
 

@@ -28,10 +28,9 @@ void DatasetCatalog::EvictArtifactsOf(const std::string& name) {
   // this token) only over-evicts: a safe miss, never a wrong hit. An
   // evicted in-flight build is not published (its flight is gone), and
   // its waiters wake to build the key themselves. A job still running
-  // against the old epoch may yet build a stale artifact afterwards; it
-  // is unreachable (new data_keys carry the new epoch) and the next bump
-  // sweeps it.
-  const std::string token = StrFormat("%zu:", name.size()) + name + "@";
+  // against the old epoch builds its later artifacts uncached
+  // (NamesSupersededEpoch), so nothing stale is stored after the bump.
+  const std::string token = EpochToken(name);
   for (auto it = artifacts_.begin(); it != artifacts_.end();) {
     if (it->first.find(token) != std::string::npos) {
       if (it->second.value != nullptr) {
@@ -43,6 +42,31 @@ void DatasetCatalog::EvictArtifactsOf(const std::string& name) {
     }
   }
   settled_.NotifyAll();
+}
+
+std::string DatasetCatalog::EpochToken(const std::string& name) {
+  return StrFormat("%zu:", name.size()) + name + "@";
+}
+
+bool DatasetCatalog::NamesSupersededEpoch(const std::string& key) const {
+  for (const auto& [name, dataset] : datasets_) {
+    if (dataset.epoch == 0) continue;  // No epoch of it is superseded yet.
+    const std::string token = EpochToken(name);
+    const std::string current =
+        StrFormat("%lld", static_cast<long long>(dataset.epoch));
+    for (size_t at = key.find(token); at != std::string::npos;
+         at = key.find(token, at + 1)) {
+      // The digits after every mention must be the current epoch. Like
+      // eviction, a false positive only costs an uncached build.
+      const size_t from = at + token.size();
+      size_t to = from;
+      while (to < key.size() && key[to] >= '0' && key[to] <= '9') ++to;
+      if (to > from && key.compare(from, to - from, current) != 0) {
+        return true;
+      }
+    }
+  }
+  return false;
 }
 
 int64_t DatasetCatalog::PutDataset(const std::string& name,
@@ -105,6 +129,13 @@ StatusOr<DatasetCatalog::Resident<void>> DatasetCatalog::GetOrBuildErased(
   {
     MutexLock lock(&mu_);
     for (;;) {
+      if (!artifacts_.contains(key) && NamesSupersededEpoch(key)) {
+        // Built for a job that resolved its data before a PutDataset: the
+        // value is unreachable by any new key, so it is built uncached and
+        // never stored (flight 0 matches no entry below).
+        misses_.fetch_add(1, std::memory_order_relaxed);
+        break;
+      }
       auto [it, inserted] = artifacts_.try_emplace(key);
       Artifact& artifact = it->second;
       if (inserted) {

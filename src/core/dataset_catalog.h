@@ -103,7 +103,10 @@ class DatasetCatalog {
   ///     a waiting caller then builds the key itself;
   ///   * if a PutDataset evicts the key while it is being built, the
   ///     builder returns its value without publishing it and any waiter
-  ///     builds afresh.
+  ///     builds afresh;
+  ///   * an absent key that names a superseded epoch of a dataset (a job
+  ///     that resolved its bundle before a PutDataset) counts a miss and
+  ///     is built uncached: no new key can reach it, so it is not stored.
   ///
   /// A null `catalog` or an empty `key` runs `build` uncached (`cached` is
   /// false, nothing is counted). A key resident under another type is an
@@ -155,6 +158,14 @@ class DatasetCatalog {
   };
 
   static StatusOr<Resident<void>> Uncached(const ErasedBuild& build);
+
+  /// "<len>:<name>@", the prefix of `name`'s epoch token in every key
+  /// derived from the dataset.
+  static std::string EpochToken(const std::string& name);
+
+  /// True when `key` names an epoch of some dataset other than its
+  /// current one.
+  bool NamesSupersededEpoch(const std::string& key) const REQUIRES(mu_);
 
   /// GetOrBuild for a non-null catalog and non-empty key.
   StatusOr<Resident<void>> GetOrBuildErased(const std::string& key,

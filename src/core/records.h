@@ -137,6 +137,11 @@ inline constexpr char kCounterDedupOwned[] = "dedup_owned";
 /// (MultiwayLocalJoin::Execute or Count), summed over its reduce calls:
 /// the reducer's index work, as opposed to the tuples it produced.
 inline constexpr char kCounterLocalJoinProbes[] = "local_join_probes";
+/// Records the join round's reducers dropped before bucketing because the
+/// owner window's reach (localjoin/multiway.h OwnerReach) rules them out of
+/// every tuple the cell can own, summed over its reduce calls.
+inline constexpr char kCounterLocalJoinRectsPruned[] =
+    "local_join_rects_pruned";
 
 /// Exactly-once user counters of the distributed kNN join
 /// (queries/knn_mr.h), defined here so core's explain/stats rendering can

@@ -6,9 +6,48 @@
 #include "localjoin/multiway.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 
 namespace mwsj {
+
+OwnerReach OwnerReach::Of(const Query& query, const OwnerWindow& window,
+                          std::span<const double> max_length,
+                          std::span<const double> max_breadth) {
+  // Relative slack: far above the few ulps of rounding in the sums, the
+  // widths and WithinDistance, far below any extent that prunes.
+  constexpr double kRelativeSlack = 1e-9;
+  // Absolute slack per range condition: gap*gap <= d*d can hold for a gap
+  // above d when both squares underflow (gap below ~1.5e-154).
+  constexpr double kUnderflowGap = 1e-150;
+  double gaps = 0;
+  for (const JoinCondition& c : query.conditions()) {
+    // A negative distance matches nothing; max() maps it to 0. A NaN one
+    // makes the bounds NaN, which impose no limit below.
+    if (c.predicate.is_range()) {
+      gaps += std::max(c.predicate.distance(), 0.0) + kUnderflowGap;
+    }
+  }
+  double bx = gaps;
+  double by = gaps;
+  for (double w : max_length) bx += w;
+  for (double h : max_breadth) by += h;
+
+  OwnerReach reach;
+  const double x_lo = window.x_lo;
+  if (std::isfinite(x_lo)) {
+    const double bound =
+        x_lo - bx - kRelativeSlack * (bx + std::abs(x_lo));
+    if (std::isfinite(bound)) reach.min_max_x = bound;
+  }
+  const double y_hi = window.y_hi;
+  if (std::isfinite(y_hi)) {
+    const double bound =
+        y_hi + by + kRelativeSlack * (by + std::abs(y_hi));
+    if (std::isfinite(bound)) reach.max_min_y = bound;
+  }
+  return reach;
+}
 
 MultiwayLocalJoin::MultiwayLocalJoin(
     const Query& query, std::vector<std::span<const LocalRect>> relations,

@@ -32,6 +32,45 @@ struct OwnerWindow {
   double y_hi = std::numeric_limits<double>::infinity();
 };
 
+/// The reach of an owner window: the half-planes max_x >= min_max_x and
+/// min_y <= max_min_y, which hold every member of every assignment the
+/// window admits. A reducer buckets only the rectangles the reach admits;
+/// the MultiwayLocalJoin then emits and counts exactly what it would over
+/// everything the reducer received.
+///
+/// Why it holds: an admitted assignment has a member a with
+/// a.min_x > x_lo, and the join graph is connected, so any member s is
+/// joined to a by a simple path a = u_0, ..., u_k = s. Along one condition
+/// u_i -- u_(i+1), the x-gap between the two rectangles is at most the
+/// condition's distance (0 for overlap; for Ra(d) the x-gap is at most
+/// the Euclidean gap), so u_(i+1).max_x >= u_i.min_x - d_i
+/// >= u_i.max_x - W(u_i) - d_i, where W(r) is relation r's largest width
+/// at the reducer. A simple path visits each relation and each condition
+/// at most once, so s.max_x > x_lo - Bx with Bx = sum_r W(r) + sum_c d_c —
+/// cycles in the graph change nothing, since a simple path exists anyway.
+/// The y side is the mirror image about y_hi with the largest heights.
+///
+/// The bounds round outward: Bx is widened by a relative slack (covering
+/// the rounded widths, the rounded sums and the gap and d*d rounding of
+/// WithinDistance) and by an absolute one per range condition (d*d and
+/// gap*gap underflow to the same subnormal below ~1e-154), so a rounding
+/// error never drops a member. An infinite window bound (first column or
+/// row) and a bound whose sums overflow impose no limit.
+struct OwnerReach {
+  double min_max_x = -std::numeric_limits<double>::infinity();
+  double max_min_y = std::numeric_limits<double>::infinity();
+
+  /// `max_length[r]` / `max_breadth[r]`: the largest width / height of
+  /// relation r's rectangles at the reducer.
+  static OwnerReach Of(const Query& query, const OwnerWindow& window,
+                       std::span<const double> max_length,
+                       std::span<const double> max_breadth);
+
+  bool Admits(const Rect& r) const {
+    return r.max_x() >= min_max_x && r.min_y() <= max_min_y;
+  }
+};
+
 /// Computes, within one reducer, every full assignment of rectangles (one
 /// per query relation) that satisfies all join conditions. This is the
 /// "compute the join" step every algorithm's final reduce phase runs

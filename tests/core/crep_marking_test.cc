@@ -20,6 +20,24 @@
 namespace mwsj {
 namespace {
 
+// The ids of the rectangles MarkRectanglesForCell flags, per relation in
+// list order; the flags must be index-aligned with `cell_rects`.
+std::vector<std::vector<int64_t>> MarkedIds(
+    const Query& query, const GridPartition& grid, CellId cell,
+    const std::vector<std::vector<LocalRect>>& cell_rects) {
+  const std::vector<std::vector<char>> flags =
+      MarkRectanglesForCell(query, grid, cell, cell_rects);
+  EXPECT_EQ(flags.size(), cell_rects.size());
+  std::vector<std::vector<int64_t>> ids(cell_rects.size());
+  for (size_t r = 0; r < flags.size() && r < cell_rects.size(); ++r) {
+    EXPECT_EQ(flags[r].size(), cell_rects[r].size()) << "relation " << r;
+    for (size_t i = 0; i < flags[r].size() && i < cell_rects[r].size(); ++i) {
+      if (flags[r][i] != 0) ids[r].push_back(cell_rects[r][i].id);
+    }
+  }
+  return ids;
+}
+
 // ---------------------------------------------------------------------------
 // Figure 5 fixture. Space [0,2]x[0,2] split 2x2: paper cells c1..c4 are
 // ids 0..3 (row-major from top-left). Query Q1: R1 Ov R2 ∧ R2 Ov R3 ∧
@@ -87,7 +105,7 @@ TEST_F(Figure5Test, MarkingAtC1MatchesThePaper) {
   const std::vector<std::vector<LocalRect>> cell_rects = {
       SplitTo(u_, c1), SplitTo(v_, c1), SplitTo(w_, c1), SplitTo(x_, c1)};
   std::vector<std::vector<int64_t>> marked =
-      MarkRectanglesForCell(MakeQuery(), grid_.value(), c1, cell_rects);
+      MarkedIds(MakeQuery(), grid_.value(), c1, cell_rects);
   for (auto& ids : marked) std::sort(ids.begin(), ids.end());
 
   // uS_c1 = (u2, v3, v4, w1, x2) — §7.7.
@@ -102,7 +120,7 @@ TEST_F(Figure5Test, MarkingAtC3ReplicatesOnlyU3) {
   const std::vector<std::vector<LocalRect>> cell_rects = {
       SplitTo(u_, c3), SplitTo(v_, c3), SplitTo(w_, c3), SplitTo(x_, c3)};
   std::vector<std::vector<int64_t>> marked =
-      MarkRectanglesForCell(MakeQuery(), grid_.value(), c3, cell_rects);
+      MarkedIds(MakeQuery(), grid_.value(), c3, cell_rects);
 
   EXPECT_EQ(marked[0], (std::vector<int64_t>{2}));  // u3 starts in c3.
   EXPECT_TRUE(marked[1].empty());  // v3/v4 do not start in c3.
@@ -182,7 +200,7 @@ TEST_F(Figure7Test, RangeMarkingAtC1MatchesThePaper) {
   const std::vector<std::vector<LocalRect>> cell_rects = {
       {{u_[0], 0}}, {{v_[0], 0}, {v_[1], 1}}, {}};
   const std::vector<std::vector<int64_t>> marked =
-      MarkRectanglesForCell(query_.value(), grid_.value(), c1, cell_rects);
+      MarkedIds(query_.value(), grid_.value(), c1, cell_rects);
 
   EXPECT_EQ(marked[0], (std::vector<int64_t>{0}));  // u1 replicated.
   EXPECT_EQ(marked[1], (std::vector<int64_t>{0}));  // v1 replicated, v2 not.

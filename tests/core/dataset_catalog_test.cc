@@ -104,13 +104,15 @@ TEST(DatasetCatalogTest, EpochBumpEvictsSupersededArtifacts) {
   EXPECT_EQ(catalog.evictions(), 0);
 
   // Bumping "b" drops the bundle and the derived artifact — both keys
-  // reference b@0 — but keeps the a-only and unrelated entries.
+  // reference b@0 — but keeps the a-only and unrelated entries. The
+  // derived key now names a superseded epoch: it builds uncached.
   catalog.PutDataset("b", OneRect(3));
   EXPECT_EQ(catalog.evictions(), 2);
   const DatasetCatalog::Resident<int> rebuilt =
       GetOrBuildInt(&catalog, derived_key, 4);
   EXPECT_FALSE(rebuilt.cached);
   EXPECT_EQ(*rebuilt.value, 4);
+  EXPECT_FALSE(GetOrBuildInt(&catalog, derived_key, 5).cached);
   EXPECT_TRUE(GetOrBuildInt(&catalog, "q1|data[1:a@0]|grid", 5).cached);
   EXPECT_TRUE(GetOrBuildInt(&catalog, "unrelated", 6).cached);
 
@@ -121,11 +123,11 @@ TEST(DatasetCatalogTest, EpochBumpEvictsSupersededArtifacts) {
   EXPECT_FALSE(fresh.value().cached);
   EXPECT_EQ(fresh.value().data_key, "data[1:a@0,1:b@1]");
 
-  // Bumping "a" now sweeps everything that referenced it: the fresh
-  // bundle, the a-only artifact and the rebuilt derived one (its key
-  // still names a@0).
+  // Bumping "a" now sweeps everything resident that referenced it: the
+  // fresh bundle and the a-only artifact (the rebuilt derived value was
+  // never stored).
   catalog.PutDataset("a", OneRect(4));
-  EXPECT_EQ(catalog.evictions(), 5);
+  EXPECT_EQ(catalog.evictions(), 4);
   EXPECT_FALSE(GetOrBuildInt(&catalog, "q1|data[1:a@0]|grid", 7).cached);
   EXPECT_EQ(*GetOrBuildInt(&catalog, "unrelated", 8).value, 3);
 }
@@ -272,7 +274,11 @@ TEST(DatasetCatalogTest, EvictionMidBuildReleasesWaiters) {
   ASSERT_TRUE(evicted.ok());
   EXPECT_FALSE(evicted.value().cached);
   EXPECT_EQ(*evicted.value().value, 1);
-  EXPECT_EQ(*GetOrBuildInt(&catalog, key, 4).value, 2);
+  // The waiter's rebuild of the superseded key was not stored either: a
+  // later lookup builds it again.
+  const DatasetCatalog::Resident<int> again = GetOrBuildInt(&catalog, key, 4);
+  EXPECT_FALSE(again.cached);
+  EXPECT_EQ(*again.value, 4);
   // Keys of the new epoch build afresh.
   const DatasetCatalog::Resident<int> current =
       GetOrBuildInt(&catalog, "q|data[1:a@1]|grid", 5);
@@ -280,6 +286,43 @@ TEST(DatasetCatalogTest, EvictionMidBuildReleasesWaiters) {
   EXPECT_EQ(*current.value, 5);
   // Nothing resident was evicted: only a flight was withdrawn.
   EXPECT_EQ(catalog.evictions(), 0);
+}
+
+// A job that resolved its bundle before a PutDataset builds its later
+// artifacts under keys naming the superseded epoch. No new key reaches
+// them, so they are built uncached and nothing stays resident.
+TEST(DatasetCatalogTest, SupersededEpochKeysAreBuiltUncached) {
+  DatasetCatalog catalog;
+  catalog.PutDataset("a", OneRect(1));
+  catalog.PutDataset("b", OneRect(2));
+  StatusOr<DatasetCatalog::RelationBundle> bundle =
+      catalog.GetRelationBundle({"a", "b"});
+  ASSERT_TRUE(bundle.ok());
+  const std::string stale_key = "q|" + bundle.value().data_key + "|grid";
+  EXPECT_EQ(stale_key, "q|data[1:a@0,1:b@0]|grid");
+
+  EXPECT_EQ(catalog.PutDataset("a", OneRect(3)), 1);
+  EXPECT_EQ(catalog.evictions(), 1);  // The a@0 bundle.
+  const int64_t misses = catalog.misses();
+  const DatasetCatalog::Resident<int> first =
+      GetOrBuildInt(&catalog, stale_key, 7);
+  EXPECT_FALSE(first.cached);
+  EXPECT_EQ(*first.value, 7);
+  const DatasetCatalog::Resident<int> second =
+      GetOrBuildInt(&catalog, stale_key, 8);
+  EXPECT_FALSE(second.cached) << "a superseded-epoch value stayed resident";
+  EXPECT_EQ(*second.value, 8);
+  EXPECT_EQ(catalog.misses(), misses + 2);
+  EXPECT_EQ(catalog.hits(), 0);
+
+  // Keys naming only current epochs are cached as before.
+  const std::string current_key = "q|data[1:a@1,1:b@0]|grid";
+  EXPECT_FALSE(GetOrBuildInt(&catalog, current_key, 9).cached);
+  EXPECT_TRUE(GetOrBuildInt(&catalog, current_key, 10).cached);
+
+  // Bumping "b" finds only the current-epoch artifact to evict.
+  catalog.PutDataset("b", OneRect(4));
+  EXPECT_EQ(catalog.evictions(), 2);
 }
 
 }  // namespace

@@ -13,6 +13,24 @@
 namespace mwsj {
 namespace {
 
+// The ids of the rectangles MarkRectanglesForCell flags, per relation in
+// list order; the flags must be index-aligned with `cell_rects`.
+std::vector<std::vector<int64_t>> MarkedIds(
+    const Query& query, const GridPartition& grid, CellId cell,
+    const std::vector<std::vector<LocalRect>>& cell_rects) {
+  const std::vector<std::vector<char>> flags =
+      MarkRectanglesForCell(query, grid, cell, cell_rects);
+  EXPECT_EQ(flags.size(), cell_rects.size());
+  std::vector<std::vector<int64_t>> ids(cell_rects.size());
+  for (size_t r = 0; r < flags.size() && r < cell_rects.size(); ++r) {
+    EXPECT_EQ(flags[r].size(), cell_rects[r].size()) << "relation " << r;
+    for (size_t i = 0; i < flags[r].size() && i < cell_rects[r].size(); ++i) {
+      if (flags[r][i] != 0) ids[r].push_back(cell_rects[r][i].id);
+    }
+  }
+  return ids;
+}
+
 // Literal reference implementation of §7.4/§8/§9: a rectangle is marked
 // iff SOME rectangle-set containing it satisfies C1 (consistent), C2
 // (boundary-edge members cross / have a foreign cell within d) and C3 (at
@@ -162,7 +180,7 @@ TEST_P(MarkingOraclePropertyTest, MatchesLiteralConditions) {
     }
 
     std::vector<std::vector<int64_t>> marked =
-        MarkRectanglesForCell(query, grid, cell, cell_rects);
+        MarkedIds(query, grid, cell, cell_rects);
     for (auto& ids : marked) std::sort(ids.begin(), ids.end());
 
     const ReferenceMarker reference(query, grid, cell, cell_rects);

@@ -261,6 +261,50 @@ TEST(ReduceChaosTest, CrepReduceCrashKeepsDedupCountsExactlyOnce) {
   }
 }
 
+// Long rectangles cross most of the grid, so f1 ships each one to many
+// cells whose owner window it cannot reach, and the join round's reach
+// prune (localjoin/multiway.h OwnerReach) drops those copies before it
+// buckets. All-Replicate and C-Rep must still match brute force, faulted,
+// spilled or not, with every ownership check owned and the prune observed.
+TEST(ReachPruneChaosTest, LongRectanglesMatchBruteForce) {
+  const uint64_t base = SeedBase();
+  ThreadPool pool(4);
+  constexpr PredicateMix kMixes[] = {PredicateMix::kOverlapOnly,
+                                     PredicateMix::kRangeOnly,
+                                     PredicateMix::kHybrid};
+  int64_t pruned = 0;
+  for (int i = 0; i < 10; ++i) {
+    WorldConfig config;
+    config.shape = static_cast<QueryShape>(i % 4);
+    config.mix = kMixes[i % 3];
+    config.long_rects = true;
+    config.max_rects_per_relation = 40;
+    config.integer_coords = (i % 2 == 1);
+    config.seed = base * 1000003 + static_cast<uint64_t>(i) * 7919 + 61;
+    for (Algorithm algorithm :
+         {Algorithm::kAllReplicate, Algorithm::kControlledReplicate}) {
+      ChaosOptions options;
+      options.fault_seed = base * 6364136223846793005ull +
+                           static_cast<uint64_t>(i) * 104729 + 17;
+      options.pool = (i % 2 == 0) ? &pool : nullptr;
+      options.shuffle_memory_budget = (i % 3 == 2) ? 512 : 0;
+      const ChaosOutcome outcome =
+          testing::RunChaosWorld(config, algorithm, options);
+      ASSERT_TRUE(outcome.ok())
+          << AlgorithmName(algorithm) << " long-rect world " << i << " seed "
+          << config.seed << " fault_seed " << options.fault_seed << ": "
+          << outcome.mismatch;
+      const auto& counters = outcome.user_counters;
+      ASSERT_TRUE(counters.contains("local_join_rects_pruned"));
+      EXPECT_EQ(counters.at("dedup_tuple_checks"),
+                counters.at("dedup_owned"))
+          << AlgorithmName(algorithm) << " long-rect world " << i;
+      pruned += counters.at("local_join_rects_pruned");
+    }
+  }
+  EXPECT_GT(pruned, 0) << "the reach never dropped a rectangle";
+}
+
 // The same fault plan must recover identically with and without a worker
 // pool: the plan is keyed by (phase, task, attempt), never by thread.
 TEST(ChaosDeterminism, PoolInvariantFaultAccounting) {

@@ -72,6 +72,11 @@ std::vector<std::vector<Rect>> MakeWorldData(const WorldConfig& config,
     for (int i = 0; i < n; ++i) {
       double l = rng.Uniform(0, config.max_dim);
       double b = rng.Uniform(0, config.max_dim);
+      if (config.long_rects) {
+        l = rng.Uniform(0, 0.8 * config.space_size);
+        b = rng.Uniform(0, 2);
+        if (rng.UniformInt(0, 1) == 1) std::swap(l, b);
+      }
       double x = rng.Uniform(0, config.space_size - l);
       double y = rng.Uniform(b, config.space_size);
       if (config.integer_coords) {

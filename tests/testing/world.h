@@ -34,6 +34,9 @@ struct WorldConfig {
   double space_size = 100.0;
   double max_dim = 35.0;      // Rectangles up to this size (big vs. cells).
   bool integer_coords = false;  // Integer coordinates: boundary-tie stress.
+  /// Long rectangles: each is a strip whose long side is up to 80% of the
+  /// space (crossing most of the grid) and whose short side is up to 2.
+  bool long_rects = false;
   uint64_t seed = 1;
 };
 

@@ -2,7 +2,8 @@
 #   mwsj_datagen (csv + binary) -> mwsj_join --verify --output -> tuple CSV,
 #   plus a Chrome-trace export validated for structure and span coverage,
 #   All-Replicate runs (in memory, and spilling under a 4k shuffle budget
-#   with injected faults) whose tuple CSVs must match C-Rep-L's, the exact
+#   with injected faults) whose tuple CSVs must match C-Rep-L's (the
+#   in-memory one must also report its reducers' reach prune), the exact
 #   catalog totals of three concurrent identical submissions, and
 #   malformed numeric flags of both tools that must be rejected with exit
 #   code 2.
@@ -89,6 +90,22 @@ string(FIND "${allrep_stats}" "\"all_replicate\"" allrep_job)
 if(allrep_job EQUAL -1)
   message(FATAL_ERROR "allrep_stats.json missing the all_replicate job: "
                       "${allrep_stats}")
+endif()
+# Its reducers drop the replicated copies that cannot reach their cell's
+# owner window before building R-trees: the prune must show, and every
+# tuple the reducers checked must still be one they own.
+string(REGEX MATCH "\"local_join_rects_pruned\": ([0-9]+)" _
+       "${allrep_stats}")
+if(NOT CMAKE_MATCH_1 OR CMAKE_MATCH_1 EQUAL 0)
+  message(FATAL_ERROR "allrep_stats.json reports no local_join_rects_pruned: "
+                      "${allrep_stats}")
+endif()
+string(REGEX MATCH "\"dedup_tuple_checks\": ([0-9]+)" _ "${allrep_stats}")
+set(allrep_checks "${CMAKE_MATCH_1}")
+string(REGEX MATCH "\"dedup_owned\": ([0-9]+)" _ "${allrep_stats}")
+if(allrep_checks STREQUAL "" OR NOT allrep_checks EQUAL CMAKE_MATCH_1)
+  message(FATAL_ERROR "allrep_stats.json: dedup_tuple_checks "
+                      "(${allrep_checks}) != dedup_owned (${CMAKE_MATCH_1})")
 endif()
 
 # The same run under a 4k shuffle budget spills every map chunk into its
