@@ -323,7 +323,8 @@ std::vector<Record> FlattenRelations(
 }
 
 // The join round's reduce body: bucket the cell's records by relation,
-// dropping those the owner window's reach (OwnerReach) rules out, run the
+// dropping those the owner window's reach (OwnerReach: the reach rule over
+// the cell's per-relation widths and heights) rules out, run the
 // multiway local join under the cell's owner window, keep the tuples the
 // exact §6.2 OwnsTuple check assigns to `cell`, and append their ids to one
 // cell-local TupleBlock, emitted once when non-empty (or only count them).
@@ -370,11 +371,12 @@ void JoinCell(const Query& query, const GridPartition& grid, bool count_only,
     max_breadth[r] = std::max(max_breadth[r], v.rect.breadth());
   }
   const OwnerReach reach =
-      OwnerReach::Of(query, window, max_length, max_breadth);
+      OwnerReach::Of(window, ComputeReplicationBounds(query, max_length),
+                     ComputeReplicationBounds(query, max_breadth));
   std::vector<std::vector<LocalRect>> per_relation(m);
   int64_t kept = 0;
   for (const RelRect& v : values) {
-    if (!reach.Admits(v.rect)) continue;
+    if (!reach.Admits(v.relation, v.rect)) continue;
     per_relation[static_cast<size_t>(v.relation)].push_back(
         LocalRect{v.rect, v.id});
     ++kept;
@@ -543,8 +545,9 @@ StatusOr<JoinRunResult> ControlledReplicateJoin(
 
   JoinRunResult result;
 
-  // Per-relation replication bounds for C-Rep-L, from the data's diagonal
-  // upper bounds and the join graph (§7.9, §8, footnote 3).
+  // Per-relation replication limits for C-Rep-L: the reach rule over the
+  // data's diagonal upper bounds and the join graph (§7.9, §8, footnote
+  // 3), rounded outward as the join round's prune rounds it.
   std::vector<double> limit_bounds;
   {
     TraceSpan setup_span(tracer, "crep_setup", "stage");
@@ -557,6 +560,7 @@ StatusOr<JoinRunResult> ControlledReplicateJoin(
         }
       }
       limit_bounds = ComputeReplicationBounds(query, diagonals);
+      for (double& bound : limit_bounds) bound = ReachLimit(0, bound);
     }
     // Round 1's input size, whether the round runs or is served resident.
     size_t input_records = 0;

@@ -72,10 +72,11 @@ double MinDistance(const Rect& r, const Point& p) {
 bool WithinDistance(const Rect& a, const Rect& b, double d) {
   if (d < 0) return false;
   const double d_sq = d * d;
-  if (!std::isfinite(d_sq)) {
-    // d·d overflowed (d > ~1.34e154): the squared comparison would read
-    // inf <= inf for any real gap beyond ~1.34e154 and overclaim. At these
-    // magnitudes no representable tie exists, so the sqrt form is safe.
+  if (!std::isnormal(d_sq)) {
+    // d·d overflowed (d > ~1.34e154) or underflowed (d < ~1.5e-154, d = 0
+    // included): the squared comparison would read inf <= inf, or a
+    // subnormal gap·gap <= d·d, for gaps beyond d and overclaim. The hypot
+    // form is exact there.
     return MinDistance(a, b) <= d;
   }
   return MinDistanceSquared(a, b) <= d_sq;

@@ -144,8 +144,9 @@ double MinDistance(const Rect& r, const Point& p);
 /// Compares MinDistanceSquared against d·d so exact-distance-d ties are
 /// decided without a sqrt (which both misrounds the boundary and costs a
 /// hard-to-pipeline instruction on the filter hot path). A negative d can
-/// match nothing; d so large that d·d overflows falls back to the sqrt
-/// form, where the magnitudes make boundary rounding moot.
+/// match nothing. When d·d is not a normal double (d above ~1.34e154, where
+/// it overflows, or below ~1.5e-154, where gap·gap and d·d can underflow to
+/// the same value), it compares MinDistance, the hypot form, against d.
 bool WithinDistance(const Rect& a, const Rect& b, double d);
 
 /// Intersection rectangle, or nullopt when the rectangles do not overlap.

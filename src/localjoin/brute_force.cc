@@ -9,12 +9,13 @@ namespace mwsj {
 namespace {
 
 // True when the condition can be evaluated by a batch kernel: overlap
-// always, range only while d·d stays finite (the kernels compare squared
-// distances; Predicate::Evaluate handles negative/huge d itself).
+// always, range only while d·d is a normal double (the kernels compare
+// squared distances; Predicate::Evaluate handles negative, huge and tiny d
+// itself).
 bool Batchable(const JoinCondition& c) {
   if (c.predicate.is_overlap()) return true;
   const double d = c.predicate.distance();
-  return d >= 0 && std::isfinite(d * d);
+  return d >= 0 && std::isnormal(d * d);
 }
 
 void Recurse(const Query& query,

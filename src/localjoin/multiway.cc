@@ -9,42 +9,22 @@
 #include <cmath>
 #include <limits>
 
+#include "query/bounds.h"
+
 namespace mwsj {
 
-OwnerReach OwnerReach::Of(const Query& query, const OwnerWindow& window,
-                          std::span<const double> max_length,
-                          std::span<const double> max_breadth) {
-  // Relative slack: far above the few ulps of rounding in the sums, the
-  // widths and WithinDistance, far below any extent that prunes.
-  constexpr double kRelativeSlack = 1e-9;
-  // Absolute slack per range condition: gap*gap <= d*d can hold for a gap
-  // above d when both squares underflow (gap below ~1.5e-154).
-  constexpr double kUnderflowGap = 1e-150;
-  double gaps = 0;
-  for (const JoinCondition& c : query.conditions()) {
-    // A negative distance matches nothing; max() maps it to 0. A NaN one
-    // makes the bounds NaN, which impose no limit below.
-    if (c.predicate.is_range()) {
-      gaps += std::max(c.predicate.distance(), 0.0) + kUnderflowGap;
-    }
-  }
-  double bx = gaps;
-  double by = gaps;
-  for (double w : max_length) bx += w;
-  for (double h : max_breadth) by += h;
-
-  OwnerReach reach;
-  const double x_lo = window.x_lo;
-  if (std::isfinite(x_lo)) {
-    const double bound =
-        x_lo - bx - kRelativeSlack * (bx + std::abs(x_lo));
-    if (std::isfinite(bound)) reach.min_max_x = bound;
-  }
-  const double y_hi = window.y_hi;
-  if (std::isfinite(y_hi)) {
-    const double bound =
-        y_hi + by + kRelativeSlack * (by + std::abs(y_hi));
-    if (std::isfinite(bound)) reach.max_min_y = bound;
+OwnerReach OwnerReach::Of(const OwnerWindow& window,
+                          std::span<const double> reach_x,
+                          std::span<const double> reach_y) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  OwnerReach reach{std::vector<double>(reach_x.size(), -kInf),
+                   std::vector<double>(reach_y.size(), kInf)};
+  for (size_t r = 0; r < reach_x.size(); ++r) {
+    // x_lo − Bx, widened left: ReachLimit mirrored about 0.
+    const double x = -ReachLimit(-window.x_lo, reach_x[r]);
+    if (std::isfinite(x)) reach.min_max_x[r] = x;
+    const double y = ReachLimit(window.y_hi, reach_y[r]);
+    if (std::isfinite(y)) reach.max_min_y[r] = y;
   }
   return reach;
 }

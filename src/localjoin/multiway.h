@@ -32,42 +32,39 @@ struct OwnerWindow {
   double y_hi = std::numeric_limits<double>::infinity();
 };
 
-/// The reach of an owner window: the half-planes max_x >= min_max_x and
-/// min_y <= max_min_y, which hold every member of every assignment the
-/// window admits. A reducer buckets only the rectangles the reach admits;
-/// the MultiwayLocalJoin then emits and counts exactly what it would over
-/// everything the reducer received.
+/// The reach of an owner window: per relation r, the half-planes
+/// max_x >= min_max_x[r] and min_y <= max_min_y[r], which hold every
+/// member of relation r in every assignment the window admits. A reducer
+/// buckets only the rectangles the reach admits; the MultiwayLocalJoin then
+/// emits and counts exactly what it would over everything the reducer
+/// received.
 ///
 /// Why it holds: an admitted assignment has a member a with
-/// a.min_x > x_lo, and the join graph is connected, so any member s is
-/// joined to a by a simple path a = u_0, ..., u_k = s. Along one condition
-/// u_i -- u_(i+1), the x-gap between the two rectangles is at most the
-/// condition's distance (0 for overlap; for Ra(d) the x-gap is at most
-/// the Euclidean gap), so u_(i+1).max_x >= u_i.min_x - d_i
-/// >= u_i.max_x - W(u_i) - d_i, where W(r) is relation r's largest width
-/// at the reducer. A simple path visits each relation and each condition
-/// at most once, so s.max_x > x_lo - Bx with Bx = sum_r W(r) + sum_c d_c —
-/// cycles in the graph change nothing, since a simple path exists anyway.
-/// The y side is the mirror image about y_hi with the largest heights.
+/// a.min_x > x_lo, and a member s of relation r is joined to a by a
+/// join-graph path. Each condition moves the next member's max_x left of
+/// the previous member's min_x by at most its distance (the x-gap never
+/// exceeds the Euclidean gap), and each intermediate member is at most its
+/// relation's width wide, so s.max_x > x_lo − Bx[r], where Bx is the reach
+/// rule (query/bounds.h ComputeReplicationBounds) over the relations'
+/// largest widths at the reducer. The y side is the mirror image about
+/// y_hi, with By over the largest heights.
 ///
-/// The bounds round outward: Bx is widened by a relative slack (covering
-/// the rounded widths, the rounded sums and the gap and d*d rounding of
-/// WithinDistance) and by an absolute one per range condition (d*d and
-/// gap*gap underflow to the same subnormal below ~1e-154), so a rounding
-/// error never drops a member. An infinite window bound (first column or
-/// row) and a bound whose sums overflow impose no limit.
+/// Each limit is the window bound offset by ReachLimit, the outward
+/// rounding f2 shares. An infinite window bound (first column or row) and
+/// a limit that overflows impose no limit.
 struct OwnerReach {
-  double min_max_x = -std::numeric_limits<double>::infinity();
-  double max_min_y = std::numeric_limits<double>::infinity();
+  std::vector<double> min_max_x;
+  std::vector<double> max_min_y;
 
-  /// `max_length[r]` / `max_breadth[r]`: the largest width / height of
-  /// relation r's rectangles at the reducer.
-  static OwnerReach Of(const Query& query, const OwnerWindow& window,
-                       std::span<const double> max_length,
-                       std::span<const double> max_breadth);
+  /// `reach_x[r]` / `reach_y[r]`: relation r's path bound over the
+  /// relations' largest widths / heights at the reducer.
+  static OwnerReach Of(const OwnerWindow& window,
+                       std::span<const double> reach_x,
+                       std::span<const double> reach_y);
 
-  bool Admits(const Rect& r) const {
-    return r.max_x() >= min_max_x && r.min_y() <= max_min_y;
+  bool Admits(int relation, const Rect& r) const {
+    const size_t i = static_cast<size_t>(relation);
+    return r.max_x() >= min_max_x[i] && r.min_y() <= max_min_y[i];
   }
 };
 

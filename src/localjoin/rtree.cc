@@ -148,14 +148,15 @@ void RTree::Collect(const Predicate& predicate, const Rect& query,
     return;
   }
   // Mirrors WithinDistance: a negative (or NaN) d matches nothing, and a
-  // d whose square overflows takes the exact scalar form.
+  // d whose square is not a normal double (overflowed or underflowed)
+  // takes the scalar hypot form.
   const double d = predicate.distance();
   if (!(d >= 0)) return;
   const double d_sq = d * d;
-  if (std::isfinite(d_sq)) {
+  if (std::isnormal(d_sq)) {
     Query(query, /*overlap=*/false, d_sq, scratch, out);
   } else {
-    QueryHugeDistance(query, d, scratch, out);
+    QueryByMinDistance(query, d, scratch, out);
   }
 }
 
@@ -220,9 +221,9 @@ void RTree::Query(const Rect& probe, bool overlap, double d_sq,
   }
 }
 
-void RTree::QueryHugeDistance(const Rect& probe, double d,
-                              QueryScratch* scratch,
-                              std::vector<int32_t>* out) const {
+void RTree::QueryByMinDistance(const Rect& probe, double d,
+                               QueryScratch* scratch,
+                               std::vector<int32_t>* out) const {
   std::vector<int32_t>& stack = scratch->stack;
   stack.clear();
   // mwsj-check: allow(alloc-free-reach): amortized scratch stack.
@@ -230,8 +231,9 @@ void RTree::QueryHugeDistance(const Rect& probe, double d,
   while (!stack.empty()) {
     const Node& node = nodes_[static_cast<size_t>(stack.back())];
     stack.pop_back();
-    // MinDistance (hypot) never overflows, so `<= d` stays exact where the
-    // squared form would collapse to inf <= inf.
+    // MinDistance (hypot) neither overflows nor underflows, so `<= d`
+    // stays exact where the squared form would read inf <= inf or compare
+    // two underflowed squares.
     if (!(MinDistance(node.mbr, probe) <= d)) continue;
     if (node.is_leaf) {
       for (int32_t i = node.child_begin; i < node.child_end; ++i) {

@@ -66,11 +66,13 @@ class RTree {
   void Query(const Rect& probe, bool overlap, double d_sq,
              QueryScratch* scratch, std::vector<int32_t>* out) const;
 
-  /// Scalar traversal for probes whose d·d overflows (kNN's unbounded +inf
-  /// pass): the batch kernels compare squared distances, which would read
-  /// inf <= inf there.
-  void QueryHugeDistance(const Rect& probe, double d, QueryScratch* scratch,
-                         std::vector<int32_t>* out) const;
+  /// Scalar traversal for probes whose d·d is not a normal double: it
+  /// overflows (kNN's unbounded +inf pass) or underflows (d below
+  /// ~1.5e-154, d = 0 included). The batch kernels compare squared
+  /// distances, which would read inf <= inf, or two underflowed squares,
+  /// there.
+  void QueryByMinDistance(const Rect& probe, double d, QueryScratch* scratch,
+                          std::vector<int32_t>* out) const;
 
   size_t size_ = 0;
   std::vector<int32_t> entries_;  // Leaf entry indices, grouped per leaf.

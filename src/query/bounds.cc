@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <queue>
 
 #include "common/str_format.h"
 
@@ -50,53 +49,46 @@ Status ValidateQueryBounds(const Query& query, const Rect& space) {
 }
 
 std::vector<double> ComputeReplicationBounds(
-    const Query& query, const std::vector<double>& diagonal_bounds) {
-  const int n = query.num_relations();
-  std::vector<double> bounds(static_cast<size_t>(n), 0.0);
-
-  // Dijkstra from every source. Edge i→k costs w_e + d_max[k]; the final
-  // hop's d_max[j] is subtracted because the destination rectangle is not
-  // an intermediate.
-  for (int src = 0; src < n; ++src) {
-    constexpr double kInf = std::numeric_limits<double>::infinity();
-    std::vector<double> dist(static_cast<size_t>(n), kInf);
-    dist[static_cast<size_t>(src)] = 0;
-    using Item = std::pair<double, int>;  // (distance, relation)
-    std::priority_queue<Item, std::vector<Item>, std::greater<Item>> heap;
-    heap.emplace(0.0, src);
-    while (!heap.empty()) {
-      const auto [d, r] = heap.top();
-      heap.pop();
-      if (d > dist[static_cast<size_t>(r)]) continue;
-      for (int ci : query.ConditionsOf(r)) {
-        const JoinCondition& c = query.conditions()[static_cast<size_t>(ci)];
-        const int other = (c.left == r) ? c.right : c.left;
-        const double cost = c.predicate.distance() +
-                            diagonal_bounds[static_cast<size_t>(other)];
-        if (dist[static_cast<size_t>(r)] + cost <
-            dist[static_cast<size_t>(other)]) {
-          dist[static_cast<size_t>(other)] =
-              dist[static_cast<size_t>(r)] + cost;
-          heap.emplace(dist[static_cast<size_t>(other)], other);
-        }
+    const Query& query, const std::vector<double>& extents) {
+  const size_t n = static_cast<size_t>(query.num_relations());
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  // path[a][s]: the cheapest a→s path, charging the conditions and the
+  // intermediate relations. Floyd–Warshall over at most 20 relations.
+  std::vector<std::vector<double>> path(n, std::vector<double>(n, kInf));
+  for (const JoinCondition& c : query.conditions()) {
+    const double d = c.predicate.distance();
+    const double cost = std::isnan(d) ? kInf : std::max(d, 0.0);
+    const size_t l = static_cast<size_t>(c.left);
+    const size_t r = static_cast<size_t>(c.right);
+    path[l][r] = path[r][l] = std::min(path[l][r], cost);
+  }
+  for (size_t k = 0; k < n; ++k) {
+    for (size_t a = 0; a < n; ++a) {
+      for (size_t s = 0; s < n; ++s) {
+        path[a][s] =
+            std::min(path[a][s], path[a][k] + extents[k] + path[k][s]);
       }
     }
-    double worst = 0;
-    for (int j = 0; j < n; ++j) {
-      if (j == src) continue;
-      worst = std::max(worst, dist[static_cast<size_t>(j)] -
-                                  diagonal_bounds[static_cast<size_t>(j)]);
+  }
+  std::vector<double> bounds(n, 0.0);
+  for (size_t s = 0; s < n; ++s) {
+    for (size_t a = 0; a < n; ++a) {
+      if (a != s) bounds[s] = std::max(bounds[s], path[a][s]);
     }
-    bounds[static_cast<size_t>(src)] = worst;
   }
   return bounds;
 }
 
 std::vector<double> ComputeReplicationBounds(const Query& query,
-                                             double global_diagonal_bound) {
+                                             double global_extent) {
   return ComputeReplicationBounds(
       query, std::vector<double>(static_cast<size_t>(query.num_relations()),
-                                 global_diagonal_bound));
+                                 global_extent));
+}
+
+double ReachLimit(double origin, double bound) {
+  constexpr double kRelativeSlack = 1e-9;
+  return origin + bound + kRelativeSlack * (bound + std::abs(origin));
 }
 
 }  // namespace mwsj

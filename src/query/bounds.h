@@ -23,42 +23,49 @@ inline constexpr double kMaxQueryDistance = 1e150;
 /// guarantee finite rectangles, this guards the query side.
 Status ValidateQueryBounds(const Query& query, const Rect& space);
 
-/// Per-relation replication-distance bounds for Controlled-Replicate in
-/// Limit (§7.9 for overlap, §8 for range, footnote 3 for general graphs).
+/// The reach rule: per-relation path bounds over the join graph. C-Rep-L's
+/// f2 routing (§7.9 for overlap, §8 for range, footnote 3 for general
+/// graphs) and the join round's reach prune (localjoin/multiway.h
+/// OwnerReach) both answer one question with it: how far, per axis, can a
+/// member of a tuple lie from another member?
 ///
-/// For an output tuple, the rectangle of relation j reachable from relation
-/// i along a join-graph path contributes, per axis, at most
+/// A join-graph path from relation a to relation s costs
 ///
-///     sum over path edges of  w_e  +  sum over intermediate relations of
-///     their diagonal upper bound d_max
+///     sum over path conditions of their distance  +
+///     sum over intermediate relations of their extent
 ///
-/// to the offset between rectangle i and rectangle j's start point; the
-/// duplicate-avoidance point of the tuple is composed of member start
-/// coordinates, so a rectangle marked for replication only needs to reach
-/// fourth-quadrant cells within
+/// (the end relations are not charged), and each condition moves the
+/// next member's near edge by at most its distance while each
+/// intermediate member spans at most its extent. The bound of s is the
+/// largest, over the other relations a, of the cheapest a→s path. For the
+/// paper's chain of m relations with one global d_max this is the
+/// published bound: (m−2)·d_max for the endpoints of an overlap chain,
+/// (m−2)·d_max + (m−1)·d for a range chain.
 ///
-///     L_i = max_j  min over i→j paths [ Σ_e (w_e + d_max[target(e)]) ]
-///                  − d_max[j]
-///
-/// of itself. For the paper's chain of m relations with one global d_max
-/// this reduces to the published bounds: (m−2)·d_max for endpoint relations
-/// of an overlap chain, (m−2)·d_max + (m−1)·d for a range chain.
-///
-/// The bound constrains each axis separately, so the *Chebyshev* cell
-/// distance test is the provably safe companion metric (see
-/// grid/transform.h); with the Euclidean test of the paper's §4 f2
-/// definition, corner cells at per-axis distance ≤ L_i but Euclidean
-/// distance > L_i would be skipped.
-///
-/// `diagonal_bounds[r]` is an upper bound on the diagonal of the rectangles
-/// of relation r (the paper's d_max, per relation). Returns one bound per
-/// relation. Requires a valid (connected) query.
+/// `extents[r]` bounds relation r's rectangles on the axis in question:
+/// their diagonal (the paper's d_max, per relation) for f2, their width or
+/// height at one cell for the prune. A negative distance costs 0 and a NaN
+/// one costs +inf (no limit along it). Returns the exact sums, one per
+/// relation; consumers compare against ReachLimit of them. The bound
+/// constrains each axis separately, so the Chebyshev cell distance is f2's
+/// provably safe metric (grid/transform.h). Requires a valid (connected)
+/// query.
 std::vector<double> ComputeReplicationBounds(
-    const Query& query, const std::vector<double>& diagonal_bounds);
+    const Query& query, const std::vector<double>& extents);
 
-/// Convenience overload with a single global d_max for every relation.
+/// Convenience overload with one extent for every relation.
 std::vector<double> ComputeReplicationBounds(const Query& query,
-                                             double global_diagonal_bound);
+                                             double global_extent);
+
+/// Rounds a path bound outward, once, into the limit a consumer compares
+/// against: the coordinate `origin + bound`, moved a further 1e-9 ·
+/// (bound + |origin|) away from `origin`. The slack is far above the few
+/// ulps by which the extents, the path sums, the sum with `origin` and
+/// WithinDistance's gap can round, and far below any extent that prunes.
+/// f2 takes ReachLimit(0, bound) as its cell distance, where an infinite
+/// limit admits every f1 cell; the prune offsets its owner window by the
+/// bound and treats a result that is not finite as no limit.
+double ReachLimit(double origin, double bound);
 
 }  // namespace mwsj
 

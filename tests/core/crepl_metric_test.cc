@@ -82,5 +82,27 @@ TEST(CrepLimitTest, LimitNeverReplicatesMoreCopiesThanFullCRep) {
             crep.stats.UserCounter(kCounterRectanglesReplicated));
 }
 
+// A 2-way Ra(0.1) beside a partner of diagonal 1030.05: A's f2 bound is
+// exactly 0.1, and the owner cell of the pair lies at Chebyshev distance
+// 0.0999999999999979 across the grid line x = 10. A bound that adds B's
+// diagonal and subtracts it again reads 0.09999999999990905 and drops it.
+TEST(CrepLimitTest, BoundBesideALargeDiagonalKeepsItsTuple) {
+  const Query query = MakeChainQuery(2, Predicate::Range(0.1)).value();
+  const std::vector<std::vector<Rect>> data = {
+      {Rect::FromXYLB(9.85, 1501, 0.05000000000000249, 1),
+       Rect::FromXYLB(0, 1, 1, 1)},
+      {Rect::FromXYLB(10.000000000000002, 1501, 900, 501),
+       Rect::FromXYLB(1999, 2000, 1, 1)}};
+  const TupleBlock expected = BruteForceJoin(query, data);
+  ASSERT_EQ(expected.size(), 1u);
+  RunnerOptions options;
+  options.algorithm = Algorithm::kControlledReplicateInLimit;
+  options.grid_rows = 2;
+  options.grid_cols = 200;
+  const auto result = RunSpatialJoin(query, data, options);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result.value().tuples, expected);
+}
+
 }  // namespace
 }  // namespace mwsj

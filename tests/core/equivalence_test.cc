@@ -151,6 +151,45 @@ TEST(EquivalenceEdgeCases, FiveRelationChain) {
   }
 }
 
+// Range distances whose square is not a normal double: points on either
+// side of a 2x2 grid's line x = 0. A gap of 1e-163 is beyond Ra(0) and
+// Ra(1e-170), though the squares of both sides underflow to 0; a gap of
+// 1e-171 is within Ra(1e-170). Every algorithm, the oracle included,
+// decides both exactly.
+TEST(EquivalenceEdgeCases, DistancesWithSubnormalSquares) {
+  const std::vector<std::vector<Rect>> data = {
+      {Rect::FromPoint(Point{-1e-163, 0.5}),
+       Rect::FromPoint(Point{-1e-171, 1.5})},
+      {Rect::FromPoint(Point{1e-300, 0.5}),
+       Rect::FromPoint(Point{1e-300, 1.5})}};
+  const struct {
+    double d;
+    size_t tuples;
+  } cases[] = {{0.0, 0}, {1e-170, 1}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.d);
+    const Query query = MakeChainQuery(2, Predicate::Range(c.d)).value();
+    const TupleBlock expected = BruteForceJoin(query, data);
+    ASSERT_EQ(expected.size(), c.tuples);
+    std::vector<Algorithm> algorithms = AlgorithmsUnderTest();
+    algorithms.push_back(Algorithm::kBruteForce);
+    for (Algorithm algorithm : algorithms) {
+      RunnerOptions options;
+      options.algorithm = algorithm;
+      options.grid_rows = 2;
+      options.grid_cols = 2;
+      options.space = Rect(-1, 0, 1, 2);
+      const auto result = RunSpatialJoin(query, data, options);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      EXPECT_EQ(result.value().tuples.size(), c.tuples)
+          << AlgorithmName(algorithm);
+      if (c.tuples > 0) {
+        EXPECT_EQ(result.value().tuples, expected) << AlgorithmName(algorithm);
+      }
+    }
+  }
+}
+
 // A "T"-shaped join graph (chain plus a branch off the middle).
 TEST(EquivalenceEdgeCases, TreeShapedJoinGraph) {
   QueryBuilder b;

@@ -113,6 +113,16 @@ TEST(RectTest, WithinDistanceNegativeAndHugeD) {
       WithinDistance(a, far_rect, std::numeric_limits<double>::infinity()));
 }
 
+TEST(RectTest, WithinDistanceBelowTheNormalSquareRange) {
+  // Below d ~ 1.5e-154, d·d and gap·gap underflow (to 0 or a subnormal)
+  // and would compare equal; the hypot form decides these exactly.
+  const Rect a = Rect::FromPoint(Point{0, 0});
+  EXPECT_FALSE(WithinDistance(a, Rect::FromPoint(Point{1e-163, 0}), 1e-170));
+  EXPECT_FALSE(WithinDistance(a, Rect::FromPoint(Point{1e-170, 0}), 0.0));
+  EXPECT_TRUE(WithinDistance(a, Rect::FromPoint(Point{1e-171, 0}), 1e-170));
+  EXPECT_TRUE(WithinDistance(a, a, 0.0));
+}
+
 TEST(RectTest, IsFiniteRejectsNaNAndInf) {
   EXPECT_TRUE(Rect(0, 0, 1, 1).IsFinite());
   const double nan = std::numeric_limits<double>::quiet_NaN();

@@ -14,6 +14,7 @@
 #include "common/random.h"
 #include "grid/grid_partition.h"
 #include "localjoin/multiway.h"
+#include "query/bounds.h"
 
 namespace mwsj {
 namespace {
@@ -28,6 +29,15 @@ std::vector<std::span<const LocalRect>> Spans(const Relations& relations) {
   return spans;
 }
 
+// The reach of `window` from per-relation widths and heights: the reach
+// rule over each axis's extents.
+OwnerReach ReachOf(const Query& query, const OwnerWindow& window,
+                   const std::vector<double>& max_length,
+                   const std::vector<double>& max_breadth) {
+  return OwnerReach::Of(window, ComputeReplicationBounds(query, max_length),
+                        ComputeReplicationBounds(query, max_breadth));
+}
+
 // The reach of `window` over `relations`, from their largest extents — the
 // computation the join round's reducer makes over the records it received.
 OwnerReach ReachOver(const Query& query, const OwnerWindow& window,
@@ -40,7 +50,7 @@ OwnerReach ReachOver(const Query& query, const OwnerWindow& window,
       max_breadth[r] = std::max(max_breadth[r], lr.rect.breadth());
     }
   }
-  return OwnerReach::Of(query, window, max_length, max_breadth);
+  return ReachOf(query, window, max_length, max_breadth);
 }
 
 Relations Pruned(const Query& query, const OwnerWindow& window,
@@ -49,7 +59,7 @@ Relations Pruned(const Query& query, const OwnerWindow& window,
   Relations kept(relations.size());
   for (size_t r = 0; r < relations.size(); ++r) {
     for (const LocalRect& lr : relations[r]) {
-      if (reach.Admits(lr.rect)) {
+      if (reach.Admits(static_cast<int>(r), lr.rect)) {
         kept[r].push_back(lr);
       } else if (dropped != nullptr) {
         ++*dropped;
@@ -111,29 +121,107 @@ void ExpectSameJoin(const Query& query, const Relations& full,
   }
 }
 
-// The rule at its edges: a rectangle ending exactly at x_lo − Bx or
-// starting exactly at y_hi + By is kept; one a unit beyond is dropped.
+// The rule at its edges, per relation: on R0 Ov R1 Ra(1.5) R2 with widths
+// {2, 3, 4} and heights {1, 2, 3}, R0 and R2 reach 1.5 plus R1's extent and
+// R1 reaches 1.5 (R0's overlap reaches it at 0, but R2's range condition is
+// one hop away). A rectangle ending exactly at x_lo − Bx[r] or starting
+// exactly at y_hi + By[r] is kept; one a unit beyond is dropped.
 TEST(OwnerReachTest, BoundaryOfTheReachIsKept) {
   const Query query =
       ChainQuery({Predicate::Overlap(), Predicate::Range(1.5)});
   const OwnerWindow window{100, 50};
-  const std::vector<double> lengths = {2, 3, 4};
-  const std::vector<double> breadths = {1, 2, 3};
-  const OwnerReach reach = OwnerReach::Of(query, window, lengths, breadths);
-  const double bx = 2 + 3 + 4 + 1.5;
-  const double by = 1 + 2 + 3 + 1.5;
-  EXPECT_LE(reach.min_max_x, 100 - bx);
-  EXPECT_GE(reach.max_min_y, 50 + by);
-  // Outward slack stays far below any extent.
-  EXPECT_GT(reach.min_max_x, 100 - bx - 1e-3);
-  EXPECT_LT(reach.max_min_y, 50 + by + 1e-3);
-  EXPECT_TRUE(reach.Admits(Rect(100 - bx - 5, 0, 100 - bx, 10)));
-  EXPECT_TRUE(reach.Admits(Rect(90, 50 + by, 100, 50 + by + 5)));
-  EXPECT_FALSE(reach.Admits(Rect(100 - bx - 6, 0, 100 - bx - 1, 10)));
-  EXPECT_FALSE(reach.Admits(Rect(90, 50 + by + 1, 100, 50 + by + 6)));
-  // The reach's own edges are inside it.
-  EXPECT_TRUE(reach.Admits(
-      Rect(reach.min_max_x - 1, reach.max_min_y, reach.min_max_x, 60)));
+  const OwnerReach reach = ReachOf(query, window, {2, 3, 4}, {1, 2, 3});
+  const double bx[] = {1.5 + 3, 1.5, 1.5 + 3};
+  const double by[] = {1.5 + 2, 1.5, 1.5 + 2};
+  for (int r = 0; r < 3; ++r) {
+    SCOPED_TRACE(r);
+    const size_t i = static_cast<size_t>(r);
+    EXPECT_LE(reach.min_max_x[i], 100 - bx[i]);
+    EXPECT_GE(reach.max_min_y[i], 50 + by[i]);
+    // Outward slack stays far below any extent.
+    EXPECT_GT(reach.min_max_x[i], 100 - bx[i] - 1e-3);
+    EXPECT_LT(reach.max_min_y[i], 50 + by[i] + 1e-3);
+    EXPECT_TRUE(reach.Admits(r, Rect(100 - bx[i] - 5, 0, 100 - bx[i], 10)));
+    EXPECT_TRUE(reach.Admits(r, Rect(90, 50 + by[i], 100, 50 + by[i] + 5)));
+    EXPECT_FALSE(
+        reach.Admits(r, Rect(100 - bx[i] - 6, 0, 100 - bx[i] - 1, 10)));
+    EXPECT_FALSE(
+        reach.Admits(r, Rect(90, 50 + by[i] + 1, 100, 50 + by[i] + 6)));
+    // The reach's own edges are inside it.
+    EXPECT_TRUE(reach.Admits(r, Rect(reach.min_max_x[i] - 1,
+                                     reach.max_min_y[i], reach.min_max_x[i],
+                                     60)));
+  }
+}
+
+// The per-relation bound on the chain R0 - R1 - R2 with widths {100, 1,
+// 100}: R0 and R2 reach R1's width only, and R1, adjacent to both, reaches
+// 0 — not the 201 that every width summed would give. A rectangle of R0
+// ending at x_lo − 1 is kept and one ending a hair beyond is dropped; R1
+// keeps only what ends at x_lo or right of it.
+TEST(OwnerReachTest, ChainReachesOnlyTheWidthsBetween) {
+  const Query query =
+      ChainQuery({Predicate::Overlap(), Predicate::Overlap()});
+  const OwnerWindow window{10, kInf};
+  const double eps = 1e-6;
+  const OwnerReach reach = ReachOf(query, window, {100, 1, 100}, {0, 0, 0});
+  for (int r : {0, 2}) {
+    EXPECT_TRUE(reach.Admits(r, Rect(0, 0, 10 - 1, 1)));
+    EXPECT_FALSE(reach.Admits(r, Rect(0, 0, 10 - 1 - eps, 1)));
+  }
+  EXPECT_TRUE(reach.Admits(1, Rect(9, 0, 10, 1)));
+  EXPECT_FALSE(reach.Admits(1, Rect(9, 0, 10 - eps, 1)));
+}
+
+// x uses only the widths and y only the heights: on the chain R0 - R1 - R2
+// with widths {5, 2, 5} and heights {7, 3, 7}, the endpoints reach 2 in x
+// and 3 in y, and the middle reaches 0 in both.
+TEST(OwnerReachTest, EachAxisUsesItsOwnExtents) {
+  const Query query =
+      ChainQuery({Predicate::Overlap(), Predicate::Overlap()});
+  const OwnerWindow window{10, 20};
+  const double eps = 1e-6;
+  const OwnerReach reach = ReachOf(query, window, {5, 2, 5}, {7, 3, 7});
+  for (int r : {0, 2}) {
+    EXPECT_TRUE(reach.Admits(r, Rect(0, 0, 8, 1)));
+    EXPECT_FALSE(reach.Admits(r, Rect(0, 0, 8 - eps, 1)));
+    EXPECT_TRUE(reach.Admits(r, Rect(9, 23, 11, 24)));
+    EXPECT_FALSE(reach.Admits(r, Rect(9, 23 + eps, 11, 24)));
+  }
+  EXPECT_TRUE(reach.Admits(1, Rect(9, 20, 10, 21)));
+  EXPECT_FALSE(reach.Admits(1, Rect(9, 19, 10 - eps, 20)));
+  EXPECT_FALSE(reach.Admits(1, Rect(10, 20 + eps, 11, 21)));
+}
+
+// A star whose leaves are points: each leaf reaches the center's width,
+// and the center, one hop from every leaf, reaches 0. Leaf L1 starts one
+// ulp right of x_lo, the center spans back its full width 4, and leaf L2
+// touches the center's left edge, so L2 ends at x_lo − 4 plus one ulp and
+// is kept. A leaf one unit beyond and a center copy ending left of x_lo
+// are dropped.
+TEST(OwnerReachTest, StarLeavesReachTheCenterWidth) {
+  QueryBuilder b;
+  const int center = b.AddRelation("C");
+  const int l1 = b.AddRelation("L1");
+  const int l2 = b.AddRelation("L2");
+  b.AddOverlap(center, l1).AddOverlap(center, l2);
+  const Query query = b.Build().value();
+  const double x = std::nextafter(10.0, kInf);
+  Relations full(3);
+  full[static_cast<size_t>(center)] = {{Rect(x - 4, 0, x, 2), 0},
+                                       {Rect(5, 0, 9, 2), 1}};
+  full[static_cast<size_t>(l1)] = {{Rect(x, 1, x, 1), 0}};
+  full[static_cast<size_t>(l2)] = {{Rect(x - 4, 1, x - 4, 1), 0},
+                                   {Rect(x - 5, 1, x - 5, 1), 1}};
+  const OwnerWindow window{10, kInf};
+  int64_t dropped = 0;
+  const Relations kept = Pruned(query, window, full, &dropped);
+  EXPECT_EQ(dropped, 2);
+  EXPECT_EQ(kept[static_cast<size_t>(center)].size(), 1u);
+  EXPECT_EQ(kept[static_cast<size_t>(l2)].size(), 1u);
+  EXPECT_EQ(EmitSet(query, full, window),
+            (std::vector<std::vector<int64_t>>{{0, 0, 0}}));
+  ExpectSameJoin(query, full, window);
 }
 
 // A chain whose last member sits as far from the window as the hops allow:
@@ -200,31 +288,20 @@ TEST(OwnerReachTest, RoundedWidthSumsKeepTheChain) {
   ExpectSameJoin(query, full, window);
 }
 
-// Ra(d) pairs whose x-gap exceeds d yet pass WithinDistance:
-//  * the gap rounds to d: A starts a hair right of x_lo = 0 and B ends at
-//    exactly −d, so B.max_x + d == x_lo — a strict test would drop B;
-//  * d*d and gap*gap both underflow to zero: a gap of 1e-163 passes
-//    Ra(1e-170), and B ends far below x_lo − d.
+// An Ra(d) pair whose x-gap exceeds d yet passes WithinDistance, because
+// the gap rounds to d: A starts a hair right of x_lo = 0 and B ends at
+// exactly −d, so B.max_x + d == x_lo — a strict test would drop B.
 TEST(OwnerReachTest, RangeGapRoundedToDistanceKeepsItsPair) {
-  struct Case {
-    const char* name;
-    double d;
-    double b_max_x;
-  };
-  const Case cases[] = {{"gap rounds to d", 3.0, -3.0},
-                        {"squares underflow", 1e-170, -1e-163}};
-  for (const Case& c : cases) {
-    SCOPED_TRACE(c.name);
-    const Query query = ChainQuery({Predicate::Range(c.d)});
-    const OwnerWindow window{0, kInf};
-    const Rect a(1e-300, 5, 1e-300, 5);
-    const Rect b(c.b_max_x, 5, c.b_max_x, 5);
-    ASSERT_TRUE(WithinDistance(a, b, c.d));
-    ASSERT_LE(b.max_x() + c.d, window.x_lo);
-    const Relations full = Numbered({{a}, {b}});
-    EXPECT_EQ(Pruned(query, window, full)[1].size(), 1u);
-    ExpectSameJoin(query, full, window);
-  }
+  const double d = 3.0;
+  const Query query = ChainQuery({Predicate::Range(d)});
+  const OwnerWindow window{0, kInf};
+  const Rect a(1e-300, 5, 1e-300, 5);
+  const Rect b(-d, 5, -d, 5);
+  ASSERT_TRUE(WithinDistance(a, b, d));
+  ASSERT_LE(b.max_x() + d, window.x_lo);
+  const Relations full = Numbered({{a}, {b}});
+  EXPECT_EQ(Pruned(query, window, full)[1].size(), 1u);
+  ExpectSameJoin(query, full, window);
 }
 
 // Point rectangles have zero extent, so only R's widths and heights widen
@@ -266,40 +343,50 @@ TEST(OwnerReachTest, PointRelationsKeepEveryWindowedTuple) {
 }
 
 // An infinite window bound (first column, first row) imposes no limit, and
-// neither does a bound whose sums overflow: the reach keeps everything.
+// neither does a limit whose path sum or window offset overflows: the
+// reach keeps everything.
 TEST(OwnerReachTest, InfiniteAndOverflowingBoundsKeepEverything) {
   const Query query =
-      ChainQuery({Predicate::Overlap(), Predicate::Range(1e300)});
+      ChainQuery({Predicate::Overlap(), Predicate::Range(1e308)});
   const std::vector<double> small = {1, 1, 1};
-  const std::vector<double> huge = {1.5e308, 1.5e308, 1e300};
   const Rect far_left(-1.7e308, 0, -1.6e308, 1);
   const Rect far_down(0, 1.6e308, 1, 1.7e308);
 
-  const OwnerReach first_cell = OwnerReach::Of(query, {}, small, small);
-  const OwnerReach first_row = OwnerReach::Of(query, {50, kInf}, small, small);
-  const OwnerReach first_col =
-      OwnerReach::Of(query, {-kInf, 50}, small, small);
-  EXPECT_EQ(first_cell.min_max_x, -kInf);
-  EXPECT_EQ(first_cell.max_min_y, kInf);
-  EXPECT_EQ(first_row.max_min_y, kInf);
-  EXPECT_TRUE(std::isfinite(first_row.min_max_x));
-  EXPECT_EQ(first_col.min_max_x, -kInf);
-  EXPECT_TRUE(std::isfinite(first_col.max_min_y));
-  EXPECT_TRUE(first_cell.Admits(far_left) && first_cell.Admits(far_down));
-  EXPECT_TRUE(first_row.Admits(far_down));
-  EXPECT_TRUE(first_col.Admits(far_left));
+  const OwnerReach first_cell = ReachOf(query, {}, small, small);
+  const OwnerReach first_row = ReachOf(query, {50, kInf}, small, small);
+  const OwnerReach first_col = ReachOf(query, {-kInf, 50}, small, small);
+  for (int r = 0; r < 3; ++r) {
+    SCOPED_TRACE(r);
+    const size_t i = static_cast<size_t>(r);
+    EXPECT_EQ(first_cell.min_max_x[i], -kInf);
+    EXPECT_EQ(first_cell.max_min_y[i], kInf);
+    EXPECT_EQ(first_row.max_min_y[i], kInf);
+    EXPECT_TRUE(std::isfinite(first_row.min_max_x[i]));
+    EXPECT_EQ(first_col.min_max_x[i], -kInf);
+    EXPECT_TRUE(std::isfinite(first_col.max_min_y[i]));
+    EXPECT_TRUE(first_cell.Admits(r, far_left) &&
+                first_cell.Admits(r, far_down));
+    EXPECT_TRUE(first_row.Admits(r, far_down));
+    EXPECT_TRUE(first_col.Admits(r, far_left));
+  }
 
-  // Σ widths overflows to +inf; x_lo − Bx and y_hi + By overflow for a
-  // window near ±1e308 even with finite sums.
-  const OwnerReach overflow = OwnerReach::Of(query, {1e300, -1e300}, huge,
-                                             huge);
-  EXPECT_EQ(overflow.min_max_x, -kInf);
-  EXPECT_EQ(overflow.max_min_y, kInf);
-  const std::vector<double> large = {5e307, 5e307, 0};
-  const OwnerReach edge =
-      OwnerReach::Of(query, {-1e308, 1e308}, large, large);
-  EXPECT_EQ(edge.min_max_x, -kInf);
-  EXPECT_EQ(edge.max_min_y, kInf);
+  // The R0–R2 path charges 1e308 plus R1's extent, which overflows to
+  // +inf; R1's own bound is 1e308, finite. x_lo − Bx and y_hi + By
+  // overflow for a window near ±1e308 even with finite bounds.
+  const std::vector<double> huge = {1, 1.7e308, 1};
+  const OwnerReach overflow = ReachOf(query, {1e300, -1e300}, huge, huge);
+  for (size_t i : {size_t{0}, size_t{2}}) {
+    EXPECT_EQ(overflow.min_max_x[i], -kInf);
+    EXPECT_EQ(overflow.max_min_y[i], kInf);
+  }
+  EXPECT_TRUE(std::isfinite(overflow.min_max_x[1]));
+  EXPECT_TRUE(std::isfinite(overflow.max_min_y[1]));
+  const std::vector<double> large = {1e308, 1e308};
+  const OwnerReach edge = OwnerReach::Of({-1e308, 1e308}, large, large);
+  for (size_t i = 0; i < large.size(); ++i) {
+    EXPECT_EQ(edge.min_max_x[i], -kInf);
+    EXPECT_EQ(edge.max_min_y[i], kInf);
+  }
 
   // End to end near 1e300: a three-member chain of rectangles 1e300 wide
   // and high. The prune keeps all of it, so the tuple survives.

@@ -228,6 +228,23 @@ TEST(RTreeScratchTest, DistanceZeroMatchesTouchingRectangles) {
   }
 }
 
+TEST(RTreeScratchTest, TinyDistancesMatchWithinDistance) {
+  // d·d underflows below d ~ 1.5e-154: the probe takes the hypot form, as
+  // WithinDistance does, and a gap of 1e-163 misses Ra(1e-170).
+  const std::vector<Rect> rects = {Rect::FromPoint(Point{1e-163, 0}),
+                                   Rect::FromPoint(Point{1e-171, 0}),
+                                   Rect::FromPoint(Point{0, 0})};
+  const RTree tree(rects, /*leaf_capacity=*/2);
+  const Rect probe = Rect::FromPoint(Point{0, 0});
+  for (double d : {0.0, 1e-170, 1e-160}) {
+    EXPECT_EQ(Sorted(Collect(tree, Predicate::Range(d), probe)),
+              EvaluateScan(rects, Predicate::Range(d), probe))
+        << "d=" << d;
+  }
+  EXPECT_EQ(Sorted(Collect(tree, Predicate::Range(1e-170), probe)),
+            (std::vector<int32_t>{1, 2}));
+}
+
 TEST(RTreeTest, HandlesManyIdenticalRectangles) {
   const std::vector<Rect> rects(100, Rect::FromXYLB(5, 5, 1, 1));
   const RTree tree(rects);

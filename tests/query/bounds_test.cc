@@ -11,6 +11,8 @@
 namespace mwsj {
 namespace {
 
+constexpr double kInfinity = std::numeric_limits<double>::infinity();
+
 TEST(BoundsTest, OverlapChainOfFourMatchesSection79) {
   // Q1: endpoints replicate within 2*d_max, middle relations within d_max.
   const Query q = MakeChainQuery(4, Predicate::Overlap()).value();
@@ -86,6 +88,75 @@ TEST(BoundsTest, PerRelationDiagonalsTightenTheBound) {
   EXPECT_DOUBLE_EQ(bounds[0], 1);  // Through tiny R2 only.
   EXPECT_DOUBLE_EQ(bounds[2], 1);
   EXPECT_DOUBLE_EQ(bounds[1], 0);  // R2 touches both neighbors directly.
+}
+
+TEST(BoundsTest, EndRelationsExtentIsNeverAddedAndSubtracted) {
+  // A 2-way Ra(0.1) whose partner has diagonal 1024: the bound is the
+  // distance alone, exactly. Adding the partner's diagonal and subtracting
+  // it again gives (0.1 + 1024) − 1024 = 0.09999999999990905.
+  const Query q = MakeChainQuery(2, Predicate::Range(0.1)).value();
+  const auto bounds = ComputeReplicationBounds(q, {1, 1024});
+  EXPECT_EQ(bounds[0], 0.1);
+  EXPECT_EQ(bounds[1], 0.1);
+}
+
+TEST(BoundsTest, StarLeavesPayTheCenterExtentOnly) {
+  // C Ra(2) L_i: the center is one hop from every leaf; a leaf reaches
+  // another leaf through the center, charging its extent, never another
+  // leaf's.
+  QueryBuilder b;
+  const int center = b.AddRelation("C");
+  const int l1 = b.AddRelation("L1");
+  const int l2 = b.AddRelation("L2");
+  const int l3 = b.AddRelation("L3");
+  b.AddRange(center, l1, 2).AddRange(center, l2, 2).AddRange(center, l3, 2);
+  const Query q = b.Build().value();
+  const auto bounds = ComputeReplicationBounds(q, {5, 100, 100, 100});
+  EXPECT_EQ(bounds[static_cast<size_t>(center)], 2);
+  for (int leaf : {l1, l2, l3}) {
+    EXPECT_EQ(bounds[static_cast<size_t>(leaf)], 2 + 5 + 2);
+  }
+}
+
+TEST(BoundsTest, RangeTriangleTakesTheCheaperWayRound) {
+  // R1 Ra(1) R2, R2 Ra(2) R3, R3 Ra(10) R1 with extents {1, 0.5, 1}: R1
+  // and R3 are closer through R2 (1 + 0.5 + 2 = 3.5) than directly (10).
+  QueryBuilder b;
+  const int r1 = b.AddRelation("R1");
+  const int r2 = b.AddRelation("R2");
+  const int r3 = b.AddRelation("R3");
+  b.AddRange(r1, r2, 1).AddRange(r2, r3, 2).AddRange(r3, r1, 10);
+  const Query q = b.Build().value();
+  const auto bounds = ComputeReplicationBounds(q, {1, 0.5, 1});
+  EXPECT_EQ(bounds[0], 3.5);
+  EXPECT_EQ(bounds[1], 2);
+  EXPECT_EQ(bounds[2], 3.5);
+}
+
+TEST(BoundsTest, NaNDistanceImposesNoLimit) {
+  // Every path between R3 and the others crosses the NaN condition.
+  QueryBuilder b;
+  const int r1 = b.AddRelation("R1");
+  const int r2 = b.AddRelation("R2");
+  const int r3 = b.AddRelation("R3");
+  b.AddRange(r1, r2, 1).AddRange(r2, r3, std::nan(""));
+  const Query q = b.Build().value();
+  for (double bound : ComputeReplicationBounds(q, {1, 3, 1})) {
+    EXPECT_EQ(bound, kInfinity);
+  }
+}
+
+TEST(BoundsTest, ReachLimitWidensOutwardOnce) {
+  // The limit lies beyond origin + bound, by far less than any extent.
+  EXPECT_GT(ReachLimit(0, 0.1), 0.1);
+  EXPECT_LT(ReachLimit(0, 0.1), 0.1 + 1e-9);
+  EXPECT_EQ(ReachLimit(0, 0), 0);
+  EXPECT_GT(ReachLimit(1e6, 2), 1e6 + 2);
+  EXPECT_LT(ReachLimit(1e6, 2), 1e6 + 2 + 1e-2);
+  EXPECT_GT(ReachLimit(-1e6, 2), -1e6 + 2);
+  EXPECT_EQ(ReachLimit(kInfinity, 1), kInfinity);
+  EXPECT_EQ(ReachLimit(1e308, 1e308), kInfinity);
+  EXPECT_TRUE(std::isnan(ReachLimit(0, std::nan(""))));
 }
 
 TEST(BoundsValidationTest, AcceptsOrdinaryQueries) {

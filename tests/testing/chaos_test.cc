@@ -264,8 +264,10 @@ TEST(ReduceChaosTest, CrepReduceCrashKeepsDedupCountsExactlyOnce) {
 // Long rectangles cross most of the grid, so f1 ships each one to many
 // cells whose owner window it cannot reach, and the join round's reach
 // prune (localjoin/multiway.h OwnerReach) drops those copies before it
-// buckets. All-Replicate and C-Rep must still match brute force, faulted,
-// spilled or not, with every ownership check owned and the prune observed.
+// buckets. Worlds 10-13 make only relation 0 long, where the per-relation
+// reach differs most from one bound over every relation. All-Replicate,
+// C-Rep and C-Rep-L must still match brute force, faulted, spilled or
+// not, with every ownership check owned and the prune observed.
 TEST(ReachPruneChaosTest, LongRectanglesMatchBruteForce) {
   const uint64_t base = SeedBase();
   ThreadPool pool(4);
@@ -273,16 +275,18 @@ TEST(ReachPruneChaosTest, LongRectanglesMatchBruteForce) {
                                      PredicateMix::kRangeOnly,
                                      PredicateMix::kHybrid};
   int64_t pruned = 0;
-  for (int i = 0; i < 10; ++i) {
+  for (int i = 0; i < 14; ++i) {
     WorldConfig config;
     config.shape = static_cast<QueryShape>(i % 4);
     config.mix = kMixes[i % 3];
     config.long_rects = true;
+    config.long_rects_first_only = i >= 10;
     config.max_rects_per_relation = 40;
     config.integer_coords = (i % 2 == 1);
     config.seed = base * 1000003 + static_cast<uint64_t>(i) * 7919 + 61;
     for (Algorithm algorithm :
-         {Algorithm::kAllReplicate, Algorithm::kControlledReplicate}) {
+         {Algorithm::kAllReplicate, Algorithm::kControlledReplicate,
+          Algorithm::kControlledReplicateInLimit}) {
       ChaosOptions options;
       options.fault_seed = base * 6364136223846793005ull +
                            static_cast<uint64_t>(i) * 104729 + 17;

@@ -65,14 +65,17 @@ std::vector<std::vector<Rect>> MakeWorldData(const WorldConfig& config,
                                              int num_relations) {
   Rng rng(config.seed);
   std::vector<std::vector<Rect>> out(static_cast<size_t>(num_relations));
-  for (auto& relation : out) {
+  for (size_t r = 0; r < out.size(); ++r) {
+    std::vector<Rect>& relation = out[r];
+    const bool long_rects =
+        config.long_rects && (!config.long_rects_first_only || r == 0);
     const int n = static_cast<int>(
         rng.UniformInt(0, config.max_rects_per_relation));
     relation.reserve(static_cast<size_t>(n));
     for (int i = 0; i < n; ++i) {
       double l = rng.Uniform(0, config.max_dim);
       double b = rng.Uniform(0, config.max_dim);
-      if (config.long_rects) {
+      if (long_rects) {
         l = rng.Uniform(0, 0.8 * config.space_size);
         b = rng.Uniform(0, 2);
         if (rng.UniformInt(0, 1) == 1) std::swap(l, b);

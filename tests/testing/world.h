@@ -37,6 +37,8 @@ struct WorldConfig {
   /// Long rectangles: each is a strip whose long side is up to 80% of the
   /// space (crossing most of the grid) and whose short side is up to 2.
   bool long_rects = false;
+  /// With long_rects, only relation 0 is long; the others keep max_dim.
+  bool long_rects_first_only = false;
   uint64_t seed = 1;
 };
 

@@ -4,9 +4,10 @@
 #   All-Replicate runs (in memory, and spilling under a 4k shuffle budget
 #   with injected faults) whose tuple CSVs must match C-Rep-L's (the
 #   in-memory one must also report its reducers' reach prune), the exact
-#   catalog totals of three concurrent identical submissions, and
-#   malformed numeric flags of both tools that must be rejected with exit
-#   code 2.
+#   catalog totals of three concurrent identical submissions, a 2-way
+#   Ra(0.1) pair beside a large diagonal that every algorithm (C-Rep-L's
+#   f2 bound included) must find, and malformed numeric flags of both tools
+#   that must be rejected with exit code 2.
 # Invoked with -DDATAGEN=<path> -DJOIN=<path> -DWORKDIR=<dir>.
 
 file(MAKE_DIRECTORY ${WORKDIR})
@@ -203,5 +204,26 @@ if(NOT tuple_count EQUAL brute_count)
           "C-Rep-L wrote ${tuple_count} tuples but brute force counted "
           "${brute_count}")
 endif()
+
+# A 2-way Ra(0.1) pair across the grid line x = 10 beside a partner of
+# diagonal 1030.05: C-Rep-L's f2 bound for A is exactly 0.1 and the owner
+# cell lies at Chebyshev distance 0.0999999999999979, so every algorithm
+# reports the one tuple.
+file(WRITE ${WORKDIR}/near_a.csv
+     "x,y,l,b\n9.85,1501,0.05000000000000249,1\n0,1,1,1\n")
+file(WRITE ${WORKDIR}/near_b.csv
+     "x,y,l,b\n10.000000000000002,1501,900,501\n1999,2000,1,1\n")
+foreach(algorithm crep crepl allrep cascade brute)
+  execute_process(COMMAND ${JOIN} --query "A RA(0.1) B"
+                  --input A=${WORKDIR}/near_a.csv
+                  --input B=${WORKDIR}/near_b.csv --grid 2x200
+                  --algorithm ${algorithm}
+                  OUTPUT_VARIABLE near_out RESULT_VARIABLE code)
+  string(FIND "${near_out}" "output tuples: 1\n" pos)
+  if(NOT code EQUAL 0 OR pos EQUAL -1)
+    message(FATAL_ERROR "mwsj_join --algorithm ${algorithm} on the Ra(0.1) "
+                        "pair (exit ${code}): expected 1 tuple\n${near_out}")
+  endif()
+endforeach()
 
 message(STATUS "pipeline smoke OK: ${tuple_count} tuples, verified")
