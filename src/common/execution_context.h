@@ -39,7 +39,7 @@ struct ExecutionOptions {
 ///                (e.g. the algorithm name or a tool-run identifier);
 ///   * `faults` — optional fault-injection plan (mapreduce/fault.h); null
 ///                (or an empty plan) runs every task attempt fault-free;
-///   * `retry`  — retry/backoff/straggler policy consulted only when an
+///   * `retry`  — retry/backoff policy consulted only when an
 ///                attempt faults; null uses the engine's built-in default;
 ///   * `job_id` — scheduler-assigned id when several jobs share one pool
 ///                (core/scheduler.h); -1 means a standalone run. When set,

@@ -33,7 +33,7 @@ struct ControlledReplicateOptions {
   bool count_only = false;
 
   /// Optional resident-artifact catalog plus the base key covering the
-  /// canonical query, the dataset epochs, and the grid (the grid key that
+  /// canonical query, the dataset names, and the grid (the grid key that
   /// RunSpatialJoin gets from AcquireGrid). When both are set, the round-1
   /// marking output — which depends only on those inputs, never on the
   /// limit options — is reused across jobs: a repeat query skips the

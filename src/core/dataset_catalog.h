@@ -27,20 +27,16 @@ namespace mwsj {
 ///
 /// Three layers, each value built once and immutable once stored:
 ///
-///   * **Datasets** — named rectangle sets with a monotonically increasing
-///     *epoch*. Re-putting a name bumps its epoch, which changes every key
-///     derived from the dataset, so stale artifacts are never served — and
-///     the bump *evicts* every resident bundle/artifact whose key
-///     references a superseded epoch of the name, so a long-running
-///     service with dataset churn does not grow memory without bound.
+///   * **Datasets** — named rectangle sets, registered once: a name's data
+///     never changes, so no key derived from it can go stale.
 ///   * **Relation bundles** — the `vector<vector<Rect>>` a runner consumes,
-///     assembled once per distinct (name@epoch, ...) list and shared by
-///     every subsequent job over the same inputs.
+///     assembled once per distinct name list and shared by every
+///     subsequent job over the same inputs.
 ///   * **Artifacts** — a typed key→value cache for derived immutable
 ///     values (grid partitionings, C-Rep round-1 markings, kNN-MR cell
-///     bounds). Keys embed the query canonical form, the dataset epochs,
+///     bounds). Keys embed the query canonical form, the dataset names,
 ///     and the artifact kind, so a key can never alias across queries,
-///     data versions, or types; a type check backs that up at retrieval.
+///     inputs, or types; a type check backs that up at retrieval.
 ///
 /// Every artifact (bundles included) goes through GetOrBuild, which builds
 /// each key at most once: concurrent callers for a key being built wait
@@ -55,12 +51,13 @@ class DatasetCatalog {
   DatasetCatalog(const DatasetCatalog&) = delete;
   DatasetCatalog& operator=(const DatasetCatalog&) = delete;
 
-  /// Registers (or replaces) dataset `name` and returns its new epoch.
-  /// Epochs start at 0 and increase by 1 per Put of the same name.
-  int64_t PutDataset(const std::string& name,
-                     std::shared_ptr<const std::vector<Rect>> data)
+  /// Registers dataset `name`. A name is registered once: putting it again
+  /// is AlreadyExists and leaves its data and resident artifacts as they
+  /// were.
+  Status PutDataset(const std::string& name,
+                    std::shared_ptr<const std::vector<Rect>> data)
       EXCLUDES(mu_);
-  int64_t PutDataset(const std::string& name, std::vector<Rect> data)
+  Status PutDataset(const std::string& name, std::vector<Rect> data)
       EXCLUDES(mu_);
 
   /// A value from GetOrBuild: the shared immutable artifact, and whether
@@ -76,18 +73,16 @@ class DatasetCatalog {
   struct RelationBundle {
     /// One entry per requested name; shared across jobs, never mutated.
     std::shared_ptr<const std::vector<std::vector<Rect>>> relations;
-    /// Epoch-qualified identity of the inputs, in request order:
-    /// "data[<len>:<name>@<epoch>,...]". Artifact keys derive from this,
-    /// so any dataset replacement invalidates them implicitly.
+    /// Identity of the inputs, in request order: "data[<len>:<name>,...]".
+    /// Artifact keys derive from this; since a name's data never changes,
+    /// the names alone identify it.
     std::string data_key;
     /// True when the assembled bundle was already resident.
     bool cached = false;
   };
 
-  /// Assembles (or retrieves) the bundle for `names`. The epochs captured
-  /// in `data_key` are the ones the returned data actually has — resolved
-  /// atomically, so a concurrent PutDataset cannot tear the bundle.
-  /// Returns NotFound when any name is absent.
+  /// Assembles (or retrieves) the bundle for `names`. Returns NotFound
+  /// when any name is absent.
   StatusOr<RelationBundle> GetRelationBundle(
       const std::vector<std::string>& names) EXCLUDES(mu_);
 
@@ -96,17 +91,11 @@ class DatasetCatalog {
   /// per key:
   ///
   ///   * the first caller for an absent key counts a miss, marks the key
-  ///     in flight and runs `build` without holding the catalog lock;
+  ///     as being built and runs `build` without holding the catalog lock;
   ///   * a concurrent caller for that key waits for the builder and then
   ///     counts a hit on its value (a resident key is a hit at once);
   ///   * a failed build leaves nothing resident and returns its error, and
-  ///     a waiting caller then builds the key itself;
-  ///   * if a PutDataset evicts the key while it is being built, the
-  ///     builder returns its value without publishing it and any waiter
-  ///     builds afresh;
-  ///   * an absent key that names a superseded epoch of a dataset (a job
-  ///     that resolved its bundle before a PutDataset) counts a miss and
-  ///     is built uncached: no new key can reach it, so it is not stored.
+  ///     a waiting caller then builds the key itself.
   ///
   /// A null `catalog` or an empty `key` runs `build` uncached (`cached` is
   /// false, nothing is counted). A key resident under another type is an
@@ -136,36 +125,17 @@ class DatasetCatalog {
   int64_t hits() const { return hits_.load(std::memory_order_relaxed); }
   int64_t misses() const { return misses_.load(std::memory_order_relaxed); }
 
-  /// Artifacts dropped because a PutDataset superseded an epoch their key
-  /// references.
-  int64_t evictions() const {
-    return evictions_.load(std::memory_order_relaxed);
-  }
-
  private:
   using ErasedBuild = std::function<StatusOr<std::shared_ptr<const void>>()>;
 
-  struct Dataset {
-    std::shared_ptr<const std::vector<Rect>> data;
-    int64_t epoch = 0;
-  };
-  /// A resident artifact, or one in flight: `value` is null while its
-  /// builder (identified by `flight`) runs.
+  /// A resident artifact, or one being built: `value` is null until its
+  /// builder publishes it.
   struct Artifact {
     std::shared_ptr<const void> value;
     const std::type_info* type = nullptr;
-    int64_t flight = 0;
   };
 
   static StatusOr<Resident<void>> Uncached(const ErasedBuild& build);
-
-  /// "<len>:<name>@", the prefix of `name`'s epoch token in every key
-  /// derived from the dataset.
-  static std::string EpochToken(const std::string& name);
-
-  /// True when `key` names an epoch of some dataset other than its
-  /// current one.
-  bool NamesSupersededEpoch(const std::string& key) const REQUIRES(mu_);
 
   /// GetOrBuild for a non-null catalog and non-empty key.
   StatusOr<Resident<void>> GetOrBuildErased(const std::string& key,
@@ -173,21 +143,14 @@ class DatasetCatalog {
                                             const ErasedBuild& build)
       EXCLUDES(mu_);
 
-  /// Drops every artifact whose key references `name` (all resident
-  /// mentions are of superseded epochs at bump time), in-flight ones
-  /// included, and wakes their waiters.
-  void EvictArtifactsOf(const std::string& name) REQUIRES(mu_);
-
   Mutex mu_;
-  /// Signalled whenever an in-flight artifact is published, abandoned
-  /// (failed build) or evicted.
+  /// Signalled whenever a build is published or, having failed, withdrawn.
   CondVar settled_;
-  std::map<std::string, Dataset> datasets_ GUARDED_BY(mu_);
+  std::map<std::string, std::shared_ptr<const std::vector<Rect>>> datasets_
+      GUARDED_BY(mu_);
   std::map<std::string, Artifact> artifacts_ GUARDED_BY(mu_);
-  int64_t next_flight_ GUARDED_BY(mu_) = 0;
   std::atomic<int64_t> hits_{0};
   std::atomic<int64_t> misses_{0};
-  std::atomic<int64_t> evictions_{0};
 };
 
 }  // namespace mwsj

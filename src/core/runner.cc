@@ -70,10 +70,10 @@ StatusOr<GridAcquisition> AcquireGrid(
     const RunnerOptions& options, const ExecutionContext& ctx) {
   GridAcquisition out;
   // With a catalog and a base key, the grid is a resident artifact: the
-  // key extends the base (canonical query + dataset epochs) with every
+  // key extends the base (canonical query + dataset names) with every
   // input the grid construction reads, so a hit is always byte-equivalent
   // to rebuilding. Equi-depth grids depend on the data only through the
-  // datasets already pinned by the base key's epochs.
+  // datasets the base key names, whose data never changes.
   if (options.catalog != nullptr && !options.artifact_key.empty()) {
     out.grid_key = options.artifact_key +
                    StrFormat("|grid[%dx%d,p%d,space %.17g %.17g %.17g %.17g]",

@@ -83,7 +83,7 @@ struct RunnerOptions {
   /// catalog_hits/catalog_misses.
   DatasetCatalog* catalog = nullptr;
 
-  /// Base cache key identifying (canonical query, dataset epochs, and the
+  /// Base cache key identifying (canonical query, dataset names, and the
   /// canonical-rank-to-position binding) — normally composed by the
   /// JobScheduler from Query::CanonicalKey(), the catalog bundle's
   /// data_key, and Query::CanonicalRanks(). Empty disables artifact reuse

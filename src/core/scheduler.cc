@@ -7,22 +7,6 @@
 
 namespace mwsj {
 
-const char* JobStateName(JobState s) {
-  switch (s) {
-    case JobState::kQueued:
-      return "queued";
-    case JobState::kRunning:
-      return "running";
-    case JobState::kSucceeded:
-      return "succeeded";
-    case JobState::kFailed:
-      return "failed";
-    case JobState::kCancelled:
-      return "cancelled";
-  }
-  return "unknown";
-}
-
 namespace {
 
 bool IsTerminal(JobState s) {
@@ -93,8 +77,7 @@ StatusOr<JobHandle> JobScheduler::Submit(JobSpec spec) {
   const bool has_names = !spec.dataset_names.empty();
   const bool has_inline = !spec.relations.empty();
   const bool has_borrowed = spec.borrowed_relations != nullptr;
-  if ((has_names && (has_inline || has_borrowed)) ||
-      (has_inline && has_borrowed)) {
+  if (int{has_names} + int{has_inline} + int{has_borrowed} != 1) {
     return Status::InvalidArgument(
         "JobSpec must use exactly one input source (dataset_names, "
         "relations, or borrowed_relations)");
@@ -219,7 +202,7 @@ void JobScheduler::RunJob(scheduler_internal::Job* job) {
       bundle_data = bundle.value().relations;
       relations = bundle_data.get();
       bundle_cached = bundle.value().cached;
-      // Base artifact key: canonical query form + epoch-qualified inputs
+      // Base artifact key: canonical query form + the input dataset names
       // + the canonical-rank-to-position permutation. The canonical form
       // relabels relations and forgets which position each rank came
       // from, while the data list is positional — without the permutation

@@ -115,8 +115,6 @@ enum class JobState {
   kCancelled,  // terminal; cancelled before a driver picked it up
 };
 
-const char* JobStateName(JobState s);
-
 namespace scheduler_internal {
 
 /// Shared record of one submission; the scheduler's queue and every
@@ -193,7 +191,7 @@ class JobScheduler {
   ~JobScheduler();
 
   /// Admits a job. Returns InvalidArgument for a malformed spec (no
-  /// query, several input sources, dataset-name count mismatch),
+  /// query, no input source or several, dataset-name count mismatch),
   /// FailedPrecondition when the admission queue is full or the
   /// spec names datasets but no catalog is configured. Job ids are
   /// assigned in admission order starting at 1.

@@ -47,6 +47,30 @@ std::vector<double> QuantileBounds(double lo, double hi, int n,
   return ok ? bounds : EvenBounds(lo, hi, n);
 }
 
+// The one dimension check of every factory: positive, and few enough
+// cells that num_cells() and every CellId fit in a CellId.
+Status CheckDimensions(int64_t rows, int64_t cols) {
+  if (rows <= 0 || cols <= 0) {
+    return Status::InvalidArgument(StrFormat(
+        "grid dimensions must be positive, got %lldx%lld",
+        static_cast<long long>(rows), static_cast<long long>(cols)));
+  }
+  if (rows > std::numeric_limits<CellId>::max() / cols) {
+    return Status::InvalidArgument(StrFormat(
+        "grid of %lldx%lld cells exceeds the %d-cell limit",
+        static_cast<long long>(rows), static_cast<long long>(cols),
+        std::numeric_limits<CellId>::max()));
+  }
+  return Status::OK();
+}
+
+Status CheckSpace(const Rect& space) {
+  if (!space.IsValid() || space.length() <= 0 || space.breadth() <= 0) {
+    return Status::InvalidArgument("partitioned space must have positive area");
+  }
+  return Status::OK();
+}
+
 bool StrictlyIncreasing(const std::vector<double>& v) {
   for (size_t i = 1; i < v.size(); ++i) {
     if (!(v[i] > v[i - 1])) return false;
@@ -79,26 +103,10 @@ GridPartition::GridPartition(std::vector<double> x_bounds,
 
 StatusOr<GridPartition> GridPartition::Create(const Rect& space, int rows,
                                               int cols) {
-  if (rows <= 0 || cols <= 0) {
-    return Status::InvalidArgument(
-        StrFormat("grid dimensions must be positive, got %dx%d", rows, cols));
-  }
-  if (!space.IsValid() || space.length() <= 0 || space.breadth() <= 0) {
-    return Status::InvalidArgument("partitioned space must have positive area");
-  }
+  MWSJ_RETURN_IF_ERROR(CheckDimensions(rows, cols));
+  MWSJ_RETURN_IF_ERROR(CheckSpace(space));
   return GridPartition(EvenBounds(space.min_x(), space.max_x(), cols),
                        EvenBounds(space.min_y(), space.max_y(), rows));
-}
-
-StatusOr<GridPartition> GridPartition::CreateSquare(const Rect& space,
-                                                    int num_reducers) {
-  const int side = static_cast<int>(std::lround(std::sqrt(num_reducers)));
-  if (side <= 0 || side * side != num_reducers) {
-    return Status::InvalidArgument(
-        StrFormat("num_reducers must be a perfect square, got %d",
-                  num_reducers));
-  }
-  return Create(space, side, side);
 }
 
 StatusOr<GridPartition> GridPartition::CreateRectilinear(
@@ -111,18 +119,16 @@ StatusOr<GridPartition> GridPartition::CreateRectilinear(
     return Status::InvalidArgument(
         "boundary positions must be strictly increasing");
   }
+  MWSJ_RETURN_IF_ERROR(
+      CheckDimensions(static_cast<int64_t>(y_bounds.size()) - 1,
+                      static_cast<int64_t>(x_bounds.size()) - 1));
   return GridPartition(std::move(x_bounds), std::move(y_bounds));
 }
 
 StatusOr<GridPartition> GridPartition::CreateEquiDepth(
     const Rect& space, int rows, int cols, std::span<const Rect> sample) {
-  if (rows <= 0 || cols <= 0) {
-    return Status::InvalidArgument(
-        StrFormat("grid dimensions must be positive, got %dx%d", rows, cols));
-  }
-  if (!space.IsValid() || space.length() <= 0 || space.breadth() <= 0) {
-    return Status::InvalidArgument("partitioned space must have positive area");
-  }
+  MWSJ_RETURN_IF_ERROR(CheckDimensions(rows, cols));
+  MWSJ_RETURN_IF_ERROR(CheckSpace(space));
   std::vector<double> xs, ys;
   xs.reserve(sample.size());
   ys.reserve(sample.size());

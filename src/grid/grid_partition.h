@@ -24,7 +24,7 @@ using CellId = int32_t;
 /// the map-reduce jobs (§5.1), so the number of cells is the number of
 /// reducers.
 ///
-/// `Create`/`CreateSquare` build the paper's equally-spaced grid;
+/// `Create` builds the paper's equally-spaced grid;
 /// `CreateRectilinear` accepts arbitrary boundary positions, and
 /// `CreateEquiDepth` derives them from a data sample so that each column
 /// (and each row) receives roughly the same number of rectangle start
@@ -46,14 +46,10 @@ using CellId = int32_t;
 class GridPartition {
  public:
   /// Builds an equally-spaced rows x cols grid over `space`. Returns
-  /// InvalidArgument for non-positive dimensions or an empty space.
+  /// InvalidArgument for non-positive dimensions, more cells than a CellId
+  /// can number (INT32_MAX), or an empty space; the other factories check
+  /// their dimensions the same way.
   static StatusOr<GridPartition> Create(const Rect& space, int rows, int cols);
-
-  /// Builds the paper's default square grid with `num_reducers` cells
-  /// (§5.1: x and y axes divided into sqrt(k) partitions each).
-  /// `num_reducers` must be a perfect square.
-  static StatusOr<GridPartition> CreateSquare(const Rect& space,
-                                              int num_reducers);
 
   /// Builds a grid from explicit boundary positions. `x_bounds` has
   /// cols+1 strictly increasing values (the vertical grid lines including

@@ -44,10 +44,10 @@ enum class FaultKind {
   /// spill runs must all be discarded — the canonical test that attempt
   /// scoping is airtight.
   kFlakyIo,
-  /// The attempt completes correctly but its (virtual) duration exceeds
-  /// the straggler timeout, so the engine launches a speculative duplicate
-  /// attempt; the duplicate's identical output is discarded and charged as
-  /// wasted work (Hadoop's speculative execution).
+  /// The attempt completes correctly but is marked a straggler, so the
+  /// engine launches a speculative duplicate attempt at once (no clock is
+  /// consulted); the duplicate's identical output is discarded and charged
+  /// as wasted work (Hadoop's speculative execution).
   kSlow,
 };
 const char* FaultKindName(FaultKind kind);
@@ -109,9 +109,8 @@ class FaultPlan {
   int max_faulted_attempts_ = 3;
 };
 
-/// Bounded-retry and straggler policy for faulted task attempts. The
-/// engine consults it only when an attempt actually fails or straggles, so
-/// a fault-free run never sleeps.
+/// Bounded-retry policy for faulted task attempts. The engine consults it
+/// only when an attempt actually fails, so a fault-free run never sleeps.
 struct RetryPolicy {
   /// A task failing this many attempts aborts the job (Hadoop's
   /// mapred.map.max.attempts, default 4).
@@ -121,12 +120,6 @@ struct RetryPolicy {
   /// `backoff_initial_seconds * backoff_multiplier^a`.
   double backoff_initial_seconds = 0.0005;
   double backoff_multiplier = 2.0;
-
-  /// Virtual duration threshold past which an attempt counts as a
-  /// straggler and is speculatively re-executed. kSlow faults are defined
-  /// as exceeding it; the engine never watches wall clocks for this, so
-  /// runs stay deterministic.
-  double straggler_timeout_seconds = 1.0;
 
   /// Clock injection: when set, called with each computed backoff instead
   /// of sleeping — tests assert the exponential sequence without real

@@ -263,6 +263,12 @@ TEST(SchedulerTest, RejectsMalformedSpecs) {
               StatusCode::kInvalidArgument);
   }
   {
+    JobSpec spec;  // A query but no input source.
+    spec.query = query;
+    EXPECT_EQ(scheduler.Submit(std::move(spec)).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+  {
     JobSpec spec;  // Two input sources.
     spec.query = query;
     spec.relations = data;
@@ -669,18 +675,49 @@ TEST(SchedulerCatalogTest, RepeatQueryReusesResidentArtifacts) {
   ASSERT_TRUE(limit.ok()) << limit.status().message();
   EXPECT_EQ(limit.value().stats.catalog_hits, 3);
   EXPECT_EQ(limit.value().tuples, cold.value().tuples);
+}
 
-  // Replacing one dataset bumps its epoch: derived keys change, so the
-  // next run rebuilds instead of serving stale artifacts — and the stale
-  // bundle, grid, and round-1 marking are evicted, not stranded.
-  catalog.PutDataset("roads", data[1]);
-  EXPECT_EQ(catalog.evictions(), 3);
-  const StatusOr<JoinRunResult> bumped =
-      submit(Algorithm::kControlledReplicate);
-  ASSERT_TRUE(bumped.ok()) << bumped.status().message();
-  EXPECT_EQ(bumped.value().stats.catalog_hits, 0);
-  EXPECT_EQ(bumped.value().stats.catalog_misses, 3);
-  EXPECT_EQ(bumped.value().tuples, cold.value().tuples);
+TEST(SchedulerCatalogTest, RePutLeavesDataAndArtifactsResident) {
+  WorldConfig config;
+  config.shape = QueryShape::kChain3;
+  config.seed = SeedBase() + 41;
+  const Query query = MakeWorldQuery(config);
+  const auto data = MakeWorldData(config, query.num_relations());
+
+  DatasetCatalog catalog;
+  const std::vector<std::string> names = {"lakes", "roads", "parks"};
+  for (size_t r = 0; r < names.size(); ++r) {
+    ASSERT_TRUE(catalog.PutDataset(names[r], data[r]).ok());
+  }
+  SchedulerOptions sched_options;
+  sched_options.catalog = &catalog;
+  JobScheduler scheduler(sched_options);
+
+  auto submit = [&] {
+    JobSpec spec;
+    spec.query = query;
+    spec.dataset_names = names;
+    spec.options.algorithm = Algorithm::kControlledReplicate;
+    StatusOr<JobHandle> handle = scheduler.Submit(std::move(spec));
+    EXPECT_TRUE(handle.ok()) << handle.status().message();
+    return handle.value().Take();
+  };
+  const StatusOr<JoinRunResult> cold = submit();
+  ASSERT_TRUE(cold.ok()) << cold.status().message();
+  EXPECT_EQ(cold.value().stats.catalog_misses, 3);
+
+  // A dataset is registered once: putting other data under a registered
+  // name is refused, and the repeat job is served the bundle, grid and
+  // round-1 marking built from the original data.
+  EXPECT_EQ(catalog.PutDataset("roads", data[0]).code(),
+            StatusCode::kAlreadyExists);
+  const StatusOr<JoinRunResult> warm = submit();
+  ASSERT_TRUE(warm.ok()) << warm.status().message();
+  EXPECT_EQ(warm.value().stats.catalog_hits, 3);
+  EXPECT_EQ(warm.value().stats.catalog_misses, 0);
+  EXPECT_EQ(warm.value().tuples, cold.value().tuples);
+  EXPECT_EQ(catalog.hits(), 3);
+  EXPECT_EQ(catalog.misses(), 3);
 }
 
 TEST(SchedulerCatalogTest, ConcurrentIdenticalJobsBuildEachArtifactOnce) {
@@ -814,7 +851,7 @@ TEST(SchedulerCatalogTest, SelfJoinRoleBindingsNeverShareArtifacts) {
   // The harder variant of the same trap: one dataset under one name in
   // every role, so even a rank-ordered dataset list renders identically.
   // A path centered at position 1 vs. position 0 shares the canonical
-  // form and every name@epoch, and only the rank permutation separates
+  // form and every dataset name, and only the rank permutation separates
   // the keys; the outputs differ in which tuple slot holds the center.
   QueryBuilder center1;
   center1.AddRelation("R");

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "common/random.h"
 #include "grid/grid_partition.h"
 
@@ -15,15 +18,34 @@ TEST(GridPartitionTest, CreateValidatesArguments) {
   EXPECT_TRUE(GridPartition::Create(Rect(0, 0, 4, 4), 2, 2).ok());
 }
 
-TEST(GridPartitionTest, CreateSquareRequiresPerfectSquare) {
-  EXPECT_TRUE(GridPartition::CreateSquare(Rect(0, 0, 8, 8), 64).ok());
-  EXPECT_FALSE(GridPartition::CreateSquare(Rect(0, 0, 8, 8), 60).ok());
-  EXPECT_FALSE(GridPartition::CreateSquare(Rect(0, 0, 8, 8), 0).ok());
-  const GridPartition g =
-      GridPartition::CreateSquare(Rect(0, 0, 8, 8), 64).value();
-  EXPECT_EQ(g.rows(), 8);
-  EXPECT_EQ(g.cols(), 8);
-  EXPECT_EQ(g.num_cells(), 64);
+TEST(GridPartitionTest, CellCountMustFitACellId) {
+  // 46341^2 and 65536^2 both exceed INT32_MAX: num_cells() and CellIdOf
+  // would overflow, so every factory rejects them before allocating.
+  const Rect space(0, 0, 4, 4);
+  for (const int side : {46341, 65536}) {
+    SCOPED_TRACE(side);
+    const StatusOr<GridPartition> even =
+        GridPartition::Create(space, side, side);
+    EXPECT_EQ(even.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(even.status().message().find("cell limit"), std::string::npos)
+        << even.status().message();
+    EXPECT_EQ(
+        GridPartition::CreateEquiDepth(space, side, side, {}).status().code(),
+        StatusCode::kInvalidArgument);
+  }
+  // The rectilinear factory counts its cells from the boundary vectors.
+  std::vector<double> bounds(65537);
+  for (size_t i = 0; i < bounds.size(); ++i) {
+    bounds[i] = static_cast<double>(i);
+  }
+  EXPECT_EQ(
+      GridPartition::CreateRectilinear(bounds, bounds).status().code(),
+      StatusCode::kInvalidArgument);
+  // The largest square grid that fits is still accepted.
+  const StatusOr<GridPartition> largest =
+      GridPartition::Create(space, 46340, 46340);
+  ASSERT_TRUE(largest.ok()) << largest.status().message();
+  EXPECT_EQ(largest.value().num_cells(), 46340 * 46340);
 }
 
 TEST(GridPartitionTest, CellRectsTileTheSpace) {

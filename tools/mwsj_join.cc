@@ -298,11 +298,10 @@ int main(int argc, char** argv) {
     // ingests and leaves the grid / round-1 artifacts resident; repeats
     // must hit the catalog and every submission must agree byte-for-byte.
     mwsj::DatasetCatalog catalog;
-    // Register under position-unique catalog names: a query that repeats
-    // a relation name (self-join roles) would otherwise have the second
-    // PutDataset bump the first one's epoch and both roles silently
-    // resolve to the last-registered data, diverging from the positional
-    // relations the num_jobs==1 path uses.
+    // Register under position-unique catalog names, so every role binds
+    // its own relation by position as in the num_jobs==1 path: a catalog
+    // name is registered once, and a repeated relation name (self-join
+    // roles) would be refused the second time.
     std::vector<std::string> names = query.value().relation_names();
     {
       std::map<std::string, int> seen;
@@ -314,7 +313,11 @@ int main(int argc, char** argv) {
       }
     }
     for (size_t r = 0; r < names.size(); ++r) {
-      catalog.PutDataset(names[r], relations[r]);
+      const mwsj::Status put = catalog.PutDataset(names[r], relations[r]);
+      if (!put.ok()) {
+        std::fprintf(stderr, "%s\n", put.ToString().c_str());
+        return 1;
+      }
     }
     mwsj::SchedulerOptions sched_options;
     sched_options.pool = pool.get();

@@ -6,8 +6,9 @@
 #   in-memory one must also report its reducers' reach prune), the exact
 #   catalog totals of three concurrent identical submissions, a 2-way
 #   Ra(0.1) pair beside a large diagonal that every algorithm (C-Rep-L's
-#   f2 bound included) must find, and malformed numeric flags of both tools
-#   that must be rejected with exit code 2.
+#   f2 bound included) must find, malformed numeric flags of both tools
+#   that must be rejected with exit code 2, and a grid too large to number
+#   its cells, which must be refused.
 # Invoked with -DDATAGEN=<path> -DJOIN=<path> -DWORKDIR=<dir>.
 
 file(MAKE_DIRECTORY ${WORKDIR})
@@ -46,6 +47,18 @@ foreach(bad_flag "--threads;4294967297" "--jobs;4294967297" "--k;4294967298"
     message(FATAL_ERROR "mwsj_join ${shown} exited ${code}, expected 2")
   endif()
 endforeach()
+
+# A grid whose cell count does not fit a CellId (INT32_MAX) is refused
+# before any cell is numbered, not run with an overflowed reducer count.
+execute_process(COMMAND ${JOIN} --query "A OV B" --input A=${WORKDIR}/a.csv
+                --input B=${WORKDIR}/a.csv --count-only --grid 65536x65536
+                RESULT_VARIABLE code OUTPUT_QUIET ERROR_VARIABLE err)
+string(FIND "${err}" "65536x65536 cells exceeds" huge_grid_pos)
+if(code EQUAL 0 OR huge_grid_pos EQUAL -1)
+  message(FATAL_ERROR
+          "mwsj_join --grid 65536x65536 exited ${code}, expected a refusal: "
+          "${err}")
+endif()
 
 # The generator's numeric flags are parsed whole too: junk, trailing
 # characters and a negative count are usage errors, not seed 0 or n = 5.
