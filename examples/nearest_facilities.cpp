@@ -12,7 +12,7 @@
 
 #include "common/random.h"
 #include "core/runner.h"
-#include "queries/knn.h"
+#include "queries/knn_mr.h"
 #include "query/parser.h"
 
 int main() {
@@ -40,21 +40,21 @@ int main() {
         mwsj::Point{rng.Uniform(0, kCity), rng.Uniform(0, kCity)});
   }
 
-  const mwsj::GridPartition grid =
-      mwsj::GridPartition::Create(mwsj::Rect(0, 0, kCity, kCity), 8, 8)
-          .value();
-
-  const auto knn = mwsj::KnnJoin(grid, incidents, stations, 3);
-  if (!knn.ok()) {
-    std::fprintf(stderr, "knn error: %s\n", knn.status().ToString().c_str());
-    return 1;
-  }
   std::vector<mwsj::Rect> incident_points;
   for (const mwsj::Point& p : incidents) {
     incident_points.push_back(mwsj::Rect::FromPoint(p));
   }
   mwsj::RunnerOptions options;
-  options.space = grid.space();
+  options.space = mwsj::Rect(0, 0, kCity, kCity);
+  // Distributed kNN (knn-mr): output rows are {incident, rank, station},
+  // sorted by incident then rank.
+  const auto knn = mwsj::RunKnnJoinMr(
+      mwsj::MakeChainQuery(2, mwsj::Predicate::Overlap()).value(),
+      {incident_points, stations}, 3, options);
+  if (!knn.ok()) {
+    std::fprintf(stderr, "knn error: %s\n", knn.status().ToString().c_str());
+    return 1;
+  }
   const auto containment =
       mwsj::RunSpatialJoin(mwsj::ParseQuery("P OV R").value(),
                            {incident_points, districts}, options);
@@ -64,9 +64,15 @@ int main() {
     return 1;
   }
 
+  // knn-mr reports ranks, not distances; MinDistance recomputes them with
+  // the same bits the join ranked by.
+  const auto distance = [&](mwsj::IdTuple row) {
+    return mwsj::MinDistance(stations[static_cast<size_t>(row[2])],
+                             incidents[static_cast<size_t>(row[0])]);
+  };
   double avg_first = 0;
-  for (const auto& nn : knn.value().neighbors) {
-    avg_first += nn.empty() ? 0 : nn[0].distance;
+  for (const mwsj::IdTuple row : knn.value().tuples) {
+    if (row[1] == 0) avg_first += distance(row);
   }
   std::printf("incidents: %zu, stations: %zu, districts: %zu\n",
               incidents.size(), stations.size(), districts.size());
@@ -75,18 +81,19 @@ int main() {
   std::printf("district assignments found: %lld\n",
               static_cast<long long>(containment.value().num_tuples));
 
-  const auto& first = knn.value().neighbors[0];
   std::printf("incident 0 at (%.0f, %.0f):\n", incidents[0].x, incidents[0].y);
-  for (const mwsj::KnnNeighbor& n : first) {
+  for (const mwsj::IdTuple row : knn.value().tuples) {
+    if (row[0] != 0) break;
     std::printf("  station %lld at distance %.0f\n",
-                static_cast<long long>(n.rect_id), n.distance);
+                static_cast<long long>(row[2]), distance(row));
   }
   int64_t knn_shuffle = 0;
   for (const mwsj::JobStats& job : knn.value().stats.jobs) {
     knn_shuffle += job.intermediate_records;
   }
-  std::printf("kNN ran %zu map-reduce rounds, %lld records shuffled\n",
-              knn.value().stats.jobs.size(),
-              static_cast<long long>(knn_shuffle));
+  std::printf(
+      "kNN (knn-mr) ran %zu map-reduce rounds, %lld records shuffled\n",
+      knn.value().stats.jobs.size(),
+      static_cast<long long>(knn_shuffle));
   return 0;
 }

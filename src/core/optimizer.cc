@@ -1,6 +1,7 @@
 #include "core/optimizer.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <limits>
 
 #include "common/random.h"
@@ -10,12 +11,16 @@ namespace mwsj {
 
 namespace {
 
-std::vector<Rect> SampleRelation(const std::vector<Rect>& relation,
-                                 size_t sample_size, Rng& rng) {
-  if (relation.size() <= sample_size) return relation;
+// Rectangles sampled per relation for selectivity estimation, and the
+// sampler's seed.
+constexpr size_t kSampleSize = 2000;
+constexpr uint64_t kSampleSeed = 1;
+
+std::vector<Rect> SampleRelation(const std::vector<Rect>& relation, Rng& rng) {
+  if (relation.size() <= kSampleSize) return relation;
   std::vector<Rect> sample;
-  sample.reserve(sample_size);
-  for (size_t i = 0; i < sample_size; ++i) {
+  sample.reserve(kSampleSize);
+  for (size_t i = 0; i < kSampleSize; ++i) {
     sample.push_back(relation[static_cast<size_t>(rng.UniformInt(
         0, static_cast<int64_t>(relation.size()) - 1))]);
   }
@@ -99,13 +104,12 @@ struct Enumerator {
 }  // namespace
 
 std::vector<double> EstimateSelectivities(
-    const Query& query, const std::vector<std::vector<Rect>>& relations,
-    const CascadeOrderOptions& options) {
-  Rng rng(options.seed);
+    const Query& query, const std::vector<std::vector<Rect>>& relations) {
+  Rng rng(kSampleSeed);
   std::vector<std::vector<Rect>> samples;
   samples.reserve(relations.size());
   for (const auto& relation : relations) {
-    samples.push_back(SampleRelation(relation, options.sample_size, rng));
+    samples.push_back(SampleRelation(relation, rng));
   }
 
   std::vector<double> selectivities;
@@ -136,11 +140,10 @@ std::vector<double> EstimateSelectivities(
 }
 
 std::vector<int> OptimizeCascadeOrder(
-    const Query& query, const std::vector<std::vector<Rect>>& relations,
-    const CascadeOrderOptions& options) {
+    const Query& query, const std::vector<std::vector<Rect>>& relations) {
   const int m = query.num_relations();
   const std::vector<double> selectivities =
-      EstimateSelectivities(query, relations, options);
+      EstimateSelectivities(query, relations);
   std::vector<double> sizes;
   sizes.reserve(relations.size());
   for (const auto& relation : relations) {

@@ -1,7 +1,6 @@
 #ifndef MWSJ_CORE_OPTIMIZER_H_
 #define MWSJ_CORE_OPTIMIZER_H_
 
-#include <cstdint>
 #include <vector>
 
 #include "geometry/rect.h"
@@ -9,19 +8,12 @@
 
 namespace mwsj {
 
-/// Options for the sampling-based cascade-order optimizer.
-struct CascadeOrderOptions {
-  /// Rectangles sampled per relation for selectivity estimation.
-  size_t sample_size = 2000;
-  uint64_t seed = 1;
-};
-
-/// Per-condition join selectivities estimated from uniform samples:
-/// result[i] estimates P(predicate_i holds) for a random rectangle pair of
-/// the condition's relations.
+/// Per-condition join selectivities estimated from uniform samples (up to
+/// 2000 rectangles per relation, drawn with a fixed seed, so the estimate
+/// is deterministic): result[i] estimates P(predicate_i holds) for a
+/// random rectangle pair of the condition's relations.
 std::vector<double> EstimateSelectivities(
-    const Query& query, const std::vector<std::vector<Rect>>& relations,
-    const CascadeOrderOptions& options = {});
+    const Query& query, const std::vector<std::vector<Rect>>& relations);
 
 /// Chooses the 2-way Cascade evaluation order (see CascadeJoin) that
 /// minimizes the estimated total intermediate-result cardinality — the
@@ -35,8 +27,7 @@ std::vector<double> EstimateSelectivities(
 /// The returned order is always valid input for CascadeJoin /
 /// RunnerOptions::cascade_order.
 std::vector<int> OptimizeCascadeOrder(
-    const Query& query, const std::vector<std::vector<Rect>>& relations,
-    const CascadeOrderOptions& options = {});
+    const Query& query, const std::vector<std::vector<Rect>>& relations);
 
 }  // namespace mwsj
 

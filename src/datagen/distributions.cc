@@ -5,18 +5,6 @@
 
 namespace mwsj {
 
-const char* DistributionName(Distribution d) {
-  switch (d) {
-    case Distribution::kUniform:
-      return "Uniform";
-    case Distribution::kGaussian:
-      return "Gaussian";
-    case Distribution::kClustered:
-      return "Clustered";
-  }
-  return "Unknown";
-}
-
 double SampleInRange(Rng& rng, Distribution d, double lo, double hi,
                      uint64_t cluster_seed) {
   switch (d) {

@@ -18,8 +18,6 @@ enum class Distribution {
   kClustered,
 };
 
-const char* DistributionName(Distribution d);
-
 /// Samples a value in [lo, hi] under `d`. For kClustered the caller supplies
 /// a stable `cluster_seed` so that repeated samples share focal points.
 double SampleInRange(Rng& rng, Distribution d, double lo, double hi,

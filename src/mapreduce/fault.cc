@@ -32,20 +32,6 @@ const char* FaultPhaseName(FaultPhase phase) {
   return "unknown";
 }
 
-const char* FaultKindName(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kNone:
-      return "none";
-    case FaultKind::kCrash:
-      return "crash";
-    case FaultKind::kFlakyIo:
-      return "flaky-io";
-    case FaultKind::kSlow:
-      return "slow";
-  }
-  return "unknown";
-}
-
 FaultPlan FaultPlan::Seeded(uint64_t seed, double crash_prob,
                             double flaky_prob, double slow_prob) {
   FaultPlan plan;

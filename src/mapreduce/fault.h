@@ -50,7 +50,6 @@ enum class FaultKind {
   /// as wasted work (Hadoop's speculative execution).
   kSlow,
 };
-const char* FaultKindName(FaultKind kind);
 
 /// A deterministic schedule of per-attempt faults keyed by
 /// (phase, task_id, attempt).

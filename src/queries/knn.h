@@ -9,7 +9,6 @@
 #include "common/status.h"
 #include "geometry/rect.h"
 #include "grid/grid_partition.h"
-#include "mapreduce/counters.h"
 
 namespace mwsj {
 
@@ -28,26 +27,23 @@ struct KnnResult {
   /// neighbors[p] lists the k rectangles nearest to point p, ordered by
   /// (distance, rect id); fewer than k entries when the dataset is small.
   std::vector<std::vector<KnnNeighbor>> neighbors;
-  RunStats stats;
 };
 
 /// The kNN query the paper lists as future work (§10): for every query
-/// point, find the k rectangles with the smallest Euclidean MBR distance.
-/// Exact, as three map-reduce rounds over the grid substrate:
-///
-///  1. *bound*: points are Projected, rectangles Split; each reducer
-///     computes, per point, the k-th smallest distance among its local
-///     rectangles — an upper bound on the true k-th neighbor distance
-///     (infinite when fewer than k rectangles are local);
-///  2. *probe*: each point is routed to every cell within its bound (all
-///     cells when unbounded), rectangles are Split again; reducers emit
-///     (point, rect, distance) candidates within the bound, deduplicated
-///     with the §5.3 enlarged-intersection owner rule;
-///  3. *merge*: candidates are grouped by point id and the k smallest
-///     (distance, id) pairs survive.
+/// point, find the k rectangles with the smallest Euclidean MBR distance,
+/// MinDistance(rect, point). This is the single-node reference the
+/// distributed knn-mr join (queries/knn_mr.h) is checked against, so it
+/// shares none of its map-reduce, routing or owner-rule code: one R-tree
+/// over `rects`, probed per point with Predicate::Range(r) for a radius r
+/// that starts near the expected k-th distance (from `grid.space()` and
+/// the rectangle density; the grid's cells play no part) and doubles until
+/// the probe holds every rectangle or its k-th smallest distance lies
+/// strictly inside r. A rectangle the probe missed is at distance >= r up
+/// to rounding, so the top k of such a probe are exact.
 ///
 /// Ties beyond position k are cut by rectangle id, making the result
-/// deterministic.
+/// deterministic. Points run in blocks across `ctx.pool`; each writes its
+/// own slot, so the output is the same at any pool size.
 StatusOr<KnnResult> KnnJoin(const GridPartition& grid,
                             std::span<const Point> points,
                             std::span<const Rect> rects, int k,

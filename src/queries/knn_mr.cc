@@ -102,9 +102,9 @@ StatusOr<JoinRunResult> RunKnnJoinMr(
   algo_span.AddArg("rects", static_cast<int64_t>(rects.size()));
   algo_span.AddArg("k", static_cast<int64_t>(k));
 
-  // Like the single-node kNN, bounds are inflated by a space-relative
-  // epsilon so rounding in EnlargeByDistance / the within-distance test
-  // cannot exclude a true k-th neighbor sitting exactly at the bound.
+  // Bounds are inflated by a space-relative epsilon so rounding in
+  // EnlargeByDistance / the within-distance test cannot exclude a true k-th
+  // neighbor sitting exactly at the bound.
   // Inflation only admits extra candidates; the merge ranks by exact
   // distances, so the result stays exact.
   const double radius_epsilon =

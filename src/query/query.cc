@@ -26,28 +26,6 @@ std::string Predicate::ToString() const {
   return StrFormat("Ra(%g)", distance_);
 }
 
-bool Query::IsOverlapOnly() const {
-  return std::all_of(conditions_.begin(), conditions_.end(),
-                     [](const JoinCondition& c) {
-                       return c.predicate.is_overlap();
-                     });
-}
-
-bool Query::IsRangeOnly() const {
-  return std::all_of(conditions_.begin(), conditions_.end(),
-                     [](const JoinCondition& c) {
-                       return c.predicate.is_range();
-                     });
-}
-
-double Query::MaxRangeDistance() const {
-  double d = 0;
-  for (const JoinCondition& c : conditions_) {
-    d = std::max(d, c.predicate.distance());
-  }
-  return d;
-}
-
 bool Query::Matches(const std::vector<Rect>& assignment) const {
   for (const JoinCondition& c : conditions_) {
     if (!c.predicate.Evaluate(assignment[static_cast<size_t>(c.left)],

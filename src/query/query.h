@@ -16,11 +16,6 @@ struct JoinCondition {
   int left;
   int right;
   Predicate predicate;
-
-  /// True when the condition joins relations `a` and `b` in either order.
-  bool Connects(int a, int b) const {
-    return (left == a && right == b) || (left == b && right == a);
-  }
 };
 
 class QueryBuilder;
@@ -48,18 +43,11 @@ class Query {
     return adjacency_[static_cast<size_t>(r)];
   }
 
-  /// True when every predicate is an overlap (the §7 setting).
-  bool IsOverlapOnly() const;
-  /// True when every predicate is a range (the §8 setting).
-  bool IsRangeOnly() const;
   /// True when the join graph is a tree: connected (an invariant) with one
   /// condition fewer than relations, so no cycle and no parallel edge.
   bool IsTree() const {
     return conditions_.size() + 1 == relation_names_.size();
   }
-  /// Largest range distance in the query (0 for overlap-only queries).
-  double MaxRangeDistance() const;
-
   /// Evaluates every condition against a full assignment of rectangles
   /// (one per relation). Used by the reference algorithms and tests.
   bool Matches(const std::vector<Rect>& assignment) const;

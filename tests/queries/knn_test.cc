@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/random.h"
+#include "common/thread_pool.h"
 #include "queries/knn.h"
 
 namespace mwsj {
@@ -73,8 +74,8 @@ INSTANTIATE_TEST_SUITE_P(Sweeps, KnnTest,
                                             ::testing::Range(0, 4)));
 
 TEST(KnnEdgeTest, FewerRectanglesThanK) {
-  // Every cell is under-populated: round 1 produces unbounded radii and
-  // the probe round must still find everything.
+  // Fewer rectangles than k: every probe must grow until it holds them
+  // all.
   const GridPartition grid =
       GridPartition::Create(Rect(0, 0, 100, 100), 4, 4).value();
   const auto points = RandomPoints(30, 9);
@@ -115,7 +116,7 @@ TEST(KnnEdgeTest, InvalidKAndEmptyInputs) {
 TEST(KnnTieBreakTest, DuplicateRectanglesAtIdenticalDistanceTruncateById) {
   // Regression for the deterministic k-truncation contract: four copies of
   // one rectangle sit at the same exact distance and k cuts inside the
-  // tie, so the merge round must keep the lowest rect ids — on every grid
+  // tie, so the cut must keep the lowest rect ids — on every grid
   // geometry, including the single cell.
   const std::vector<Point> points = {{50, 50}};
   const Rect dup = Rect::FromXYLB(60, 57, 2, 2);   // Distance 10 from (50,50).
@@ -154,7 +155,7 @@ TEST(KnnPropertyTest, DuplicatePointsGetIdenticalNeighborLists) {
 TEST(KnnPropertyTest, PointsOnRectangleCornersBreakZeroDistanceTiesById) {
   // A point on the shared corner of four rectangles is at distance zero
   // from all of them; k=2 must keep ids 0 and 1. The corner lies on a
-  // 2x2 cell boundary, stressing the boundary owner rule too.
+  // 2x2 cell boundary.
   const std::vector<Point> points = {{50, 50}, {0, 0}, {100, 100}};
   const std::vector<Rect> rects = {
       Rect(40, 40, 50, 50), Rect(50, 50, 60, 60), Rect(40, 50, 50, 60),
@@ -171,9 +172,9 @@ TEST(KnnPropertyTest, PointsOnRectangleCornersBreakZeroDistanceTiesById) {
 }
 
 TEST(KnnPropertyTest, SparseCornerDataFallsBackToUnboundedProbe) {
-  // All rectangles cluster in one corner, so most cells hold fewer than k
-  // of them and round 1 emits the infinite-bound fallback; those points
-  // must probe every cell and still match the oracle exactly.
+  // All rectangles cluster in one corner, so the first probe radius (set
+  // for uniform density) finds fewer than k of them for most points; those
+  // probes must keep growing and still match the oracle exactly.
   const auto points = RandomPoints(150, 16);
   const auto rects = RandomRects(6, 17, /*space=*/20);  // Corner cluster.
   const GridPartition grid =
@@ -197,20 +198,46 @@ TEST(KnnPropertyTest, KOneBreaksExactTies) {
   EXPECT_EQ(result.value().neighbors[0][0].rect_id, 0);
 }
 
-TEST(KnnStatsTest, BoundedProbeShipsFewerPointsThanUnbounded) {
-  // With dense data the round-1 bound localizes the probe: round-2 point
-  // copies stay far below points x cells.
+TEST(KnnPoolTest, OutputIsIdenticalAtEveryPoolSize) {
+  // Enough points for several blocks, so a 4-thread pool really splits
+  // them; every point writes its own slot, so no pool size may change a
+  // single neighbor list.
+  const auto points = RandomPoints(3000, 22);
+  const auto rects = RandomRects(800, 23);
   const GridPartition grid =
       GridPartition::Create(Rect(0, 0, 100, 100), 4, 4).value();
-  const auto points = RandomPoints(200, 20);
-  const auto rects = RandomRects(2000, 21);
-  const auto result = KnnJoin(grid, points, rects, 3);
-  ASSERT_TRUE(result.ok());
-  ASSERT_EQ(result.value().stats.jobs.size(), 3u);
-  const int64_t probe_records =
-      result.value().stats.jobs[1].intermediate_records;
-  // 200 points x 16 cells would be 3200 point copies alone (plus rects).
-  EXPECT_LT(probe_records, 2000 + 200 * 4);
+  const auto serial = KnnJoin(grid, points, rects, 5);
+  ASSERT_TRUE(serial.ok());
+  EXPECT_EQ(serial.value().neighbors, Reference(points, rects, 5));
+  for (const size_t threads : {1u, 4u}) {
+    ThreadPool pool(threads);
+    const auto pooled =
+        KnnJoin(grid, points, rects, 5, ExecutionContext(&pool));
+    ASSERT_TRUE(pooled.ok());
+    EXPECT_EQ(pooled.value().neighbors, serial.value().neighbors) << threads;
+  }
+}
+
+TEST(KnnGridTest, PointsOutsideTheGridSpaceMatchReference) {
+  // The grid only seeds the first probe radius: points far outside its
+  // space, and grids whose space misses the data entirely, still get the
+  // exact neighbors.
+  auto points = RandomPoints(40, 24);
+  points.push_back(Point{-500, 50});
+  points.push_back(Point{1e6, -1e6});
+  points.push_back(Point{100.5, 100.5});
+  const auto rects = RandomRects(200, 25);
+  for (const Rect& space :
+       {Rect(0, 0, 100, 100), Rect(40, 40, 41, 41),
+        Rect(5000, 5000, 9000, 9000), Rect(7, 7, 7.001, 7.001)}) {
+    const GridPartition grid = GridPartition::Create(space, 3, 3).value();
+    for (const int k : {1, 6}) {
+      const auto result = KnnJoin(grid, points, rects, k);
+      ASSERT_TRUE(result.ok());
+      EXPECT_EQ(result.value().neighbors, Reference(points, rects, k))
+          << space.min_x() << " k=" << k;
+    }
+  }
 }
 
 }  // namespace

@@ -11,22 +11,19 @@ TEST(ParserTest, ParsesPaperQ2) {
   const auto q = ParseQuery("R1 OV R2 AND R2 OV R3");
   ASSERT_TRUE(q.ok()) << q.status().ToString();
   EXPECT_EQ(q.value().num_relations(), 3);
-  EXPECT_TRUE(q.value().IsOverlapOnly());
   EXPECT_EQ(q.value().ToString(), "R1 Ov R2 AND R2 Ov R3");
 }
 
 TEST(ParserTest, ParsesPaperQ3WithDistances) {
   const auto q = ParseQuery("R1 RA(100) R2 AND R2 RA(100) R3");
   ASSERT_TRUE(q.ok());
-  EXPECT_TRUE(q.value().IsRangeOnly());
-  EXPECT_DOUBLE_EQ(q.value().MaxRangeDistance(), 100);
+  EXPECT_EQ(q.value().ToString(), "R1 Ra(100) R2 AND R2 Ra(100) R3");
 }
 
 TEST(ParserTest, ParsesPaperQ4Hybrid) {
   const auto q = ParseQuery("R1 OV R2 AND R2 RA(200) R3");
   ASSERT_TRUE(q.ok());
-  EXPECT_FALSE(q.value().IsOverlapOnly());
-  EXPECT_FALSE(q.value().IsRangeOnly());
+  EXPECT_EQ(q.value().ToString(), "R1 Ov R2 AND R2 Ra(200) R3");
 }
 
 TEST(ParserTest, KeywordsAreCaseInsensitiveAndAliased) {

@@ -40,9 +40,6 @@ TEST(QueryBuilderTest, BuildsValidChain) {
   EXPECT_EQ(q.value().num_relations(), 3);
   EXPECT_EQ(q.value().conditions().size(), 2u);
   EXPECT_EQ(q.value().ToString(), "city Ov forest AND forest Ra(100) river");
-  EXPECT_FALSE(q.value().IsOverlapOnly());
-  EXPECT_FALSE(q.value().IsRangeOnly());
-  EXPECT_DOUBLE_EQ(q.value().MaxRangeDistance(), 100);
 }
 
 TEST(QueryBuilderTest, RejectsTooFewRelations) {
@@ -104,9 +101,6 @@ TEST(QueryTest, AdjacencyListsConditionIndices) {
   EXPECT_EQ(q.ConditionsOf(0), (std::vector<int>{0}));
   EXPECT_EQ(q.ConditionsOf(1), (std::vector<int>{0, 1}));
   EXPECT_EQ(q.ConditionsOf(2), (std::vector<int>{1}));
-  EXPECT_TRUE(q.conditions()[0].Connects(0, 1));
-  EXPECT_TRUE(q.conditions()[0].Connects(1, 0));
-  EXPECT_FALSE(q.conditions()[0].Connects(0, 2));
 }
 
 TEST(QueryTest, MatchesEvaluatesFullAssignments) {
@@ -122,11 +116,15 @@ TEST(QueryTest, MatchesEvaluatesFullAssignments) {
 
 TEST(QueryTest, MakeChainQueryShapes) {
   const Query q2 = MakeChainQuery(3, Predicate::Overlap()).value();
-  EXPECT_TRUE(q2.IsOverlapOnly());
   EXPECT_EQ(q2.conditions().size(), 2u);
+  for (const JoinCondition& c : q2.conditions()) {
+    EXPECT_TRUE(c.predicate.is_overlap());
+  }
   const Query q3 = MakeChainQuery(4, Predicate::Range(100)).value();
-  EXPECT_TRUE(q3.IsRangeOnly());
   EXPECT_EQ(q3.conditions().size(), 3u);
+  for (const JoinCondition& c : q3.conditions()) {
+    EXPECT_DOUBLE_EQ(c.predicate.distance(), 100);
+  }
   EXPECT_FALSE(MakeChainQuery(1, Predicate::Overlap()).ok());
 }
 

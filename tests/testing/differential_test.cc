@@ -1,12 +1,12 @@
 // Differential suite for the distributed kNN join: 100+ randomized worlds
 // (50 serial + 50 pooled) run through the generic harness
 // (testing/differential.h), each pinned simultaneously against the scalar
-// brute-force oracle, the single-node KnnJoin, and a fault-free in-memory
-// baseline while the variant run sweeps every perturbation axis at once —
-// seeded fault plans (crash / flaky-I/O / straggler, including spill-flush
-// faults), shuffle budgets from pinned-in-memory down to 1 byte, grid
-// geometries from a single reducer to 4x4, and every SIMD ISA the host
-// supports. Byte-identity everywhere is the tentpole contract of
+// brute-force oracle, the single-node R-tree KnnJoin, and a fault-free
+// in-memory baseline while the variant run sweeps every perturbation axis
+// at once — seeded fault plans (crash / flaky-I/O / straggler, including
+// spill-flush faults), shuffle budgets from pinned-in-memory down to 1
+// byte, grid geometries from a single reducer to 4x4, and every SIMD ISA
+// the host supports. Byte-identity everywhere is the tentpole contract of
 // queries/knn_mr.h.
 //
 // MWSJ_CHAOS_SEED_BASE (env, default 0) shifts every world and fault seed,
@@ -97,8 +97,9 @@ TEST_P(KnnMrChaosTest, DifferentialWorldsStayByteIdentical) {
     runner.grid_cols = grid[1];
     runner.space = Rect(0, 0, config.space_size, config.space_size);
 
-    // Second pin: the single-node KnnJoin over the same grid must already
-    // agree with the oracle in knn-mr's encoding.
+    // Second pin: the single-node R-tree KnnJoin, which shares no engine
+    // or routing code with knn-mr, must already agree with the oracle in
+    // knn-mr's encoding.
     const TupleBlock oracle = KnnOracleTuples(data[0], data[1], k);
     ASSERT_EQ(KnnSingleNodeTuples(data[0], data[1], k, *runner.space, grid[0],
                                   grid[1]),

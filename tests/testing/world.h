@@ -71,8 +71,9 @@ std::vector<std::vector<Rect>> MakeKnnWorldData(const KnnWorldConfig& config);
 TupleBlock KnnOracleTuples(const std::vector<Rect>& points,
                            const std::vector<Rect>& rects, int k);
 
-/// The single-node KnnJoin (queries/knn.h) over an explicit grid,
-/// re-encoded the same way — the second pin of the differential suite.
+/// The single-node R-tree KnnJoin (queries/knn.h), re-encoded the same
+/// way — the second pin of the differential suite. Only the grid's space
+/// reaches KnnJoin, where it seeds the first probe radius.
 TupleBlock KnnSingleNodeTuples(const std::vector<Rect>& points,
                                const std::vector<Rect>& rects, int k,
                                const Rect& space, int rows, int cols);

@@ -246,7 +246,12 @@ int main(int argc, char** argv) {
     relations.push_back(std::move(data).value());
   }
 
-  if (estimate) {
+  if (estimate && knn_mr) {
+    // The histogram estimate counts predicate matches; a kNN join always
+    // returns min(k, rects) rows per point.
+    std::printf("estimated output cardinality: skipped (not a predicate "
+                "join)\n");
+  } else if (estimate) {
     // Pre-run cardinality estimate from grid histograms over samples.
     const mwsj::Rect space = mwsj::ComputeBoundingSpace(relations);
     const auto grid = mwsj::GridPartition::Create(space, options.grid_rows,
@@ -384,7 +389,9 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  if (verify && !options.count_only) {
+  if (verify && options.count_only) {
+    std::printf("verification: skipped (--count-only keeps no tuples)\n");
+  } else if (verify) {
     if (knn_mr) {
       // VerifyJoinResult checks multiway join predicates; knn-mr tuples are
       // {point, rank, rect} and are pinned by the differential test suite.

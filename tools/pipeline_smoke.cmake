@@ -6,7 +6,9 @@
 #   in-memory one must also report its reducers' reach prune), the exact
 #   catalog totals of three concurrent identical submissions, a 2-way
 #   Ra(0.1) pair beside a large diagonal that every algorithm (C-Rep-L's
-#   f2 bound included) must find, malformed numeric flags of both tools
+#   f2 bound included) must find, a knn-mr run (plain, and three
+#   concurrent submissions), the skip lines of --estimate and --verify
+#   where they do not apply, malformed numeric flags of both tools
 #   that must be rejected with exit code 2, and a grid too large to number
 #   its cells, which must be refused.
 # Invoked with -DDATAGEN=<path> -DJOIN=<path> -DWORKDIR=<dir>.
@@ -26,6 +28,11 @@ run_checked(${DATAGEN} --kind synthetic --n 3000 --seed 1 --space 4000
 run_checked(${DATAGEN} --kind synthetic --n 3000 --seed 2 --space 4000
             --lmax 60 --bmax 60 --out ${WORKDIR}/b.bin)
 run_checked(${DATAGEN} --kind california --n 2000 --out ${WORKDIR}/roads.csv)
+# kNN inputs: 300 query points (degenerate rectangles) and 500 rectangles.
+run_checked(${DATAGEN} --kind synthetic --n 300 --seed 3 --space 1000
+            --lmax 0 --bmax 0 --out ${WORKDIR}/points.csv)
+run_checked(${DATAGEN} --kind synthetic --n 500 --seed 4 --space 1000
+            --lmax 30 --bmax 30 --out ${WORKDIR}/sites.csv)
 
 run_checked(${JOIN} --query "A OV B AND B RA(40) A2" --input A=${WORKDIR}/a.csv
             --input B=${WORKDIR}/b.bin --input A2=${WORKDIR}/a.csv
@@ -148,17 +155,51 @@ foreach(field spilled_runs flush_retries)
   endif()
 endforeach()
 
+# The distributed kNN join through the CLI: k = 3 rows per point, in the
+# {point, rank, rect} encoding. It is no predicate join, so --estimate and
+# --verify must each say they skipped rather than print a number or
+# nothing.
+execute_process(COMMAND ${JOIN} --query "P OV R" --input P=${WORKDIR}/points.csv
+                --input R=${WORKDIR}/sites.csv --algorithm knn-mr --k 3
+                --grid 4x4 --estimate --verify --output ${WORKDIR}/knn.csv
+                OUTPUT_VARIABLE knn_out RESULT_VARIABLE code)
+if(NOT code EQUAL 0)
+  message(FATAL_ERROR "mwsj_join --algorithm knn-mr exited ${code}: "
+                      "${knn_out}")
+endif()
+foreach(needle "estimated output cardinality: skipped (not a predicate join)"
+        "verification: skipped (not a predicate join)" "output tuples: 900\n")
+  string(FIND "${knn_out}" "${needle}" pos)
+  if(pos EQUAL -1)
+    message(FATAL_ERROR "mwsj_join --algorithm knn-mr: expected "
+                        "'${needle}'\n${knn_out}")
+  endif()
+endforeach()
+file(STRINGS ${WORKDIR}/knn.csv knn_lines)
+list(LENGTH knn_lines knn_line_count)
+list(GET knn_lines 0 knn_header)
+if(NOT knn_header STREQUAL "point,rank,rect" OR NOT knn_line_count EQUAL 901)
+  message(FATAL_ERROR "knn.csv: header '${knn_header}', ${knn_line_count} "
+                      "lines; expected 'point,rank,rect' and 900 rows")
+endif()
+
 # Three identical submissions in flight at once build each catalog artifact
 # once: the other two jobs wait for the builder and hit. M distinct keys
-# (bundle, grid and, for C-Rep, the round-1 marking) give exactly M misses
-# and 2 x M hits, however the jobs interleave.
-foreach(case "crep;6 hits, 3 misses" "allrep;4 hits, 2 misses")
+# (bundle, grid and, for C-Rep, the round-1 marking; for knn-mr, the cell
+# bounds) give exactly M misses and 2 x M hits, however the jobs
+# interleave. The per-job split varies with timing; only totals are fixed.
+set(join_args --query "A OV B AND B RA(40) A2" --input A=${WORKDIR}/a.csv
+    --input B=${WORKDIR}/b.bin --input A2=${WORKDIR}/a.csv --count-only)
+set(knn_args --query "P OV R" --input P=${WORKDIR}/points.csv
+    --input R=${WORKDIR}/sites.csv --k 3)
+foreach(case "crep;6 hits, 3 misses;join_args"
+        "allrep;4 hits, 2 misses;join_args"
+        "knn-mr;6 hits, 3 misses;knn_args")
   list(GET case 0 algorithm)
   list(GET case 1 totals)
-  execute_process(COMMAND ${JOIN} --query "A OV B AND B RA(40) A2"
-                  --input A=${WORKDIR}/a.csv --input B=${WORKDIR}/b.bin
-                  --input A2=${WORKDIR}/a.csv --algorithm ${algorithm}
-                  --grid 4x4 --threads 2 --jobs 3 --count-only
+  list(GET case 2 args)
+  execute_process(COMMAND ${JOIN} ${${args}} --algorithm ${algorithm}
+                  --grid 4x4 --threads 2 --jobs 3
                   OUTPUT_VARIABLE jobs_out RESULT_VARIABLE code)
   if(NOT code EQUAL 0)
     message(FATAL_ERROR "mwsj_join --jobs 3 --algorithm ${algorithm} "
@@ -200,12 +241,20 @@ if(PYTHON3)
 endif()
 
 # Cross-check: brute force must report the same tuple count.
+# A count-only run keeps no tuples to verify: --verify must say it skipped.
 execute_process(COMMAND ${JOIN} --query "A OV B AND B RA(40) A2"
                 --input A=${WORKDIR}/a.csv --input B=${WORKDIR}/b.bin
                 --input A2=${WORKDIR}/a.csv --algorithm brute --count-only
+                --verify
                 OUTPUT_VARIABLE brute_out RESULT_VARIABLE code)
 if(NOT code EQUAL 0)
   message(FATAL_ERROR "brute-force run failed")
+endif()
+string(FIND "${brute_out}"
+       "verification: skipped (--count-only keeps no tuples)" pos)
+if(pos EQUAL -1)
+  message(FATAL_ERROR "--verify --count-only printed no skip line: "
+                      "${brute_out}")
 endif()
 string(REGEX MATCH "output tuples: ([0-9]+)" _ ${brute_out})
 set(brute_count ${CMAKE_MATCH_1})
