@@ -104,6 +104,8 @@ void BM_ShuffleHeavyFanout(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 100'000 * 16);
 }
 BENCHMARK(BM_ShuffleHeavyFanout)->Arg(0)->Arg(2)->Arg(4)
+    ->MeasureProcessCPUTime()
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 void BM_EngineTracingOverhead(benchmark::State& state) {

@@ -86,6 +86,8 @@ BENCHMARK(BM_KnnJoinMR)
     ->Args({1'000'000, 1})
     ->Args({1'000'000, 10})
     ->Args({1'000'000, 100})
+    ->MeasureProcessCPUTime()
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 void BM_KnnJoinSingleNode(benchmark::State& state) {
@@ -119,6 +121,8 @@ BENCHMARK(BM_KnnJoinSingleNode)
     ->Args({1'000'000, 1})
     ->Args({1'000'000, 10})
     ->Args({1'000'000, 100})
+    ->MeasureProcessCPUTime()
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -1,5 +1,8 @@
-// Micro-benchmark for the C-Rep round-1 marking oracle (conditions C1-C3),
-// the novel per-reducer computation the framework introduces.
+// Micro-benchmark for the C-Rep round-1 marking decision (conditions
+// C1-C3), the novel per-reducer computation the framework introduces: one
+// multiway local join per connected proper relation subset over its
+// members' C2-eligible rectangles (MarkRectanglesForCell). The benchmark
+// names keep their historical "Oracle" prefix so results stay comparable.
 
 #include <benchmark/benchmark.h>
 

@@ -5,7 +5,6 @@
 #include <memory>
 #include <optional>
 #include <span>
-#include <unordered_map>
 #include <utility>
 
 #include "common/stopwatch.h"
@@ -13,7 +12,6 @@
 #include "core/all_replicate.h"
 #include "core/dedup.h"
 #include "localjoin/multiway.h"
-#include "localjoin/rtree.h"
 #include "mapreduce/engine.h"
 #include "query/bounds.h"
 
@@ -43,256 +41,156 @@ double ForeignCellDistance(const GridPartition& grid, CellId cell,
   return best;
 }
 
-// Evaluates the witness-set search of conditions C1-C3 for one cell.
-class MarkingOracle {
- public:
-  MarkingOracle(const Query& query, const GridPartition& grid, CellId cell,
-                const std::vector<std::vector<LocalRect>>& rects)
-      : query_(query),
-        grid_(grid),
-        cell_(cell),
-        cell_rect_(grid.CellRect(cell)),
-        rects_(rects) {
-    const size_t m = static_cast<size_t>(query.num_relations());
-    crossing_.resize(m);
-    foreign_dist_.resize(m);
-    trees_.resize(m);
-    candidate_buffers_.resize(m);
-    for (size_t r = 0; r < m; ++r) {
-      const auto& list = rects_[r];
-      crossing_[r].resize(list.size());
-      foreign_dist_[r].resize(list.size());
-      std::vector<Rect> geo;
-      geo.reserve(list.size());
-      for (size_t i = 0; i < list.size(); ++i) {
-        // A rectangle contained in the closed cell cannot meet any
-        // rectangle that is disjoint from the closed cell, so "crosses the
-        // boundary" is implemented as "not contained in the closed cell" —
-        // equivalent to the paper's condition for every configuration that
-        // can produce output, and never replicating more.
-        crossing_[r][i] = !cell_rect_.Contains(list[i].rect);
-        foreign_dist_[r][i] =
-            ForeignCellDistance(grid_, cell_, cell_rect_, list[i].rect);
-        geo.push_back(list[i].rect);
-      }
-      trees_[r] = std::make_unique<RTree>(geo);
-    }
-  }
-
-  /// True when some rectangle-set containing rects_[rel][idx] satisfies
-  /// C1-C3 at this cell.
-  bool IsMarked(int rel, size_t idx) {
-    const int m = query_.num_relations();
-    const uint32_t full = (1u << m) - 1;
-    // Subsets containing `rel`, excluding the full set (C3 would fail: a
-    // connected graph leaves no inside/outside condition).
-    for (uint32_t subset = 1; subset < full; ++subset) {
-      if ((subset & (1u << rel)) == 0) continue;
-      if (WitnessInSubset(subset, rel, idx)) return true;
-    }
-    return false;
-  }
-
- private:
-  // Per-subset facts, computed once per cell and shared across every
-  // marking decision at that cell: the C2 boundary requirements of each
-  // subset relation, and the indices of its C2-eligible rectangles.
-  struct SubsetInfo {
-    // Indexed by relation; empty vectors for relations outside the subset.
-    std::vector<std::vector<const Predicate*>> requirements;
-    std::vector<std::vector<int32_t>> eligible;
-  };
-
-  const SubsetInfo& GetSubsetInfo(uint32_t subset) {
-    auto it = subset_cache_.find(subset);
-    if (it != subset_cache_.end()) return it->second;
-    SubsetInfo info;
-    const size_t m = static_cast<size_t>(query_.num_relations());
-    info.requirements.resize(m);
-    info.eligible.resize(m);
-    for (int r = 0; r < static_cast<int>(m); ++r) {
-      if ((subset & (1u << r)) == 0) continue;
-      for (int ci : query_.ConditionsOf(r)) {
-        const JoinCondition& c = query_.conditions()[static_cast<size_t>(ci)];
-        const int other = (c.left == r) ? c.right : c.left;
-        if ((subset & (1u << other)) == 0) {
-          info.requirements[static_cast<size_t>(r)].push_back(&c.predicate);
-        }
-      }
-      const auto& reqs = info.requirements[static_cast<size_t>(r)];
-      auto& elig = info.eligible[static_cast<size_t>(r)];
-      for (size_t i = 0; i < rects_[static_cast<size_t>(r)].size(); ++i) {
-        if (Eligible(r, i, reqs)) elig.push_back(static_cast<int32_t>(i));
-      }
-    }
-    return subset_cache_.emplace(subset, std::move(info)).first->second;
-  }
-
-  // C2 eligibility of rects_[r][i] under the given boundary requirements.
-  bool Eligible(int r, size_t i,
-                const std::vector<const Predicate*>& requirements) const {
-    for (const Predicate* p : requirements) {
-      if (p->is_overlap()) {
-        if (!crossing_[static_cast<size_t>(r)][i]) return false;
-      } else {
-        if (!(foreign_dist_[static_cast<size_t>(r)][i] <= p->distance())) {
-          return false;
-        }
-      }
-    }
-    return true;
-  }
-
-  // Induced conditions of `subset` with both endpoints assigned are
-  // checked as relations bind. Returns true when a full eligible,
-  // consistent assignment over the subset's relations exists with
-  // rects_[fixed_rel][fixed_idx] pinned.
-  bool WitnessInSubset(uint32_t subset, int fixed_rel, size_t fixed_idx) {
-    // Relations of the subset, fixed relation first; remaining relations
-    // ordered so each is probed through an induced condition to an
-    // already-ordered relation when one exists (disconnected induced
-    // components fall back to full scans).
-    std::vector<int> members;
-    members.push_back(fixed_rel);
-    for (int r = 0; r < query_.num_relations(); ++r) {
-      if (r != fixed_rel && (subset & (1u << r))) members.push_back(r);
-    }
-    // Greedy ordering by connectivity.
-    for (size_t k = 1; k < members.size(); ++k) {
-      size_t pick = k;
-      for (size_t j = k; j < members.size(); ++j) {
-        bool connected = false;
-        for (int ci : query_.ConditionsOf(members[j])) {
-          const JoinCondition& c =
-              query_.conditions()[static_cast<size_t>(ci)];
-          const int other = (c.left == members[j]) ? c.right : c.left;
-          if ((subset & (1u << other)) == 0) continue;
-          for (size_t t = 0; t < k; ++t) {
-            if (members[t] == other) connected = true;
-          }
-        }
-        if (connected) {
-          pick = j;
-          break;
-        }
-      }
-      std::swap(members[k], members[pick]);
-    }
-
-    const SubsetInfo& info = GetSubsetInfo(subset);
-    if (!Eligible(fixed_rel, fixed_idx,
-                  info.requirements[static_cast<size_t>(fixed_rel)])) {
-      return false;
-    }
-
-    std::vector<int64_t> assigned(static_cast<size_t>(query_.num_relations()),
-                                  -1);
-    assigned[static_cast<size_t>(fixed_rel)] =
-        static_cast<int64_t>(fixed_idx);
-    return Bind(subset, members, info, 1, assigned);
-  }
-
-  bool ConsistentWithAssigned(uint32_t subset, int r, size_t i,
-                              const std::vector<int64_t>& assigned) const {
-    const Rect& rect = rects_[static_cast<size_t>(r)][i].rect;
-    for (int ci : query_.ConditionsOf(r)) {
-      const JoinCondition& c = query_.conditions()[static_cast<size_t>(ci)];
-      const int other = (c.left == r) ? c.right : c.left;
-      if ((subset & (1u << other)) == 0) continue;
-      const int64_t oi = assigned[static_cast<size_t>(other)];
-      if (oi < 0) continue;
-      const Rect& other_rect =
-          rects_[static_cast<size_t>(other)][static_cast<size_t>(oi)].rect;
-      if (!c.predicate.Evaluate(rect, other_rect)) return false;
-    }
-    return true;
-  }
-
-  bool Bind(uint32_t subset, const std::vector<int>& members,
-            const SubsetInfo& info, size_t depth,
-            std::vector<int64_t>& assigned) {
-    if (depth == members.size()) return true;
-    const int r = members[depth];
-
-    // Probe through an induced condition to an assigned relation if any.
-    const JoinCondition* anchor = nullptr;
-    const Rect* anchor_rect = nullptr;
-    for (int ci : query_.ConditionsOf(r)) {
-      const JoinCondition& c = query_.conditions()[static_cast<size_t>(ci)];
-      const int other = (c.left == r) ? c.right : c.left;
-      if ((subset & (1u << other)) == 0) continue;
-      const int64_t oi = assigned[static_cast<size_t>(other)];
-      if (oi < 0) continue;
-      anchor = &c;
-      anchor_rect =
-          &rects_[static_cast<size_t>(other)][static_cast<size_t>(oi)].rect;
-      break;
-    }
-
-    auto try_index = [&](size_t i) {
-      if (!Eligible(r, i, info.requirements[static_cast<size_t>(r)])) {
-        return false;
-      }
-      if (!ConsistentWithAssigned(subset, r, i, assigned)) return false;
-      assigned[static_cast<size_t>(r)] = static_cast<int64_t>(i);
-      const bool found = Bind(subset, members, info, depth + 1, assigned);
-      assigned[static_cast<size_t>(r)] = -1;
-      return found;
-    };
-
-    if (anchor != nullptr) {
-      // Per-depth candidate buffer: the recursion below re-enters Bind, so
-      // a single shared list would be clobbered mid-iteration.
-      std::vector<int32_t>& candidates = candidate_buffers_[depth];
-      candidates.clear();
-      const RTree& tree = *trees_[static_cast<size_t>(r)];
-      tree.Collect(anchor->predicate, *anchor_rect, &rtree_scratch_,
-                   &candidates);
-      for (int32_t i : candidates) {
-        if (try_index(static_cast<size_t>(i))) return true;
-      }
-      return false;
-    }
-    // No assigned neighbor: scan only the subset-eligible rectangles (for
-    // induced components disconnected from the fixed relation, the first
-    // eligible rectangle typically succeeds immediately).
-    for (int32_t i : info.eligible[static_cast<size_t>(r)]) {
-      if (try_index(static_cast<size_t>(i))) return true;
-    }
-    return false;
-  }
-
-  const Query& query_;
-  const GridPartition& grid_;
-  const CellId cell_;
-  const Rect cell_rect_;
-  const std::vector<std::vector<LocalRect>>& rects_;
-  std::vector<std::vector<char>> crossing_;
-  std::vector<std::vector<double>> foreign_dist_;
-  std::vector<std::unique_ptr<RTree>> trees_;
-  std::unordered_map<uint32_t, SubsetInfo> subset_cache_;
-  // Probe state reused across every marking decision at this cell. The
-  // traversal stack is shared by all depths (a probe completes before the
-  // recursion descends); candidate lists are per-depth.
-  RTree::QueryScratch rtree_scratch_;
-  std::vector<std::vector<int32_t>> candidate_buffers_;
+// One connected proper subset S of the query's relations. A rectangle u
+// is marked iff some rectangle-set over a relation subset S containing
+// rel(u) satisfies C1-C3, and only connected subsets need checking: the
+// part of a witness in the induced component S' holding u is a witness
+// over S' (each relation of S' keeps exactly its conditions leaving S, so
+// its C2 requirements are unchanged, and S' is proper, so C3 holds). Every
+// proper subset of the connected join graph has a leaving condition (C3).
+struct MarkingSubset {
+  // Query relations of S in ascending order; member k is relation k of
+  // `induced`.
+  std::vector<int> members;
+  // The conditions with both ends in S, renumbered (unset when S is a
+  // single relation, which has no condition).
+  std::optional<Query> induced;
+  // Per member: the predicates of its conditions leaving S (C2).
+  std::vector<std::vector<Predicate>> requirements;
 };
+
+// Every connected proper subset of the query's relations, with its induced
+// subquery and C2 requirements. Depends on the query alone.
+std::vector<MarkingSubset> MarkingSubsets(const Query& query) {
+  const int m = query.num_relations();
+  std::vector<uint32_t> neighbors(static_cast<size_t>(m), 0);
+  for (const JoinCondition& c : query.conditions()) {
+    neighbors[static_cast<size_t>(c.left)] |= 1u << c.right;
+    neighbors[static_cast<size_t>(c.right)] |= 1u << c.left;
+  }
+  std::vector<MarkingSubset> subsets;
+  const uint32_t full = (1u << m) - 1;
+  for (uint32_t subset = 1; subset < full; ++subset) {
+    // Grow the component of the lowest member within the subset.
+    uint32_t reached = subset & (~subset + 1);
+    for (uint32_t grown = 0; grown != reached;) {
+      grown = reached;
+      for (int r = 0; r < m; ++r) {
+        if (grown & (1u << r)) reached |= neighbors[static_cast<size_t>(r)];
+      }
+      reached &= subset;
+    }
+    if (reached != subset) continue;
+
+    MarkingSubset s;
+    std::vector<int> local(static_cast<size_t>(m), -1);
+    QueryBuilder builder;
+    for (int r = 0; r < m; ++r) {
+      if ((subset & (1u << r)) == 0) continue;
+      local[static_cast<size_t>(r)] = static_cast<int>(s.members.size());
+      s.members.push_back(r);
+      builder.AddRelation(query.relation_names()[static_cast<size_t>(r)]);
+    }
+    s.requirements.resize(s.members.size());
+    for (const JoinCondition& c : query.conditions()) {
+      const int left = local[static_cast<size_t>(c.left)];
+      const int right = local[static_cast<size_t>(c.right)];
+      if (left >= 0 && right >= 0) {
+        builder.AddCondition(left, right, c.predicate);
+      } else if (left >= 0 || right >= 0) {
+        // The condition leaves S from its member end.
+        s.requirements[static_cast<size_t>(left >= 0 ? left : right)]
+            .push_back(c.predicate);
+      }
+    }
+    if (s.members.size() > 1) s.induced = builder.Build().value();
+    subsets.push_back(std::move(s));
+  }
+  return subsets;
+}
+
+// The marking decision of one cell over the given subsets (see
+// MarkRectanglesForCell).
+std::vector<std::vector<char>> MarkCell(
+    const std::vector<MarkingSubset>& subsets, const GridPartition& grid,
+    CellId cell, const std::vector<std::vector<LocalRect>>& cell_rects) {
+  const Rect cell_rect = grid.CellRect(cell);
+  const size_t m = cell_rects.size();
+  std::vector<std::vector<char>> marked(m);
+  std::vector<std::vector<char>> crossing(m);
+  std::vector<std::vector<double>> foreign_dist(m);
+  for (size_t r = 0; r < m; ++r) {
+    marked[r].assign(cell_rects[r].size(), 0);
+    for (const LocalRect& u : cell_rects[r]) {
+      // A rectangle contained in the closed cell cannot meet any rectangle
+      // that is disjoint from the closed cell, so "crosses the boundary" is
+      // implemented as "not contained in the closed cell" — equivalent to
+      // the paper's condition for every configuration that can produce
+      // output, and never replicating more.
+      crossing[r].push_back(cell_rect.Contains(u.rect) ? 0 : 1);
+      foreign_dist[r].push_back(
+          ForeignCellDistance(grid, cell, cell_rect, u.rect));
+    }
+  }
+
+  // Per subset: each member's C2-eligible rectangles, tagged with their
+  // index in cell_rects; then mark every member of every assignment the
+  // induced subquery's local join finds over them.
+  std::vector<std::vector<LocalRect>> eligible;
+  std::vector<std::span<const LocalRect>> spans;
+  for (const MarkingSubset& s : subsets) {
+    eligible.resize(s.members.size());
+    spans.clear();
+    for (size_t k = 0; k < s.members.size(); ++k) {
+      const size_t r = static_cast<size_t>(s.members[k]);
+      eligible[k].clear();
+      for (size_t i = 0; i < cell_rects[r].size(); ++i) {
+        const bool ok = std::all_of(
+            s.requirements[k].begin(), s.requirements[k].end(),
+            [&](const Predicate& p) {
+              return p.is_overlap() ? crossing[r][i] != 0
+                                    : foreign_dist[r][i] <= p.distance();
+            });
+        if (ok) {
+          eligible[k].push_back(
+              LocalRect{cell_rects[r][i].rect, static_cast<int64_t>(i)});
+        }
+      }
+      if (eligible[k].empty()) break;  // No assignment over S exists.
+      spans.emplace_back(eligible[k].data(), eligible[k].size());
+    }
+    if (spans.size() < s.members.size()) continue;
+    if (!s.induced.has_value()) {
+      for (const LocalRect& u : eligible[0]) {
+        marked[static_cast<size_t>(s.members[0])][static_cast<size_t>(u.id)] =
+            1;
+      }
+      continue;
+    }
+    MultiwayLocalJoin(*s.induced, spans)
+        .Execute([&](const std::vector<const LocalRect*>& assignment) {
+          for (size_t k = 0; k < assignment.size(); ++k) {
+            marked[static_cast<size_t>(s.members[k])]
+                  [static_cast<size_t>(assignment[k]->id)] = 1;
+          }
+        });
+  }
+
+  // Only the rectangles starting in the cell are decided here.
+  for (size_t r = 0; r < m; ++r) {
+    for (size_t i = 0; i < cell_rects[r].size(); ++i) {
+      if (grid.CellOfRect(cell_rects[r][i].rect) != cell) marked[r][i] = 0;
+    }
+  }
+  return marked;
+}
 
 }  // namespace
 
 std::vector<std::vector<char>> MarkRectanglesForCell(
     const Query& query, const GridPartition& grid, CellId cell,
     const std::vector<std::vector<LocalRect>>& cell_rects) {
-  MarkingOracle oracle(query, grid, cell, cell_rects);
-  std::vector<std::vector<char>> marked(cell_rects.size());
-  for (size_t r = 0; r < cell_rects.size(); ++r) {
-    marked[r].assign(cell_rects[r].size(), 0);
-    for (size_t i = 0; i < cell_rects[r].size(); ++i) {
-      if (grid.CellOfRect(cell_rects[r][i].rect) != cell) continue;
-      marked[r][i] = oracle.IsMarked(static_cast<int>(r), i) ? 1 : 0;
-    }
-  }
-  return marked;
+  return MarkCell(MarkingSubsets(query), grid, cell, cell_rects);
 }
 
 // ---------------------------------------------------------------------------
@@ -524,6 +422,57 @@ void RunJoinRound(const Query& query, const GridPartition& grid,
   algo_span.AddArg("output_tuples", result->num_tuples);
 }
 
+// Round 1: split everything; each reducer marks the rectangles that start
+// in its cell and must be replicated, and emits every such rectangle once.
+// The marking subsets are listed once here, for every reducer of the job.
+// Appends the job's stats to `result`.
+std::vector<MarkedRect> RunMarkingRound(
+    const Query& query, const GridPartition& grid,
+    const std::vector<std::vector<Rect>>& relations,
+    const ExecutionContext& ctx, TraceSpan& round_span,
+    JoinRunResult* result) {
+  const size_t m = static_cast<size_t>(query.num_relations());
+  const std::vector<MarkingSubset> subsets = MarkingSubsets(query);
+  using Round1 = MapReduceJob<RelRect, CellId, RelRect, MarkedRect>;
+  Round1 round1("crep_round1_mark", grid.num_cells());
+  round1.set_partition([](const CellId& c) { return static_cast<int>(c); });
+  round1.set_map([&grid](const RelRect& r, Round1::Emitter& emit) {
+    std::vector<CellId> cells;
+    SplitCells(grid, r.rect, &cells);
+    for (CellId c : cells) emit.Emit(c, r);
+  });
+  round1.set_reduce([&grid, &subsets, m](const CellId& cell,
+                                         std::span<const RelRect> values,
+                                         Round1::OutEmitter& out) {
+    std::vector<std::vector<LocalRect>> per_relation(m);
+    for (const RelRect& v : values) {
+      per_relation[static_cast<size_t>(v.relation)].push_back(
+          LocalRect{v.rect, v.id});
+    }
+    const std::vector<std::vector<char>> marked =
+        MarkCell(subsets, grid, cell, per_relation);
+    // Emit each rectangle exactly once, from its start cell. `values` was
+    // bucketed in order, so a per-relation cursor is each record's
+    // position in its relation's list.
+    std::vector<size_t> cursor(m, 0);
+    for (const RelRect& v : values) {
+      const size_t r = static_cast<size_t>(v.relation);
+      const size_t i = cursor[r]++;
+      if (grid.CellOfRect(v.rect) != cell) continue;
+      out.Emit(MarkedRect{v.rect, v.id, v.relation, marked[r][i] != 0});
+    }
+  });
+
+  const std::vector<RelRect> input = FlattenRelations<RelRect>(relations);
+  std::vector<MarkedRect> marked_rects;
+  JobStats stats =
+      round1.Run(std::span<const RelRect>(input), &marked_rects, ctx);
+  // The map splits every input record exactly once.
+  round_span.AddArg("split_calls", stats.map_input_records);
+  result->stats.Add(std::move(stats));
+  return marked_rects;
+}
+
 }  // namespace
 
 StatusOr<JoinRunResult> ControlledReplicateJoin(
@@ -569,39 +518,8 @@ StatusOr<JoinRunResult> ControlledReplicateJoin(
   }
 
   // -------------------------------------------------------------------
-  // Round 1: split everything; reducers mark the rectangles that start in
-  // their cell and must be replicated.
+  // Round 1: split and mark (RunMarkingRound).
   // -------------------------------------------------------------------
-  using Round1 = MapReduceJob<RelRect, CellId, RelRect, MarkedRect>;
-  Round1 round1("crep_round1_mark", grid.num_cells());
-  round1.set_partition([](const CellId& c) { return static_cast<int>(c); });
-  round1.set_map([&grid](const RelRect& r, Round1::Emitter& emit) {
-    std::vector<CellId> cells;
-    SplitCells(grid, r.rect, &cells);
-    for (CellId c : cells) emit.Emit(c, r);
-  });
-  round1.set_reduce([&grid, &query, m](const CellId& cell,
-                                       std::span<const RelRect> values,
-                                       Round1::OutEmitter& out) {
-    std::vector<std::vector<LocalRect>> per_relation(static_cast<size_t>(m));
-    for (const RelRect& v : values) {
-      per_relation[static_cast<size_t>(v.relation)].push_back(
-          LocalRect{v.rect, v.id});
-    }
-    const std::vector<std::vector<char>> marked =
-        MarkRectanglesForCell(query, grid, cell, per_relation);
-    // Emit each rectangle exactly once, from its start cell. `values` was
-    // bucketed in order, so a per-relation cursor is each record's
-    // position in its relation's list.
-    std::vector<size_t> cursor(static_cast<size_t>(m), 0);
-    for (const RelRect& v : values) {
-      const size_t r = static_cast<size_t>(v.relation);
-      const size_t i = cursor[r]++;
-      if (grid.CellOfRect(v.rect) != cell) continue;
-      out.Emit(MarkedRect{v.rect, v.id, v.relation, marked[r][i] != 0});
-    }
-  });
-
   // Round-1 marking is a resident artifact when a catalog and base key are
   // attached: the marking depends only on (query, grid, datasets) — all
   // pinned by the key — and never on the limit options, so C-Rep and
@@ -618,16 +536,8 @@ StatusOr<JoinRunResult> ControlledReplicateJoin(
     StatusOr<DatasetCatalog::Resident<std::vector<MarkedRect>>> round1_out =
         DatasetCatalog::GetOrBuild<std::vector<MarkedRect>>(
             options.catalog, round1_key, [&] {
-              const std::vector<RelRect> input =
-                  FlattenRelations<RelRect>(relations);
-              std::vector<MarkedRect> marked_rects;
-              JobStats round1_stats = round1.Run(
-                  std::span<const RelRect>(input), &marked_rects, ctx);
-              // The map splits every input record exactly once.
-              round_span.AddArg("split_calls",
-                                round1_stats.map_input_records);
-              result.stats.Add(std::move(round1_stats));
-              return marked_rects;
+              return RunMarkingRound(query, grid, relations, ctx, round_span,
+                                     &result);
             });
     if (!round1_out.ok()) return round1_out.status();
     // A resident marking makes the round a lookup, not a job.

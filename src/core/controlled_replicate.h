@@ -59,7 +59,12 @@ struct ControlledReplicateOptions {
 ///   C4  maximality — an efficiency clause only: the union over maximal
 ///       sets equals the union over all sets satisfying C1–C3, which is
 ///       what the implementation computes (a rectangle is marked iff SOME
-///       witness set containing it satisfies C1–C3).
+///       witness set containing it satisfies C1–C3). It checks only sets
+///       over connected proper relation subsets — a witness restricted to
+///       the connected component holding the rectangle is still one — by
+///       running the round-2 local join (MultiwayLocalJoin) over each
+///       subset's induced subquery and its members' C2-eligible
+///       rectangles.
 ///
 /// Round 2 replicates marked rectangles (f1, or bounded f2 for C-Rep-L),
 /// projects unmarked ones, computes the local multi-way join at each

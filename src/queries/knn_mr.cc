@@ -141,7 +141,7 @@ StatusOr<JoinRunResult> RunKnnJoinMr(
         for (CellId c : cells) emit.Emit(c, item);
       }
     });
-    bound_job.set_reduce([&grid, k, radius_epsilon](
+    bound_job.set_reduce([&grid, &rects, k, radius_epsilon](
                              const CellId& cell,
                              std::span<const KnnRouted> values,
                              BoundJob::OutEmitter& out) {
@@ -153,17 +153,27 @@ StatusOr<JoinRunResult> RunKnnJoinMr(
         (v.relation == 0 ? cell_points : cell_rects).push_back(&v);
       }
       if (cell_points.empty()) return;
-      if (static_cast<int>(cell_rects.size()) < k) {
+      // The k-th smallest MaxMinDistance bounds every in-cell point at
+      // once: k rectangles are each within that value of any point here.
+      // A cell that fewer than k rectangles meet takes it over every
+      // rectangle; only fewer than k rectangles in all leave it unbounded.
+      const bool local = static_cast<int>(cell_rects.size()) >= k;
+      if (!local && static_cast<int>(rects.size()) < k) {
         out.IncrementCounter(kCounterKnnUnboundedCells, 1);
         out.Emit(KnnCellBound{cell, kUnbounded});
         return;
       }
-      // The k-th smallest MaxMinDistance bounds every in-cell point at
-      // once: k rectangles are each within that value of any point here.
       std::vector<double> distances;
-      distances.reserve(cell_rects.size());
-      for (const KnnRouted* r : cell_rects) {
-        distances.push_back(CellRectMaxMinDistance(grid, cell, r->rect));
+      if (local) {
+        distances.reserve(cell_rects.size());
+        for (const KnnRouted* r : cell_rects) {
+          distances.push_back(CellRectMaxMinDistance(grid, cell, r->rect));
+        }
+      } else {
+        distances.reserve(rects.size());
+        for (const Rect& r : rects) {
+          distances.push_back(CellRectMaxMinDistance(grid, cell, r));
+        }
       }
       std::nth_element(distances.begin(), distances.begin() + (k - 1),
                        distances.end());
@@ -171,13 +181,13 @@ StatusOr<JoinRunResult> RunKnnJoinMr(
       // Sample refinement: a sample point's own k-th distance plus the
       // cell diagonal also bounds every in-cell point (triangle
       // inequality); with clustered data it is often far tighter than the
-      // per-rectangle worst case.
+      // per-rectangle worst case. It needs k rectangles meeting the cell.
       const double diag = CellDiagonal(grid, cell);
       const size_t stride =
           std::max<size_t>(1, cell_points.size() / kMaxBoundSamples);
       int samples = 0;
       for (size_t i = 0;
-           i < cell_points.size() && samples < kMaxBoundSamples;
+           local && i < cell_points.size() && samples < kMaxBoundSamples;
            i += stride, ++samples) {
         const KnnRouted* s = cell_points[i];
         distances.clear();

@@ -22,7 +22,7 @@ namespace mwsj {
 /// its relation role (0 = query points, stored as degenerate rectangles;
 /// 1 = data rectangles) and, for points entering round 2, the per-cell
 /// upper bound on the true k-th neighbor distance computed by round 1
-/// (+inf when the point's home cell could not bound it).
+/// (+inf when fewer than k rectangles exist).
 struct KnnRouted {
   Rect rect;
   int64_t id = 0;
@@ -129,8 +129,8 @@ MWSJ_ALLOC_FREE MWSJ_DETERMINISTIC void MergeTopK(
 }  // namespace knn_internal
 
 /// Round-1 output as a resident catalog artifact: per-cell upper bounds on
-/// the k-th neighbor distance of any point in that cell (+inf when the
-/// cell could not be bounded). Cached under the acquired grid's artifact
+/// the k-th neighbor distance of any point in that cell (+inf when fewer
+/// than k rectangles exist). Cached under the acquired grid's artifact
 /// key extended with `|knn_bounds[k=N]`, so a repeat submission of the
 /// same (query, datasets, grid, k) skips round 1 entirely.
 struct KnnCellBounds {
@@ -147,7 +147,10 @@ struct KnnCellBounds {
 ///     derives one upper bound per cell on the k-th neighbor distance of
 ///     *every* in-cell point — min of the k-th smallest per-rectangle
 ///     MaxMinDistance (grid/transform.h) and, over a few sample points,
-///     the sample's k-th distance plus the cell diagonal;
+///     the sample's k-th distance plus the cell diagonal; a cell that
+///     fewer than k rectangles meet takes the k-th smallest MaxMinDistance
+///     over every rectangle, and only fewer than k rectangles in all
+///     leave a cell unbounded;
 ///  2. *join*: each point is replicated to every cell whose Euclidean
 ///     cell distance is within its bound (all cells when unbounded),
 ///     rectangles are Split; each reducer builds an R-tree over its cell's

@@ -120,8 +120,8 @@ INSTANTIATE_TEST_SUITE_P(
     ScenarioName);
 
 // Degenerate inputs: all algorithms agree on empty and singleton relations.
-// A five-relation chain exercises deeper subset enumeration in the
-// marking oracle and longer cascades.
+// A five-relation chain exercises deeper subset enumeration in round-1
+// marking and longer cascades.
 TEST(EquivalenceEdgeCases, FiveRelationChain) {
   QueryBuilder b;
   for (int i = 0; i < 5; ++i) b.AddRelation("R" + std::to_string(i + 1));

@@ -1,7 +1,10 @@
 // Property test for the C-Rep round-1 marking decision: the production
-// oracle (subset search with per-subset caches and R-tree probes) must
-// agree with an exponential, literal transcription of conditions C1-C3 on
-// randomized reducer inputs, for overlap, range and hybrid queries.
+// marking (one multiway local join per connected proper relation subset,
+// over each member's C2-eligible rectangles) must agree with an
+// exponential, literal transcription of conditions C1-C3 over every
+// relation subset, disconnected ones included, on randomized reducer
+// inputs: overlap, range and hybrid predicates on every world shape
+// (2-, 3- and 4-chains, the 4-star and the triangle).
 
 #include <gtest/gtest.h>
 
@@ -148,14 +151,12 @@ class ReferenceMarker {
   const std::vector<std::vector<LocalRect>>& rects_;
 };
 
-class MarkingOraclePropertyTest
-    : public ::testing::TestWithParam<std::tuple<int, int>> {};
-// Params: (predicate mix index, seed).
-
-TEST_P(MarkingOraclePropertyTest, MatchesLiteralConditions) {
-  const int mix_index = std::get<0>(GetParam());
-  const int seed = std::get<1>(GetParam());
+// Checks every cell of a 3x3 grid of one randomized world against the
+// reference.
+void ExpectMarkingMatchesReference(testing::QueryShape shape, int mix_index,
+                                   int seed) {
   testing::WorldConfig config;
+  config.shape = shape;
   config.mix = static_cast<testing::PredicateMix>(mix_index);
   config.range_d = 10.0;
   config.max_rects_per_relation = 8;  // Tiny: the reference is exponential.
@@ -199,9 +200,45 @@ TEST_P(MarkingOraclePropertyTest, MatchesLiteralConditions) {
   }
 }
 
+// The 3-chain world. Params: (predicate mix index, seed).
+class MarkingOraclePropertyTest
+    : public ::testing::TestWithParam<std::tuple<int, int>> {};
+
+TEST_P(MarkingOraclePropertyTest, MatchesLiteralConditions) {
+  ExpectMarkingMatchesReference(testing::QueryShape::kChain3,
+                                std::get<0>(GetParam()),
+                                std::get<1>(GetParam()));
+}
+
 INSTANTIATE_TEST_SUITE_P(Mixes, MarkingOraclePropertyTest,
                          ::testing::Combine(::testing::Range(0, 3),
                                             ::testing::Range(0, 10)));
+
+// The other world shapes. Params: (QueryShape, predicate mix index, seed).
+class MarkingShapePropertyTest
+    : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
+
+TEST_P(MarkingShapePropertyTest, MatchesLiteralConditions) {
+  ExpectMarkingMatchesReference(
+      static_cast<testing::QueryShape>(std::get<0>(GetParam())),
+      std::get<1>(GetParam()), std::get<2>(GetParam()));
+}
+
+// Only four relations have 3-relation witness subsets, and few tiny
+// worlds need one to mark a rectangle, so these shapes get more seeds.
+INSTANTIATE_TEST_SUITE_P(
+    FourRelations, MarkingShapePropertyTest,
+    ::testing::Combine(
+        ::testing::Values(static_cast<int>(testing::QueryShape::kChain4),
+                          static_cast<int>(testing::QueryShape::kStar4)),
+        ::testing::Range(0, 3), ::testing::Range(0, 40)));
+
+INSTANTIATE_TEST_SUITE_P(
+    SmallShapes, MarkingShapePropertyTest,
+    ::testing::Combine(
+        ::testing::Values(static_cast<int>(testing::QueryShape::kCycle3),
+                          static_cast<int>(testing::QueryShape::kChain2)),
+        ::testing::Range(0, 3), ::testing::Range(0, 10)));
 
 }  // namespace
 }  // namespace mwsj

@@ -91,8 +91,8 @@ INSTANTIATE_TEST_SUITE_P(Sweeps, KnnMrTest,
                                             ::testing::Range(0, 4)));
 
 TEST(KnnMrEdgeTest, KGreaterThanRectCount) {
-  // Every cell is under-populated: round 1 emits unbounded cells, round 2
-  // replicates those points everywhere, and every rect is a neighbor.
+  // Fewer than k rectangles in all: round 1 emits unbounded cells, round
+  // 2 replicates those points everywhere, and every rect is a neighbor.
   const std::vector<std::vector<Rect>> data = {RandomPointRects(30, 9),
                                                RandomRects(5, 10)};
   RunnerOptions options;
@@ -101,6 +101,41 @@ TEST(KnnMrEdgeTest, KGreaterThanRectCount) {
   EXPECT_EQ(result.value().tuples, OracleTuples(data[0], data[1], 10));
   EXPECT_EQ(result.value().num_tuples,
             static_cast<int64_t>(data[0].size() * data[1].size()));
+}
+
+TEST(KnnMrEdgeTest, SparseCellsAreBoundedByEveryRectangle) {
+  // 25 small rectangles over an 8x8 grid: most cells meet fewer than k of
+  // them, so round 1 bounds those cells over every rectangle instead of
+  // sending their points to all 64 cells.
+  constexpr double kSpace = 10000;
+  const std::vector<std::vector<Rect>> data = {
+      RandomPointRects(5000, 61, kSpace), RandomRects(25, 62, kSpace)};
+  RunnerOptions options;
+  options.grid_rows = 8;
+  options.grid_cols = 8;
+  options.space = Rect(0, 0, kSpace, kSpace);
+  const auto result = RunKnnJoinMr(KnnQuery(), data, 3, options);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+
+  int64_t bounded_points = 0;
+  int64_t point_copies = 0;
+  int64_t unbounded_cells = 0;
+  for (const JobStats& job : result.value().stats.jobs) {
+    const auto get = [&job](const char* name) {
+      const auto it = job.user_counters.find(name);
+      return it != job.user_counters.end() ? it->second : int64_t{0};
+    };
+    bounded_points += get(kCounterKnnBoundedPoints);
+    point_copies += get(kCounterKnnPointCopies);
+    unbounded_cells += get(kCounterKnnUnboundedCells);
+  }
+  const int64_t points = static_cast<int64_t>(data[0].size());
+  EXPECT_EQ(bounded_points, points);
+  EXPECT_EQ(unbounded_cells, 0);
+  EXPECT_LT(point_copies, 64 * points);
+  EXPECT_EQ(result.value().tuples,
+            KnnSingleNodeTuples(data[0], data[1], 3,
+                                Rect(0, 0, kSpace, kSpace), 8, 8));
 }
 
 TEST(KnnMrEdgeTest, DuplicatePointsAndDuplicateRects) {
