@@ -97,18 +97,6 @@ void Tracer::EndSpan(std::string_view args_json) {
                           std::memory_order_release);
 }
 
-void Tracer::Instant(std::string_view name, std::string_view category,
-                     std::string_view args_json) {
-  if (!enabled_) return;
-  const double ts = NowMicros();
-  ThreadBuffer* buffer = BufferForThisThread();
-  buffer->events.push_back(Event{'i', ts, std::string(name),
-                                 std::string(category),
-                                 std::string(args_json)});
-  buffer->committed.store(static_cast<int64_t>(buffer->events.size()),
-                          std::memory_order_release);
-}
-
 int64_t Tracer::event_count() const {
   MutexLock lock(&mu_);
   int64_t total = 0;
@@ -139,7 +127,6 @@ std::string Tracer::ToJson() const {
         out += StrFormat(", \"cat\": \"%s\"",
                          EscapeJsonString(e.category).c_str());
       }
-      if (e.phase == 'i') out += ", \"s\": \"t\"";  // Thread-scoped instant.
       if (!e.args.empty()) out += StrFormat(", \"args\": {%s}", e.args.c_str());
       out += "}";
     }

@@ -58,10 +58,6 @@ class Tracer {
   /// `"records": 12, "cell": 3`, attached to the closing event.
   void EndSpan(std::string_view args_json = {});
 
-  /// Records a zero-duration instant event on the calling thread.
-  void Instant(std::string_view name, std::string_view category,
-               std::string_view args_json = {});
-
   /// Total events recorded so far across all threads. Safe to call while
   /// other threads are emitting: sums each buffer's atomically published
   /// committed-event count instead of touching the (unsynchronized) event
@@ -79,7 +75,7 @@ class Tracer {
 
  private:
   struct Event {
-    char phase;  // 'B', 'E', or 'i'.
+    char phase;  // 'B' or 'E'.
     double ts_us;
     std::string name;      // Empty for 'E' (closes the innermost span).
     std::string category;  // Empty for 'E'.

@@ -1,8 +1,8 @@
 #include "core/optimizer.h"
 
-#include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <utility>
 
 #include "common/random.h"
 #include "localjoin/rtree.h"
@@ -11,13 +11,13 @@ namespace mwsj {
 
 namespace {
 
-// Rectangles sampled per relation for selectivity estimation, and the
-// sampler's seed.
+// Rectangles sampled from the larger side of a condition for selectivity
+// estimation, and the sampler's seed.
 constexpr size_t kSampleSize = 2000;
 constexpr uint64_t kSampleSeed = 1;
 
-std::vector<Rect> SampleRelation(const std::vector<Rect>& relation, Rng& rng) {
-  if (relation.size() <= kSampleSize) return relation;
+std::vector<Rect> SampleRelation(const std::vector<Rect>& relation) {
+  Rng rng(kSampleSeed);
   std::vector<Rect> sample;
   sample.reserve(kSampleSize);
   for (size_t i = 0; i < kSampleSize; ++i) {
@@ -105,38 +105,52 @@ struct Enumerator {
 
 std::vector<double> EstimateSelectivities(
     const Query& query, const std::vector<std::vector<Rect>>& relations) {
-  Rng rng(kSampleSeed);
-  std::vector<std::vector<Rect>> samples;
-  samples.reserve(relations.size());
-  for (const auto& relation : relations) {
-    samples.push_back(SampleRelation(relation, rng));
-  }
-
   std::vector<double> selectivities;
   selectivities.reserve(query.conditions().size());
   for (const JoinCondition& c : query.conditions()) {
-    const auto& left = samples[static_cast<size_t>(c.left)];
-    const auto& right = samples[static_cast<size_t>(c.right)];
-    if (left.empty() || right.empty()) {
+    const std::vector<Rect>* probes = &relations[static_cast<size_t>(c.left)];
+    const std::vector<Rect>* indexed =
+        &relations[static_cast<size_t>(c.right)];
+    if (probes->empty() || indexed->empty()) {
       selectivities.push_back(0);
       continue;
     }
-    const RTree tree(right);
+    // Both predicates are symmetric: index the larger side and probe with
+    // every rectangle of the smaller one.
+    if (probes->size() > indexed->size()) std::swap(probes, indexed);
+    std::vector<Rect> sample;
+    if (indexed->size() > kSampleSize) {
+      sample = SampleRelation(*indexed);
+      indexed = &sample;
+    }
+    const RTree tree(*indexed);
     RTree::QueryScratch scratch;
     std::vector<int32_t> hits;
     int64_t matches = 0;
-    for (const Rect& l : left) {
+    for (const Rect& probe : *probes) {
       hits.clear();
-      tree.Collect(c.predicate, l, &scratch, &hits);
+      tree.Collect(c.predicate, probe, &scratch, &hits);
       matches += static_cast<int64_t>(hits.size());
     }
     // Laplace-style smoothing keeps estimates positive so the optimizer
     // can still rank orders when a sample sees no matches.
-    selectivities.push_back(
-        (static_cast<double>(matches) + 0.5) /
-        (static_cast<double>(left.size()) * static_cast<double>(right.size())));
+    selectivities.push_back((static_cast<double>(matches) + 0.5) /
+                            (static_cast<double>(probes->size()) *
+                             static_cast<double>(indexed->size())));
   }
   return selectivities;
+}
+
+double EstimateCardinality(const Query& query,
+                           const std::vector<std::vector<Rect>>& relations) {
+  double cardinality = 1;
+  for (const auto& relation : relations) {
+    cardinality *= static_cast<double>(relation.size());
+  }
+  for (double selectivity : EstimateSelectivities(query, relations)) {
+    cardinality *= selectivity;
+  }
+  return cardinality;
 }
 
 std::vector<int> OptimizeCascadeOrder(

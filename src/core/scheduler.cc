@@ -75,12 +75,11 @@ StatusOr<JobHandle> JobScheduler::Submit(JobSpec spec) {
     return Status::InvalidArgument("JobSpec has no query");
   }
   const bool has_names = !spec.dataset_names.empty();
-  const bool has_inline = !spec.relations.empty();
   const bool has_borrowed = spec.borrowed_relations != nullptr;
-  if (int{has_names} + int{has_inline} + int{has_borrowed} != 1) {
+  if (has_names == has_borrowed) {
     return Status::InvalidArgument(
-        "JobSpec must use exactly one input source (dataset_names, "
-        "relations, or borrowed_relations)");
+        "JobSpec must use exactly one input source (dataset_names or "
+        "borrowed_relations)");
   }
   if (has_names) {
     DatasetCatalog* catalog = spec.options.catalog != nullptr
@@ -222,9 +221,7 @@ void JobScheduler::RunJob(scheduler_internal::Job* job) {
                              bundle.value().data_key + "|" + perm;
     }
   } else {
-    relations = job->spec.borrowed_relations != nullptr
-                    ? job->spec.borrowed_relations
-                    : &job->spec.relations;
+    relations = job->spec.borrowed_relations;
   }
   if (relations != nullptr) {
     result = job->spec.execute != nullptr

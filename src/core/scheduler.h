@@ -70,7 +70,6 @@ struct SchedulerOptions {
 ///   * `dataset_names` — one catalog dataset per query relation, resolved
 ///     against the scheduler's DatasetCatalog at execution time (the
 ///     service path: inputs stay resident, repeat queries skip ingest);
-///   * `relations`     — inline datasets owned by the spec;
 ///   * `borrowed_relations` — non-owning view; the caller must keep the
 ///     data alive until the job reaches a terminal state (submitting
 ///     without copying).
@@ -80,7 +79,6 @@ struct JobSpec {
   std::optional<Query> query;
 
   std::vector<std::string> dataset_names;
-  std::vector<std::vector<Rect>> relations;
   const std::vector<std::vector<Rect>>* borrowed_relations = nullptr;
 
   /// Algorithm, grid, and per-job execution knobs. `options.context.pool`,

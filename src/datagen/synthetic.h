@@ -14,7 +14,9 @@ namespace mwsj {
 /// (a) number of rectangles nI, (b) distribution of start-point x and y
 /// (dX, dY), (c) distribution of length and breadth (dL, dB), (d) the
 /// coordinate ranges, (e) length/breadth ranges. Every rectangle lies
-/// entirely within the coordinate space.
+/// entirely within the coordinate space. The defaults are the paper's
+/// Table 2/3/5/6/8 setup: everything Uniform over a 100K x 100K space,
+/// dimensions in (0, 100).
 struct SyntheticParams {
   int64_t num_rectangles = 0;  // nI
   Distribution dist_x = Distribution::kUniform;
@@ -26,15 +28,6 @@ struct SyntheticParams {
   double l_min = 0, l_max = 100;      // (l_min, l_max)
   double b_min = 0, b_max = 100;      // (b_min, b_max)
   uint64_t seed = 1;
-
-  /// The paper's Table 2/3/5/6/8 setup: everything Uniform over a
-  /// 100K x 100K space, dimensions in (0, 100).
-  static SyntheticParams PaperDefaults(int64_t n, uint64_t seed) {
-    SyntheticParams p;
-    p.num_rectangles = n;
-    p.seed = seed;
-    return p;
-  }
 
   Status Validate() const;
 };

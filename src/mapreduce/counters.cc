@@ -72,10 +72,6 @@ double JobStats::SumMapChunkSeconds() const {
                          per_chunk_map_seconds.end(), 0.0);
 }
 
-double JobStats::PhaseSeconds() const {
-  return map_seconds + shuffle_seconds + reduce_seconds;
-}
-
 int64_t RunStats::UserCounter(const std::string& name) const {
   int64_t total = 0;
   for (const JobStats& j : jobs) {
@@ -88,12 +84,6 @@ int64_t RunStats::UserCounter(const std::string& name) const {
 int64_t RunStats::TotalIntermediateRecords() const {
   int64_t total = 0;
   for (const JobStats& j : jobs) total += j.intermediate_records;
-  return total;
-}
-
-int64_t RunStats::TotalIntermediateBytes() const {
-  int64_t total = 0;
-  for (const JobStats& j : jobs) total += j.intermediate_bytes;
   return total;
 }
 

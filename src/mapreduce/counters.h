@@ -138,8 +138,6 @@ struct JobStats {
   double SumReducerSeconds() const;
   double MaxMapChunkSeconds() const;
   double SumMapChunkSeconds() const;
-  /// map + shuffle + reduce — the accounted-for portion of wall_seconds.
-  double PhaseSeconds() const;
 };
 
 /// Aggregated statistics of a whole algorithm run (one or more MR jobs).
@@ -171,7 +169,6 @@ struct RunStats {
   /// Sum of user counter `name` across jobs.
   int64_t UserCounter(const std::string& name) const;
   int64_t TotalIntermediateRecords() const;
-  int64_t TotalIntermediateBytes() const;
 
   void Add(JobStats stats);
 };

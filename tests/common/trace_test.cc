@@ -74,14 +74,12 @@ TEST(TracerTest, SpansProduceBalancedBeginEndEvents) {
     TraceSpan outer(&tracer, "outer", "test");
     TraceSpan inner(&tracer, "inner", "test");
   }
-  tracer.Instant("tick", "test");
-  EXPECT_EQ(tracer.event_count(), 5);  // 2 B + 2 E + 1 instant.
+  EXPECT_EQ(tracer.event_count(), 4);  // 2 B + 2 E.
 
   const std::string json = tracer.ToJson();
   EXPECT_TRUE(IsStructurallyValidJson(json)) << json;
   EXPECT_EQ(CountOccurrences(json, "\"ph\": \"B\""), 2);
   EXPECT_EQ(CountOccurrences(json, "\"ph\": \"E\""), 2);
-  EXPECT_EQ(CountOccurrences(json, "\"ph\": \"i\""), 1);
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("\"outer\""), std::string::npos);
   EXPECT_NE(json.find("\"inner\""), std::string::npos);
@@ -116,7 +114,6 @@ TEST(TracerTest, DisabledTracerRecordsNothing) {
   {
     TraceSpan span(&tracer, "ignored", "test");
     span.AddArg("x", int64_t{1});
-    tracer.Instant("also ignored", "test");
   }
   EXPECT_FALSE(tracer.enabled());
   EXPECT_EQ(tracer.event_count(), 0);
@@ -148,11 +145,10 @@ TEST(TracerTest, ConcurrentEmissionFromPoolThreads) {
     for (int i = 0; i < kSpansPerTask; ++i) {
       TraceSpan span(&tracer, "task_span", "test");
       span.AddArg("task", static_cast<int64_t>(task));
-      tracer.Instant("mark", "test");
     }
   });
-  // Every span contributes B + E + instant; none may be lost or torn.
-  EXPECT_EQ(tracer.event_count(), kTasks * kSpansPerTask * 3);
+  // Every span contributes B + E; none may be lost or torn.
+  EXPECT_EQ(tracer.event_count(), kTasks * kSpansPerTask * 2);
 
   const std::string json = tracer.ToJson();
   EXPECT_TRUE(IsStructurallyValidJson(json)) << "concurrent emission broke "

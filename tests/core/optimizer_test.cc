@@ -151,6 +151,37 @@ TEST(SelectivityTest, RangeZeroEqualsOverlap) {
             EstimatedSelectivity(a, b, Predicate::Overlap()));
 }
 
+TEST(SelectivityTest, SelfJoinOfDisjointRectanglesIsUnbiased) {
+  // n > 2000 pairwise-disjoint unit squares joined with themselves: every
+  // rectangle matches exactly its own copy, so the selectivity is 1/n and
+  // the join has n tuples. Sampling only the indexed side keeps this
+  // exact up to the smoothing; sampling both sides would see ~40 of the
+  // 100k matching pairs.
+  constexpr int kSide = 250;
+  constexpr int kN = kSide * 400;
+  std::vector<Rect> squares;
+  for (int i = 0; i < kN; ++i) {
+    squares.push_back(Rect::FromXYLB(3.0 * (i % kSide), 3.0 * (i / kSide) + 1,
+                                     1, 1));
+  }
+  const Query q = MakeChainQuery(2, Predicate::Overlap()).value();
+  const std::vector<std::vector<Rect>> data = {squares, squares};
+  const std::vector<double> sel = EstimateSelectivities(q, data);
+  ASSERT_EQ(sel.size(), 1u);
+  EXPECT_NEAR(sel[0] * kN, 1.0, 0.01);
+  EXPECT_NEAR(EstimateCardinality(q, data) / kN, 1.0, 0.01);
+}
+
+TEST(SelectivityTest, CardinalityIsSizesTimesSelectivitiesOnAChain) {
+  const Query q = MakeChainQuery(3, Predicate::Overlap()).value();
+  const std::vector<std::vector<Rect>> data = {
+      Dataset(3000, 120, 31), Dataset(2500, 120, 32), Dataset(1500, 120, 33)};
+  const std::vector<double> sel = EstimateSelectivities(q, data);
+  ASSERT_EQ(sel.size(), 2u);
+  EXPECT_DOUBLE_EQ(EstimateCardinality(q, data),
+                   3000.0 * 2500.0 * 1500.0 * sel[0] * sel[1]);
+}
+
 TEST(OptimizerTest, PrefersSelectiveRelationFirstOnSkewedChain) {
   // R1 is small and sparse; R2/R3 are big and dense. Starting with the
   // R2xR3 join is catastrophically worse, so the optimizer must schedule

@@ -74,7 +74,7 @@ TEST(SchedulerTest, SubmitWaitMatchesBlockingRunPerAlgorithm) {
 
     JobSpec spec;
     spec.query = query;
-    spec.relations = data;
+    spec.borrowed_relations = &data;
     spec.options = options;
     StatusOr<JobHandle> handle = scheduler.Submit(std::move(spec));
     ASSERT_TRUE(handle.ok()) << handle.status().message();
@@ -180,7 +180,7 @@ TEST(SchedulerTest, ProcessShuffleBudgetClampsConcurrentJobs) {
   auto submit = [&](int64_t job_budget) {
     JobSpec spec;
     spec.query = query;
-    spec.relations = data;
+    spec.borrowed_relations = &data;
     spec.options.algorithm = Algorithm::kControlledReplicate;
     spec.options.context.options.shuffle_memory_budget = job_budget;
     StatusOr<JobHandle> handle = scheduler.Submit(std::move(spec));
@@ -210,7 +210,7 @@ TEST(SchedulerTest, ProcessShuffleBudgetClampsConcurrentJobs) {
   JobScheduler inline_scheduler(inline_options);
   JobSpec spec;
   spec.query = query;
-  spec.relations = data;
+  spec.borrowed_relations = &data;
   spec.options.algorithm = Algorithm::kControlledReplicate;
   StatusOr<JobHandle> handle = inline_scheduler.Submit(std::move(spec));
   ASSERT_TRUE(handle.ok()) << handle.status().message();
@@ -271,7 +271,7 @@ TEST(SchedulerTest, RejectsMalformedSpecs) {
   {
     JobSpec spec;  // Two input sources.
     spec.query = query;
-    spec.relations = data;
+    spec.dataset_names = {"a", "b", "c"};
     spec.borrowed_relations = &data;
     EXPECT_EQ(scheduler.Submit(std::move(spec)).status().code(),
               StatusCode::kInvalidArgument);
@@ -323,7 +323,7 @@ TEST(SchedulerTest, BoundedAdmissionFifoAndQueuedCancel) {
 
   JobSpec blocking;
   blocking.query = query;
-  blocking.relations = data;
+  blocking.borrowed_relations = &data;
   blocking.options.context.faults = &faults;
   blocking.options.context.retry = &retry;
   StatusOr<JobHandle> first = scheduler.Submit(std::move(blocking));
@@ -336,7 +336,7 @@ TEST(SchedulerTest, BoundedAdmissionFifoAndQueuedCancel) {
   auto plain_spec = [&] {
     JobSpec spec;
     spec.query = query;
-    spec.relations = data;
+    spec.borrowed_relations = &data;
     return spec;
   };
   StatusOr<JobHandle> second = scheduler.Submit(plain_spec());
@@ -926,7 +926,7 @@ TEST(SchedulerCatalogTest, InlineRelationsNeverTouchTheCatalog) {
   for (int round = 0; round < 2; ++round) {
     JobSpec spec;
     spec.query = query;
-    spec.relations = data;
+    spec.borrowed_relations = &data;
     StatusOr<JobHandle> handle = scheduler.Submit(std::move(spec));
     ASSERT_TRUE(handle.ok());
     const StatusOr<JoinRunResult>& result = handle.value().Wait();

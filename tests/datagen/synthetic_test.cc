@@ -7,8 +7,16 @@
 namespace mwsj {
 namespace {
 
+// The paper's setup (the SyntheticParams defaults) with n rectangles.
+SyntheticParams PaperParams(int64_t n, uint64_t seed) {
+  SyntheticParams p;
+  p.num_rectangles = n;
+  p.seed = seed;
+  return p;
+}
+
 TEST(SyntheticTest, GeneratesRequestedCountInsideSpace) {
-  SyntheticParams p = SyntheticParams::PaperDefaults(5000, 1);
+  SyntheticParams p = PaperParams(5000, 1);
   const auto data = GenerateSynthetic(p);
   ASSERT_TRUE(data.ok());
   ASSERT_EQ(data.value().size(), 5000u);
@@ -25,7 +33,7 @@ TEST(SyntheticTest, GeneratesRequestedCountInsideSpace) {
 }
 
 TEST(SyntheticTest, DeterministicPerSeed) {
-  SyntheticParams p = SyntheticParams::PaperDefaults(100, 7);
+  SyntheticParams p = PaperParams(100, 7);
   const auto a = GenerateSynthetic(p);
   const auto b = GenerateSynthetic(p);
   ASSERT_TRUE(a.ok() && b.ok());
@@ -37,7 +45,7 @@ TEST(SyntheticTest, DeterministicPerSeed) {
 }
 
 TEST(SyntheticTest, UniformCoordinatesSpreadAcrossSpace) {
-  SyntheticParams p = SyntheticParams::PaperDefaults(20000, 3);
+  SyntheticParams p = PaperParams(20000, 3);
   const auto data = GenerateSynthetic(p);
   ASSERT_TRUE(data.ok());
   // Quadrant occupancy within 10% of uniform.
@@ -51,23 +59,23 @@ TEST(SyntheticTest, UniformCoordinatesSpreadAcrossSpace) {
 }
 
 TEST(SyntheticTest, ValidationRejectsBadParams) {
-  SyntheticParams p = SyntheticParams::PaperDefaults(10, 1);
+  SyntheticParams p = PaperParams(10, 1);
   p.num_rectangles = -1;
   EXPECT_FALSE(GenerateSynthetic(p).ok());
-  p = SyntheticParams::PaperDefaults(10, 1);
+  p = PaperParams(10, 1);
   p.x_max = p.x_min;
   EXPECT_FALSE(GenerateSynthetic(p).ok());
-  p = SyntheticParams::PaperDefaults(10, 1);
+  p = PaperParams(10, 1);
   p.l_max = 200'000;  // Larger than the space.
   EXPECT_FALSE(GenerateSynthetic(p).ok());
-  p = SyntheticParams::PaperDefaults(10, 1);
+  p = PaperParams(10, 1);
   p.b_min = 50;
   p.b_max = 10;  // Inverted.
   EXPECT_FALSE(GenerateSynthetic(p).ok());
 }
 
 TEST(SyntheticTest, GaussianDimensionsCenterOnRangeMidpoint) {
-  SyntheticParams p = SyntheticParams::PaperDefaults(20000, 5);
+  SyntheticParams p = PaperParams(20000, 5);
   p.dist_l = Distribution::kGaussian;
   const auto data = GenerateSynthetic(p);
   ASSERT_TRUE(data.ok());
@@ -77,7 +85,7 @@ TEST(SyntheticTest, GaussianDimensionsCenterOnRangeMidpoint) {
 }
 
 TEST(SampleDatasetTest, KeepsApproximatelyPFraction) {
-  SyntheticParams p = SyntheticParams::PaperDefaults(20000, 9);
+  SyntheticParams p = PaperParams(20000, 9);
   const auto data = GenerateSynthetic(p);
   ASSERT_TRUE(data.ok());
   const auto half = SampleDataset(data.value(), 0.5, 11);

@@ -258,10 +258,8 @@ TEST(EngineTest, PhaseTimingsArePopulated) {
   EXPECT_GE(stats.MaxMapChunkSeconds(), 0.0);
   EXPECT_GE(stats.SumMapChunkSeconds(), 0.0);
   // The three phases account for (almost) the whole job.
-  EXPECT_LE(stats.PhaseSeconds(), stats.wall_seconds);
-  EXPECT_DOUBLE_EQ(stats.PhaseSeconds(),
-                   stats.map_seconds + stats.shuffle_seconds +
-                       stats.reduce_seconds);
+  EXPECT_LE(stats.map_seconds + stats.shuffle_seconds + stats.reduce_seconds,
+            stats.wall_seconds);
 }
 
 TEST(EngineTest, RunTwiceDoesNotDoubleCountUserCounters) {
@@ -425,7 +423,6 @@ TEST(RunStatsTest, AggregationAcrossJobs) {
   run.Add(a);
   run.Add(b);
   EXPECT_EQ(run.TotalIntermediateRecords(), 15);
-  EXPECT_EQ(run.TotalIntermediateBytes(), 150);
   EXPECT_DOUBLE_EQ(run.total_wall_seconds, 2.0);
   EXPECT_EQ(run.UserCounter("marked"), 6);
   EXPECT_EQ(run.UserCounter("absent"), 0);

@@ -51,6 +51,7 @@
 #include "common/trace.h"
 #include "core/dataset_catalog.h"
 #include "core/explain.h"
+#include "core/optimizer.h"
 #include "core/runner.h"
 #include "core/scheduler.h"
 #include "core/verification.h"
@@ -60,7 +61,6 @@
 #include "mapreduce/stats_json.h"
 #include "queries/knn_mr.h"
 #include "query/parser.h"
-#include "stats/grid_histogram.h"
 
 namespace {
 
@@ -247,23 +247,15 @@ int main(int argc, char** argv) {
   }
 
   if (estimate && knn_mr) {
-    // The histogram estimate counts predicate matches; a kNN join always
-    // returns min(k, rects) rows per point.
+    // The estimate counts predicate matches; a kNN join always returns
+    // min(k, rects) rows per point.
     std::printf("estimated output cardinality: skipped (not a predicate "
                 "join)\n");
   } else if (estimate) {
-    // Pre-run cardinality estimate from grid histograms over samples.
-    const mwsj::Rect space = mwsj::ComputeBoundingSpace(relations);
-    const auto grid = mwsj::GridPartition::Create(space, options.grid_rows,
-                                                  options.grid_cols);
-    if (grid.ok()) {
-      std::vector<mwsj::GridHistogram> histograms;
-      for (const auto& rel : relations) {
-        histograms.emplace_back(grid.value(), rel);
-      }
-      std::printf("estimated output cardinality: %.3g\n",
-                  EstimateJoinCardinality(query.value(), histograms));
-    }
+    // Pre-run estimate from sampled per-condition selectivities, the same
+    // ones the Cascade order optimizer ranks orders by.
+    std::printf("estimated output cardinality: %.3g\n",
+                mwsj::EstimateCardinality(query.value(), relations));
   }
 
   std::unique_ptr<mwsj::ThreadPool> pool;

@@ -8,9 +8,10 @@
 #   Ra(0.1) pair beside a large diagonal that every algorithm (C-Rep-L's
 #   f2 bound included) must find, a knn-mr run (plain, and three
 #   concurrent submissions), the skip lines of --estimate and --verify
-#   where they do not apply, malformed numeric flags of both tools
-#   that must be rejected with exit code 2, and a grid too large to number
-#   its cells, which must be refused.
+#   where they do not apply, a predicate-join --estimate that must print
+#   the same finite positive number at two grid sizes, malformed numeric
+#   flags of both tools that must be rejected with exit code 2, and a grid
+#   too large to number its cells, which must be refused.
 # Invoked with -DDATAGEN=<path> -DJOIN=<path> -DWORKDIR=<dir>.
 
 file(MAKE_DIRECTORY ${WORKDIR})
@@ -182,6 +183,31 @@ if(NOT knn_header STREQUAL "point,rank,rect" OR NOT knn_line_count EQUAL 901)
   message(FATAL_ERROR "knn.csv: header '${knn_header}', ${knn_line_count} "
                       "lines; expected 'point,rank,rect' and 900 rows")
 endif()
+
+# On a predicate join --estimate prints a finite positive cardinality from
+# sampled selectivities. The estimate reads the inputs, not the grid, so
+# --grid 2x2 and --grid 8x8 must print the same number.
+set(estimate_2x2 "")
+foreach(grid 2x2 8x8)
+  execute_process(COMMAND ${JOIN} --query "A OV B AND B RA(40) A2"
+                  --input A=${WORKDIR}/a.csv --input B=${WORKDIR}/b.bin
+                  --input A2=${WORKDIR}/a.csv --algorithm crepl --grid ${grid}
+                  --count-only --estimate
+                  OUTPUT_VARIABLE estimate_out RESULT_VARIABLE code)
+  string(REGEX MATCH "estimated output cardinality: ([0-9][0-9.e+-]*)\n" _
+         "${estimate_out}")
+  set(estimate "${CMAKE_MATCH_1}")
+  if(NOT code EQUAL 0 OR estimate STREQUAL "" OR NOT estimate GREATER 0)
+    message(FATAL_ERROR "mwsj_join --estimate --grid ${grid} exited ${code} "
+                        "without a finite positive estimate:\n${estimate_out}")
+  endif()
+  if(grid STREQUAL "2x2")
+    set(estimate_2x2 "${estimate}")
+  elseif(NOT estimate STREQUAL estimate_2x2)
+    message(FATAL_ERROR "mwsj_join --estimate: ${estimate} at --grid 8x8 "
+                        "but ${estimate_2x2} at --grid 2x2")
+  endif()
+endforeach()
 
 # Three identical submissions in flight at once build each catalog artifact
 # once: the other two jobs wait for the builder and hit. M distinct keys
