@@ -1,14 +1,21 @@
 // Micro-benchmarks for the map-reduce engine substrate: shuffle and
-// grouping throughput bounds every algorithm's fixed costs.
+// grouping throughput bounds every algorithm's fixed costs, and the spill
+// codec bounds every budgeted shuffle.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "common/random.h"
 #include "common/thread_pool.h"
+#include "core/records.h"
+#include "io/colcodec.h"
 #include "mapreduce/engine.h"
 #include "mapreduce/fault.h"
+#include "mapreduce/spill.h"
 
 namespace mwsj {
 namespace {
@@ -312,6 +319,94 @@ void BM_GroupingManyKeys(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 200'000);
 }
 BENCHMARK(BM_GroupingManyKeys)->Arg(16)->Arg(4096)->Arg(100'000);
+
+// Column-major frame input for the codec benchmarks. Arg 0 is a sorted
+// (cell, RelRect) bucket of 1500 rows shaped like one All-Replicate spill
+// run (uniform rects of side <= 100 over a 40000 space, ids rising within a
+// cell, one relation); any other arg is one column whose zigzag deltas are
+// exactly that many bits wide.
+std::vector<std::vector<uint64_t>> CodecColumns(int64_t arg) {
+  constexpr size_t kRows = 1500;
+  Rng rng(11);
+  if (arg == 0) {
+    std::vector<std::pair<int32_t, RelRect>> bucket(kRows);
+    for (size_t i = 0; i < kRows; ++i) {
+      const double x = rng.Uniform(0, 40000);
+      const double y = rng.Uniform(0, 40000);
+      bucket[i].first = static_cast<int32_t>(rng.UniformInt(0, 7));
+      bucket[i].second.rect =
+          Rect(x, y, x + rng.Uniform(0, 100), y + rng.Uniform(0, 100));
+      bucket[i].second.id = static_cast<int64_t>(i) * 20;
+      bucket[i].second.relation = 1;
+    }
+    std::stable_sort(bucket.begin(), bucket.end(),
+                     [](const auto& a, const auto& b) {
+                       return a.first < b.first;
+                     });
+    constexpr size_t kValueCols = spill::SpillColumns<RelRect>::kNumColumns;
+    std::vector<std::vector<uint64_t>> cols(1 + kValueCols,
+                                            std::vector<uint64_t>(kRows));
+    uint64_t scratch[kValueCols];
+    for (size_t i = 0; i < kRows; ++i) {
+      cols[0][i] = spill::KeyToU64(bucket[i].first);
+      spill::SpillColumns<RelRect>::Scatter(bucket[i].second, scratch);
+      for (size_t c = 0; c < kValueCols; ++c) cols[c + 1][i] = scratch[c];
+    }
+    return cols;
+  }
+  // Zigzag codes below 2^width, top bit set, are deltas of that width.
+  const int width = static_cast<int>(arg);
+  const uint64_t mask =
+      width >= 64 ? ~uint64_t{0} : (uint64_t{1} << width) - 1;
+  std::vector<uint64_t> col(kRows);
+  uint64_t acc = rng.Next();
+  for (size_t i = 0; i < kRows; ++i) {
+    const uint64_t z = (rng.Next() & mask) | (uint64_t{1} << (width - 1));
+    acc += (z >> 1) ^ (uint64_t{0} - (z & 1));
+    col[i] = acc;
+  }
+  return {col};
+}
+
+void BM_ColCodecEncode(benchmark::State& state) {
+  const auto cols = CodecColumns(state.range(0));
+  std::vector<const uint64_t*> ptrs;
+  for (const auto& c : cols) ptrs.push_back(c.data());
+  const size_t rows = cols[0].size();
+  for (auto _ : state) {
+    // A fresh vector per frame, as the engine's spill runs get.
+    std::vector<uint8_t> frame;
+    colcodec::EncodeFrame(ptrs.data(), ptrs.size(), rows, &frame);
+    benchmark::DoNotOptimize(frame.data());
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(cols.size() * rows * 8));
+}
+BENCHMARK(BM_ColCodecEncode)->Arg(0)->Arg(8)->Arg(24)->Arg(48)->Arg(64);
+
+void BM_ColCodecDecode(benchmark::State& state) {
+  const auto cols = CodecColumns(state.range(0));
+  std::vector<const uint64_t*> ptrs;
+  for (const auto& c : cols) ptrs.push_back(c.data());
+  const size_t rows = cols[0].size();
+  std::vector<uint8_t> frame;
+  colcodec::EncodeFrame(ptrs.data(), ptrs.size(), rows, &frame);
+  std::vector<uint64_t> block(cols.size() * colcodec::kBlockRows);
+  for (auto _ : state) {
+    colcodec::FrameReader reader;
+    if (!reader.Init(frame.data(), frame.size())) {
+      state.SkipWithError("malformed frame");
+      break;
+    }
+    size_t decoded = 0;
+    while (const size_t got = reader.NextBlock(block.data())) decoded += got;
+    benchmark::DoNotOptimize(decoded);
+    benchmark::DoNotOptimize(block.data());
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(cols.size() * rows * 8));
+}
+BENCHMARK(BM_ColCodecDecode)->Arg(0)->Arg(8)->Arg(24)->Arg(48)->Arg(64);
 
 }  // namespace
 }  // namespace mwsj

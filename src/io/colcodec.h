@@ -17,8 +17,12 @@ namespace mwsj::colcodec {
 ///   [1B bit-width w][8B first value, little-endian]
 ///   [ceil((count-1) * w / 8) bytes of LSB-first bitpacked zigzag deltas]
 ///
-/// The delta + zigzag transform and the bitpack are plain scalar code, so
-/// the encoded bytes do not depend on the CPU.
+/// The delta + zigzag transform and the bitpack are one plain scalar
+/// implementation, so the encoded bytes do not depend on the CPU. The
+/// bitpack moves whole 64-bit words (stores when packing; one unaligned
+/// load per value, plus a ninth byte for a field that crosses the word,
+/// when unpacking), which on the little-endian hosts it compiles for lays
+/// out exactly the LSB-first bytes above.
 /// Sorted-key columns and the order-preserving double mapping below make
 /// deltas small, which is where the compression comes from.
 
@@ -45,8 +49,10 @@ inline double DoubleFromOrderedBits(uint64_t key) {
 }
 
 /// Appends the encoding of vals[0..n) to *out. Returns the bytes appended.
-/// n == 0 appends nothing. MWSJ_DETERMINISTIC: encoded bytes are pinned
-/// identical across ISAs by the spill parity suite.
+/// A sizing pass computes every block's width first, so *out grows once,
+/// to exactly the encoded size. n == 0 appends nothing.
+/// MWSJ_DETERMINISTIC: encoded bytes are pinned identical across ISAs by
+/// the spill parity suite.
 MWSJ_DETERMINISTIC size_t EncodeColumn(const uint64_t* vals, size_t n,
                                        std::vector<uint8_t>* out);
 
@@ -82,7 +88,9 @@ class ColumnCursor {
 
 /// A frame bundles `cols` parallel columns of `rows` values each — one
 /// spilled sorted run. Layout: [u32 cols][u64 rows][u64 byte-length × cols]
-/// [column payloads]. All integers little-endian.
+/// [column payloads]. All integers little-endian. The whole frame is sized
+/// before it is written, so *out grows once, by exactly the frame's bytes
+/// (an empty *out ends with capacity() == size()).
 MWSJ_DETERMINISTIC void EncodeFrame(const uint64_t* const* columns,
                                     size_t cols, size_t rows,
                                     std::vector<uint8_t>* out);

@@ -3,8 +3,9 @@
 // the largest bucket and the output vector holding its capacity, a
 // re-encode — exactly what a flaky-I/O retry or a speculative duplicate
 // flush performs — touches the heap zero times, and the re-encoded bytes
-// are identical to the first attempt's. Whole-binary allocation counting
-// via the replaced operator new, as in bench/micro_localjoin.cc;
+// are identical to the first attempt's; encoding into an empty vector
+// allocates the frame once, at its exact size. Whole-binary allocation
+// counting via the replaced operator new, as in bench/micro_localjoin.cc;
 // gtest_discover_tests runs each TEST in its own process.
 #include <atomic>
 #include <cstddef>
@@ -95,6 +96,24 @@ TEST(SpillEncodeRunAllocTest, RetryReencodeIsAllocationFree) {
   bytes.clear();
   spill::EncodeRun(pairs.data(), pairs.size(), &scratch, &bytes);
   EXPECT_EQ(bytes, first);
+}
+
+TEST(SpillEncodeRunAllocTest, FrameIsAllocatedOnceAtExactSize) {
+  const auto pairs = MakeBucket(1000);
+  std::vector<uint64_t> scratch;
+  std::vector<uint8_t> warm;
+  spill::EncodeRun(pairs.data(), pairs.size(), &scratch, &warm);
+
+  // With the column scratch warm, encoding into an empty vector sizes the
+  // frame before writing it: one allocation, no slack capacity.
+  std::vector<uint8_t> bytes;
+  const int64_t before = g_heap_allocs.load(std::memory_order_relaxed);
+  spill::EncodeRun(pairs.data(), pairs.size(), &scratch, &bytes);
+  const int64_t allocs =
+      g_heap_allocs.load(std::memory_order_relaxed) - before;
+  EXPECT_EQ(allocs, 1);
+  EXPECT_EQ(bytes.capacity(), bytes.size());
+  EXPECT_EQ(bytes, warm);
 }
 
 TEST(SpillEncodeRunAllocTest, ScratchOverloadMatchesOneShotOverload) {
