@@ -2,7 +2,7 @@
 # Builds the micro benchmarks in Release and runs them with JSON output,
 # writing the merged results to BENCH_<date>.json at the repo root.
 #
-# Usage: bench/run_benchmarks.sh [--json OUT] [benchmark_filter]
+# Usage: bench/run_benchmarks.sh [--json OUT [NAME...]] [benchmark_filter]
 #
 #   bench/run_benchmarks.sh                 # run everything
 #   bench/run_benchmarks.sh 'BM_Reduce.*'   # only the reduce benches
@@ -10,18 +10,18 @@
 #                                           # retry amplification under
 #                                           # seeded fault plans (regimes:
 #                                           # no plan / empty / light / heavy)
-#   bench/run_benchmarks.sh --json OUT      # run the table-reproduction
-#                                           # suite (Tables 2-9) and write
-#                                           # one structured row per
-#                                           # algorithm x configuration to
-#                                           # OUT: table, algorithm, scale,
-#                                           # wall seconds, communication
-#                                           # bytes, output tuples (plus a
-#                                           # spill object when
-#                                           # MWSJ_SHUFFLE_BUDGET is set).
+#   bench/run_benchmarks.sh --json OUT [NAME...]
+#                                           # run the paper's tables and
+#                                           # ablations (bench/paper_tables;
+#                                           # NAMEs pick specs, e.g. table2,
+#                                           # none runs all) and write one
+#                                           # self-describing row per run to
+#                                           # OUT (see paper_tables.cc).
 #                                           # MWSJ_BENCH_SCALE applies
 #                                           # (e.g. =1.0 for the paper's
-#                                           # full-size world).
+#                                           # full-size world). Compare two
+#                                           # such files with
+#                                           # tools/bench_diff.py.
 #
 # The build directory (build-bench) is kept between runs for fast
 # re-measurement. Compare two JSON files across commits to spot
@@ -32,28 +32,36 @@ ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 BUILD="$ROOT/build-bench"
 
 if [[ "${1:-}" == "--json" ]]; then
-  [[ $# -ge 2 ]] || { echo "usage: $0 --json OUT" >&2; exit 2; }
+  [[ $# -ge 2 ]] || { echo "usage: $0 --json OUT [NAME...]" >&2; exit 2; }
   OUT="$2"
   [[ "$OUT" == /* ]] || OUT="$PWD/$OUT"
-  TABLES=(table2_vary_size table3_vary_dims table4_california_overlap
-          table5_range_vary_size table6_range_vary_d
-          table7_california_range table8_hybrid_vary_size
-          table9_california_hybrid)
+  shift 2
+  TABLES=(paper_tables)
   cmake -B "$BUILD" -S "$ROOT" -DCMAKE_BUILD_TYPE=Release
   cmake --build "$BUILD" -j"$(nproc)" --target "${TABLES[@]}"
   TMP="$(mktemp -d)"
   trap 'rm -rf "$TMP"' EXIT
-  for table in "${TABLES[@]}"; do
-    echo "== $table =="
-    MWSJ_BENCH_JSON="$TMP/rows.jsonl" "$BUILD/bench/$table"
-  done
-  python3 - "$OUT" "$TMP/rows.jsonl" <<'EOF'
-import json, os, sys
-out, rows_path = sys.argv[1], sys.argv[2]
+  SECONDS=0
+  rc=0
+  MWSJ_BENCH_JSON="$TMP/rows.jsonl" "$BUILD/bench/paper_tables" "$@" \
+    | tee "$TMP/stdout.txt" || rc=$?
+  python3 - "$OUT" "$TMP/rows.jsonl" "$TMP/stdout.txt" "$SECONDS" <<'EOF'
+import json, os, re, sys
+out, rows_path, stdout_path, seconds = sys.argv[1:]
 rows = [json.loads(line) for line in open(rows_path) if line.strip()]
+claims, spec = [], None
+for line in open(stdout_path):
+    header = re.search(r"\[(\w+)\]$", line.rstrip())
+    if header:
+        spec = header.group(1)
+    elif line.startswith(("  PASS", "  FAIL")):
+        claims.append({"spec": spec, "result": line.split()[0],
+                       "claim": line[6:].strip()})
 doc = {
     "bench_scale": os.environ.get("MWSJ_BENCH_SCALE", ""),
     "shuffle_budget": os.environ.get("MWSJ_SHUFFLE_BUDGET", ""),
+    "wall_seconds": int(seconds),
+    "claims": claims,
     "rows": rows,
 }
 with open(out, "w") as f:
@@ -61,7 +69,7 @@ with open(out, "w") as f:
     f.write("\n")
 EOF
   echo "wrote $OUT"
-  exit 0
+  exit "$rc"
 fi
 
 FILTER="${1:-.}"
