@@ -153,24 +153,27 @@ void BM_MultiwayLocalJoinChain3(benchmark::State& state) {
   const Query query = MakeChainQuery(3, Predicate::Overlap()).value();
   const int n = static_cast<int>(state.range(0));
   const auto locals = MakeChainLocals(n);
+  int64_t probes = 0;  // Anchor probes of one Execute.
   for (auto _ : state) {
     std::vector<std::span<const LocalRect>> spans;
     for (const auto& l : locals) spans.emplace_back(l.data(), l.size());
     MultiwayLocalJoin join(query, std::move(spans));
     int64_t tuples = 0;
-    join.Execute([&tuples](const std::vector<const LocalRect*>&) {
-      ++tuples;
-    });
+    join.Execute(
+        [&tuples](const std::vector<const LocalRect*>&) { ++tuples; },
+        &probes);
     benchmark::DoNotOptimize(tuples);
   }
+  state.counters["probes"] = benchmark::Counter(static_cast<double>(probes));
   state.SetItemsProcessed(state.iterations() * 3 * n);
 }
 BENCHMARK(BM_MultiwayLocalJoinChain3)->Arg(1000)->Arg(10000);
 
-// Probe-only: the trees are built once, the backtracking search runs per
-// iteration. Also reports steady-state heap allocations per Execute — a
-// small constant (the BindScratch vectors), independent of the number of
-// probes and emitted tuples, and of the owner window.
+// Probe-only: the trees are built once, the binding runs per iteration.
+// Also reports the anchor probes and the heap allocations of one Execute:
+// its per-call scratch (one match-list table per depth) plus the amortized
+// growth of the per-depth match arenas, which keep every probe's matches.
+// None is per candidate or per emitted tuple.
 void RunExecuteBench(benchmark::State& state,
                      const std::vector<std::vector<LocalRect>>& locals,
                      OwnerWindow window) {
@@ -183,7 +186,9 @@ void RunExecuteBench(benchmark::State& state,
   }
   const MultiwayLocalJoin join(query, std::move(spans), window);
   int64_t tuples = 0;
-  join.Execute([&tuples](const std::vector<const LocalRect*>&) { ++tuples; });
+  int64_t probes = 0;
+  join.Execute([&tuples](const std::vector<const LocalRect*>&) { ++tuples; },
+               &probes);
   int64_t allocs = 0;
   for (auto _ : state) {
     int64_t count = 0;
@@ -196,6 +201,7 @@ void RunExecuteBench(benchmark::State& state,
       static_cast<double>(allocs) / static_cast<double>(state.iterations()));
   state.counters["tuples"] =
       benchmark::Counter(static_cast<double>(tuples));
+  state.counters["probes"] = benchmark::Counter(static_cast<double>(probes));
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(records));
 }
@@ -281,10 +287,10 @@ BENCHMARK(BM_MultiwayLocalJoinExecuteCell)
     ->Args({1600, 1});
 
 // The factorized count on the same cells. allocs_per_exec counts the
-// once-per-Count vector setup and must not grow with the probes or the
-// tuples; count_exec_ratio is Count's time per call over Execute's on the
-// same join (Execute timed before the loop, also checking that both
-// agree on the tuple count).
+// once-per-Count setup plus the match arenas' amortized growth, never one
+// per tuple; probes are Count's anchor probes; count_exec_ratio is Count's
+// time per call over Execute's on the same join (Execute timed before the
+// loop, also checking that both agree on the tuple count).
 void BM_MultiwayLocalJoinCountCell(benchmark::State& state) {
   const OwnerWindow window =
       state.range(1) != 0 ? OwnerWindow{5000, 5000} : OwnerWindow{};
@@ -307,11 +313,12 @@ void BM_MultiwayLocalJoinCountCell(benchmark::State& state) {
   const std::chrono::duration<double> execute_s =
       std::chrono::steady_clock::now() - execute_start;
   int64_t tuples = 0;
+  int64_t probes = 0;
   int64_t allocs = 0;
   const auto count_start = std::chrono::steady_clock::now();
   for (auto _ : state) {
     const int64_t before = g_heap_allocs.load(std::memory_order_relaxed);
-    tuples = join.Count();
+    tuples = join.Count(&probes);
     allocs += g_heap_allocs.load(std::memory_order_relaxed) - before;
     benchmark::DoNotOptimize(tuples);
   }
@@ -325,6 +332,7 @@ void BM_MultiwayLocalJoinCountCell(benchmark::State& state) {
   state.counters["allocs_per_exec"] =
       benchmark::Counter(static_cast<double>(allocs) / iterations);
   state.counters["tuples"] = benchmark::Counter(static_cast<double>(tuples));
+  state.counters["probes"] = benchmark::Counter(static_cast<double>(probes));
   state.counters["count_exec_ratio"] = benchmark::Counter(
       (count_s.count() / iterations) / (execute_s.count() / kExecuteReps));
   state.SetItemsProcessed(state.iterations() *

@@ -19,9 +19,11 @@
 #                                           # OUT (see paper_tables.cc).
 #                                           # MWSJ_BENCH_SCALE applies
 #                                           # (e.g. =1.0 for the paper's
-#                                           # full-size world). Compare two
-#                                           # such files with
-#                                           # tools/bench_diff.py.
+#                                           # full-size world). The document
+#                                           # also records the checkout's
+#                                           # git_sha and whether it was
+#                                           # dirty. Compare two such files
+#                                           # with tools/bench_diff.py.
 #
 # The build directory (build-bench) is kept between runs for fast
 # re-measurement. Compare two JSON files across commits to spot
@@ -45,9 +47,12 @@ if [[ "${1:-}" == "--json" ]]; then
   rc=0
   MWSJ_BENCH_JSON="$TMP/rows.jsonl" "$BUILD/bench/paper_tables" "$@" \
     | tee "$TMP/stdout.txt" || rc=$?
-  python3 - "$OUT" "$TMP/rows.jsonl" "$TMP/stdout.txt" "$SECONDS" <<'EOF'
+  GIT_SHA="$(git -C "$ROOT" rev-parse HEAD 2>/dev/null || echo unknown)"
+  DIRTY="$(git -C "$ROOT" status --porcelain 2>/dev/null | head -c1)"
+  python3 - "$OUT" "$TMP/rows.jsonl" "$TMP/stdout.txt" "$SECONDS" \
+    "$GIT_SHA" "$DIRTY" <<'EOF'
 import json, os, re, sys
-out, rows_path, stdout_path, seconds = sys.argv[1:]
+out, rows_path, stdout_path, seconds, git_sha, dirty = sys.argv[1:]
 rows = [json.loads(line) for line in open(rows_path) if line.strip()]
 claims, spec = [], None
 for line in open(stdout_path):
@@ -58,6 +63,8 @@ for line in open(stdout_path):
         claims.append({"spec": spec, "result": line.split()[0],
                        "claim": line[6:].strip()})
 doc = {
+    "git_sha": git_sha,
+    "dirty": dirty != "",
     "bench_scale": os.environ.get("MWSJ_BENCH_SCALE", ""),
     "shuffle_budget": os.environ.get("MWSJ_SHUFFLE_BUDGET", ""),
     "wall_seconds": int(seconds),

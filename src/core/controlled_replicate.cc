@@ -110,10 +110,11 @@ std::vector<MarkingSubset> MarkingSubsets(const Query& query) {
 }
 
 // The marking decision of one cell over the given subsets (see
-// MarkRectanglesForCell).
+// MarkRectanglesForCell). Adds the local joins' anchor probes to `*probes`.
 std::vector<std::vector<char>> MarkCell(
     const std::vector<MarkingSubset>& subsets, const GridPartition& grid,
-    CellId cell, const std::vector<std::vector<LocalRect>>& cell_rects) {
+    CellId cell, const std::vector<std::vector<LocalRect>>& cell_rects,
+    int64_t* probes) {
   const Rect cell_rect = grid.CellRect(cell);
   const size_t m = cell_rects.size();
   std::vector<std::vector<char>> marked(m);
@@ -167,13 +168,17 @@ std::vector<std::vector<char>> MarkCell(
       }
       continue;
     }
+    int64_t subset_probes = 0;
     MultiwayLocalJoin(*s.induced, spans)
-        .Execute([&](const std::vector<const LocalRect*>& assignment) {
-          for (size_t k = 0; k < assignment.size(); ++k) {
-            marked[static_cast<size_t>(s.members[k])]
-                  [static_cast<size_t>(assignment[k]->id)] = 1;
-          }
-        });
+        .Execute(
+            [&](const std::vector<const LocalRect*>& assignment) {
+              for (size_t k = 0; k < assignment.size(); ++k) {
+                marked[static_cast<size_t>(s.members[k])]
+                      [static_cast<size_t>(assignment[k]->id)] = 1;
+              }
+            },
+            &subset_probes);
+    *probes += subset_probes;
   }
 
   // Only the rectangles starting in the cell are decided here.
@@ -190,7 +195,8 @@ std::vector<std::vector<char>> MarkCell(
 std::vector<std::vector<char>> MarkRectanglesForCell(
     const Query& query, const GridPartition& grid, CellId cell,
     const std::vector<std::vector<LocalRect>>& cell_rects) {
-  return MarkCell(MarkingSubsets(query), grid, cell, cell_rects);
+  int64_t probes = 0;
+  return MarkCell(MarkingSubsets(query), grid, cell, cell_rects, &probes);
 }
 
 // ---------------------------------------------------------------------------
@@ -238,27 +244,23 @@ std::vector<Record> FlattenRelations(
 // leaf check keeps the emitted set independent of the window's
 // floating-point edges.
 //
-// Two paths, picked by the query's shape alone:
-//  * count: count_only on a tree-shaped join graph runs
-//    MultiwayLocalJoin::Count, the factorized count, which never assembles
-//    a tuple. It relies on window ⇔ ownership under the up-left routings,
-//    so there "checks" are the tuples whose ownership the window class
-//    decided: dedup_tuple_checks == dedup_owned == tuples_counted.
-//  * enumerate: every materialized join, and cyclic graphs (kCycle3,
-//    cliques) counted or not, run Execute with the OwnsTuple leaf check.
-// Both publish local_join_probes and local_join_rects_pruned, and the
-// `local_join` span names its path and the records it `kept`.
+// count_only runs MultiwayLocalJoin::Count, which never assembles a tuple
+// (on a tree query it is the factorized fold). It relies on window ⇔
+// ownership under the up-left routings, so there "checks" are the tuples
+// whose ownership the window class decided: dedup_tuple_checks ==
+// dedup_owned == tuples_counted. A materialized join runs Execute with
+// the OwnsTuple leaf check. Both publish local_join_probes and
+// local_join_rects_pruned, and the `local_join` span names the records it
+// `kept`.
 //
 // Dedup tallies live in locals and are published once per call through the
 // attempt-scoped counters, so a re-executed attempt never double-counts.
 void JoinCell(const Query& query, const GridPartition& grid, bool count_only,
               Tracer* tracer, CellId cell, std::span<const RelRect> values,
               JoinJob::OutEmitter& out) {
-  const bool count_path = count_only && query.IsTree();
   TraceSpan local_span(tracer, "local_join", "task");
   local_span.AddArg("cell", static_cast<int64_t>(cell));
   local_span.AddArg("records", static_cast<int64_t>(values.size()));
-  local_span.AddArg("path", count_path ? "count" : "enumerate");
   const size_t m = static_cast<size_t>(query.num_relations());
   const OwnerWindow window{grid.QuadrantXLo(cell), grid.QuadrantYHi(cell)};
   std::vector<double> max_length(m, 0.0);
@@ -289,7 +291,7 @@ void JoinCell(const Query& query, const GridPartition& grid, bool count_only,
   int64_t probes = 0;
   int64_t checks = 0;
   int64_t owned = 0;
-  if (count_path) {
+  if (count_only) {
     checks = owned = local.Count(&probes);
   } else {
     std::vector<const Rect*> member_rects(m);
@@ -300,7 +302,6 @@ void JoinCell(const Query& query, const GridPartition& grid, bool count_only,
           ++checks;
           if (!OwnsTuple(grid, cell, member_rects)) return;
           ++owned;
-          if (count_only) return;
           const std::span<int64_t> row = owned_tuples.AppendRow();
           for (size_t r = 0; r < m; ++r) row[r] = members[r]->id;
         },
@@ -449,8 +450,12 @@ std::vector<MarkedRect> RunMarkingRound(
       per_relation[static_cast<size_t>(v.relation)].push_back(
           LocalRect{v.rect, v.id});
     }
+    // Published once per call through the attempt-scoped counters, so a
+    // re-executed attempt never double-counts.
+    int64_t probes = 0;
     const std::vector<std::vector<char>> marked =
-        MarkCell(subsets, grid, cell, per_relation);
+        MarkCell(subsets, grid, cell, per_relation, &probes);
+    out.IncrementCounter(kCounterLocalJoinProbes, probes);
     // Emit each rectangle exactly once, from its start cell. `values` was
     // bucketed in order, so a per-relation cursor is each record's
     // position in its relation's list.

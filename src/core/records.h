@@ -133,9 +133,11 @@ inline constexpr char kCounterTuplesCounted[] = "tuples_counted";
 inline constexpr char kCounterDedupTupleChecks[] = "dedup_tuple_checks";
 inline constexpr char kCounterDedupPairChecks[] = "dedup_pair_checks";
 inline constexpr char kCounterDedupOwned[] = "dedup_owned";
-/// Anchor probes the join round's multiway local join issued
-/// (MultiwayLocalJoin::Execute or Count), summed over its reduce calls:
-/// the reducer's index work, as opposed to the tuples it produced.
+/// Anchor probes the multiway local join issued (MultiwayLocalJoin: one
+/// per distinct binding depth and anchor rectangle per call), summed over
+/// a job's reduce calls: Count or Execute in a join round, and the marking
+/// Execute calls in C-Rep's round 1. The reducer's index work, as opposed
+/// to the tuples it produced.
 inline constexpr char kCounterLocalJoinProbes[] = "local_join_probes";
 /// Records the join round's reducers dropped before bucketing because the
 /// owner window's reach (localjoin/multiway.h OwnerReach) rules them out of

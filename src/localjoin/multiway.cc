@@ -1,6 +1,7 @@
 // The multiway binding recursion is the innermost loop of every reducer:
 // emits are templated (no std::function per candidate) and probes reuse
-// BindScratch. Build-time code below may allocate; the probe paths are held
+// BindScratch, which keeps each probe's matches while they can be read
+// again. Build-time code below may allocate; the probe paths are held
 // allocation-free by tools/mwsj_check.py alloc-free-reach rooted at the
 // MWSJ_ALLOC_FREE Execute and Count annotations in multiway.h.
 #include "localjoin/multiway.h"
@@ -42,56 +43,46 @@ MultiwayLocalJoin::MultiwayLocalJoin(
   // r), keeping the plan platform-deterministic. The query graph is
   // connected (Query invariant), so this covers all relations.
   std::vector<bool> bound(static_cast<size_t>(m), false);
-  int first = 0;
-  for (int r = 1; r < m; ++r) {
-    if (relations_[static_cast<size_t>(r)].size() <
-        relations_[static_cast<size_t>(first)].size()) {
-      first = r;
-    }
-  }
-  order_.push_back(first);
-  anchor_relation_.push_back(-1);
-  anchor_condition_.push_back(-1);
-  bound[static_cast<size_t>(first)] = true;
-
   while (static_cast<int>(order_.size()) < m) {
     int best = -1;
-    int best_condition = -1;
+    const Predicate* best_predicate = nullptr;
     int best_anchor = -1;
-    size_t best_size = std::numeric_limits<size_t>::max();
     for (int r = 0; r < m; ++r) {
       if (bound[static_cast<size_t>(r)]) continue;
+      // One bound-connected condition suffices for the anchor; the first
+      // depth needs none.
+      const Predicate* predicate = nullptr;
+      int anchor = -1;
       for (int ci : query_.ConditionsOf(r)) {
         const JoinCondition& c = query_.conditions()[static_cast<size_t>(ci)];
         const int other = (c.left == r) ? c.right : c.left;
-        if (!bound[static_cast<size_t>(other)]) continue;
-        if (relations_[static_cast<size_t>(r)].size() < best_size) {
-          best = r;
-          best_condition = ci;
-          best_anchor = other;
-          best_size = relations_[static_cast<size_t>(r)].size();
+        if (bound[static_cast<size_t>(other)]) {
+          predicate = &c.predicate;
+          anchor = other;
+          break;
         }
-        break;  // One bound-connected condition suffices for the anchor.
+      }
+      if ((predicate != nullptr || order_.empty()) &&
+          (best < 0 || relations_[static_cast<size_t>(r)].size() <
+                           relations_[static_cast<size_t>(best)].size())) {
+        best = r;
+        best_predicate = predicate;
+        best_anchor = anchor;
       }
     }
     order_.push_back(best);
     anchor_relation_.push_back(best_anchor);
-    anchor_condition_.push_back(best_condition);
+    anchor_predicate_.push_back(best_predicate);
     bound[static_cast<size_t>(best)] = true;
-  }
-
-  // Residual conditions checked at each depth: both endpoints bound, and
-  // the condition is not the depth's anchor.
-  check_conditions_.resize(order_.size());
-  std::fill(bound.begin(), bound.end(), false);
-  for (size_t k = 0; k < order_.size(); ++k) {
-    const int r = order_[k];
-    bound[static_cast<size_t>(r)] = true;
-    for (int ci : query_.ConditionsOf(r)) {
-      if (ci == anchor_condition_[k]) continue;
+    // Residual conditions checked at this depth: both endpoints bound, and
+    // the condition is not the depth's anchor.
+    check_conditions_.emplace_back();
+    for (int ci : query_.ConditionsOf(best)) {
       const JoinCondition& c = query_.conditions()[static_cast<size_t>(ci)];
-      const int other = (c.left == r) ? c.right : c.left;
-      if (bound[static_cast<size_t>(other)]) check_conditions_[k].push_back(ci);
+      const int other = (c.left == best) ? c.right : c.left;
+      if (&c.predicate != best_predicate && bound[static_cast<size_t>(other)]) {
+        check_conditions_.back().push_back(ci);
+      }
     }
   }
 
@@ -115,77 +106,89 @@ MultiwayLocalJoin::MultiwayLocalJoin(
   // Index every relation probed at depth > 0.
   std::vector<Rect> rects;
   for (size_t k = 1; k < order_.size(); ++k) {
-    const auto relation = relations_[static_cast<size_t>(order_[k])];
     rects.clear();
-    for (const LocalRect& lr : relation) rects.push_back(lr.rect);
+    for (const LocalRect& lr : relations_[static_cast<size_t>(order_[k])]) {
+      rects.push_back(lr.rect);
+    }
     trees_[static_cast<size_t>(order_[k])] = std::make_unique<RTree>(rects);
   }
 }
 
-int64_t MultiwayLocalJoin::Count(int64_t* probes) const {
-  if (probes != nullptr) *probes = 0;
-  for (const auto& relation : relations_) {
-    if (relation.empty()) return 0;  // No full assignment can exist.
-  }
-  const size_t depths = order_.size();
-  auto class_of = [this](const LocalRect& lr) {
-    return static_cast<size_t>(Supplies(lr.rect) & need_);
-  };
+MultiwayLocalJoin::BindScratch MultiwayLocalJoin::NewScratch() const {
   BindScratch scratch;
-  // mwsj-check: allow(alloc-free-reach): once-per-Count scratch setup, not
-  // per-probe work; every probe below reuses these buffers.
-  scratch.candidates.resize(depths);
-  // Count vectors of the parents (relations some depth anchors on, plus
-  // the root), each starting at its own class; a leaf's vector is implied
-  // by its class.
-  std::vector<std::vector<ClassCounts>> counts(relations_.size());
-  for (size_t k = 0; k < depths; ++k) {
-    const int parent = k == 0 ? order_[0] : anchor_relation_[k];
-    auto& vecs = counts[static_cast<size_t>(parent)];
-    if (!vecs.empty()) continue;
-    const auto relation = relations_[static_cast<size_t>(parent)];
-    // mwsj-check: allow(alloc-free-reach): same once-per-Count setup.
-    vecs.assign(relation.size(), ClassCounts{});
-    for (size_t i = 0; i < relation.size(); ++i) {
-      vecs[i][class_of(relation[i])] = 1;
-    }
+  // mwsj-check: allow(alloc-free-reach): once-per-call setup of Execute
+  // and Count, not per-candidate work; the binding and the fold reuse it.
+  scratch.assignment.assign(relations_.size(), nullptr);
+  // mwsj-check: allow(alloc-free-reach): same once-per-call setup.
+  scratch.lists.resize(order_.size());
+  // mwsj-check: allow(alloc-free-reach): same once-per-call setup.
+  scratch.matches.resize(order_.size());
+  for (size_t k = 1; k < order_.size(); ++k) {
+    // mwsj-check: allow(alloc-free-reach): same once-per-call setup.
+    scratch.lists[k].resize(
+        relations_[static_cast<size_t>(anchor_relation_[k])].size());
   }
+  return scratch;
+}
 
-  // Fold from the deepest depth up: every child of order_[k] sits deeper,
-  // so its vectors are complete when depth k folds it into its parent.
-  for (size_t k = depths; k-- > 1;) {
-    const auto child = relations_[static_cast<size_t>(order_[k])];
-    const std::vector<ClassCounts>& child_counts =
-        counts[static_cast<size_t>(order_[k])];
-    const int parent = anchor_relation_[k];
-    const auto parents = relations_[static_cast<size_t>(parent)];
-    std::vector<ClassCounts>& parent_counts =
-        counts[static_cast<size_t>(parent)];
-    for (size_t i = 0; i < parents.size(); ++i) {
-      ClassCounts& vec = parent_counts[i];
-      // An earlier child matched nothing: no assignment through this
-      // rectangle remains, so skip its probe.
-      if (vec == ClassCounts{}) continue;
-      ClassCounts sum{};
-      if (child_counts.empty()) {
-        ProbeAnchor(k, parents[i].rect, scratch,
-                    [&](size_t j) { ++sum[class_of(child[j])]; });
-      } else {
-        ProbeAnchor(k, parents[i].rect, scratch, [&](size_t j) {
-          for (size_t c = 0; c < 4; ++c) sum[c] += child_counts[j][c];
-        });
+const MultiwayLocalJoin::ClassCounts& MultiwayLocalJoin::Fold(
+    size_t depth, size_t i, BindScratch& scratch,
+    std::vector<std::vector<ClassCounts>>& folded) const {
+  const int r = order_[depth];
+  ClassCounts vec{};
+  vec[Supplies(relations_[static_cast<size_t>(r)][i].rect) & need_] = 1;
+  // Child depths from the deepest up; once a child matches nothing, no
+  // assignment through this rectangle remains, so the others go unprobed.
+  for (size_t c = order_.size(); c-- > depth + 1;) {
+    if (anchor_relation_[c] != r) continue;
+    if (vec == ClassCounts{}) break;
+    const size_t child = static_cast<size_t>(order_[c]);
+    ClassCounts sum{};
+    const std::span<const int32_t> matches = Matches(c, i, scratch);
+    if (folded[child].empty()) {  // A leaf adds its class.
+      const auto leaves = relations_[child];
+      for (int32_t j : matches) {
+        ++sum[Supplies(leaves[static_cast<size_t>(j)].rect) & need_];
       }
-      ClassCounts folded{};
-      for (size_t a = 0; a < 4; ++a) {
-        for (size_t b = 0; b < 4; ++b) folded[a | b] += vec[a] * sum[b];
+    } else {
+      const ClassCounts* vecs = folded[child].data();
+      for (int32_t j : matches) {
+        const ClassCounts& v = vecs[j];
+        if (v[0] < 0) Fold(c, static_cast<size_t>(j), scratch, folded);
+        for (size_t b = 0; b < 4; ++b) sum[b] += v[b];
       }
-      vec = folded;
     }
+    ClassCounts product{};
+    for (size_t a = 0; a < 4; ++a) {
+      for (size_t b = 0; b < 4; ++b) product[a | b] += vec[a] * sum[b];
+    }
+    vec = product;
   }
+  return folded[static_cast<size_t>(r)][i] = vec;
+}
 
+int64_t MultiwayLocalJoin::Count(int64_t* probes) const {
+  if (!query_.IsTree()) {
+    int64_t emitted = 0;
+    Execute([&emitted](const auto&) { ++emitted; }, probes);
+    return emitted;
+  }
+  BindScratch scratch = NewScratch();
+  scratch.keep = false;  // The fold reads each list once.
+  // One memoized vector per rectangle of the root and of every relation a
+  // depth anchors on; entry 0 of -1 marks it not yet folded. A leaf
+  // relation keeps none.
+  std::vector<std::vector<ClassCounts>> folded(relations_.size());
+  for (size_t k = 0; k < order_.size(); ++k) {
+    const size_t parent =
+        static_cast<size_t>(k == 0 ? order_[0] : anchor_relation_[k]);
+    // mwsj-check: allow(alloc-free-reach): once-per-Count setup, as in
+    // NewScratch; the fold below only reads and writes these vectors.
+    folded[parent].assign(relations_[parent].size(), ClassCounts{-1, 0, 0, 0});
+  }
   int64_t total = 0;
-  for (const ClassCounts& vec : counts[static_cast<size_t>(order_[0])]) {
-    total += vec[need_];
+  for (size_t i = 0; i < folded[static_cast<size_t>(order_[0])].size(); ++i) {
+    total += Fold(0, i, scratch, folded)[need_];
   }
   if (probes != nullptr) *probes = scratch.probes;
   return total;

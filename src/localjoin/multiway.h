@@ -75,12 +75,19 @@ struct OwnerReach {
 /// emit callback.
 ///
 /// Strategy: index each relation bound after the first with an STR
-/// R-tree, bind relations along the join graph starting from the smallest
-/// relation, probe the next relation's tree through one connecting
-/// condition (one RTree::Collect), and verify the remaining conditions
-/// against already-bound rectangles before recursing. A relation of at
-/// most one leaf's worth of rectangles is a one-leaf tree, probed by one
+/// R-tree, and bind relations along the join graph starting from the
+/// smallest relation. Depth k > 0 binds relation order_[k] through one
+/// anchor condition to the already-bound anchor_relation_[k]; the other
+/// conditions are checked against already-bound rectangles. A relation of
+/// at most one leaf's worth of rectangles is a one-leaf tree, probed by one
 /// root-MBR test and one batch-filter call.
+///
+/// One probe routine serves both consumers: for depth k and anchor
+/// rectangle i, the depth's R-tree is probed once per call, on first use
+/// (one RTree::Collect), and the matches are kept for the rest of the call.
+/// Execute binds depth-first over these lists, so a rectangle bound under
+/// many prefixes (r2 under every r1 on the chain R1–R2–R3) probes its
+/// child once. Count folds per-rectangle class vectors over the same lists.
 ///
 /// An optional owner window restricts the enumeration to the assignments
 /// that can still be owned by the reducer's cell under the §6.2 rule: at
@@ -89,16 +96,11 @@ struct OwnerReach {
 /// are separable over the members, so a partial binding carries a 2-bit
 /// `need` mask of the tests no bound member has passed yet; a binding
 /// whose outstanding bits no later relation can supply is dropped, and a
-/// depth that must supply a bit clips its overlap probe to the half-plane.
-/// Pruning only removes subtrees whose every assignment fails a test, and
-/// a clipped probe visits a subsequence of the unclipped one, so the
-/// windowed emit stream is exactly the unwindowed stream restricted to the
-/// assignments that pass both tests.
+/// depth that must supply a bit skips an overlap anchor that cannot reach
+/// its half-plane. Pruning only removes subtrees whose every assignment
+/// fails a test, so the windowed emit stream is exactly the unwindowed
+/// stream restricted to the assignments that pass both tests.
 /// The default window (−∞, +∞) needs no bit and prunes nothing.
-///
-/// Count() gives Execute's emit count for tree-shaped queries without
-/// enumerating: a bottom-up fold over the same plan and the same anchor
-/// probe (ProbeAnchor), costing the probes plus the matched pairs.
 class MultiwayLocalJoin {
  public:
   /// `relations[r]` holds the rectangles of query relation r present at
@@ -108,56 +110,48 @@ class MultiwayLocalJoin {
                     OwnerWindow window = {});
 
   /// Runs the join. `emit` receives one pointer per relation (indexed by
-  /// relation); the pointers are only valid during the callback. All
-  /// per-depth buffers live in a scratch owned by this call, so the steady
-  /// state allocates only when a depth's candidate list outgrows its
-  /// previous high-water mark. `probes`, when set, receives the number of
-  /// anchor probes issued (one per binding at depth > 0 whose probe was not
-  /// pruned by the window).
+  /// relation); the pointers are only valid during the callback. `probes`,
+  /// when set, receives the number of anchor probes issued: one per
+  /// distinct (depth, anchor rectangle) the binding reached, unless the
+  /// window ruled the anchor out every time. An empty relation is the
+  /// smallest, so it binds first and nothing is probed.
   ///
   /// MWSJ_ALLOC_FREE: the binding recursion is every reducer's innermost
-  /// loop; per-candidate work must not allocate (bench/micro_localjoin.cc
-  /// pins allocs_per_probe == 0). MWSJ_DETERMINISTIC: candidate visit order
-  /// — and therefore the emit stream — is part of the byte-identity
-  /// contract across platforms and kernel ISAs.
+  /// loop; per-candidate work must not allocate. The per-call scratch is
+  /// set up once, and only the kept match lists grow, amortized, with the
+  /// probes (bench/micro_localjoin.cc reports allocs_per_exec).
+  /// MWSJ_DETERMINISTIC: candidate visit order — and therefore the emit
+  /// stream — is part of the byte-identity contract across platforms and
+  /// kernel ISAs.
   template <typename Emit>
   MWSJ_ALLOC_FREE MWSJ_DETERMINISTIC void Execute(
       const Emit& emit, int64_t* probes = nullptr) const {
-    if (probes != nullptr) *probes = 0;
-    for (const auto& relation : relations_) {
-      if (relation.empty()) return;  // No full assignment can exist.
-    }
-    BindScratch scratch;
-    // mwsj-check: allow(alloc-free-reach): once-per-Execute scratch setup,
-    // not per-candidate work; the recursion below reuses these buffers.
-    scratch.assignment.assign(static_cast<size_t>(query_.num_relations()),
-                              nullptr);
-    // mwsj-check: allow(alloc-free-reach): same once-per-Execute setup.
-    scratch.candidates.resize(order_.size());
+    BindScratch scratch = NewScratch();
     Bind(0, need_, scratch, emit);
     if (probes != nullptr) *probes = scratch.probes;
   }
 
   /// The number of assignments Execute would emit under the same owner
-  /// window, computed without enumerating them. Requires Query::IsTree():
-  /// every condition is then some depth's anchor, so relation order_[k]
-  /// (k > 0) is a child of anchor_relation_[k] and no residual check
-  /// remains.
+  /// window, for any query shape. `probes`, when set, receives the number
+  /// of anchor probes issued.
   ///
-  /// Factorized bottom-up count (Yannakakis-style, over the binding plan):
-  /// a rectangle's 2-bit window class is Supplies(rect) & need_, and an
+  /// On a tree query (Query::IsTree()) every condition is some depth's
+  /// anchor, so relation order_[k] (k > 0) is a child of
+  /// anchor_relation_[k] and no residual check remains. Count is then a
+  /// factorized fold (Yannakakis-style, over the binding plan): a
+  /// rectangle's 2-bit window class is Supplies(rect) & need_, and an
   /// assignment is emitted iff the OR of its members' classes is need_.
-  /// Every non-leaf rectangle keeps a 4-entry vector: entry c counts the
-  /// assignments of its subtree whose members' classes OR to c. Depths are
-  /// folded from the deepest up to 1: each parent rectangle probes its
-  /// child relation once, sums the matched children's vectors (a leaf
-  /// child contributes its class), and OR-convolves the sum into its own
-  /// vector. The result is the sum of vec[need_] over order_[0]. Cost is
-  /// the probes plus the matched pairs, not the output size. `probes`,
-  /// when set, receives the number of anchor probes issued.
+  /// Each rectangle reached from order_[0] gets a 4-entry vector, computed
+  /// once and memoized: entry c counts the assignments of its subtree whose
+  /// members' classes OR to c. It is its own unit class OR-convolved with,
+  /// per child depth, the sum of its matches' vectors. The result is the
+  /// sum of vec[need_] over order_[0]. Cost is the probes plus the matched
+  /// pairs, not the output size. On a query with cycles the residual
+  /// checks do not factorize, and Count counts Execute's emits.
   ///
   /// MWSJ_ALLOC_FREE: the per-probe loop must not allocate; only the
-  /// once-per-call vector setup does. MWSJ_DETERMINISTIC: integer sums.
+  /// once-per-call setup and the kept lists do. MWSJ_DETERMINISTIC:
+  /// integer sums.
   MWSJ_ALLOC_FREE MWSJ_DETERMINISTIC int64_t
   Count(int64_t* probes = nullptr) const;
 
@@ -168,15 +162,27 @@ class MultiwayLocalJoin {
   const std::vector<int>& binding_order() const { return order_; }
 
  private:
-  /// Reusable per-Execute buffers: the assignment under construction, one
-  /// candidate list per depth (a single shared list would be clobbered by
-  /// the recursion), and the R-tree traversal stack (probes complete
-  /// before recursing, so one stack serves all depths).
+  // The kept matches of one (depth, anchor rectangle): [begin, end) of the
+  // depth's match arena; begin > end until the probe runs.
+  struct MatchList {
+    size_t begin = 1;
+    size_t end = 0;
+  };
+
+  /// Per-call state of Execute and Count: the assignment under
+  /// construction, per depth k > 0 one MatchList per rectangle of
+  /// anchor_relation_[k] and the arena its lists point into (a depth's
+  /// list is read to its end before the depth probes again, so only a kept
+  /// list must outlive the next probe), and the R-tree traversal stack (a
+  /// probe completes before the caller recurses, so one stack serves all
+  /// depths).
   struct BindScratch {
     std::vector<const LocalRect*> assignment;
-    std::vector<std::vector<int32_t>> candidates;
+    std::vector<std::vector<MatchList>> lists;
+    std::vector<std::vector<int32_t>> matches;
     RTree::QueryScratch rtree;
     int64_t probes = 0;  // Anchor probes issued.
+    bool keep = true;    // Whether lists anchored below the root are kept.
   };
 
   // Per-rectangle count vector of Count(), indexed by window class.
@@ -191,19 +197,36 @@ class MultiwayLocalJoin {
                                 (r.max_y() < window_.y_hi ? kNeedY : 0));
   }
 
-  // Clips the overlap probe box `*q` (the anchor rectangle) to the
-  // half-planes of the `must` tests: a candidate starting right of x_lo
-  // that meets the anchor meets the clipped box. False when the anchor
-  // cannot reach a required half-plane, so no candidate can pass.
-  bool ClipOverlapProbe(uint8_t must, Rect* q) const {
-    const bool need_x = (must & kNeedX) != 0;
-    const bool need_y = (must & kNeedY) != 0;
-    if (need_x && !(q->max_x() > window_.x_lo)) return false;
-    if (need_y && !(q->min_y() < window_.y_hi)) return false;
-    *q = Rect(need_x ? std::max(q->min_x(), window_.x_lo) : q->min_x(),
-              q->min_y(), q->max_x(),
-              need_y ? std::min(q->max_y(), window_.y_hi) : q->max_y());
-    return true;
+  BindScratch NewScratch() const;
+  // Count's fold of rectangle i of relation order_[depth] into its memo.
+  const ClassCounts& Fold(size_t depth, size_t i, BindScratch& scratch,
+                          std::vector<std::vector<ClassCounts>>& folded) const;
+
+  // The probe routine: the indices, in tree order, of the rectangles of
+  // relation order_[depth] meeting the depth's anchor condition against
+  // rectangle `anchor` of anchor_relation_[depth]. The first call per
+  // (depth, anchor) probes the depth's R-tree into its arena; later calls
+  // return the kept list. Probes at other depths leave the span valid.
+  std::span<const int32_t> Matches(size_t depth, size_t anchor,
+                                   BindScratch& scratch) const {
+    MatchList& list = scratch.lists[depth][anchor];
+    std::vector<int32_t>& arena = scratch.matches[depth];
+    if (list.begin > list.end) {
+      ++scratch.probes;
+      // A list is read again only when its anchor binds again. A root
+      // rectangle binds once, and Count's fold is memoized, so there the
+      // next probe reuses the arena.
+      if (!scratch.keep || anchor_relation_[depth] == order_[0]) {
+        arena.clear();
+      }
+      list.begin = arena.size();
+      trees_[static_cast<size_t>(order_[depth])]->Collect(
+          *anchor_predicate_[depth],
+          relations_[static_cast<size_t>(anchor_relation_[depth])][anchor].rect,
+          &scratch.rtree, &arena);
+      list.end = arena.size();
+    }
+    return {arena.data() + list.begin, list.end - list.begin};
   }
 
   // `need` holds the window tests no member bound so far has passed.
@@ -218,7 +241,6 @@ class MultiwayLocalJoin {
     const auto relation = relations_[static_cast<size_t>(r)];
     // Tests only this depth's candidate can still pass.
     const uint8_t later = avail_[depth + 1];
-    const uint8_t must = need & static_cast<uint8_t>(~later);
 
     auto try_candidate = [&](const LocalRect& candidate) {
       // Once every test has passed (always, without a window) the
@@ -245,38 +267,23 @@ class MultiwayLocalJoin {
       return;
     }
 
-    const JoinCondition& anchor =
-        query_.conditions()[static_cast<size_t>(anchor_condition_[depth])];
-    const LocalRect* anchor_rect =
-        scratch.assignment[static_cast<size_t>(anchor_relation_[depth])];
-    // A range probe is not narrowed: the candidate's own need check in
-    // try_candidate rejects what the window rules out.
-    Rect q = anchor_rect->rect;
-    if (must != 0 && anchor.predicate.is_overlap() &&
-        !ClipOverlapProbe(must, &q)) {
+    const size_t a = static_cast<size_t>(anchor_relation_[depth]);
+    const LocalRect* anchor = scratch.assignment[a];
+    // An overlap partner meets the anchor, so it can pass a test this
+    // depth must supply only if the anchor reaches the test's half-plane.
+    // A range anchor is not ruled out: try_candidate's need check rejects
+    // what the window rules out.
+    const uint8_t must = need & static_cast<uint8_t>(~later);
+    if (anchor_predicate_[depth]->is_overlap() &&
+        (((must & kNeedX) != 0 && !(anchor->rect.max_x() > window_.x_lo)) ||
+         ((must & kNeedY) != 0 && !(anchor->rect.min_y() < window_.y_hi)))) {
       return;
     }
-    ProbeAnchor(depth, q, scratch,
-                [&](size_t idx) { try_candidate(relation[idx]); });
-  }
-
-  // The anchor probe of depth `depth`, shared by Bind and Count: calls
-  // `visit(i)`, in tree order, for every rectangle i of relation
-  // order_[depth] meeting the depth's anchor condition against the probe
-  // box `q`. Uses scratch.candidates[depth] and scratch.rtree, so a visit
-  // may start a probe at a deeper depth but not at this one.
-  template <typename Visit>
-  void ProbeAnchor(size_t depth, const Rect& q, BindScratch& scratch,
-                   const Visit& visit) const {
-    ++scratch.probes;
-    const RTree& tree = *trees_[static_cast<size_t>(order_[depth])];
-    const Predicate& predicate =
-        query_.conditions()[static_cast<size_t>(anchor_condition_[depth])]
-            .predicate;
-    std::vector<int32_t>& candidates = scratch.candidates[depth];
-    candidates.clear();
-    tree.Collect(predicate, q, &scratch.rtree, &candidates);
-    for (int32_t idx : candidates) visit(static_cast<size_t>(idx));
+    for (int32_t j : Matches(depth,
+                             static_cast<size_t>(anchor - relations_[a].data()),
+                             scratch)) {
+      try_candidate(relation[static_cast<size_t>(j)]);
+    }
   }
 
   const Query& query_;
@@ -291,12 +298,12 @@ class MultiwayLocalJoin {
   std::vector<std::unique_ptr<RTree>> trees_;
 
   // Binding plan: order_[k] is the relation bound at depth k; for k > 0,
-  // anchor_condition_[k] connects it to the already-bound
-  // anchor_relation_[k], and check_conditions_[k] lists the other
-  // conditions whose endpoints are both bound once depth k binds.
+  // the condition with predicate *anchor_predicate_[k] connects it to the
+  // already-bound anchor_relation_[k], and check_conditions_[k] lists the
+  // other conditions whose endpoints are both bound once depth k binds.
   std::vector<int> order_;
   std::vector<int> anchor_relation_;
-  std::vector<int> anchor_condition_;
+  std::vector<const Predicate*> anchor_predicate_;
   std::vector<std::vector<int>> check_conditions_;
 };
 

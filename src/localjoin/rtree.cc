@@ -206,8 +206,7 @@ void RTree::Query(const Rect& probe, bool overlap, double d_sq,
       // Ascending slot order.
       for (size_t t = 0; t < hits; ++t) {
         // mwsj-check: allow(alloc-free-reach): `out` is the caller's
-        // candidate buffer, cleared and reused across probes; growth
-        // amortizes to zero.
+        // match buffer, reused across its probes; growth is amortized.
         out->push_back(entries_[base + matches[t]]);
       }
     } else {

@@ -5,9 +5,10 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <map>
+#include <string>
 
 #include "common/random.h"
-#include "common/trace.h"
 #include "core/dedup.h"
 #include "core/runner.h"
 #include "grid/grid_partition.h"
@@ -36,6 +37,25 @@ TupleBlock RunLocalJoin(const Query& query,
   });
   SortTuples(&out);
   return out;
+}
+
+// The number of tuples Execute emits that `keep` accepts.
+int64_t EmitCount(const MultiwayLocalJoin& join, const auto& keep) {
+  int64_t n = 0;
+  std::vector<const Rect*> rects;
+  join.Execute([&](const std::vector<const LocalRect*>& members) {
+    rects.clear();
+    for (const LocalRect* m : members) rects.push_back(&m->rect);
+    if (keep(std::span<const Rect* const>(rects))) ++n;
+  });
+  return n;
+}
+
+std::vector<std::span<const LocalRect>> Spans(
+    const std::vector<std::vector<LocalRect>>& local) {
+  std::vector<std::span<const LocalRect>> spans;
+  for (const auto& rel : local) spans.emplace_back(rel.data(), rel.size());
+  return spans;
 }
 
 class MultiwayLocalJoinTest
@@ -103,6 +123,22 @@ TEST(MultiwayLocalJoinProperty, MatchesBruteForceOnRandomWorlds) {
     const auto data = testing::MakeWorldData(config, query.num_relations());
     EXPECT_EQ(RunLocalJoin(query, data), BruteForceJoin(query, data))
         << "trial " << trial;
+
+    // Count() is Execute's emit count on every shape, with and without a
+    // window through the middle of the space.
+    std::vector<std::vector<LocalRect>> local(data.size());
+    for (size_t r = 0; r < data.size(); ++r) {
+      for (size_t i = 0; i < data[r].size(); ++i) {
+        local[r].push_back(LocalRect{data[r][i], static_cast<int64_t>(i)});
+      }
+    }
+    const double mid = config.space_size / 2;
+    auto all = [](std::span<const Rect* const>) { return true; };
+    for (const OwnerWindow window : {OwnerWindow{}, OwnerWindow{mid, mid}}) {
+      const MultiwayLocalJoin join(query, Spans(local), window);
+      EXPECT_EQ(join.Count(), EmitCount(join, all))
+          << "trial " << trial << " window " << window.x_lo;
+    }
   }
 }
 
@@ -351,26 +387,7 @@ TEST(MultiwayLocalJoinWindow, KeepsPartnersOneUlpInsideTheWindow) {
   }
 }
 
-// The number of tuples Execute emits that `keep` accepts.
-int64_t EmitCount(const MultiwayLocalJoin& join, const auto& keep) {
-  int64_t n = 0;
-  std::vector<const Rect*> rects;
-  join.Execute([&](const std::vector<const LocalRect*>& members) {
-    rects.clear();
-    for (const LocalRect* m : members) rects.push_back(&m->rect);
-    if (keep(std::span<const Rect* const>(rects))) ++n;
-  });
-  return n;
-}
-
-std::vector<std::span<const LocalRect>> Spans(
-    const std::vector<std::vector<LocalRect>>& local) {
-  std::vector<std::span<const LocalRect>> spans;
-  for (const auto& rel : local) spans.emplace_back(rel.data(), rel.size());
-  return spans;
-}
-
-// Random tree-shaped worlds, every cell of a uniform and an equi-depth
+// Random worlds of every shape, every cell of a uniform and an equi-depth
 // 4x4 grid, each cell's contents routed up-left (members start in or
 // up-left of the cell, as in every join round):
 //  * Count() == the number Execute emits under the cell's window == the
@@ -382,22 +399,22 @@ TEST(MultiwayLocalJoinCount, MatchesWindowedAndOwnedEmitsPerCell) {
   using testing::PredicateMix;
   using testing::QueryShape;
   const QueryShape shapes[] = {QueryShape::kChain2, QueryShape::kChain3,
-                               QueryShape::kChain4, QueryShape::kStar4};
+                               QueryShape::kChain4, QueryShape::kStar4,
+                               QueryShape::kCycle3};
   const PredicateMix mixes[] = {PredicateMix::kOverlapOnly,
                                 PredicateMix::kRangeOnly,
                                 PredicateMix::kHybrid};
   auto all = [](std::span<const Rect* const>) { return true; };
   int64_t counted_total = 0;
-  for (int trial = 0; trial < 72; ++trial) {
+  for (int trial = 0; trial < 75; ++trial) {
     testing::WorldConfig config;
-    config.shape = shapes[trial % 4];
+    config.shape = shapes[trial % 5];
     config.mix = mixes[trial % 3];
     config.seed = 7300 + static_cast<uint64_t>(trial) * 11;
     config.max_rects_per_relation = (trial % 5 == 4) ? 6 : 10 + trial % 30;
     config.integer_coords = (trial % 2 == 0);
     if (trial % 12 == 7) config.range_d = 1e200;  // d*d overflows.
     const Query query = testing::MakeWorldQuery(config);
-    ASSERT_TRUE(query.IsTree());
     const auto data = testing::MakeWorldData(config, query.num_relations());
     const Rect space(0, 0, config.space_size, config.space_size);
     std::vector<Rect> sample;
@@ -478,11 +495,46 @@ TEST(MultiwayLocalJoinCount, ReportsProbesAndShortCircuitsEmptyRelations) {
   EXPECT_EQ(count_probes, 0);
 }
 
-// The join round picks its path by the query's shape: a counted kCycle3
-// join keeps enumerating (the count path would ignore the closing
-// condition), while a counted chain takes the factorized count. The
-// `local_join` spans name the path each reduce call took.
-TEST(MultiwayLocalJoinCount, CyclicQueriesNeverTakeTheCountPath) {
+// Execute and Count probe each (depth, anchor rectangle) once per call and
+// keep its matches. On the chain A OV B AND B OV C, bound A, B, C: b0
+// meets a0 and a1, b1 meets a1, b2 meets nothing, so the C probes anchor
+// on b0 and b1 only: 2 A-anchored plus 2 B-anchored probes. The recursive
+// binder this replaced probed C once per (a, b) binding, 5 probes in all,
+// and its bottom-up Count probed C from every B rectangle, b2 included,
+// also 5.
+TEST(MultiwayLocalJoinProbes, OneProbePerDepthAndAnchorRectangle) {
+  const Query query = MakeChainQuery(3, Predicate::Overlap()).value();
+  const std::vector<std::vector<LocalRect>> local = {
+      {{Rect(0, 0, 10, 10), 0}, {Rect(5, 0, 15, 10), 1}},
+      {{Rect(8, 0, 9, 10), 0},
+       {Rect(12, 0, 13, 10), 1},
+       {Rect(100, 100, 101, 101), 2}},
+      {{Rect(8.5, 0, 20, 1), 0},
+       {Rect(12.5, 5, 12.6, 6), 1},
+       {Rect(200, 200, 201, 201), 2},
+       {Rect(300, 300, 301, 301), 3}}};
+  const MultiwayLocalJoin join(query, Spans(local));
+  ASSERT_EQ(join.binding_order(), (std::vector<int>{0, 1, 2}));
+  std::vector<std::vector<int64_t>> emitted;
+  int64_t execute_probes = 0;
+  join.Execute(
+      [&emitted](const std::vector<const LocalRect*>& members) {
+        emitted.push_back({members[0]->id, members[1]->id, members[2]->id});
+      },
+      &execute_probes);
+  EXPECT_EQ(emitted, (std::vector<std::vector<int64_t>>{
+                         {0, 0, 0}, {1, 0, 0}, {1, 1, 0}, {1, 1, 1}}));
+  EXPECT_EQ(execute_probes, 4);
+  int64_t count_probes = 0;
+  EXPECT_EQ(join.Count(&count_probes), 4);
+  EXPECT_EQ(count_probes, 4);
+}
+
+// A counted join round takes Count on every shape: on kCycle3 Count
+// counts Execute's emits (the closing condition is a residual check), on
+// kChain3 it folds. Both match brute force, and every tuple counted is a
+// tuple owned.
+TEST(MultiwayLocalJoinCount, CountedJoinRoundsMatchBruteForceOnEveryShape) {
   using testing::QueryShape;
   for (QueryShape shape : {QueryShape::kCycle3, QueryShape::kChain3}) {
     testing::WorldConfig config;
@@ -490,30 +542,34 @@ TEST(MultiwayLocalJoinCount, CyclicQueriesNeverTakeTheCountPath) {
     config.seed = 17;
     const Query query = testing::MakeWorldQuery(config);
     const auto data = testing::MakeWorldData(config, query.num_relations());
-    const bool tree = shape != QueryShape::kCycle3;
-    EXPECT_EQ(query.IsTree(), tree);
+    EXPECT_EQ(query.IsTree(), shape != QueryShape::kCycle3);
     for (Algorithm algorithm :
          {Algorithm::kAllReplicate, Algorithm::kControlledReplicate,
           Algorithm::kControlledReplicateInLimit}) {
-      Tracer tracer;
       RunnerOptions options;
       options.algorithm = algorithm;
       options.grid_rows = 3;
       options.grid_cols = 3;
       options.space = Rect(0, 0, config.space_size, config.space_size);
       options.count_only = true;
-      options.context = ExecutionContext(nullptr, &tracer);
       const StatusOr<JoinRunResult> result =
           RunSpatialJoin(query, data, options);
       ASSERT_TRUE(result.ok()) << result.status().ToString();
-      EXPECT_EQ(result.value().num_tuples,
-                static_cast<int64_t>(BruteForceJoin(query, data).size()))
+      const int64_t expected =
+          static_cast<int64_t>(BruteForceJoin(query, data).size());
+      EXPECT_GT(expected, 0);
+      EXPECT_EQ(result.value().num_tuples, expected)
           << AlgorithmName(algorithm);
-      const std::string json = tracer.ToJson();
-      EXPECT_EQ(json.find("\"path\": \"count\"") != std::string::npos, tree)
+      std::map<std::string, int64_t> counters;
+      for (const JobStats& job : result.value().stats.jobs) {
+        for (const auto& [name, value] : job.user_counters) {
+          counters[name] += value;
+        }
+      }
+      EXPECT_EQ(counters["dedup_tuple_checks"], expected)
           << AlgorithmName(algorithm);
-      EXPECT_EQ(json.find("\"path\": \"enumerate\"") != std::string::npos,
-                !tree)
+      EXPECT_EQ(counters["dedup_owned"], expected) << AlgorithmName(algorithm);
+      EXPECT_EQ(counters["tuples_counted"], expected)
           << AlgorithmName(algorithm);
     }
   }

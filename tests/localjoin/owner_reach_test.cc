@@ -108,17 +108,15 @@ Query ChainQuery(const std::vector<Predicate>& predicates) {
 }
 
 // The pruned and the full input give the same windowed emit set, and the
-// same Count() on tree queries; the set is non-empty.
+// same Count(); the set is non-empty.
 void ExpectSameJoin(const Query& query, const Relations& full,
                     const OwnerWindow& window) {
   const Relations kept = Pruned(query, window, full);
   const auto expected = EmitSet(query, full, window);
   EXPECT_FALSE(expected.empty());
   EXPECT_EQ(EmitSet(query, kept, window), expected);
-  if (query.IsTree()) {
-    EXPECT_EQ(MultiwayLocalJoin(query, Spans(kept), window).Count(),
-              MultiwayLocalJoin(query, Spans(full), window).Count());
-  }
+  EXPECT_EQ(MultiwayLocalJoin(query, Spans(kept), window).Count(),
+            MultiwayLocalJoin(query, Spans(full), window).Count());
 }
 
 // The rule at its edges, per relation: on R0 Ov R1 Ra(1.5) R2 with widths
@@ -470,11 +468,9 @@ TEST(OwnerReachProperty, PruningNeverChangesTheWindowedJoin) {
         const auto expected = EmitSet(query, *input, window);
         EXPECT_EQ(EmitSet(query, kept, window), expected)
             << "trial " << trial << " cell " << cell;
-        if (query.IsTree()) {
-          EXPECT_EQ(MultiwayLocalJoin(query, Spans(kept), window).Count(),
-                    static_cast<int64_t>(expected.size()))
-              << "trial " << trial << " cell " << cell;
-        }
+        EXPECT_EQ(MultiwayLocalJoin(query, Spans(kept), window).Count(),
+                  static_cast<int64_t>(expected.size()))
+            << "trial " << trial << " cell " << cell;
         tuples += static_cast<int64_t>(expected.size());
       }
     }

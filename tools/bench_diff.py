@@ -7,7 +7,9 @@ A and B are either the JSON-lines file paper_tables appends to
 (MWSJ_BENCH_JSON) or the document bench/run_benchmarks.sh --json writes
 ({"rows": [...]}). Rows are matched by (spec, variant, parameter value);
 for each pair the script prints B's wall, CPU and modeled seconds as a
-ratio of A's and flags every count that changed. A row present on one side
+ratio of A's and flags every count that changed. Above the table it prints
+each file's git SHA (and a dirty mark) from a run_benchmarks.sh document;
+a JSON-lines file carries none. A row present on one side
 only is flagged too. When a file repeats a key, its last row is used.
 
 Exit status: 0 when no count changed, 1 when any was flagged, 2 on a usage
@@ -30,9 +32,12 @@ def load(path):
         doc = json.loads(text)
     except ValueError:  # JSON lines (or empty).
         doc = [json.loads(line) for line in text.splitlines() if line.strip()]
+    sha = "no git_sha"
     if isinstance(doc, dict):
+        if "git_sha" in doc:
+            sha = doc["git_sha"] + (" (dirty)" if doc.get("dirty") else "")
         doc = doc["rows"] if "rows" in doc else [doc]
-    return index(doc, path)
+    return index(doc, path), sha
 
 
 def index(rows, path):
@@ -54,10 +59,12 @@ def main(argv):
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
     try:
-        a, b = load(argv[1]), load(argv[2])
+        (a, sha_a), (b, sha_b) = load(argv[1]), load(argv[2])
     except (OSError, ValueError) as e:
         print(f"bench_diff: {e}", file=sys.stderr)
         return 2
+    print(f"A: {argv[1]} @ {sha_a}")
+    print(f"B: {argv[2]} @ {sha_b}")
     flagged = 0
     print(f"{'spec':<14} {'variant':<15} {'value':>9} "
           f"{'wall':>6} {'cpu':>6} {'model':>6}  counts")
