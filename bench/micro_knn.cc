@@ -3,7 +3,8 @@
 // catalog already holds the round-1 bounds) against the single-node
 // R-tree KnnJoin (queries/knn.h) on the same data, sweeping k. knn-mr
 // additionally reports its point replication factor (round-2 point copies
-// per point) — the quantity its round-1 bounds exist to minimize.
+// per point) — the quantity its round-1 bounds exist to minimize — and
+// its round-2 R-tree entries collected per point copy (hits_per_copy).
 
 #include <benchmark/benchmark.h>
 
@@ -60,23 +61,29 @@ void BM_KnnJoinMR(benchmark::State& state) {
 
   int64_t points = 0;
   int64_t point_copies = 0;
+  int64_t probe_hits = 0;
   for (auto _ : state) {
     const StatusOr<JoinRunResult> result =
         RunKnnJoinMr(query, relations, k, options);
     benchmark::DoNotOptimize(result.value().num_tuples);
     points = 0;
     point_copies = 0;
+    probe_hits = 0;
     for (const JobStats& job : result.value().stats.jobs) {
       const auto p = job.user_counters.find(kCounterKnnPoints);
       if (p != job.user_counters.end()) points += p->second;
       const auto c = job.user_counters.find(kCounterKnnPointCopies);
       if (c != job.user_counters.end()) point_copies += c->second;
+      const auto h = job.user_counters.find(kCounterKnnProbeHits);
+      if (h != job.user_counters.end()) probe_hits += h->second;
     }
   }
   state.SetItemsProcessed(state.iterations() * n);
   if (points > 0) {
     state.counters["replication"] =
         static_cast<double>(point_copies) / static_cast<double>(points);
+    state.counters["hits_per_copy"] =
+        static_cast<double>(probe_hits) / static_cast<double>(point_copies);
   }
 }
 BENCHMARK(BM_KnnJoinMR)

@@ -159,6 +159,7 @@ std::string ExplainRun(const Query& query, const JoinRunResult& result,
   int64_t knn_point_copies = 0;
   int64_t knn_bounded_points = 0;
   int64_t knn_candidates = 0;
+  int64_t knn_probe_hits = 0;
   for (const JobStats& job : result.stats.jobs) {
     const auto counter = [&job](const char* name) {
       const auto it = job.user_counters.find(name);
@@ -168,14 +169,19 @@ std::string ExplainRun(const Query& query, const JoinRunResult& result,
     knn_point_copies += counter(kCounterKnnPointCopies);
     knn_bounded_points += counter(kCounterKnnBoundedPoints);
     knn_candidates += counter(kCounterKnnCandidates);
+    knn_probe_hits += counter(kCounterKnnProbeHits);
   }
   if (knn_points > 0) {
     const double points = static_cast<double>(knn_points);
     out += StrFormat(
         "\nknn: replication factor %.2f | candidates/point %.2f | "
+        "probe hits/copy %.2f | "
         "bound tightness %.0f%% (%lld/%lld points bounded)\n",
         static_cast<double>(knn_point_copies) / points,
         static_cast<double>(knn_candidates) / points,
+        knn_point_copies > 0 ? static_cast<double>(knn_probe_hits) /
+                                   static_cast<double>(knn_point_copies)
+                             : 0.0,
         100.0 * static_cast<double>(knn_bounded_points) / points,
         static_cast<long long>(knn_bounded_points),
         static_cast<long long>(knn_points));

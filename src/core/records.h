@@ -156,6 +156,9 @@ inline constexpr char kCounterKnnRectCopies[] = "knn_rect_copies";
 inline constexpr char kCounterKnnBoundedPoints[] = "knn_bounded_points";
 inline constexpr char kCounterKnnUnboundedPoints[] = "knn_unbounded_points";
 inline constexpr char kCounterKnnCandidates[] = "knn_candidates";
+/// R-tree entries round 2's probes collected, repeated probes of one point
+/// copy included: the reducer's index work per candidate it keeps.
+inline constexpr char kCounterKnnProbeHits[] = "knn_probe_hits";
 inline constexpr char kCounterKnnBoundedCells[] = "knn_cells_bounded";
 inline constexpr char kCounterKnnUnboundedCells[] = "knn_cells_unbounded";
 

@@ -43,6 +43,10 @@ MultiwayLocalJoin::MultiwayLocalJoin(
   // r), keeping the plan platform-deterministic. The query graph is
   // connected (Query invariant), so this covers all relations.
   std::vector<bool> bound(static_cast<size_t>(m), false);
+  order_.reserve(static_cast<size_t>(m));
+  anchor_relation_.reserve(static_cast<size_t>(m));
+  anchor_predicate_.reserve(static_cast<size_t>(m));
+  check_conditions_.reserve(static_cast<size_t>(m));
   while (static_cast<int>(order_.size()) < m) {
     int best = -1;
     const Predicate* best_predicate = nullptr;
@@ -114,18 +118,18 @@ MultiwayLocalJoin::MultiwayLocalJoin(
   }
 }
 
-MultiwayLocalJoin::BindScratch MultiwayLocalJoin::NewScratch() const {
+MultiwayLocalJoin::BindScratch MultiwayLocalJoin::NewScratch(
+    bool tables) const {
   BindScratch scratch;
   // mwsj-check: allow(alloc-free-reach): once-per-call setup of Execute
   // and Count, not per-candidate work; the binding and the fold reuse it.
   scratch.assignment.assign(relations_.size(), nullptr);
   // mwsj-check: allow(alloc-free-reach): same once-per-call setup.
-  scratch.lists.resize(order_.size());
-  // mwsj-check: allow(alloc-free-reach): same once-per-call setup.
-  scratch.matches.resize(order_.size());
-  for (size_t k = 1; k < order_.size(); ++k) {
+  scratch.depths.resize(order_.size());
+  for (size_t k = 1; tables && k < order_.size(); ++k) {
+    if (anchor_relation_[k] == order_[0]) continue;
     // mwsj-check: allow(alloc-free-reach): same once-per-call setup.
-    scratch.lists[k].resize(
+    scratch.depths[k].table.resize(
         relations_[static_cast<size_t>(anchor_relation_[k])].size());
   }
   return scratch;
@@ -173,8 +177,7 @@ int64_t MultiwayLocalJoin::Count(int64_t* probes) const {
     Execute([&emitted](const auto&) { ++emitted; }, probes);
     return emitted;
   }
-  BindScratch scratch = NewScratch();
-  scratch.keep = false;  // The fold reads each list once.
+  BindScratch scratch = NewScratch(/*tables=*/false);  // Reads each once.
   // One memoized vector per rectangle of the root and of every relation a
   // depth anchors on; entry 0 of -1 marks it not yet folded. A leaf
   // relation keeps none.

@@ -126,7 +126,7 @@ class MultiwayLocalJoin {
   template <typename Emit>
   MWSJ_ALLOC_FREE MWSJ_DETERMINISTIC void Execute(
       const Emit& emit, int64_t* probes = nullptr) const {
-    BindScratch scratch = NewScratch();
+    BindScratch scratch = NewScratch(/*tables=*/true);
     Bind(0, need_, scratch, emit);
     if (probes != nullptr) *probes = scratch.probes;
   }
@@ -169,20 +169,29 @@ class MultiwayLocalJoin {
     size_t end = 0;
   };
 
+  // One depth's probe state. A list is read again after another anchor's
+  // only under Execute, at a depth anchored below the root (the anchor
+  // binds again under another prefix): there `table` holds one list per
+  // rectangle of anchor_relation_[k], and the arena keeps them all.
+  // Everywhere else (a root rectangle binds once, and Count's fold is
+  // memoized) only the last anchor's list can be read again, so `table`
+  // is empty, `last` holds that list, and each probe reuses the arena.
+  struct DepthMatches {
+    std::vector<MatchList> table;
+    MatchList last;
+    size_t last_anchor = 0;
+    std::vector<int32_t> arena;
+  };
+
   /// Per-call state of Execute and Count: the assignment under
-  /// construction, per depth k > 0 one MatchList per rectangle of
-  /// anchor_relation_[k] and the arena its lists point into (a depth's
-  /// list is read to its end before the depth probes again, so only a kept
-  /// list must outlive the next probe), and the R-tree traversal stack (a
-  /// probe completes before the caller recurses, so one stack serves all
-  /// depths).
+  /// construction, one DepthMatches per depth (index 0 unused), and the
+  /// R-tree traversal stack (a probe completes before the caller recurses,
+  /// so one stack serves all depths).
   struct BindScratch {
     std::vector<const LocalRect*> assignment;
-    std::vector<std::vector<MatchList>> lists;
-    std::vector<std::vector<int32_t>> matches;
+    std::vector<DepthMatches> depths;
     RTree::QueryScratch rtree;
     int64_t probes = 0;  // Anchor probes issued.
-    bool keep = true;    // Whether lists anchored below the root are kept.
   };
 
   // Per-rectangle count vector of Count(), indexed by window class.
@@ -197,7 +206,9 @@ class MultiwayLocalJoin {
                                 (r.max_y() < window_.y_hi ? kNeedY : 0));
   }
 
-  BindScratch NewScratch() const;
+  // `tables`: whether depths anchored below the root keep one list per
+  // anchor rectangle (Execute) or only the last anchor's (Count's fold).
+  BindScratch NewScratch(bool tables) const;
   // Count's fold of rectangle i of relation order_[depth] into its memo.
   const ClassCounts& Fold(size_t depth, size_t i, BindScratch& scratch,
                           std::vector<std::vector<ClassCounts>>& folded) const;
@@ -209,24 +220,26 @@ class MultiwayLocalJoin {
   // return the kept list. Probes at other depths leave the span valid.
   std::span<const int32_t> Matches(size_t depth, size_t anchor,
                                    BindScratch& scratch) const {
-    MatchList& list = scratch.lists[depth][anchor];
-    std::vector<int32_t>& arena = scratch.matches[depth];
-    if (list.begin > list.end) {
+    DepthMatches& d = scratch.depths[depth];
+    MatchList* list = &d.last;
+    if (!d.table.empty()) {
+      list = &d.table[anchor];
+    } else if (d.last_anchor != anchor) {
+      // Another anchor's list, read to its end: this probe reuses the arena.
+      d.last = MatchList{};
+      d.last_anchor = anchor;
+      d.arena.clear();
+    }
+    if (list->begin > list->end) {
       ++scratch.probes;
-      // A list is read again only when its anchor binds again. A root
-      // rectangle binds once, and Count's fold is memoized, so there the
-      // next probe reuses the arena.
-      if (!scratch.keep || anchor_relation_[depth] == order_[0]) {
-        arena.clear();
-      }
-      list.begin = arena.size();
+      list->begin = d.arena.size();
       trees_[static_cast<size_t>(order_[depth])]->Collect(
           *anchor_predicate_[depth],
           relations_[static_cast<size_t>(anchor_relation_[depth])][anchor].rect,
-          &scratch.rtree, &arena);
-      list.end = arena.size();
+          &scratch.rtree, &d.arena);
+      list->end = d.arena.size();
     }
-    return {arena.data() + list.begin, list.end - list.begin};
+    return {d.arena.data() + list->begin, list->end - list->begin};
   }
 
   // `need` holds the window tests no member bound so far has passed.

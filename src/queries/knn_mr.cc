@@ -11,6 +11,7 @@
 #include <cstddef>
 #include <limits>
 #include <memory>
+#include <numbers>
 #include <span>
 #include <string>
 #include <utility>
@@ -271,8 +272,9 @@ StatusOr<JoinRunResult> RunKnnJoinMr(
                           static_cast<int64_t>(cells.size()));
     for (CellId c : cells) emit.Emit(c, item);
   });
-  join_job.set_reduce([k](const CellId&, std::span<const KnnRouted> values,
-                          JoinJob::OutEmitter& out) {
+  join_job.set_reduce([&grid, k](const CellId& cell,
+                                 std::span<const KnnRouted> values,
+                                 JoinJob::OutEmitter& out) {
     std::vector<const KnnRouted*> cell_points;
     std::vector<Rect> cell_rects;
     std::vector<int64_t> rect_ids;
@@ -287,33 +289,31 @@ StatusOr<JoinRunResult> RunKnnJoinMr(
     }
     if (cell_points.empty() || cell_rects.empty()) return;
     const RTree tree(cell_rects);
-    RTree::QueryScratch scratch;
-    std::vector<int32_t> hits;
-    std::vector<KnnCandidate> local;
-    // Kept candidates of this call, published once below.
+    // On rectangles spread evenly over the cell, a disc of this radius
+    // holds about 2k of them, so most probes around an in-cell point stop
+    // at the first or second radius.
+    const double n = static_cast<double>(cell_rects.size());
+    const double first_radius =
+        CellDiagonal(grid, cell) *
+        std::sqrt(std::min(static_cast<double>(k), n) / (std::numbers::pi * n));
+    knn_internal::LocalTopKScratch scratch;
+    // Kept candidates and collected R-tree entries of this call, published
+    // once below.
     int64_t kept = 0;
+    int64_t collected = 0;
+    // Local top-k: the global answer's pairs each have a cell holding both
+    // sides where the pair survives this cut (any pair displacing it here
+    // also outranks it globally), so truncation loses nothing.
     for (const KnnRouted* p : cell_points) {
-      hits.clear();
-      tree.Collect(Predicate::Range(p->bound), p->rect, &scratch, &hits);
-      local.clear();
-      local.reserve(hits.size());
-      for (int32_t h : hits) {
-        local.push_back(
-            KnnCandidate{p->id, rect_ids[static_cast<size_t>(h)],
-                         MinDistance(cell_rects[static_cast<size_t>(h)],
-                                     p->rect)});
-      }
-      // Local top-k: the global answer's pairs each have a cell holding
-      // both sides where the pair survives this cut (any pair displacing
-      // it here also outranks it globally), so truncation loses nothing.
-      const size_t keep = std::min(local.size(), static_cast<size_t>(k));
-      std::partial_sort(local.begin(),
-                        local.begin() + static_cast<ptrdiff_t>(keep),
-                        local.end(), CandidateLess);
-      kept += static_cast<int64_t>(keep);
-      for (size_t i = 0; i < keep; ++i) out.Emit(local[i]);
+      collected += knn_internal::LocalTopK(
+          tree, cell_rects, rect_ids, p->rect, p->id, p->bound, first_radius,
+          k, &scratch, [&](const KnnCandidate& c) {
+            out.Emit(c);
+            ++kept;
+          });
     }
     if (kept > 0) out.IncrementCounter(kCounterKnnCandidates, kept);
+    if (collected > 0) out.IncrementCounter(kCounterKnnProbeHits, collected);
   });
 
   std::vector<KnnCandidate> candidates;

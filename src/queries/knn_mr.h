@@ -2,6 +2,7 @@
 #define MWSJ_QUERIES_KNN_MR_H_
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -13,6 +14,7 @@
 #include "core/scheduler.h"
 #include "geometry/rect.h"
 #include "io/colcodec.h"
+#include "localjoin/rtree.h"
 #include "mapreduce/spill.h"
 #include "query/query.h"
 
@@ -106,7 +108,7 @@ inline bool CandidateLess(const KnnCandidate& a, const KnnCandidate& b) {
 ///
 /// MWSJ_ALLOC_FREE: runs once per point; the sort buffer is thread-local
 /// and grows to each worker's high-water candidate count, so the steady
-/// state allocates nothing (tests/queries/knn_mr_test.cc pins this).
+/// state allocates nothing (tests/queries/knn_mr_alloc_test.cc pins this).
 /// MWSJ_DETERMINISTIC: rank order is the (distance, rect id) total order,
 /// independent of partitioning, thread count, or spill budget.
 template <typename EmitRow>
@@ -123,6 +125,80 @@ MWSJ_ALLOC_FREE MWSJ_DETERMINISTIC void MergeTopK(
     if (i > 0 && sorted[i].rect_id == sorted[i - 1].rect_id) continue;
     emit_row(rank, sorted[i].rect_id);
     ++rank;
+  }
+}
+
+/// A probe of radius r holds a point's exact top k once its k-th distance
+/// lies below r by this relative margin: RTree::Collect decides Range(r)
+/// on squared distances, so a rectangle it leaves out can sit a few ulps
+/// under r in hypot form (DESIGN.md §2.14).
+inline constexpr double kProbeInsideMargin = 1 - 1e-9;
+
+/// Caller-owned scratch of LocalTopK: one per reduce call, reused across
+/// the call's point copies.
+struct LocalTopKScratch {
+  RTree::QueryScratch tree;
+  std::vector<int32_t> hits;
+  std::vector<KnnCandidate> ranked;
+};
+
+/// Round-2 kernel for one point copy in one cell: calls `emit(candidate)`
+/// for the point's local top k, the k smallest (distance, rect id) among
+/// the cell's rectangles within `bound` of `point`, in that order, and
+/// returns the number of R-tree entries its probes collected. `rects` and
+/// `rect_ids` are index-aligned with the rectangles `tree` was built over.
+///
+/// An expanding probe capped at the bound. It probes Range(r) from
+/// r = `first_radius` and doubles r until the k-th (distance, rect id)
+/// lies below r·kProbeInsideMargin or the probe holds every rectangle of
+/// the cell. Once r is not below bound·kProbeInsideMargin, the bound
+/// itself is probed, and that probe is final; a `first_radius` that is
+/// not positive goes straight to it. The candidates are exactly those of
+/// one Range(bound) probe: a rectangle closer than the k-th distance lies
+/// inside r's margin, so both probes hold it, and a probe that stops below
+/// the bound holds nothing Range(bound) lacks (DESIGN.md §2.14). A +inf
+/// bound ends on the whole cell.
+///
+/// MWSJ_ALLOC_FREE: runs once per point copy; the scratch vectors grow to
+/// the cell's high-water probe size and are reused
+/// (tests/queries/knn_mr_alloc_test.cc pins this).
+/// MWSJ_DETERMINISTIC: the (distance, rect id) total order.
+template <typename Emit>
+MWSJ_ALLOC_FREE MWSJ_DETERMINISTIC int64_t LocalTopK(
+    const RTree& tree, std::span<const Rect> rects,
+    std::span<const int64_t> rect_ids, const Rect& point, int64_t point_id,
+    double bound, double first_radius, int k, LocalTopKScratch* scratch,
+    const Emit& emit) {
+  const size_t want = static_cast<size_t>(k);
+  std::vector<int32_t>& hits = scratch->hits;
+  std::vector<KnnCandidate>& ranked = scratch->ranked;
+  int64_t collected = 0;
+  double r = first_radius > 0 ? first_radius : bound;
+  for (;; r *= 2) {
+    const bool last = !(r < bound * kProbeInsideMargin);
+    if (last) r = bound;
+    hits.clear();
+    tree.Collect(Predicate::Range(r), point, &scratch->tree, &hits);
+    collected += static_cast<int64_t>(hits.size());
+    const bool whole = hits.size() == rects.size();
+    if (!last && !whole && hits.size() < want) continue;
+    ranked.clear();
+    for (const int32_t h : hits) {
+      const size_t i = static_cast<size_t>(h);
+      // mwsj-check: allow(alloc-free-reach): caller's scratch reaches the
+      // cell's high-water probe size once, then is reused per point.
+      ranked.push_back(
+          KnnCandidate{point_id, rect_ids[i], MinDistance(rects[i], point)});
+    }
+    const size_t keep = std::min(want, ranked.size());
+    std::partial_sort(ranked.begin(),
+                      ranked.begin() + static_cast<std::ptrdiff_t>(keep),
+                      ranked.end(), CandidateLess);
+    if (last || whole ||
+        ranked[keep - 1].distance < r * kProbeInsideMargin) {
+      for (size_t i = 0; i < keep; ++i) emit(ranked[i]);
+      return collected;
+    }
   }
 }
 
@@ -154,9 +230,12 @@ struct KnnCellBounds {
 ///  2. *join*: each point is replicated to every cell whose Euclidean
 ///     cell distance is within its bound (all cells when unbounded),
 ///     rectangles are Split; each reducer builds an R-tree over its cell's
-///     rectangles, collects those within each point's bound
-///     (RTree::Collect with Predicate::Range(bound), localjoin/rtree.h)
-///     and emits the point's local top-k, cut by std::partial_sort;
+///     rectangles and emits each point's local top-k among those within
+///     its bound through knn_internal::LocalTopK: Range(r) probes
+///     (RTree::Collect, localjoin/rtree.h) from a radius the cell's
+///     rectangle density sets, doubled until the k-th distance lies inside
+///     r's margin, the probe holds the whole cell, or r reaches the bound,
+///     which is probed as is — the candidates of one Range(bound) probe;
 ///  3. *merge*: candidates group by point id; duplicates from overlapping
 ///     cells collapse and the k smallest (distance, rect id) survive.
 ///

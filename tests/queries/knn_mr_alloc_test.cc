@@ -1,6 +1,7 @@
-// Pins the MWSJ_ALLOC_FREE contract of knn_internal::MergeTopK
-// (queries/knn_mr.h): after its thread-local scratch reaches the worker's
-// high-water candidate count, merging a point allocates nothing. The
+// Pins the MWSJ_ALLOC_FREE contracts of knn_internal::MergeTopK and
+// knn_internal::LocalTopK (queries/knn_mr.h): after their scratch reaches
+// its high-water size, merging a point and probing a point copy allocate
+// nothing. The
 // whole-binary operator new replacement below counts every heap
 // allocation, the same idiom bench/micro_localjoin.cc uses for
 // allocs_per_probe; gtest_discover_tests runs each TEST in its own
@@ -9,12 +10,15 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <new>
 #include <span>
 #include <utility>
 #include <vector>
 
+#include "common/random.h"
 #include "gtest/gtest.h"
+#include "localjoin/rtree.h"
 #include "queries/knn_mr.h"
 
 namespace {
@@ -118,6 +122,49 @@ TEST(KnnMrMergeTopKAllocTest, TruncatesAtKAfterDeduplication) {
                             ++emitted;
                           });
   EXPECT_EQ(emitted, 5);
+}
+
+TEST(KnnMrLocalTopKAllocTest, SteadyStateIsAllocationFree) {
+  Rng rng(17);
+  std::vector<Rect> rects;
+  std::vector<int64_t> ids;
+  for (int64_t i = 0; i < 500; ++i) {
+    const double x = rng.Uniform(0, 100);
+    const double y = rng.Uniform(0, 100);
+    rects.push_back(Rect(x, y, x + rng.Uniform(0, 3), y + rng.Uniform(0, 3)));
+    ids.push_back(i);
+  }
+  const RTree tree(rects);
+  std::vector<Rect> points;
+  for (int i = 0; i < 64; ++i) {
+    points.push_back(
+        Rect::FromPoint(Point{rng.Uniform(-20, 120), rng.Uniform(-20, 120)}));
+  }
+  const int k = 8;
+  int64_t emitted = 0;
+  const auto emit = [&emitted](const KnnCandidate&) { ++emitted; };
+  knn_internal::LocalTopKScratch scratch;
+  // Bounds from a tight one to +inf; the +inf pass, whose last probe holds
+  // the whole cell, takes the scratch to its high-water size.
+  const double bounds[] = {5.0, 40.0,
+                           std::numeric_limits<double>::infinity()};
+  for (const double bound : bounds) {
+    for (const Rect& p : points) {
+      knn_internal::LocalTopK(tree, rects, ids, p, 0, bound, 2.0, k, &scratch,
+                              emit);
+    }
+  }
+  for (const double bound : bounds) {
+    for (const Rect& p : points) {
+      const int64_t before = g_heap_allocs.load(std::memory_order_relaxed);
+      knn_internal::LocalTopK(tree, rects, ids, p, 0, bound, 2.0, k, &scratch,
+                              emit);
+      EXPECT_EQ(g_heap_allocs.load(std::memory_order_relaxed) - before, 0)
+          << "LocalTopK allocated on a warmed scratch (bound " << bound
+          << ")";
+    }
+  }
+  EXPECT_GT(emitted, 0);
 }
 
 }  // namespace
