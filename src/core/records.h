@@ -32,8 +32,9 @@ struct MarkedRect {
   bool marked = false;
 };
 
-/// Columnar spill layouts (mapreduce/spill.h) for the shuffled rectangle
-/// records: the four coordinates map through the bijective ordered-bits
+/// Columnar spill layout (mapreduce/spill.h) for the shuffled rectangle
+/// record (MarkedRect is a map input and a reduce output, never shuffled):
+/// the four coordinates map through the bijective ordered-bits
 /// transform (sorted streams delta-pack tightly), id and relation through
 /// the sign-biasing key map. Scatter/Gather are exact inverses, so spilled
 /// runs decode bit-for-bit — the engine's byte-identity guarantee rests on
@@ -58,32 +59,6 @@ struct spill::SpillColumns<RelRect> {
                   colcodec::DoubleFromOrderedBits(cols[3]));
     v.id = spill::KeyFromU64<int64_t>(cols[4]);
     v.relation = spill::KeyFromU64<int32_t>(cols[5]);
-    return v;
-  }
-};
-
-template <>
-struct spill::SpillColumns<MarkedRect> {
-  static constexpr bool enabled = true;
-  static constexpr size_t kNumColumns = 7;
-  static void Scatter(const MarkedRect& v, uint64_t* cols) {
-    cols[0] = colcodec::OrderedBitsFromDouble(v.rect.min_x());
-    cols[1] = colcodec::OrderedBitsFromDouble(v.rect.min_y());
-    cols[2] = colcodec::OrderedBitsFromDouble(v.rect.max_x());
-    cols[3] = colcodec::OrderedBitsFromDouble(v.rect.max_y());
-    cols[4] = spill::KeyToU64(v.id);
-    cols[5] = spill::KeyToU64(v.relation);
-    cols[6] = v.marked ? 1 : 0;
-  }
-  static MarkedRect Gather(const uint64_t* cols) {
-    MarkedRect v;
-    v.rect = Rect(colcodec::DoubleFromOrderedBits(cols[0]),
-                  colcodec::DoubleFromOrderedBits(cols[1]),
-                  colcodec::DoubleFromOrderedBits(cols[2]),
-                  colcodec::DoubleFromOrderedBits(cols[3]));
-    v.id = spill::KeyFromU64<int64_t>(cols[4]);
-    v.relation = spill::KeyFromU64<int32_t>(cols[5]);
-    v.marked = cols[6] != 0;
     return v;
   }
 };

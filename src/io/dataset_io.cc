@@ -121,6 +121,23 @@ StatusOr<std::vector<Rect>> ReadRectsBinary(const std::string& path) {
   uint64_t count = 0;
   in.read(reinterpret_cast<char*>(&count), sizeof(count));
   if (!in) return Status::InvalidArgument("'" + path + "': truncated header");
+  // The header count is untrusted: reserve only what the payload can hold.
+  const std::streamoff header_end = in.tellg();
+  in.seekg(0, std::ios::end);
+  const std::streamoff file_end = in.tellg();
+  in.seekg(header_end);
+  if (header_end < 0 || file_end < header_end || !in) {
+    return Status::InvalidArgument("'" + path +
+                                   "': cannot read its size (not seekable)");
+  }
+  const uint64_t available =
+      static_cast<uint64_t>(file_end - header_end) / (4 * sizeof(double));
+  if (count > available) {
+    return Status::InvalidArgument(StrFormat(
+        "'%s': header claims %llu records, the payload holds %llu",
+        path.c_str(), static_cast<unsigned long long>(count),
+        static_cast<unsigned long long>(available)));
+  }
   std::vector<Rect> rects;
   rects.reserve(static_cast<size_t>(count));
   for (uint64_t i = 0; i < count; ++i) {

@@ -77,8 +77,8 @@ inline int64_t ChunkBudget(int64_t budget, size_t num_chunks) {
 }
 
 /// Opt-in trait mapping a value type onto fixed u64 columns so its spill
-/// runs compress columnarly (io/colcodec.h). Specializations (e.g. RelRect
-/// and MarkedRect in core/records.h) provide:
+/// runs compress columnarly (io/colcodec.h). Specializations (RelRect in
+/// core/records.h, KnnRouted and KnnCandidate in queries/knn_mr.h) provide:
 ///
 ///   static constexpr bool enabled = true;
 ///   static constexpr size_t kNumColumns = N;

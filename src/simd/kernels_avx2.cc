@@ -9,7 +9,7 @@
 // every candidate index is stored, the cursor advances only on a hit —
 // identical order and results to the scalar reference, whose primitives
 // (kernels_internal.h) also handle the tail elements here.
-#if MWSJ_SIMD_HAVE_AVX2
+#if MWSJ_HAVE_AVX2
 
 #include <cstring>
 
@@ -110,4 +110,4 @@ size_t WithinFilterAvx2(const double* min_xs, const double* min_ys,
 
 }  // namespace mwsj::simd::internal
 
-#endif  // MWSJ_SIMD_HAVE_AVX2
+#endif  // MWSJ_HAVE_AVX2

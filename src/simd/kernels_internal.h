@@ -54,7 +54,7 @@ size_t WithinFilterScalar(const double* min_xs, const double* min_ys,
                           double q_max_x, double q_max_y, double d_sq,
                           uint32_t* out);
 
-#if MWSJ_SIMD_HAVE_AVX2
+#if MWSJ_HAVE_AVX2
 size_t OverlapFilterAvx2(const double* min_xs, const double* min_ys,
                          const double* max_xs, const double* max_ys, size_t n,
                          double q_min_x, double q_min_y, double q_max_x,

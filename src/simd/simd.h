@@ -3,8 +3,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <optional>
-#include <string_view>
 #include <type_traits>
 #include <vector>
 
@@ -22,10 +20,6 @@ enum class Isa {
 
 /// Human-readable name ("scalar", "avx2") for logs and benches.
 const char* IsaName(Isa isa);
-
-/// Parses the MWSJ_SIMD override values: "scalar", "avx2" (case-sensitive).
-/// Returns nullopt for anything else.
-std::optional<Isa> ParseIsa(std::string_view name);
 
 /// True when this build carries the ISA's kernels *and* the CPU executes
 /// them. kScalar is always true.
@@ -66,20 +60,13 @@ struct KernelTable {
 /// The table for a specific ISA. Precondition: IsaAvailable(isa).
 const KernelTable& KernelsFor(Isa isa);
 
-/// The process-wide active table: resolved on first use from the CPU (AVX2
-/// when it has it, else scalar), overridable with the MWSJ_SIMD environment
-/// variable ("scalar" | "avx2"; an unavailable or unparseable value falls
-/// back to scalar — never to a faster guess — so a CI leg pinning an ISA
-/// can trust what it measured).
+/// The process-wide active table, fixed on first use from the build and
+/// the CPU: AVX2 when both carry it, else scalar. Nothing overrides it; a
+/// scalar-only build (MWSJ_COMPILER_HAS_AVX2=OFF) runs the scalar tier.
 const KernelTable& ActiveKernels();
 
-/// The ISA ActiveKernels() currently dispatches to.
+/// The ISA ActiveKernels() dispatches to.
 Isa ActiveIsa();
-
-/// Swaps the active table (parity tests run the same world under every
-/// available ISA). Passing an unavailable ISA is the caller's bug. Not
-/// thread-safe against concurrent probes: call between joins, not during.
-void SetIsaForTesting(Isa isa);
 
 /// Order-preserving widening of an integral key to u64 (sign-biased so
 /// signed negatives sort below positives).
@@ -125,8 +112,8 @@ void StableSortIndexByKey(const std::vector<K>& keys,
 }
 
 /// Structure-of-arrays rectangle storage for the batch filters. Owned by
-/// index builders (the R-tree's leaf and node mirrors, the brute-force
-/// prefilter) that fill it once and probe it many times.
+/// the R-tree (its leaf and node mirrors), which fills it once and probes
+/// it many times.
 struct SoaRects {
   std::vector<double> min_x, min_y, max_x, max_y;
 

@@ -191,6 +191,48 @@ TEST_F(DatasetIoTest, BinaryRejectsWrongMagicAndTruncation) {
             StatusCode::kInvalidArgument);
 }
 
+// Writes the binary header (magic + count) followed by `records` zeroed
+// 32-byte records.
+void WriteBinaryHeader(const std::string& path, uint64_t count,
+                       size_t records) {
+  std::ofstream out(path, std::ios::binary);
+  out.write("MWSJR1", 6);
+  out.write(reinterpret_cast<const char*>(&count), sizeof(count));
+  const std::string record(32, '\0');
+  for (size_t i = 0; i < records; ++i) out.write(record.data(), 32);
+}
+
+TEST_F(DatasetIoTest, BinaryRejectsACountThePayloadCannotHold) {
+  const std::string path = Track(TempPath("count.bin"));
+  // A 14-byte file claiming 2^62 or 2^33 records must fail cleanly, not
+  // reserve (length_error / bad_alloc) before reading a record.
+  for (const uint64_t count : {uint64_t{1} << 62, uint64_t{1} << 33}) {
+    WriteBinaryHeader(path, count, 0);
+    const auto result = ReadRectsBinary(path);
+    ASSERT_EQ(result.status().code(), StatusCode::kInvalidArgument)
+        << "count " << count;
+    EXPECT_NE(result.status().message().find(std::to_string(count) +
+                                             " records, the payload holds 0"),
+              std::string::npos)
+        << result.status().ToString();
+  }
+
+  // One record past the payload.
+  WriteBinaryHeader(path, 4, 3);
+  const auto short_payload = ReadRectsBinary(path);
+  ASSERT_EQ(short_payload.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(short_payload.status().message().find(
+                "claims 4 records, the payload holds 3"),
+            std::string::npos)
+      << short_payload.status().ToString();
+
+  // An exact payload still reads (zeroed records are valid point rects).
+  WriteBinaryHeader(path, 3, 3);
+  const auto exact = ReadRectsBinary(path);
+  ASSERT_TRUE(exact.ok()) << exact.status().ToString();
+  EXPECT_EQ(exact.value().size(), 3u);
+}
+
 TEST_F(DatasetIoTest, TuplesCsv) {
   const std::string path = Track(TempPath("tuples.csv"));
   ASSERT_TRUE(

@@ -227,28 +227,17 @@ TEST(OrderedKeyTest, PreservesIntegerOrdering) {
   EXPECT_LT(OrderedKeyFromInt(uint32_t{3}), OrderedKeyFromInt(uint32_t{5}));
 }
 
-TEST(SimdDispatchTest, ParseAndNames) {
-  EXPECT_EQ(ParseIsa("scalar"), Isa::kScalar);
-  EXPECT_EQ(ParseIsa("sse"), std::nullopt);  // No SSE tier: pins scalar.
-  EXPECT_EQ(ParseIsa("avx2"), Isa::kAvx2);
-  EXPECT_EQ(ParseIsa("AVX2"), std::nullopt);
-  EXPECT_EQ(ParseIsa(""), std::nullopt);
-  EXPECT_EQ(ParseIsa("avx512"), std::nullopt);
-  for (const Isa isa : AvailableIsas()) {
-    EXPECT_EQ(ParseIsa(IsaName(isa)), isa);
-    EXPECT_EQ(KernelsFor(isa).isa, isa);
-  }
+TEST(SimdDispatchTest, IsaNamesAndTables) {
+  EXPECT_STREQ(IsaName(Isa::kScalar), "scalar");
+  EXPECT_STREQ(IsaName(Isa::kAvx2), "avx2");
+  for (const Isa isa : AvailableIsas()) EXPECT_EQ(KernelsFor(isa).isa, isa);
 }
 
-TEST(SimdDispatchTest, SetIsaForTestingSwitchesTheActiveTable) {
-  const Isa original = ActiveIsa();
-  for (const Isa isa : AvailableIsas()) {
-    SetIsaForTesting(isa);
-    EXPECT_EQ(ActiveIsa(), isa);
-    EXPECT_EQ(ActiveKernels().isa, isa);
-  }
-  SetIsaForTesting(original);
-  EXPECT_EQ(ActiveIsa(), original);
+// The active table is the best tier the build and the CPU both carry.
+TEST(SimdDispatchTest, ActiveTableIsTheBestAvailableIsa) {
+  const Isa best = AvailableIsas().back();
+  EXPECT_EQ(ActiveIsa(), best);
+  EXPECT_EQ(&ActiveKernels(), &KernelsFor(best));
 }
 
 TEST(SimdDispatchTest, ScalarAlwaysAvailable) {

@@ -66,31 +66,12 @@ std::string CompareJobStats(const RunStats& baseline, const RunStats& faulted) {
   return "";
 }
 
-namespace {
-
-// Restores the ambient dispatch table even on early return.
-class IsaPin {
- public:
-  explicit IsaPin(const std::optional<simd::Isa>& isa)
-      : original_(simd::ActiveIsa()) {
-    if (isa.has_value()) simd::SetIsaForTesting(*isa);
-  }
-  ~IsaPin() { simd::SetIsaForTesting(original_); }
-  IsaPin(const IsaPin&) = delete;
-  IsaPin& operator=(const IsaPin&) = delete;
-
- private:
-  simd::Isa original_;
-};
-
-}  // namespace
-
 DifferentialOutcome RunDifferentialWorld(const DifferentialWorkload& workload,
                                          const DifferentialOptions& options) {
   DifferentialOutcome outcome;
   const TupleBlock expected = workload.oracle();
 
-  // The baseline is the in-memory, fault-free, ambient-ISA ground truth:
+  // The baseline is the in-memory, fault-free ground truth:
   // whatever the variant's perturbations, its output must match this.
   ExecutionContext baseline_ctx;
   baseline_ctx.pool = options.pool;
@@ -115,11 +96,7 @@ DifferentialOutcome RunDifferentialWorld(const DifferentialWorkload& workload,
   variant_ctx.faults =
       options.fault_plan != nullptr ? options.fault_plan : &plan;
   variant_ctx.retry = &retry;
-  StatusOr<JoinRunResult> faulted = Status::Internal("variant did not run");
-  {
-    IsaPin pin(options.isa);
-    faulted = workload.run(variant_ctx);
-  }
+  const StatusOr<JoinRunResult> faulted = workload.run(variant_ctx);
   if (!faulted.ok()) {
     outcome.mismatch = StrFormat("%s: faulted run failed: %s",
                                  workload.name.c_str(),

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -14,7 +13,6 @@
 #include "core/records.h"
 #include "localjoin/brute_force.h"
 #include "mapreduce/fault.h"
-#include "simd/simd.h"
 
 namespace mwsj::testing {
 
@@ -68,11 +66,6 @@ struct DifferentialOptions {
   /// for targeted injections such as a crash mid-spill-flush
   /// (FaultPlan::Inject(FaultPhase::kSpill, chunk, attempt, kind)).
   const FaultPlan* fault_plan = nullptr;
-  /// When set, the variant run executes under this SIMD dispatch table
-  /// (simd::SetIsaForTesting, restored afterwards); the baseline keeps the
-  /// ambient ISA, so pinning anything other than the ambient one asserts
-  /// cross-ISA byte-identity on top of the other axes. Must be available.
-  std::optional<simd::Isa> isa;
 };
 
 /// What one differential world observed. The fault tallies aggregate the

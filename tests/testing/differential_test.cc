@@ -5,9 +5,8 @@
 // in-memory baseline while the variant run sweeps every perturbation axis
 // at once — seeded fault plans (crash / flaky-I/O / straggler, including
 // spill-flush faults), shuffle budgets from pinned-in-memory down to 1
-// byte, grid geometries from a single reducer to 4x4, and every SIMD ISA
-// the host supports. Byte-identity everywhere is the tentpole contract of
-// queries/knn_mr.h.
+// byte, and grid geometries from a single reducer to 4x4. Byte-identity
+// everywhere is the tentpole contract of queries/knn_mr.h.
 //
 // MWSJ_CHAOS_SEED_BASE (env, default 0) shifts every world and fault seed,
 // exactly like the multiway chaos sweep (chaos_test.cc).
@@ -20,15 +19,12 @@
 #include <gtest/gtest.h>
 
 #include "queries/knn_mr.h"
-#include "simd/simd.h"
 #include "testing/differential.h"
-#include "testing/isas.h"
 #include "testing/world.h"
 
 namespace mwsj {
 namespace {
 
-using testing::AvailableIsas;
 using testing::DifferentialOptions;
 using testing::DifferentialOutcome;
 using testing::DifferentialWorkload;
@@ -71,7 +67,6 @@ TEST_P(KnnMrChaosTest, DifferentialWorldsStayByteIdentical) {
   const uint64_t base = SeedBase();
   std::unique_ptr<ThreadPool> pool;
   if (threaded) pool = std::make_unique<ThreadPool>(4);
-  const std::vector<simd::Isa> isas = AvailableIsas();
   const Query query = KnnQuery();
 
   constexpr int kWorldsPerCase = 50;  // x {serial, pool} = 100 worlds.
@@ -114,15 +109,13 @@ TEST_P(KnnMrChaosTest, DifferentialWorldsStayByteIdentical) {
                       static_cast<uint64_t>(i) * 104729 + 23;
     diff.pool = pool.get();
     diff.shuffle_memory_budget = kBudgets[i % 5];
-    diff.isa = isas[static_cast<size_t>(i) % isas.size()];
 
     const DifferentialOutcome outcome = RunDifferentialWorld(workload, diff);
     EXPECT_TRUE(outcome.ok())
         << (threaded ? "(pool)" : "(serial)") << " knn world " << i << " seed "
         << config.seed << " fault_seed " << diff.fault_seed << " k " << k
         << " grid " << grid[0] << "x" << grid[1] << " budget "
-        << diff.shuffle_memory_budget << " isa "
-        << simd::IsaName(*diff.isa) << ": " << outcome.mismatch;
+        << diff.shuffle_memory_budget << ": " << outcome.mismatch;
     if (!outcome.ok()) break;
 
     total.attempts += outcome.attempts;

@@ -8,7 +8,7 @@
 namespace mwsj::testing {
 
 /// Every ISA this build carries and this CPU runs, scalar (the reference)
-/// first: the parity suites sweep each of them.
+/// first: the kernel tests sweep each of them.
 inline std::vector<simd::Isa> AvailableIsas() {
   std::vector<simd::Isa> isas;
   for (const simd::Isa isa : {simd::Isa::kScalar, simd::Isa::kAvx2}) {
